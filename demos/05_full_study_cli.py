@@ -3,7 +3,8 @@
 Writes the six input CSVs and a config for the side-effect case into a
 temporary study folder, runs the staged pipeline exactly as a user would,
 and shows what lands in the output directory. A second run-all at the end
-demonstrates the dispatch cache: nothing upstream is recomputed.
+demonstrates the stage cache: every stage is reused after its outputs verify,
+and only the report is written again.
 """
 
 import json
@@ -53,4 +54,4 @@ print("\n$ pfcplan run-all --config config.json   (second run, cache warm)")
 start = time.perf_counter()
 code = main(["run-all", "--config", str(config_path)])
 print(f"  -> exit {code} in {time.perf_counter() - start:.2f}s "
-      f"(dispatch reused from cache)")
+      f"(every stage reused from cache, report re-emitted)")

@@ -1,27 +1,33 @@
 """Command line pipeline: dispatch -> screen -> site-pfc -> report.
 
 Exit codes: 0 success, 2 validation error, 3 dispatch finished with infeasible
-hours (outputs still written), 4 solver failure. Each stage writes its outputs
-plus a meta file carrying the config content hash; a later stage refuses stale
-upstream outputs, and run-all reuses a cached dispatch when the hash matches.
+hours (outputs still written), 4 solver failure.
+
+Every subcommand goes through one runner over the stage table ``STAGES``.
+A stage's meta file records the config hash of its scope and the sha256 of
+each output it lists. The runner skips a stage only when both match, and
+refuses to run a stage whose upstream does not verify. A computed stage writes
+its outputs under temporary names, moves each into the output directory with
+``os.replace`` and writes its meta last, so an interrupted stage leaves no
+meta that verifies. The report is not cached: it is re-emitted from the stage
+outputs after siting and by ``pfcplan report``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import dcflow, dispatch, report, screening, shift_factors, siting
 from .config import ConfigError, StudyConfig, apply_overrides, load_config
 from .network import (
     HOURS_PER_YEAR,
     NetworkDataError,
-    NetworkModel,
     filter_monitored_lines,
     load_network,
 )
@@ -57,10 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="study config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument(
-            "--workers", type=int,
-            help="worker count (reserved; the solvers are vectorized)",
-        )
-        p.add_argument(
             "--voltage-levels", type=_parse_levels,
             help="comma separated kV levels to monitor, e.g. 110 or 110,220",
         )
@@ -70,29 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="Stage 2 monitors only lines flagged in Stage 1",
         )
     return parser
-
-
-def _meta_path(cfg: StudyConfig, stage: str) -> Path:
-    return Path(cfg.out_dir) / f"{stage}_meta.json"
-
-
-def _write_meta(cfg: StudyConfig, stage: str, content_hash: str) -> None:
-    with open(_meta_path(cfg, stage), "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": content_hash}, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _stage_fresh(cfg: StudyConfig, stage: str, content_hash: str, files: list[str]) -> bool:
-    meta = _meta_path(cfg, stage)
-    if not meta.exists():
-        return False
-    try:
-        recorded = json.loads(meta.read_text())["config_hash"]
-    except (json.JSONDecodeError, KeyError):
-        return False
-    if recorded != content_hash:
-        return False
-    return all((Path(cfg.out_dir) / f).exists() for f in files)
 
 
 def _load_study(cfg: StudyConfig):
@@ -113,82 +92,33 @@ def _load_study(cfg: StudyConfig):
     return model, profile, availability
 
 
-def _read_dispatch_outputs(
-    cfg: StudyConfig, model: NetworkModel, profile: dispatch.DemandProfile
-) -> dispatch.DispatchYear:
+def _read_year(cfg: StudyConfig, model, profile) -> dispatch.DispatchYear:
     out = Path(cfg.out_dir)
-    gen_pos = {gid: i for i, gid in enumerate(model.generator_ids)}
-    outputs = np.zeros((HOURS_PER_YEAR, len(gen_pos)))
-    with open(out / "dispatch.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            outputs[int(row["hour"]), gen_pos[row["generator"]]] = float(
-                row["output_mw"]
-            )
-    summary = json.loads((out / "dispatch_summary.json").read_text())
-    infeasible = set(summary["infeasible_hours"])
-    hours = tuple(
-        dispatch.DispatchHour(
-            hour=h,
-            outputs_mw=outputs[h],
-            demand_mw=float(profile.demand_mw[h]),
-            curtailed_mw=float(summary["curtailment_mwh"][h]),
-            snsp=float(summary["snsp"][h]),
-            feasible=h not in infeasible,
-        )
-        for h in range(HOURS_PER_YEAR)
-    )
-    return dispatch.DispatchYear(
-        hours=hours,
-        generator_ids=model.generator_ids,
-        snsp_cap=cfg.snsp_cap,
-        scenario=summary.get("scenario", cfg.scenario),
+    return dispatch.read_dispatch_outputs(
+        out / "dispatch.csv", out / "dispatch_summary.json", model, profile
     )
 
 
-DISPATCH_FILES = ["dispatch.csv", "dispatch_summary.json"]
-SCREEN_FILES = [
-    "overloads.csv",
-    "line_summary.csv",
-    "region_summary.csv",
-    "duration_histogram.csv",
-    "severity.csv",
-]
-SITING_FILES = ["pfc_outcomes.csv", "pfc_ranking.csv", "pfc_outcomes_detail.json"]
+# -- stage bodies: each writes its listed outputs into ``dest`` -----------------
 
 
-def cmd_dispatch(cfg: StudyConfig) -> int:
-    content_hash = cfg.content_hash("dispatch")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model, profile, availability = _load_study(cfg)
-    if _stage_fresh(cfg, "dispatch", content_hash, DISPATCH_FILES):
-        summary = json.loads((out / "dispatch_summary.json").read_text())
-        infeasible = summary["infeasible_hours"]
-        print(f"dispatch: cached ({len(infeasible)} infeasible hours)")
-        return EXIT_INFEASIBLE if infeasible else EXIT_OK
+def cmd_dispatch(cfg: StudyConfig, study, dest: Path) -> None:
+    model, profile, availability = study
     year = dispatch.run_year(
         model, profile, availability, cfg.snsp_cap, scenario=cfg.scenario
     )
-    dispatch.write_dispatch_csv(year, out / "dispatch.csv")
+    dispatch.write_dispatch_csv(year, dest / "dispatch.csv")
     dispatch.write_dispatch_summary(
-        year, out / "dispatch_summary.json", config_hash=content_hash
+        year, dest / "dispatch_summary.json", config_hash=cfg.content_hash("dispatch")
     )
-    _write_meta(cfg, "dispatch", content_hash)
     n_bad = len(year.infeasible_hours)
     print(f"dispatch: {HOURS_PER_YEAR - n_bad} feasible hours, {n_bad} infeasible")
-    return EXIT_INFEASIBLE if n_bad else EXIT_OK
 
 
-def cmd_screen(cfg: StudyConfig) -> int:
-    out = Path(cfg.out_dir)
-    if not _stage_fresh(cfg, "dispatch", cfg.content_hash("dispatch"), DISPATCH_FILES):
-        raise ConfigError(
-            "dispatch output missing or stale for this config; "
-            "run the dispatch stage first"
-        )
-    model, profile, _ = _load_study(cfg)
+def cmd_screen(cfg: StudyConfig, study, dest: Path) -> None:
+    model, profile, _ = study
     calendar = cfg.calendar()
-    year = _read_dispatch_outputs(cfg, model, profile)
+    year = _read_year(cfg, model, profile)
     monitored = filter_monitored_lines(model, cfg.voltage_levels)
 
     system = dcflow.build_system(model)
@@ -212,25 +142,17 @@ def cmd_screen(cfg: StudyConfig) -> int:
         rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
     )
     summaries, regional = screening.summarize(records, model)
-    screening.write_workbook(records, summaries, regional, out)
-    _write_meta(cfg, "screen", cfg.content_hash("screen"))
+    screening.write_workbook(records, summaries, regional, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")
     for region in sorted(regional):
         print(f"  {region}: {regional[region]} overloaded lines")
-    return EXIT_OK
 
 
-def cmd_site_pfc(cfg: StudyConfig) -> int:
-    out = Path(cfg.out_dir)
-    if not _stage_fresh(cfg, "screen", cfg.content_hash("screen"), SCREEN_FILES):
-        raise ConfigError(
-            "screening output missing or stale for this config; "
-            "run the screen stage first"
-        )
-    model, profile, _ = _load_study(cfg)
+def cmd_site_pfc(cfg: StudyConfig, study, dest: Path) -> None:
+    model, profile, _ = study
     calendar = cfg.calendar()
-    year = _read_dispatch_outputs(cfg, model, profile)
-    records = screening.read_overloads_csv(out / "overloads.csv")
+    year = _read_year(cfg, model, profile)
+    records = screening.read_overloads_csv(Path(cfg.out_dir) / "overloads.csv")
     summaries, _ = screening.summarize(records, model)
 
     system = dcflow.build_system(model)
@@ -248,76 +170,134 @@ def cmd_site_pfc(cfg: StudyConfig) -> int:
         for target in targets
     ]
     ranking = siting.rank_targets(outcomes, summaries)
-    siting.write_outcomes(outcomes, out / "pfc_outcomes.csv")
-    siting.write_ranking(ranking, out / "pfc_ranking.csv")
-    siting.write_outcomes_json(outcomes, out / "pfc_outcomes_detail.json")
-    _write_meta(cfg, "siting", cfg.content_hash("siting"))
-
-    _emit_report(cfg, model, records, summaries, outcomes, ranking, cfg.content_hash())
+    siting.write_outcomes(outcomes, dest / "pfc_outcomes.csv")
+    siting.write_ranking(ranking, dest / "pfc_ranking.csv")
+    siting.write_outcomes_json(outcomes, dest / "pfc_outcomes_detail.json")
     for o in outcomes:
         print(f"site-pfc: {o.target_line} -> {o.classification}")
     if not outcomes:
         print("site-pfc: no overloaded lines to assess")
-    return EXIT_OK
 
 
-def _emit_report(cfg, model, records, summaries, outcomes, ranking, content_hash):
+# -- the stage runner -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str  # the subcommand that computes it
+    scope: str  # config-hash scope; also names the meta file
+    outputs: tuple[str, ...]
+    # looked up in this module when the stage runs, so a wrapper set on the
+    # module attribute (as bench/tracer.py does) takes effect
+    body: str
+
+
+STAGES = (
+    Stage("dispatch", "dispatch", ("dispatch.csv", "dispatch_summary.json"), "cmd_dispatch"),
+    Stage(
+        "screen",
+        "screen",
+        (
+            "overloads.csv",
+            "line_summary.csv",
+            "region_summary.csv",
+            "duration_histogram.csv",
+            "severity.csv",
+        ),
+        "cmd_screen",
+    ),
+    Stage(
+        "site-pfc",
+        "siting",
+        ("pfc_outcomes.csv", "pfc_ranking.csv", "pfc_outcomes_detail.json"),
+        "cmd_site_pfc",
+    ),
+)
+
+# subcommand -> (how many stages it walks, the stages it may compute); every
+# other walked stage must verify, and a walk over all stages ends with the report
+COMMANDS = {
+    "dispatch": (1, {"dispatch"}),
+    "screen": (2, {"screen"}),
+    "site-pfc": (3, {"site-pfc"}),
+    "report": (3, set()),
+    "run-all": (3, {"dispatch", "screen", "site-pfc"}),
+}
+
+
+def _verified(out: Path, stage: Stage, content_hash: str) -> bool:
+    try:
+        meta = json.loads((out / f"{stage.scope}_meta.json").read_text())
+        return meta["config_hash"] == content_hash and all(
+            report._sha256(out / name) == meta["sha256"][name] for name in stage.outputs
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
+
+
+def _compute(cfg: StudyConfig, stage: Stage, study, content_hash: str) -> None:
     out = Path(cfg.out_dir)
-    dispatch_stats = {}
-    summary_path = out / "dispatch_summary.json"
-    if summary_path.exists():
-        payload = json.loads(summary_path.read_text())
-        dispatch_stats = {
-            "infeasible_hours": len(payload["infeasible_hours"]),
-            "total_curtailment_mwh": payload["total_curtailment_mwh"],
-        }
+    meta = out / f"{stage.scope}_meta.json"
+    with tempfile.TemporaryDirectory(dir=out, prefix=f".{stage.scope}-") as tmp:
+        tmp = Path(tmp)
+        globals()[stage.body](cfg, study, tmp)
+        checksums = {name: report._sha256(tmp / name) for name in stage.outputs}
+        for name in stage.outputs:
+            os.replace(tmp / name, out / name)
+        payload = {"config_hash": content_hash, "sha256": checksums}
+        (tmp / meta.name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        os.replace(tmp / meta.name, meta)
+
+
+def _emit_report(cfg: StudyConfig, model) -> None:
+    out = Path(cfg.out_dir)
+    records = screening.read_overloads_csv(out / "overloads.csv")
+    summaries, _ = screening.summarize(records, model)
+    outcomes = siting.read_outcomes_json(out / "pfc_outcomes_detail.json")
+    payload = json.loads((out / "dispatch_summary.json").read_text())
     study = report.build_report(
         summaries,
         outcomes,
         model,
         parameters=cfg.parameter_echo(),
         records=records,
-        ranking=ranking,
-        dispatch_stats=dispatch_stats,
+        ranking=siting.rank_targets(outcomes, summaries),
+        dispatch_stats={
+            "infeasible_hours": len(payload["infeasible_hours"]),
+            "total_curtailment_mwh": payload["total_curtailment_mwh"],
+        },
         scenario=cfg.scenario,
-        config_hash=content_hash,
+        config_hash=cfg.content_hash(),
     )
-    extra = [
-        str(out / f)
-        for f in DISPATCH_FILES + SCREEN_FILES + SITING_FILES
-        if (out / f).exists()
-    ]
+    extra = [str(out / name) for stage in STAGES for name in stage.outputs]
     report.emit(study, out, extra_files=extra)
 
 
-def cmd_report(cfg: StudyConfig) -> int:
+def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
     out = Path(cfg.out_dir)
-    if not _stage_fresh(cfg, "siting", cfg.content_hash("siting"), SITING_FILES):
-        raise ConfigError(
-            "siting output missing or stale for this config; "
-            "run the site-pfc stage first"
-        )
-    model, _, _ = _load_study(cfg)
-    records = screening.read_overloads_csv(out / "overloads.csv")
-    summaries, _ = screening.summarize(records, model)
-    outcomes = siting.read_outcomes_json(out / "pfc_outcomes_detail.json")
-    ranking = siting.rank_targets(outcomes, summaries)
-    _emit_report(cfg, model, records, summaries, outcomes, ranking, cfg.content_hash())
-    print(f"report: written to {out / 'report'}")
+    out.mkdir(parents=True, exist_ok=True)
+    study = None
+    for stage in STAGES[:walk]:
+        content_hash = cfg.content_hash(stage.scope)
+        if _verified(out, stage, content_hash):
+            if stage.name in computes:
+                print(f"{stage.name}: cached, outputs verified")
+            continue
+        if stage.name not in computes:
+            raise ConfigError(
+                f"{stage.name} output missing or stale for this config; "
+                f"run the {stage.name} stage first"
+            )
+        # each computed stage loads the inputs it reads; the report reuses them
+        study = _load_study(cfg)
+        _compute(cfg, stage, study, content_hash)
+    if walk == len(STAGES):
+        _emit_report(cfg, (study or _load_study(cfg))[0])
+        print(f"report: written to {out / 'report'}")
+    if "dispatch" in computes:
+        summary = json.loads((out / "dispatch_summary.json").read_text())
+        return EXIT_INFEASIBLE if summary["infeasible_hours"] else EXIT_OK
     return EXIT_OK
-
-
-def cmd_run_all(cfg: StudyConfig) -> int:
-    code = cmd_dispatch(cfg)
-    if code not in (EXIT_OK, EXIT_INFEASIBLE):
-        return code
-    screen_code = cmd_screen(cfg)
-    if screen_code != EXIT_OK:
-        return screen_code
-    siting_code = cmd_site_pfc(cfg)
-    if siting_code != EXIT_OK:
-        return siting_code
-    return code
 
 
 def main(argv=None) -> int:
@@ -327,19 +307,11 @@ def main(argv=None) -> int:
         cfg = apply_overrides(
             cfg,
             out_dir=args.out,
-            workers=args.workers,
             voltage_levels=args.voltage_levels,
             pfc_cap_pct=args.pfc_cap,
             screen_from_stage1=args.screen_from_stage1,
         )
-        handler = {
-            "dispatch": cmd_dispatch,
-            "screen": cmd_screen,
-            "site-pfc": cmd_site_pfc,
-            "report": cmd_report,
-            "run-all": cmd_run_all,
-        }[args.command]
-        return handler(cfg)
+        return _run(cfg, *COMMANDS[args.command])
     except (ConfigError, NetworkDataError, dispatch.DispatchInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

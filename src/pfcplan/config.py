@@ -1,10 +1,11 @@
 """Study configuration: one JSON file, flag overrides, content-based hashing.
 
-Paths in the file are resolved relative to the file's own directory, so a
-study folder can be moved wholesale. The config hash covers every parameter
-that influences results plus the bytes of every input file; it keys the stage
-caches, so editing an input or a threshold forces a recompute while re-running
-an untouched study is cheap.
+Paths in the file, the default output directory ``out`` included, are
+resolved relative to the file's own directory, so a study folder can be moved
+wholesale; an ``--out`` flag resolves against the working directory. The
+config hash covers every parameter that influences results plus the bytes of
+every input file; it keys the stage caches, so editing an input or a threshold
+forces a recompute while re-running an untouched study is cheap.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ _INPUT_KEYS = (
     "res_availability",
 )
 
-# which parameters each pipeline stage depends on; out_dir and workers never
-# affect results and stay out of every hash
+# which parameters each pipeline stage depends on; out_dir never affects
+# results and stays out of every hash
 _DISPATCH_PARAMS = ("scenario", "slack_bus", "system_base_mva", "snsp_cap")
 _SCREEN_PARAMS = _DISPATCH_PARAMS + (
     "voltage_levels",
@@ -64,7 +65,6 @@ class StudyConfig:
     pfc_cap_pct: float = 40.0
     bisection_tol_pp: float = 0.1
     summer_months: tuple[int, ...] = (4, 5, 6, 7, 8, 9)
-    workers: int = 1
     out_dir: str = "out"
     screen_from_stage1: bool = False
 
@@ -82,8 +82,6 @@ class StudyConfig:
             raise ConfigError("derate must lie in [0, 0.5)")
         if self.bisection_tol_pp <= 0:
             raise ConfigError("bisection tolerance must be > 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         bad = [m for m in self.summer_months if not 1 <= m <= 12]
         if bad:
             raise ConfigError(f"summer_months outside 1..12: {bad}")
@@ -144,7 +142,6 @@ _KNOWN_KEYS = {
     "pfc_cap_pct",
     "bisection_tol_pp",
     "summer_months",
-    "workers",
     "out_dir",
     "screen_from_stage1",
 }
@@ -166,27 +163,27 @@ def load_config(path) -> StudyConfig:
     if "inputs" not in raw or not isinstance(raw["inputs"], dict):
         raise ConfigError(f"{path}: config needs an 'inputs' object")
 
-    base = path.parent
-    inputs = {
-        key: str((base / value).resolve()) if not Path(value).is_absolute() else value
-        for key, value in raw["inputs"].items()
+    def resolve(value: str) -> str:
+        if Path(value).is_absolute():
+            return value
+        return str((path.parent / value).resolve())
+
+    kwargs = {
+        "inputs": {key: resolve(value) for key, value in raw["inputs"].items()},
+        "out_dir": resolve(raw.get("out_dir", StudyConfig.out_dir)),
     }
-    kwargs = {"inputs": inputs}
     for key, value in raw.items():
-        if key == "inputs":
+        if key in ("inputs", "out_dir"):
             continue
         if key in ("voltage_levels", "summer_months"):
             value = tuple(value)
         kwargs[key] = value
-    if "out_dir" in kwargs and not Path(kwargs["out_dir"]).is_absolute():
-        kwargs["out_dir"] = str((base / kwargs["out_dir"]).resolve())
     return StudyConfig(**kwargs)
 
 
 def apply_overrides(
     config: StudyConfig,
     out_dir: str | None = None,
-    workers: int | None = None,
     voltage_levels: tuple[float, ...] | None = None,
     pfc_cap_pct: float | None = None,
     screen_from_stage1: bool | None = None,
@@ -195,8 +192,6 @@ def apply_overrides(
     updates = {}
     if out_dir is not None:
         updates["out_dir"] = out_dir
-    if workers is not None:
-        updates["workers"] = workers
     if voltage_levels is not None:
         updates["voltage_levels"] = voltage_levels
     if pfc_cap_pct is not None:

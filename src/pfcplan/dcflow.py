@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .network import NetworkModel
+from .network import NetworkModel, islanded_buses
 
 # a reduced-system pivot below this fraction of the largest matrix entry is
 # treated as singular (an undetected island)
@@ -204,27 +204,6 @@ def solve_flows(system: SusceptanceSystem, injections_mw: np.ndarray) -> FlowSol
     )
 
 
-def islanded_buses(model: NetworkModel, without_line: str) -> set[str]:
-    """Buses cut off from the slack when one in-service line is removed."""
-    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
-    for ln in model.in_service_lines:
-        if ln.id == without_line:
-            continue
-        adjacency[ln.from_bus].append(ln.to_bus)
-        adjacency[ln.to_bus].append(ln.from_bus)
-    seen = {model.slack_bus}
-    frontier = [model.slack_bus]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return {b.id for b in model.buses} - seen
-
-
 def solve_with_outage(
     model: NetworkModel,
     injections_mw: np.ndarray,
@@ -255,12 +234,3 @@ def solve_with_outage(
         line_ids=all_ids,
         flows_mw=flows,
     )
-
-
-def dump_system(system: SusceptanceSystem, path) -> None:
-    """Debug dump of the reduced susceptance matrix as 'row col value' lines."""
-    coo = system.reduced.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")

@@ -57,7 +57,7 @@ class DemandProfile:
             raise DispatchInputError("bus shares must be non-negative")
         if abs(shares.sum() - 1.0) > 1e-9:
             raise DispatchInputError(
-                f"bus shares must sum to 1, got {shares.sum()!r}"
+                f"bus shares must sum to 1, got {float(shares.sum())!r}"
             )
 
 
@@ -409,3 +409,36 @@ def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> N
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_dispatch_outputs(
+    csv_path, summary_path, model: NetworkModel, profile: DemandProfile
+) -> DispatchYear:
+    """Rebuild the dispatch year from ``dispatch.csv`` and its summary JSON."""
+    gen_pos = {gid: i for i, gid in enumerate(model.generator_ids)}
+    outputs = np.zeros((HOURS_PER_YEAR, len(gen_pos)))
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            outputs[int(row["hour"]), gen_pos[row["generator"]]] = float(
+                row["output_mw"]
+            )
+    with open(summary_path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    infeasible = set(summary["infeasible_hours"])
+    hours = tuple(
+        DispatchHour(
+            hour=h,
+            outputs_mw=outputs[h],
+            demand_mw=float(profile.demand_mw[h]),
+            curtailed_mw=float(summary["curtailment_mwh"][h]),
+            snsp=float(summary["snsp"][h]),
+            feasible=h not in infeasible,
+        )
+        for h in range(HOURS_PER_YEAR)
+    )
+    return DispatchYear(
+        hours=hours,
+        generator_ids=model.generator_ids,
+        snsp_cap=summary["snsp_cap"],
+        scenario=summary["scenario"],
+    )

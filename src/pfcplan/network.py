@@ -129,28 +129,9 @@ class NetworkModel:
             raise NetworkDataError(f"slack bus {self.slack_bus} does not exist")
         if self.system_base_mva <= 0:
             raise NetworkDataError("system_base_mva must be > 0")
-        unreachable = self._unreachable_buses()
+        unreachable = islanded_buses(self)
         if unreachable:
             raise DisconnectedNetworkError(unreachable)
-
-    def _unreachable_buses(self) -> set[str]:
-        # breadth-first traversal over in-service lines, rooted at the slack
-        adjacency: dict[str, list[str]] = {b.id: [] for b in self.buses}
-        for ln in self.lines:
-            if ln.in_service:
-                adjacency[ln.from_bus].append(ln.to_bus)
-                adjacency[ln.to_bus].append(ln.from_bus)
-        seen = {self.slack_bus}
-        frontier = [self.slack_bus]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in adjacency[node]:
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        return {b.id for b in self.buses} - seen
 
     # -- cached lookups ----------------------------------------------------
 
@@ -191,6 +172,27 @@ class NetworkModel:
             for ln in self.lines
         )
         return replace(self, lines=lines)
+
+
+def islanded_buses(model: NetworkModel, without_line: str | None = None) -> set[str]:
+    """Buses cut off from the slack over the in-service lines, optionally with
+    one line removed (breadth-first traversal rooted at the slack)."""
+    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
+    for ln in model.lines:
+        if ln.in_service and ln.id != without_line:
+            adjacency[ln.from_bus].append(ln.to_bus)
+            adjacency[ln.to_bus].append(ln.from_bus)
+    seen = {model.slack_bus}
+    frontier = [model.slack_bus]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other in adjacency[node]:
+                if other not in seen:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return {b.id for b in model.buses} - seen
 
 
 @dataclass(frozen=True)
@@ -315,31 +317,31 @@ def _read_rows(path, columns):
             yield path, row_no, row
 
 
-def _parse_float(path, row_no, row, column) -> float:
+# the parsers leave the file and row to the per-row handler in load_network,
+# which also prefixes the errors the Bus/Line/Generator checks raise
+
+
+def _parse_float(row, column) -> float:
     raw = (row.get(column) or "").strip()
     try:
         return float(raw)
     except ValueError:
-        raise NetworkDataError(
-            f"{path} row {row_no}: cannot parse {column}={raw!r} as a number"
-        ) from None
+        raise NetworkDataError(f"cannot parse {column}={raw!r} as a number") from None
 
 
-def _parse_bool(path, row_no, row, column) -> bool:
+def _parse_bool(row, column) -> bool:
     raw = (row.get(column) or "").strip().lower()
     if raw == "true":
         return True
     if raw == "false":
         return False
-    raise NetworkDataError(
-        f"{path} row {row_no}: {column} must be true or false, got {raw!r}"
-    )
+    raise NetworkDataError(f"{column} must be true or false, got {raw!r}")
 
 
-def _parse_str(path, row_no, row, column) -> str:
+def _parse_str(row, column) -> str:
     raw = (row.get(column) or "").strip()
     if not raw:
-        raise NetworkDataError(f"{path} row {row_no}: empty {column}")
+        raise NetworkDataError(f"empty {column}")
     return raw
 
 
@@ -360,10 +362,10 @@ def load_network(
         try:
             buses.append(
                 Bus(
-                    id=_parse_str(path, row_no, row, "id"),
-                    name=_parse_str(path, row_no, row, "name"),
-                    voltage_kv=_parse_float(path, row_no, row, "voltage_kv"),
-                    region=_parse_str(path, row_no, row, "region"),
+                    id=_parse_str(row, "id"),
+                    name=_parse_str(row, "name"),
+                    voltage_kv=_parse_float(row, "voltage_kv"),
+                    region=_parse_str(row, "region"),
                 )
             )
         except NetworkDataError as exc:
@@ -374,13 +376,13 @@ def load_network(
         try:
             lines.append(
                 Line(
-                    id=_parse_str(path, row_no, row, "id"),
-                    from_bus=_parse_str(path, row_no, row, "from_bus"),
-                    to_bus=_parse_str(path, row_no, row, "to_bus"),
-                    reactance_pu=_parse_float(path, row_no, row, "reactance_pu"),
-                    rating_summer_mw=_parse_float(path, row_no, row, "rating_summer_mw"),
-                    rating_winter_mw=_parse_float(path, row_no, row, "rating_winter_mw"),
-                    in_service=_parse_bool(path, row_no, row, "in_service"),
+                    id=_parse_str(row, "id"),
+                    from_bus=_parse_str(row, "from_bus"),
+                    to_bus=_parse_str(row, "to_bus"),
+                    reactance_pu=_parse_float(row, "reactance_pu"),
+                    rating_summer_mw=_parse_float(row, "rating_summer_mw"),
+                    rating_winter_mw=_parse_float(row, "rating_winter_mw"),
+                    in_service=_parse_bool(row, "in_service"),
                 )
             )
         except NetworkDataError as exc:
@@ -391,13 +393,13 @@ def load_network(
         try:
             generators.append(
                 Generator(
-                    id=_parse_str(path, row_no, row, "id"),
-                    bus=_parse_str(path, row_no, row, "bus"),
-                    kind=_parse_str(path, row_no, row, "kind"),
-                    p_max_mw=_parse_float(path, row_no, row, "p_max_mw"),
-                    p_min_mw=_parse_float(path, row_no, row, "p_min_mw"),
-                    srmc=_parse_float(path, row_no, row, "srmc"),
-                    synchronous=_parse_bool(path, row_no, row, "synchronous"),
+                    id=_parse_str(row, "id"),
+                    bus=_parse_str(row, "bus"),
+                    kind=_parse_str(row, "kind"),
+                    p_max_mw=_parse_float(row, "p_max_mw"),
+                    p_min_mw=_parse_float(row, "p_min_mw"),
+                    srmc=_parse_float(row, "srmc"),
+                    synchronous=_parse_bool(row, "synchronous"),
                 )
             )
         except NetworkDataError as exc:

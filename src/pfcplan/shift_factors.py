@@ -15,13 +15,12 @@ post-outage flow is zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcflow import FlowSolution, IslandingError, SusceptanceSystem, islanded_buses
-from .network import NetworkModel
+from .dcflow import FlowSolution, IslandingError, SusceptanceSystem
+from .network import NetworkModel, islanded_buses
 
 # |1 - phi(k,k)| below this marks the outage as islanding (bridge line)
 ISLANDING_TOL = 1e-9
@@ -132,11 +131,6 @@ def post_contingency_flows(
     return flows
 
 
-def islanding_lines(lodf: LodfMatrix) -> set[str]:
-    """Outages the LODF marks as islanding (should equal the graph bridges)."""
-    return {lid for lid, isl in zip(lodf.line_ids, lodf.islanding) if isl}
-
-
 def verify_islanding_marks(lodf: LodfMatrix, model: NetworkModel) -> bool:
     """Cross-check islanding marks against graph traversal per outage."""
     for lid, marked in zip(lodf.line_ids, lodf.islanding):
@@ -144,22 +138,3 @@ def verify_islanding_marks(lodf: LodfMatrix, model: NetworkModel) -> bool:
         if marked != actually_islands:
             return False
     return True
-
-
-def export_ptdf_csv(ptdf: PtdfMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "bus", "factor"])
-        for i, lid in enumerate(ptdf.line_ids):
-            for j, bid in enumerate(ptdf.bus_ids):
-                writer.writerow([lid, bid, repr(float(ptdf.matrix[i, j]))])
-
-
-def export_lodf_csv(lodf: LodfMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "outage", "factor"])
-        for i, lid in enumerate(lodf.line_ids):
-            for k, oid in enumerate(lodf.line_ids):
-                value = "islanding" if lodf.islanding[k] else repr(float(lodf.matrix[i, k]))
-                writer.writerow([lid, oid, value])

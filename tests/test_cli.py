@@ -321,3 +321,83 @@ def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.dcflow, "build_system", boom)
     assert main(["screen", "--config", str(config)]) == 4
     assert "solver error" in capsys.readouterr().err
+
+
+# -- stage cache ------------------------------------------------------------------
+
+
+def test_truncated_dispatch_csv_is_stale_and_recomputed(tmp_path, capsys):
+    case = cases.parallel_paths_case()
+    _, clean, _ = _run_all(tmp_path, case, name="clean")
+    config, out = _study(tmp_path, case, name="cut")
+    assert main(["dispatch", "--config", str(config)]) == 0
+    rows = (out / "dispatch.csv").read_bytes().splitlines(keepends=True)
+    (out / "dispatch.csv").write_bytes(b"".join(rows[: len(rows) // 2]))
+    capsys.readouterr()
+    assert main(["screen", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "stale" in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert _normalized_tree(out) == _normalized_tree(clean)
+
+
+def test_second_run_all_reuses_every_stage(tmp_path):
+    config, out, code = _run_all(tmp_path, cases.side_effect_case())
+    names = ("dispatch.csv", "overloads.csv", "pfc_outcomes.csv")
+    stamps = {name: os.stat(out / name).st_mtime_ns for name in names}
+    assert main(["run-all", "--config", str(config)]) == code
+    assert {name: os.stat(out / name).st_mtime_ns for name in names} == stamps
+
+
+def test_writer_crash_leaves_outputs_untouched_and_stage_recomputes(
+    tmp_path, monkeypatch, capsys
+):
+    import dataclasses
+
+    from pfcplan import dispatch
+
+    case = cases.parallel_paths_case()
+    lighter = dataclasses.replace(
+        case,
+        profile=cases.DemandProfile(
+            demand_mw=case.profile.demand_mw * 0.9, bus_shares=case.profile.bus_shares
+        ),
+    )
+    config, out = _study(tmp_path, case)
+    assert main(["dispatch", "--config", str(config)]) == 0
+    before = _normalized_tree(out)
+    cases.write_study_inputs(lighter, config.parent / "inputs")
+
+    def crash(*args, **kwargs):
+        raise OSError("synthetic write failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dispatch, "write_dispatch_summary", crash)
+        with pytest.raises(OSError):
+            main(["dispatch", "--config", str(config)])
+    # the new dispatch.csv was written before the crash, but only under a
+    # temporary name that is gone now
+    assert _normalized_tree(out) == before
+
+    capsys.readouterr()
+    assert main(["dispatch", "--config", str(config)]) == 0
+    assert "cached" not in capsys.readouterr().out
+    config_clean, out_clean = _study(tmp_path, lighter, name="clean")
+    assert main(["dispatch", "--config", str(config_clean)]) == 0
+    assert _normalized_tree(out) == _normalized_tree(out_clean)
+
+
+def test_default_out_dir_sits_next_to_config(tmp_path, monkeypatch):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    cfg = json.loads(config.read_text())
+    del cfg["out_dir"]
+    config.write_text(json.dumps(cfg))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["dispatch", "--config", str(config)]) == 0
+    assert (config.parent / "out" / "dispatch.csv").exists()
+    assert not any(elsewhere.iterdir())
+    assert main(["dispatch", "--config", str(config), "--out", "here"]) == 0
+    assert (elsewhere / "here" / "dispatch.csv").exists()

@@ -5,7 +5,6 @@ from pfcplan import cases
 from pfcplan.dcflow import (
     IslandingError,
     build_system,
-    dump_system,
     solve_flows,
     solve_with_outage,
     susceptance_matrix,
@@ -208,14 +207,3 @@ def test_concurrent_solves_share_one_factorization(mesh6):
         threaded = list(pool.map(lambda inj: solve_flows(system, inj).flows_mw, injections))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
-
-
-def test_dump_system_coordinate_format(tmp_path, triangle):
-    system = build_system(triangle)
-    dump_system(system, tmp_path / "b.txt")
-    rows = (tmp_path / "b.txt").read_text().strip().splitlines()
-    parsed = [line.split() for line in rows]
-    assert all(len(p) == 3 for p in parsed)
-    entries = {(int(r), int(c)): float(v) for r, c, v in parsed}
-    assert entries[(0, 0)] == pytest.approx(2.0)
-    assert entries[(0, 1)] == pytest.approx(-1.0)

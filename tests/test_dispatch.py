@@ -293,7 +293,7 @@ def test_demand_file_must_cover_every_hour(tmp_path):
 
 
 def test_bad_shares_rejected():
-    with pytest.raises(DispatchInputError):
+    with pytest.raises(DispatchInputError, match=r"sum to 1, got 1\.1$"):
         DemandProfile(
             demand_mw=np.zeros(HOURS_PER_YEAR), bus_shares={"B1": 0.5, "B2": 0.6}
         )

@@ -91,10 +91,11 @@ def test_parse_error_reports_row_number(tmp_path):
         "L1,B1,B2,not_a_number,100,120,true\n",
     )
     _write(tmp_path / "generators.csv", GENS_2)
-    with pytest.raises(NetworkDataError, match="row 2"):
+    with pytest.raises(NetworkDataError, match="row 2") as err:
         load_network(
             tmp_path / "buses.csv", tmp_path / "lines.csv", tmp_path / "generators.csv"
         )
+    assert str(err.value).count("lines.csv") == 1
 
 
 def test_duplicate_id_rejected(tmp_path):

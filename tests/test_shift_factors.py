@@ -6,8 +6,6 @@ from pfcplan.dcflow import IslandingError, build_system, solve_flows, solve_with
 from pfcplan.shift_factors import (
     compute_lodf,
     compute_ptdf,
-    export_lodf_csv,
-    export_ptdf_csv,
     post_contingency_flows,
     verify_islanding_marks,
 )
@@ -178,14 +176,3 @@ def test_out_of_service_line_absent_from_factors(triangle):
     _, ptdf, lodf = _factors(model)
     assert "L12b" not in ptdf.line_ids
     assert "L12b" not in lodf.line_ids
-
-
-def test_csv_exports(tmp_path, triangle):
-    _, ptdf, lodf = _factors(triangle)
-    export_ptdf_csv(ptdf, tmp_path / "ptdf.csv")
-    export_lodf_csv(lodf, tmp_path / "lodf.csv")
-    ptdf_rows = (tmp_path / "ptdf.csv").read_text().strip().splitlines()
-    assert ptdf_rows[0] == "line,bus,factor"
-    assert len(ptdf_rows) == 1 + 3 * 3
-    lodf_rows = (tmp_path / "lodf.csv").read_text().strip().splitlines()
-    assert len(lodf_rows) == 1 + 3 * 3
