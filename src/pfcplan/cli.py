@@ -1,7 +1,7 @@
 """Command line pipeline: dispatch -> screen -> site-pfc -> report.
 
-Exit codes: 0 success, 2 validation error, 3 dispatch finished with infeasible
-hours (outputs still written), 4 solver failure.
+Exit codes: 0 success, 2 validation or I/O error, 3 dispatch finished with
+infeasible hours (outputs still written), 4 solver failure.
 
 Every subcommand goes through one runner over the stage table ``STAGES``.
 A stage's meta file records the config hash of its scope and the sha256 of
@@ -138,9 +138,7 @@ def cmd_screen(cfg: StudyConfig, study, dest: Path) -> None:
             monitored=stage2_monitored,
             near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
         )
-    records = sorted(
-        rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
-    )
+    records = rec1 + rec2
     summaries, regional = screening.summarize(records, model)
     screening.write_workbook(records, summaries, regional, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")
@@ -312,7 +310,9 @@ def main(argv=None) -> int:
             screen_from_stage1=args.screen_from_stage1,
         )
         return _run(cfg, *COMMANDS[args.command])
-    except (ConfigError, NetworkDataError, dispatch.DispatchInputError) as exc:
+    except (
+        ConfigError, NetworkDataError, dispatch.DispatchInputError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (dcflow.SingularSystemError, dcflow.IslandingError) as exc:

@@ -14,15 +14,31 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .network import NetworkModel
-from .screening import LineSummary, OverloadRecord, summarize
-from .siting import PfcOutcome, PfcRanking
+from .screening import (
+    LINE_SUMMARY_COLUMNS,
+    REGION_COLUMNS,
+    LineSummary,
+    OverloadRecord,
+    region_counts,
+    summarize,
+)
+from .siting import PFC_OUTCOME_COLUMNS, RANK_COLUMNS, PfcOutcome, PfcRanking, RankEntry
+from .tables import rows, select, write_csv
 
 SCHEMA_VERSION = 1
+
+# report/line_durations.csv and the line_durations rows of summary.json
+LINE_DURATION_COLUMNS = select(
+    LINE_SUMMARY_COLUMNS, "line", "region", "overload_hours", "near_hours",
+    "max_loading_pct", "overload_energy_mwh", "contingency_count",
+)
+# report/pfc_performance.csv: the outcome rows with side effects in one cell
+PERFORMANCE_COLUMNS = {**PFC_OUTCOME_COLUMNS, "side_effect_lines": "side_effect_cell"}
 
 
 class ReportConsistencyError(RuntimeError):
@@ -37,10 +53,10 @@ class StudyReport:
     dispatch_stats: dict
     screening_stats: dict
     regional: dict[str, int]
-    line_durations: list[dict]
-    pfc_rows: list[dict]
+    line_durations: list[LineSummary]
+    pfc_rows: list[PfcOutcome]  # sorted by target line
     breakdown_pct: dict[str, float]
-    ranking_rows: list[dict] = field(default_factory=list)
+    ranking_rows: tuple[RankEntry, ...] = ()
 
 
 def build_report(
@@ -104,45 +120,6 @@ def build_report(
             1 for r in records if r.category == "near"
         )
 
-    line_durations = [
-        {
-            "line": s.line_id,
-            "region": s.region,
-            "overload_hours": s.overload_hours,
-            "near_hours": s.near_hours,
-            "max_loading_pct": s.max_loading_pct,
-            "overload_energy_mwh": s.overload_energy_mwh,
-            "contingency_count": s.contingency_count,
-        }
-        for s in summaries
-    ]
-    pfc_rows = [
-        {
-            "target_line": o.target_line,
-            "classification": o.classification,
-            "pfc_line": o.pfc_line,
-            "delta_pct": o.delta_pct,
-            "overload_hours": o.overload_hours,
-            "resolved_hours": o.resolved_hours,
-            "resolved_fraction": o.resolved_fraction,
-            "residual_max_loading_pct": o.residual_max_loading_pct,
-            "side_effect_lines": list(o.side_effect_lines),
-        }
-        for o in sorted(outcomes, key=lambda o: o.target_line)
-    ]
-    ranking_rows = []
-    if ranking is not None:
-        ranking_rows = [
-            {
-                "rank": e.rank,
-                "target_line": e.target_line,
-                "classification": e.classification,
-                "overload_hours": e.overload_hours,
-                "resolved_fraction": e.resolved_fraction,
-                "delta_pct": e.delta_pct,
-            }
-            for e in ranking.entries
-        ]
     return StudyReport(
         scenario=scenario,
         config_hash=config_hash,
@@ -150,10 +127,10 @@ def build_report(
         dispatch_stats=dict(dispatch_stats or {}),
         screening_stats=screening_stats,
         regional=dict(sorted(regional.items())),
-        line_durations=line_durations,
-        pfc_rows=pfc_rows,
+        line_durations=list(summaries),
+        pfc_rows=sorted(outcomes, key=lambda o: o.target_line),
         breakdown_pct=breakdown,
-        ranking_rows=ranking_rows,
+        ranking_rows=ranking.entries if ranking is not None else (),
     )
 
 
@@ -166,15 +143,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str) -> str:
@@ -226,7 +194,6 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str
 def emit(
     report: StudyReport,
     out_dir,
-    formats: set[str] = frozenset({"csv", "svg"}),
     extra_files: list[str] | None = None,
     timestamp: str | None = None,
 ) -> list[dict]:
@@ -252,10 +219,10 @@ def emit(
         "dispatch": report.dispatch_stats,
         "screening": report.screening_stats,
         "regional_overloaded_lines": report.regional,
-        "line_durations": report.line_durations,
-        "pfc_outcomes": report.pfc_rows,
+        "line_durations": rows(LINE_DURATION_COLUMNS, report.line_durations),
+        "pfc_outcomes": rows(PFC_OUTCOME_COLUMNS, report.pfc_rows),
         "pfc_breakdown_pct": report.breakdown_pct,
-        "pfc_ranking": report.ranking_rows,
+        "pfc_ranking": rows(RANK_COLUMNS, report.ranking_rows),
     }
     path = report_dir / "summary.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -263,100 +230,33 @@ def emit(
         fh.write("\n")
     written.append(path)
 
-    if "csv" in formats:
-        path = report_dir / "region_summary.csv"
-        _write_csv(
-            path,
-            ["region", "overloaded_lines"],
-            [[r, c] for r, c in report.regional.items()],
-        )
-        written.append(path)
+    written.append(report_dir / "region_summary.csv")
+    write_csv(written[-1], REGION_COLUMNS, region_counts(report.regional))
+    written.append(report_dir / "line_durations.csv")
+    write_csv(written[-1], LINE_DURATION_COLUMNS, report.line_durations)
+    written.append(report_dir / "pfc_performance.csv")
+    write_csv(written[-1], PERFORMANCE_COLUMNS, report.pfc_rows)
 
-        path = report_dir / "line_durations.csv"
-        _write_csv(
-            path,
-            [
-                "line",
-                "region",
-                "overload_hours",
-                "near_hours",
-                "max_loading_pct",
-                "overload_energy_mwh",
-                "contingency_count",
-            ],
-            [
-                [
-                    d["line"],
-                    d["region"],
-                    d["overload_hours"],
-                    d["near_hours"],
-                    repr(d["max_loading_pct"]),
-                    repr(d["overload_energy_mwh"]),
-                    d["contingency_count"],
-                ]
-                for d in report.line_durations
-            ],
-        )
-        written.append(path)
-
-        path = report_dir / "pfc_performance.csv"
-        _write_csv(
-            path,
-            [
-                "target_line",
-                "classification",
-                "pfc_line",
-                "delta_pct",
-                "overload_hours",
-                "resolved_hours",
-                "resolved_fraction",
-                "residual_max_loading_pct",
-                "side_effect_lines",
-            ],
-            [
-                [
-                    row["target_line"],
-                    row["classification"],
-                    row["pfc_line"] or "",
-                    "" if row["delta_pct"] is None else repr(row["delta_pct"]),
-                    row["overload_hours"],
-                    row["resolved_hours"],
-                    repr(row["resolved_fraction"]),
-                    repr(row["residual_max_loading_pct"]),
-                    ";".join(row["side_effect_lines"]),
-                ]
-                for row in report.pfc_rows
-            ],
-        )
-        written.append(path)
-
-    if "svg" in formats:
-        charts = report_dir / "charts"
-        charts.mkdir(exist_ok=True)
-        overloaded = [d for d in report.line_durations if d["overload_hours"]]
-        path = charts / "duration_per_line.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                _bar_chart_svg(
-                    "Overload duration by line",
-                    [d["line"] for d in overloaded],
-                    [float(d["overload_hours"]) for d in overloaded],
-                    "hours",
-                )
-            )
-        written.append(path)
-
-        path = charts / "resolution_breakdown.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                _bar_chart_svg(
-                    "PFC outcome breakdown",
-                    list(report.breakdown_pct),
-                    [report.breakdown_pct[k] for k in report.breakdown_pct],
-                    "percent of targets",
-                )
-            )
-        written.append(path)
+    overloaded = [s for s in report.line_durations if s.overload_hours]
+    breakdown = report.breakdown_pct
+    charts = {
+        "duration_per_line.svg": _bar_chart_svg(
+            "Overload duration by line",
+            [s.line_id for s in overloaded],
+            [float(s.overload_hours) for s in overloaded],
+            "hours",
+        ),
+        "resolution_breakdown.svg": _bar_chart_svg(
+            "PFC outcome breakdown",
+            list(breakdown),
+            list(breakdown.values()),
+            "percent of targets",
+        ),
+    }
+    (report_dir / "charts").mkdir(exist_ok=True)
+    for name, svg in charts.items():
+        written.append(report_dir / "charts" / name)
+        written[-1].write_text(svg, encoding="utf-8")
 
     manifest = []
     covered = [str(p) for p in written] + list(extra_files or [])

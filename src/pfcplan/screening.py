@@ -24,6 +24,7 @@ from . import dcflow
 from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar
 from .shift_factors import LodfMatrix
+from .tables import select, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +44,13 @@ class OverloadRecord:
     category: str  # "overload" (>100%) or "near" (>90% and <=100%)
 
 
+# overloads.csv columns: header -> OverloadRecord attribute
+OVERLOAD_COLUMNS = {
+    "line": "line_id", "hour": "hour", "contingency": "contingency",
+    "loading_pct": "loading_pct", "excess_mw": "excess_mw", "class": "category",
+}
+
+
 @dataclass(frozen=True)
 class LineSummary:
     line_id: str
@@ -52,6 +60,27 @@ class LineSummary:
     overload_energy_mwh: float  # sum over overloaded hours of the worst excess
     contingency_count: int  # distinct outages that overload this line
     region: str
+
+
+# line_summary.csv columns; the other per-line tables select from them
+LINE_SUMMARY_COLUMNS = {
+    "line": "line_id", "overload_hours": "overload_hours", "near_hours": "near_hours",
+    "max_loading_pct": "max_loading_pct", "overload_energy_mwh": "overload_energy_mwh",
+    "contingency_count": "contingency_count", "region": "region",
+}
+DURATION_COLUMNS = select(LINE_SUMMARY_COLUMNS, "line", "overload_hours")
+SEVERITY_COLUMNS = select(
+    LINE_SUMMARY_COLUMNS, "line", "max_loading_pct", "overload_energy_mwh"
+)
+
+
+@dataclass(frozen=True)
+class RegionCount:
+    region: str
+    overloaded_lines: int  # lines with at least one overloaded hour
+
+
+REGION_COLUMNS = {"region": "region", "overloaded_lines": "overloaded_lines"}
 
 
 @dataclass(frozen=True)
@@ -264,95 +293,37 @@ def write_workbook(
     out_dir,
 ) -> list[str]:
     """Write the overload workbook CSVs; returns the file names written."""
-    out = []
-    path = f"{out_dir}/overloads.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "hour", "contingency", "loading_pct", "excess_mw", "class"])
-        for r in sorted(records, key=_sort_key):
-            writer.writerow(
-                [
-                    r.line_id,
-                    r.hour,
-                    r.contingency or "",
-                    repr(r.loading_pct),
-                    repr(r.excess_mw),
-                    r.category,
-                ]
-            )
-    out.append(path)
+    overloaded = [s for s in summaries if s.overload_hours]
+    tables = {
+        "overloads.csv": (OVERLOAD_COLUMNS, sorted(records, key=_sort_key)),
+        "line_summary.csv": (LINE_SUMMARY_COLUMNS, summaries),
+        "region_summary.csv": (REGION_COLUMNS, region_counts(regional)),
+        "duration_histogram.csv": (DURATION_COLUMNS, overloaded),
+        "severity.csv": (SEVERITY_COLUMNS, summaries),
+    }
+    paths = []
+    for name, (columns, items) in tables.items():
+        paths.append(f"{out_dir}/{name}")
+        write_csv(paths[-1], columns, items)
+    return paths
 
-    path = f"{out_dir}/line_summary.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "line",
-                "overload_hours",
-                "near_hours",
-                "max_loading_pct",
-                "overload_energy_mwh",
-                "contingency_count",
-                "region",
-            ]
-        )
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.line_id,
-                    s.overload_hours,
-                    s.near_hours,
-                    repr(s.max_loading_pct),
-                    repr(s.overload_energy_mwh),
-                    s.contingency_count,
-                    s.region,
-                ]
-            )
-    out.append(path)
 
-    path = f"{out_dir}/region_summary.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "overloaded_lines"])
-        for region in sorted(regional):
-            writer.writerow([region, regional[region]])
-    out.append(path)
-
-    path = f"{out_dir}/duration_histogram.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "overload_hours"])
-        for s in summaries:
-            if s.overload_hours:
-                writer.writerow([s.line_id, s.overload_hours])
-    out.append(path)
-
-    path = f"{out_dir}/severity.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "max_loading_pct", "overload_energy_mwh"])
-        for s in summaries:
-            writer.writerow(
-                [s.line_id, repr(s.max_loading_pct), repr(s.overload_energy_mwh)]
-            )
-    out.append(path)
-    return out
+def region_counts(regional: dict[str, int]) -> list[RegionCount]:
+    """The rows of both region_summary.csv files, sorted by region."""
+    return [RegionCount(region, n) for region, n in sorted(regional.items())]
 
 
 def read_overloads_csv(path) -> list[OverloadRecord]:
-    """Read an overloads.csv back; floats round-trip exactly via repr."""
-    records = []
+    """Read an overloads.csv back; floats round-trip exactly via repr.
+
+    ``OVERLOAD_COLUMNS`` lists the columns in ``OverloadRecord`` field order.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                OverloadRecord(
-                    line_id=row["line"],
-                    hour=int(row["hour"]),
-                    contingency=row["contingency"] or None,
-                    loading_pct=float(row["loading_pct"]),
-                    excess_mw=float(row["excess_mw"]),
-                    category=row["class"],
-                )
-            )
+        rows = csv.reader(fh)
+        next(rows, None)  # the header
+        records = [
+            OverloadRecord(line, int(hour), ctg or None, float(pct), float(excess), cls)
+            for line, hour, ctg, pct, excess, cls in rows
+        ]
     records.sort(key=_sort_key)
     return records

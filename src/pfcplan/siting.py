@@ -22,8 +22,8 @@ solved once and shared.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from . import dcflow
 from .network import NetworkModel, SeasonCalendar, effective_rating
 from .screening import OverloadRecord, LineSummary
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
+from .tables import select, write_csv
 
 FULLY_RESOLVED = "FullyResolved"
 PARTIALLY_RESOLVED = "PartiallyResolved"
@@ -50,7 +51,6 @@ class PfcCandidate:
     target_line: str
     pfc_line: str
     score: float  # expected relief per unit fractional reactance increase
-    increase_pct: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,27 @@ class PfcOutcome:
             return 0.0
         return self.resolved_hours / self.overload_hours
 
+    @property
+    def side_effect_cell(self) -> str:
+        """The side-effect lines as one ';'-separated CSV cell."""
+        return ";".join(self.side_effect_lines)
+
+
+# outcome rows of report/summary.json; pfc_outcomes.csv selects from them and
+# report/pfc_performance.csv writes side_effect_lines from side_effect_cell
+PFC_OUTCOME_COLUMNS = {
+    "target_line": "target_line", "classification": "classification",
+    "pfc_line": "pfc_line", "delta_pct": "delta_pct",
+    "overload_hours": "overload_hours", "resolved_hours": "resolved_hours",
+    "resolved_fraction": "resolved_fraction",
+    "residual_max_loading_pct": "residual_max_loading_pct",
+    "side_effect_lines": "side_effect_lines",
+}
+PFC_OUTCOME_CSV_COLUMNS = select(
+    PFC_OUTCOME_COLUMNS, "target_line", "classification", "pfc_line", "delta_pct",
+    "overload_hours", "resolved_hours", "residual_max_loading_pct",
+)
+
 
 @dataclass(frozen=True)
 class RankEntry:
@@ -86,6 +107,13 @@ class RankEntry:
     overload_hours: int
     resolved_fraction: float
     delta_pct: float | None
+
+
+RANK_COLUMNS = {
+    "rank": "rank", "target_line": "target_line", "classification": "classification",
+    "overload_hours": "overload_hours", "resolved_fraction": "resolved_fraction",
+    "delta_pct": "delta_pct",
+}
 
 
 @dataclass(frozen=True)
@@ -471,97 +499,30 @@ def rank_targets(
     return PfcRanking(entries=entries)
 
 
+def _by_target(outcomes: list[PfcOutcome]) -> list[PfcOutcome]:
+    return sorted(outcomes, key=lambda o: o.target_line)
+
+
 def write_outcomes(outcomes: list[PfcOutcome], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "target_line",
-                "classification",
-                "pfc_line",
-                "delta_pct",
-                "overload_hours",
-                "resolved_hours",
-                "residual_max_loading_pct",
-            ]
-        )
-        for o in sorted(outcomes, key=lambda o: o.target_line):
-            writer.writerow(
-                [
-                    o.target_line,
-                    o.classification,
-                    o.pfc_line or "",
-                    "" if o.delta_pct is None else repr(o.delta_pct),
-                    o.overload_hours,
-                    o.resolved_hours,
-                    repr(o.residual_max_loading_pct),
-                ]
-            )
+    write_csv(path, PFC_OUTCOME_CSV_COLUMNS, _by_target(outcomes))
 
 
 def write_outcomes_json(outcomes: list[PfcOutcome], path) -> None:
     """Full outcome detail (side effects included) for report re-emission."""
-    import json
-
-    payload = [
-        {
-            "target_line": o.target_line,
-            "classification": o.classification,
-            "pfc_line": o.pfc_line,
-            "delta_pct": o.delta_pct,
-            "overload_hours": o.overload_hours,
-            "resolved_hours": o.resolved_hours,
-            "residual_max_loading_pct": o.residual_max_loading_pct,
-            "side_effect_lines": list(o.side_effect_lines),
-        }
-        for o in sorted(outcomes, key=lambda o: o.target_line)
-    ]
     with open(path, "w", encoding="utf-8") as fh:
+        payload = [asdict(o) for o in _by_target(outcomes)]
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_outcomes_json(path) -> list[PfcOutcome]:
-    import json
-
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     return [
-        PfcOutcome(
-            target_line=row["target_line"],
-            classification=row["classification"],
-            pfc_line=row["pfc_line"],
-            delta_pct=row["delta_pct"],
-            overload_hours=row["overload_hours"],
-            resolved_hours=row["resolved_hours"],
-            residual_max_loading_pct=row["residual_max_loading_pct"],
-            side_effect_lines=tuple(row["side_effect_lines"]),
-        )
+        PfcOutcome(**{**row, "side_effect_lines": tuple(row["side_effect_lines"])})
         for row in payload
     ]
 
 
 def write_ranking(ranking: PfcRanking, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "rank",
-                "target_line",
-                "classification",
-                "overload_hours",
-                "resolved_fraction",
-                "delta_pct",
-            ]
-        )
-        for e in ranking.entries:
-            writer.writerow(
-                [
-                    e.rank,
-                    e.target_line,
-                    e.classification,
-                    e.overload_hours,
-                    repr(e.resolved_fraction),
-                    "" if e.delta_pct is None else repr(e.delta_pct),
-                ]
-            )
+    write_csv(path, RANK_COLUMNS, ranking.entries)

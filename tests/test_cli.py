@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -372,10 +373,13 @@ def test_writer_crash_leaves_outputs_untouched_and_stage_recomputes(
     def crash(*args, **kwargs):
         raise OSError("synthetic write failure")
 
+    capsys.readouterr()
     with monkeypatch.context() as patch:
         patch.setattr(dispatch, "write_dispatch_summary", crash)
-        with pytest.raises(OSError):
-            main(["dispatch", "--config", str(config)])
+        assert main(["dispatch", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "synthetic write failure" in err
+    assert len(err.strip().splitlines()) == 1
     # the new dispatch.csv was written before the crash, but only under a
     # temporary name that is gone now
     assert _normalized_tree(out) == before
@@ -386,6 +390,17 @@ def test_writer_crash_leaves_outputs_untouched_and_stage_recomputes(
     config_clean, out_clean = _study(tmp_path, lighter, name="clean")
     assert main(["dispatch", "--config", str(config_clean)]) == 0
     assert _normalized_tree(out) == _normalized_tree(out_clean)
+
+
+def test_out_dir_under_a_file_exits_2(tmp_path, capsys):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    argv = ["dispatch", "--config", str(config), "--out", str(blocker / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "blocker" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_default_out_dir_sits_next_to_config(tmp_path, monkeypatch):
@@ -401,3 +416,29 @@ def test_default_out_dir_sits_next_to_config(tmp_path, monkeypatch):
     assert not any(elsewhere.iterdir())
     assert main(["dispatch", "--config", str(config), "--out", "here"]) == 0
     assert (elsewhere / "here" / "dispatch.csv").exists()
+
+
+# -- pinned output bytes ----------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("case_name", sorted(GOLDEN))
+def test_run_all_output_bytes_are_pinned(tmp_path, case_name):
+    """Every output file of run-all keeps its bytes (timestamp zeroed).
+
+    The digests in golden_sha256.json are of ``_normalized_tree``; a change
+    meant to alter an output must update them and say so.
+    """
+    _, out, code = _run_all(tmp_path, getattr(cases, case_name)())
+    assert code == 0
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _normalized_tree(out).items()
+    }
+    expected = GOLDEN[case_name]
+    changed = sorted(
+        name for name in digests.keys() | expected.keys()
+        if digests.get(name) != expected.get(name)
+    )
+    assert not changed, f"{case_name}: output bytes differ in {changed}"

@@ -110,20 +110,11 @@ def test_unknown_line_in_summary_is_hard_error():
         build_report([_summary("L99", "West")], [], cases.triangle(), PARAMS)
 
 
-def test_emit_csv_only_no_svg(tmp_path):
-    report = build_report([], [], cases.triangle(), PARAMS)
-    manifest = emit(report, tmp_path, formats={"csv"})
-    names = [entry["file"] for entry in manifest]
-    assert names and not any(name.endswith(".svg") for name in names)
-    assert any(name.endswith(".csv") for name in names)
-    assert "report/summary.json" in names
-
-
 def test_emit_with_charts_single_bar(tmp_path):
     model = cases.triangle()
     summaries = [_summary("L12", model.bus_by_id["B1"].region)]
     report = build_report(summaries, [], model, PARAMS)
-    emit(report, tmp_path, formats={"csv", "svg"})
+    emit(report, tmp_path)
     svg = (tmp_path / "report" / "charts" / "duration_per_line.svg").read_text()
     assert svg.count("<rect") == 2  # background plus exactly one bar
     assert "L12" in svg
