@@ -13,7 +13,7 @@
 from pfcplan import cases
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import injection_matrix, run_year
-from pfcplan.screening import stage1_scan, stage2_scan, summarize
+from pfcplan.screening import stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import assess_target, rank_targets
 
@@ -35,21 +35,18 @@ def study(case):
         assess_target(t, records, model, injections, case.calendar, ptdf, lodf)
         for t in targets
     ]
-    return records, outcomes
+    return outcomes
 
 
 all_outcomes = []
-all_summaries = []
 for case in (
     cases.parallel_paths_case(),
     cases.side_effect_case(),
     cases.radial_feed_case(),
     cases.capped_relief_case(),
 ):
-    records, outcomes = study(case)
-    summaries, _ = summarize(records, case.model)
+    outcomes = study(case)
     all_outcomes.extend(outcomes)
-    all_summaries.extend(summaries)
     print(f"=== {case.name} ===")
     for o in outcomes:
         print(f"  target {o.target_line}: {o.classification}")
@@ -62,7 +59,7 @@ for case in (
     print()
 
 print("=== deployment ranking across all four cases ===")
-ranking = rank_targets(all_outcomes, all_summaries)
+ranking = rank_targets(all_outcomes)
 for e in ranking.entries:
     delta = f"{e.delta_pct:5.1f}%" if e.delta_pct is not None else "    --"
     print(f"  {e.rank}. {e.target_line:6} {e.classification:18} "

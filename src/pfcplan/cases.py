@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import DemandProfile, ResAvailability
+from .config import INPUT_KEYS
+from .dispatch import (
+    AVAILABILITY_COLUMNS,
+    BUS_SHARE_COLUMNS,
+    DEMAND_COLUMNS,
+    DemandProfile,
+    ResAvailability,
+)
 from .network import (
     HOURS_PER_YEAR,
     Bus,
@@ -24,6 +31,7 @@ from .network import (
     SeasonCalendar,
     save_network,
 )
+from .tables import number, write_rows
 
 
 @dataclass(frozen=True)
@@ -430,29 +438,20 @@ def write_study_inputs(case: StudyCase, directory) -> dict[str, str]:
     """Write the case's six input CSVs into a directory; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "buses": str(directory / "buses.csv"),
-        "lines": str(directory / "lines.csv"),
-        "generators": str(directory / "generators.csv"),
-        "demand": str(directory / "demand.csv"),
-        "bus_shares": str(directory / "bus_shares.csv"),
-        "res_availability": str(directory / "res_availability.csv"),
-    }
+    paths = {key: str(directory / f"{key}.csv") for key in INPUT_KEYS}
     save_network(case.model, paths["buses"], paths["lines"], paths["generators"])
-    with open(paths["demand"], "w", encoding="utf-8") as fh:
-        fh.write("hour,demand_mw\n")
-        for h in range(HOURS_PER_YEAR):
-            fh.write(f"{h},{float(case.profile.demand_mw[h])!r}\n")
-    with open(paths["bus_shares"], "w", encoding="utf-8") as fh:
-        fh.write("bus,share\n")
-        for bus, share in case.profile.bus_shares.items():
-            fh.write(f"{bus},{float(share)!r}\n")
-    gen_ids = sorted(case.availability.factors)
-    with open(paths["res_availability"], "w", encoding="utf-8") as fh:
-        fh.write("hour" + "".join(f",{g}" for g in gen_ids) + "\n")
-        for h in range(HOURS_PER_YEAR):
-            row = "".join(
-                f",{float(case.availability.factors[g][h])!r}" for g in gen_ids
-            )
-            fh.write(f"{h}{row}\n")
+    # these three files end lines with "\n", the network files with csv's
+    # "\r\n": the config hashes pinned in tests/golden_sha256.json cover the
+    # input bytes, so changing either changes every pinned meta and summary
+    profile, factors = case.profile, case.availability.factors
+    hours = range(HOURS_PER_YEAR)
+    write_rows(
+        paths["demand"], DEMAND_COLUMNS, zip(hours, profile.demand_mw.tolist()), "\n"
+    )
+    shares = [(bus, float(share)) for bus, share in profile.bus_shares.items()]
+    write_rows(paths["bus_shares"], BUS_SHARE_COLUMNS, shares, "\n")
+    gen_ids = sorted(factors)
+    columns = {**AVAILABILITY_COLUMNS, **dict.fromkeys(gen_ids, number)}
+    series = zip(hours, *(factors[g].tolist() for g in gen_ids))
+    write_rows(paths["res_availability"], columns, series, "\n")
     return paths

@@ -151,7 +151,6 @@ def cmd_site_pfc(cfg: StudyConfig, study, dest: Path) -> None:
     calendar = cfg.calendar()
     year = _read_year(cfg, model, profile)
     records = screening.read_overloads_csv(Path(cfg.out_dir) / "overloads.csv")
-    summaries, _ = screening.summarize(records, model)
 
     system = dcflow.build_system(model)
     ptdf = shift_factors.compute_ptdf(system, model)
@@ -167,7 +166,7 @@ def cmd_site_pfc(cfg: StudyConfig, study, dest: Path) -> None:
         )
         for target in targets
     ]
-    ranking = siting.rank_targets(outcomes, summaries)
+    ranking = siting.rank_targets(outcomes)
     siting.write_outcomes(outcomes, dest / "pfc_outcomes.csv")
     siting.write_ranking(ranking, dest / "pfc_ranking.csv")
     siting.write_outcomes_json(outcomes, dest / "pfc_outcomes_detail.json")
@@ -250,7 +249,8 @@ def _compute(cfg: StudyConfig, stage: Stage, study, content_hash: str) -> None:
 def _emit_report(cfg: StudyConfig, model) -> None:
     out = Path(cfg.out_dir)
     records = screening.read_overloads_csv(out / "overloads.csv")
-    summaries, _ = screening.summarize(records, model)
+    # build_report checks the screen stage's summaries against the records
+    summaries = screening.read_line_summary_csv(out / "line_summary.csv")
     outcomes = siting.read_outcomes_json(out / "pfc_outcomes_detail.json")
     payload = json.loads((out / "dispatch_summary.json").read_text())
     study = report.build_report(
@@ -259,7 +259,7 @@ def _emit_report(cfg: StudyConfig, model) -> None:
         model,
         parameters=cfg.parameter_echo(),
         records=records,
-        ranking=siting.rank_targets(outcomes, summaries),
+        ranking=siting.rank_targets(outcomes),
         dispatch_stats={
             "infeasible_hours": len(payload["infeasible_hours"]),
             "total_curtailment_mwh": payload["total_curtailment_mwh"],

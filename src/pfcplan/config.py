@@ -22,7 +22,8 @@ class ConfigError(ValueError):
     """Bad study configuration."""
 
 
-_INPUT_KEYS = (
+# the six input CSVs, in the order the config hash reads them
+INPUT_KEYS = (
     "buses",
     "lines",
     "generators",
@@ -69,7 +70,7 @@ class StudyConfig:
     screen_from_stage1: bool = False
 
     def __post_init__(self):
-        missing = [k for k in _INPUT_KEYS if k not in self.inputs]
+        missing = [k for k in INPUT_KEYS if k not in self.inputs]
         if missing:
             raise ConfigError(f"config inputs missing entries: {missing}")
         if not (0 < self.near_pct < self.overload_pct):
@@ -106,7 +107,7 @@ class StudyConfig:
             params[name] = list(value) if isinstance(value, tuple) else value
         digest = hashlib.sha256()
         digest.update(json.dumps(params, sort_keys=True).encode())
-        for key in _INPUT_KEYS:
+        for key in INPUT_KEYS:
             path = Path(self.inputs[key])
             digest.update(key.encode())
             if path.exists():

@@ -217,8 +217,8 @@ def solve_with_outage(
     """
     if outaged_line not in {ln.id for ln in model.in_service_lines}:
         raise ValueError(f"line {outaged_line} is not an in-service line")
-    separated = islanded_buses(model, outaged_line)
-    if separated:
+    if outaged_line in model.bridges:  # name the buses it cuts off
+        separated = islanded_buses(model, outaged_line)
         raise IslandingError(outaged_line, separated)
     system = build_system(model, exclude_line=outaged_line, reactance_scale=reactance_scale)
     partial = solve_flows(system, injections_mw)

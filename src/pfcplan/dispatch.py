@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import HOURS_PER_YEAR, NetworkModel
+from .tables import number, read_input, text
 
 BALANCE_TOL_MW = 1e-6
 
@@ -61,6 +62,11 @@ class DemandProfile:
             )
 
 
+# demand.csv (one row per hour) and bus_shares.csv columns: header -> parser
+DEMAND_COLUMNS = {"hour": int, "demand_mw": number}
+BUS_SHARE_COLUMNS = {"bus": text, "share": number}
+
+
 @dataclass(frozen=True)
 class ResAvailability:
     """Hourly availability factor in [0, 1] per renewable generator."""
@@ -81,6 +87,11 @@ class ResAvailability:
                 )
             clean[gid] = arr
         object.__setattr__(self, "factors", clean)
+
+
+# res_availability.csv columns (one row per hour): "hour", then one number
+# column per renewable generator, headed by its id
+AVAILABILITY_COLUMNS = {"hour": int}
 
 
 @dataclass(frozen=True)
@@ -308,82 +319,42 @@ def injection_matrix(
 # -- CSV / JSON interfaces ---------------------------------------------------
 
 
-def load_demand_profile(demand_file, shares_file) -> DemandProfile:
-    demand_path = Path(demand_file)
-    if not demand_path.exists():
-        raise DispatchInputError(f"input file not found: {demand_path}")
-    demand = np.full(HOURS_PER_YEAR, np.nan)
-    with open(demand_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or {"hour", "demand_mw"} - set(reader.fieldnames):
-            raise DispatchInputError(f"{demand_path}: need columns hour,demand_mw")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                hour = int(row["hour"])
-                value = float(row["demand_mw"])
-            except (TypeError, ValueError):
-                raise DispatchInputError(
-                    f"{demand_path} row {row_no}: cannot parse hour/demand"
-                ) from None
-            if not 0 <= hour < HOURS_PER_YEAR:
-                raise DispatchInputError(
-                    f"{demand_path} row {row_no}: hour {hour} out of range"
-                )
-            demand[hour] = value
-    if np.isnan(demand).any():
-        missing = int(np.isnan(demand).sum())
-        raise DispatchInputError(f"{demand_path}: {missing} hours missing")
+def _hourly_series(path, columns: dict, rest=None) -> dict[str, np.ndarray]:
+    """The 8,760-hour series, in hour order, of each value column of an
+    hour-indexed input file; every hour must appear exactly once."""
+    path = Path(path)
+    names, rows = read_input(path, columns, None, DispatchInputError, rest=rest)
+    by_hour = [None] * HOURS_PER_YEAR
+    for row_no, row in enumerate(rows, start=2):
+        hour = row[0]
+        if not 0 <= hour < HOURS_PER_YEAR:
+            raise DispatchInputError(f"{path} row {row_no}: hour {hour} out of range")
+        if by_hour[hour] is not None:
+            raise DispatchInputError(f"{path} row {row_no}: hour {hour} repeated")
+        by_hour[hour] = row
+    missing = by_hour.count(None)
+    if missing:
+        raise DispatchInputError(f"{path}: {missing} hours missing")
+    series = np.array(by_hour, dtype=float)[:, 1:].T.copy()
+    return dict(zip(names[1:], series))
 
-    shares_path = Path(shares_file)
-    if not shares_path.exists():
-        raise DispatchInputError(f"input file not found: {shares_path}")
+
+def load_demand_profile(demand_file, shares_file) -> DemandProfile:
+    demand = _hourly_series(demand_file, DEMAND_COLUMNS)["demand_mw"]
+    _, rows = read_input(shares_file, BUS_SHARE_COLUMNS, None, DispatchInputError)
     shares: dict[str, float] = {}
-    with open(shares_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or {"bus", "share"} - set(reader.fieldnames):
-            raise DispatchInputError(f"{shares_path}: need columns bus,share")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                shares[row["bus"].strip()] = float(row["share"])
-            except (TypeError, ValueError, AttributeError):
-                raise DispatchInputError(
-                    f"{shares_path} row {row_no}: cannot parse bus/share"
-                ) from None
+    for row_no, (bus, share) in enumerate(rows, start=2):
+        if bus in shares:
+            raise DispatchInputError(
+                f"{Path(shares_file)} row {row_no}: bus {bus} repeated"
+            )
+        shares[bus] = share
     return DemandProfile(demand_mw=demand, bus_shares=shares)
 
 
 def load_res_availability(path) -> ResAvailability:
-    path = Path(path)
-    if not path.exists():
-        raise DispatchInputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        columns = [c for c in (reader.fieldnames or []) if c != "hour"]
-        if not reader.fieldnames or "hour" not in reader.fieldnames:
-            raise DispatchInputError(f"{path}: need an hour column")
-        data = {gid: np.full(HOURS_PER_YEAR, np.nan) for gid in columns}
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                hour = int(row["hour"])
-            except (TypeError, ValueError):
-                raise DispatchInputError(
-                    f"{path} row {row_no}: cannot parse hour"
-                ) from None
-            if not 0 <= hour < HOURS_PER_YEAR:
-                raise DispatchInputError(
-                    f"{path} row {row_no}: hour {hour} out of range"
-                )
-            for gid in columns:
-                try:
-                    data[gid][hour] = float(row[gid])
-                except (TypeError, ValueError):
-                    raise DispatchInputError(
-                        f"{path} row {row_no}: cannot parse factor for {gid}"
-                    ) from None
-    for gid, arr in data.items():
-        if np.isnan(arr).any():
-            raise DispatchInputError(f"{path}: hours missing for {gid}")
-    return ResAvailability(factors=data)
+    factors = _hourly_series(path, AVAILABILITY_COLUMNS, rest=number)
+    return ResAvailability(factors=factors)
 
 
 def write_dispatch_csv(year: DispatchYear, path) -> None:

@@ -7,13 +7,14 @@ be shared freely between analysis stages.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
+from operator import attrgetter
 
 import numpy as np
+
+from .tables import boolean, number, read_input, text, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,10 @@ class Bus:
             raise NetworkDataError(f"bus {self.id}: voltage_kv must be > 0")
 
 
+# buses.csv: header (also the Bus attribute) -> parser, in field order
+BUS_COLUMNS = {"id": text, "name": text, "voltage_kv": number, "region": text}
+
+
 @dataclass(frozen=True)
 class Line:
     """Series branch with per-unit reactance and seasonal continuous ratings."""
@@ -68,6 +73,13 @@ class Line:
             raise NetworkDataError(f"line {self.id}: ratings must be > 0")
         if self.from_bus == self.to_bus:
             raise NetworkDataError(f"line {self.id}: from_bus equals to_bus")
+
+
+# lines.csv: header (also the Line attribute) -> parser, in field order
+LINE_COLUMNS = {
+    "id": text, "from_bus": text, "to_bus": text, "reactance_pu": number,
+    "rating_summer_mw": number, "rating_winter_mw": number, "in_service": boolean,
+}
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,13 @@ class Generator:
             )
         if self.srmc < 0:
             raise NetworkDataError(f"generator {self.id}: srmc must be >= 0")
+
+
+# generators.csv: header (also the Generator attribute) -> parser, in field order
+GENERATOR_COLUMNS = {
+    "id": text, "bus": text, "kind": text, "p_max_mw": number, "p_min_mw": number,
+    "srmc": number, "synchronous": boolean,
+}
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,13 @@ class NetworkModel:
     @cached_property
     def generator_by_id(self) -> dict[str, Generator]:
         return {g.id: g for g in self.generators}
+
+    @cached_property
+    def bridges(self) -> frozenset[str]:
+        """In-service lines whose outage cuts buses off from the slack."""
+        return frozenset(
+            ln.id for ln in self.in_service_lines if islanded_buses(self, ln.id)
+        )
 
     def with_line_reactance(self, line_id: str, scale: float) -> "NetworkModel":
         """New model with one line's reactance multiplied by ``scale``."""
@@ -273,26 +299,6 @@ def filter_monitored_lines(model: NetworkModel, voltage_levels) -> set[str]:
 
 # -- CSV loading -----------------------------------------------------------
 
-BUS_COLUMNS = ("id", "name", "voltage_kv", "region")
-LINE_COLUMNS = (
-    "id",
-    "from_bus",
-    "to_bus",
-    "reactance_pu",
-    "rating_summer_mw",
-    "rating_winter_mw",
-    "in_service",
-)
-GENERATOR_COLUMNS = (
-    "id",
-    "bus",
-    "kind",
-    "p_max_mw",
-    "p_min_mw",
-    "srmc",
-    "synchronous",
-)
-
 
 def _check_unique(ids, what: str):
     seen = set()
@@ -300,49 +306,6 @@ def _check_unique(ids, what: str):
         if i in seen:
             raise NetworkDataError(f"duplicate {what} id {i}")
         seen.add(i)
-
-
-def _read_rows(path, columns):
-    path = Path(path)
-    if not path.exists():
-        raise NetworkDataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise NetworkDataError(f"{path}: missing columns {missing}")
-        # row numbers are 1-based including the header, so data starts at 2
-        for row_no, row in enumerate(reader, start=2):
-            yield path, row_no, row
-
-
-# the parsers leave the file and row to the per-row handler in load_network,
-# which also prefixes the errors the Bus/Line/Generator checks raise
-
-
-def _parse_float(row, column) -> float:
-    raw = (row.get(column) or "").strip()
-    try:
-        return float(raw)
-    except ValueError:
-        raise NetworkDataError(f"cannot parse {column}={raw!r} as a number") from None
-
-
-def _parse_bool(row, column) -> bool:
-    raw = (row.get(column) or "").strip().lower()
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise NetworkDataError(f"{column} must be true or false, got {raw!r}")
-
-
-def _parse_str(row, column) -> str:
-    raw = (row.get(column) or "").strip()
-    if not raw:
-        raise NetworkDataError(f"empty {column}")
-    return raw
 
 
 def load_network(
@@ -357,53 +320,11 @@ def load_network(
     When ``slack_bus`` is not given, the bus of the largest-capacity generator
     is used (ties broken by generator id), falling back to the first bus.
     """
-    buses = []
-    for path, row_no, row in _read_rows(bus_file, BUS_COLUMNS):
-        try:
-            buses.append(
-                Bus(
-                    id=_parse_str(row, "id"),
-                    name=_parse_str(row, "name"),
-                    voltage_kv=_parse_float(row, "voltage_kv"),
-                    region=_parse_str(row, "region"),
-                )
-            )
-        except NetworkDataError as exc:
-            raise NetworkDataError(f"{path} row {row_no}: {exc}") from None
-
-    lines = []
-    for path, row_no, row in _read_rows(line_file, LINE_COLUMNS):
-        try:
-            lines.append(
-                Line(
-                    id=_parse_str(row, "id"),
-                    from_bus=_parse_str(row, "from_bus"),
-                    to_bus=_parse_str(row, "to_bus"),
-                    reactance_pu=_parse_float(row, "reactance_pu"),
-                    rating_summer_mw=_parse_float(row, "rating_summer_mw"),
-                    rating_winter_mw=_parse_float(row, "rating_winter_mw"),
-                    in_service=_parse_bool(row, "in_service"),
-                )
-            )
-        except NetworkDataError as exc:
-            raise NetworkDataError(f"{path} row {row_no}: {exc}") from None
-
-    generators = []
-    for path, row_no, row in _read_rows(generator_file, GENERATOR_COLUMNS):
-        try:
-            generators.append(
-                Generator(
-                    id=_parse_str(row, "id"),
-                    bus=_parse_str(row, "bus"),
-                    kind=_parse_str(row, "kind"),
-                    p_max_mw=_parse_float(row, "p_max_mw"),
-                    p_min_mw=_parse_float(row, "p_min_mw"),
-                    srmc=_parse_float(row, "srmc"),
-                    synchronous=_parse_bool(row, "synchronous"),
-                )
-            )
-        except NetworkDataError as exc:
-            raise NetworkDataError(f"{path} row {row_no}: {exc}") from None
+    _, buses = read_input(bus_file, BUS_COLUMNS, Bus, NetworkDataError)
+    _, lines = read_input(line_file, LINE_COLUMNS, Line, NetworkDataError)
+    _, generators = read_input(
+        generator_file, GENERATOR_COLUMNS, Generator, NetworkDataError
+    )
 
     if slack_bus is None:
         if generators:
@@ -425,38 +346,9 @@ def load_network(
 
 def save_network(model: NetworkModel, bus_file, line_file, generator_file) -> None:
     """Write the model back out in the same CSV schemas (round-trip safe)."""
-    with open(bus_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BUS_COLUMNS)
-        for b in model.buses:
-            writer.writerow([b.id, b.name, repr(b.voltage_kv), b.region])
-    with open(line_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINE_COLUMNS)
-        for ln in model.lines:
-            writer.writerow(
-                [
-                    ln.id,
-                    ln.from_bus,
-                    ln.to_bus,
-                    repr(ln.reactance_pu),
-                    repr(ln.rating_summer_mw),
-                    repr(ln.rating_winter_mw),
-                    "true" if ln.in_service else "false",
-                ]
-            )
-    with open(generator_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GENERATOR_COLUMNS)
-        for g in model.generators:
-            writer.writerow(
-                [
-                    g.id,
-                    g.bus,
-                    g.kind,
-                    repr(g.p_max_mw),
-                    repr(g.p_min_mw),
-                    repr(g.srmc),
-                    "true" if g.synchronous else "false",
-                ]
-            )
+    for path, columns, items in (
+        (bus_file, BUS_COLUMNS, model.buses),
+        (line_file, LINE_COLUMNS, model.lines),
+        (generator_file, GENERATOR_COLUMNS, model.generators),
+    ):
+        write_rows(path, columns, map(attrgetter(*columns), items))

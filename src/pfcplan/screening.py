@@ -24,7 +24,7 @@ from . import dcflow
 from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar
 from .shift_factors import LodfMatrix
-from .tables import select, write_csv
+from .tables import read_input, select, text, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -327,3 +327,9 @@ def read_overloads_csv(path) -> list[OverloadRecord]:
         ]
     records.sort(key=_sort_key)
     return records
+
+
+def read_line_summary_csv(path) -> list[LineSummary]:
+    """Read a line_summary.csv back; its columns are in ``LineSummary`` field order."""
+    columns = dict(zip(LINE_SUMMARY_COLUMNS, (text, int, int, float, float, int, text)))
+    return read_input(path, columns, LineSummary, ValueError)[1]

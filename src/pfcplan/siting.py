@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dcflow
 from .network import NetworkModel, SeasonCalendar, effective_rating
-from .screening import OverloadRecord, LineSummary
+from .screening import OverloadRecord
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
 
@@ -459,27 +459,18 @@ def assess_target(
 _CLASS_ORDER = {FULLY_RESOLVED: 0, PARTIALLY_RESOLVED: 1, NO_CHANGE: 2}
 
 
-def rank_targets(
-    outcomes: list[PfcOutcome], summaries: list[LineSummary] | None = None
-) -> PfcRanking:
+def rank_targets(outcomes: list[PfcOutcome]) -> PfcRanking:
     """Deterministic deployment ranking.
 
     Sort key: classification (fully < partially < no change), then more
     overloaded hours, then larger resolved fraction, then smaller increase,
-    then line id. Summaries may refine the overload-hour counts when provided.
+    then line id.
     """
-    hours_by_line = {}
-    if summaries:
-        hours_by_line = {s.line_id: s.overload_hours for s in summaries}
-
-    def hours_of(o: PfcOutcome) -> int:
-        return hours_by_line.get(o.target_line, o.overload_hours)
-
     ordered = sorted(
         outcomes,
         key=lambda o: (
             _CLASS_ORDER[o.classification],
-            -hours_of(o),
+            -o.overload_hours,
             -o.resolved_fraction,
             o.delta_pct if o.delta_pct is not None else float("inf"),
             o.target_line,
@@ -490,7 +481,7 @@ def rank_targets(
             rank=i + 1,
             target_line=o.target_line,
             classification=o.classification,
-            overload_hours=hours_of(o),
+            overload_hours=o.overload_hours,
             resolved_fraction=o.resolved_fraction,
             delta_pct=o.delta_pct,
         )

@@ -8,6 +8,7 @@ import pytest
 
 from pfcplan import cases
 from pfcplan.cli import main
+from pfcplan.report import ReportConsistencyError
 from pfcplan.network import HOURS_PER_YEAR
 
 
@@ -287,6 +288,21 @@ def test_report_subcommand_reemits(tmp_path):
     summary_before.pop("generated_at")
     summary_after.pop("generated_at")
     assert summary_before == summary_after
+
+
+def test_report_checks_line_summary_against_records(tmp_path):
+    config, out, _ = _run_all(tmp_path, cases.side_effect_case())
+    path = out / "line_summary.csv"
+    header, first, *rest = path.read_bytes().split(b"\r\n")
+    cells = first.split(b",")
+    cells[1] = str(int(cells[1]) + 1).encode()  # overload_hours
+    path.write_bytes(b"\r\n".join([header, b",".join(cells), *rest]))
+    meta_path = out / "screen_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["sha256"]["line_summary.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ReportConsistencyError, match="line summaries"):
+        main(["report", "--config", str(config)])
 
 
 def test_defaults_echoed_in_summary(tmp_path):

@@ -1,8 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pfcplan import cases
 from pfcplan.network import (
+    BUS_COLUMNS,
+    GENERATOR_COLUMNS,
+    LINE_COLUMNS,
     Bus,
     DisconnectedNetworkError,
     Generator,
@@ -17,7 +22,7 @@ from pfcplan.network import (
     save_network,
 )
 
-from conftest import connected_components, two_bus_model
+from conftest import connected_components, graph_bridges, two_bus_model
 
 
 def _write(path, text):
@@ -121,6 +126,28 @@ def test_roundtrip_preserves_model(tmp_path):
         slack_bus=model.slack_bus,
     )
     assert again == model
+
+
+def test_column_tables_follow_field_order():
+    # load_network builds each row positionally from its column table
+    for row_type, columns in (
+        (Bus, BUS_COLUMNS), (Line, LINE_COLUMNS), (Generator, GENERATOR_COLUMNS)
+    ):
+        assert list(columns) == [f.name for f in fields(row_type)]
+
+
+def test_bridges_match_union_find_oracle():
+    models = [two_bus_model(), cases.triangle(), cases.radial_pair(), cases.mesh6()]
+    models.append(cases.grid30())
+    models += [
+        make().model
+        for make in (
+            cases.parallel_paths_case, cases.side_effect_case,
+            cases.radial_feed_case, cases.capped_relief_case,
+        )
+    ]
+    for model in models:
+        assert model.bridges == graph_bridges(model)
 
 
 def test_connectivity_check_matches_union_find_oracle():
