@@ -8,8 +8,8 @@ import pytest
 
 from pfcplan import cases
 from pfcplan.cli import main
-from pfcplan.report import ReportConsistencyError
 from pfcplan.network import HOURS_PER_YEAR
+from pfcplan.report import ReportConsistencyError
 
 
 def _study(tmp_path, case, name="study", **config_overrides):

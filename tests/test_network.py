@@ -137,14 +137,11 @@ def test_column_tables_follow_field_order():
 
 
 def test_bridges_match_union_find_oracle():
-    models = [two_bus_model(), cases.triangle(), cases.radial_pair(), cases.mesh6()]
-    models.append(cases.grid30())
-    models += [
-        make().model
-        for make in (
-            cases.parallel_paths_case, cases.side_effect_case,
-            cases.radial_feed_case, cases.capped_relief_case,
-        )
+    models = [
+        two_bus_model(), cases.triangle(), cases.radial_pair(), cases.mesh6(),
+        cases.grid30(), cases.parallel_paths_case().model,
+        cases.side_effect_case().model, cases.radial_feed_case().model,
+        cases.capped_relief_case().model,
     ]
     for model in models:
         assert model.bridges == graph_bridges(model)
