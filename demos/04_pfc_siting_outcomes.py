@@ -26,11 +26,9 @@ def study(case):
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = sorted(
-        rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
-    )
+    records = rec1 + rec2
     injections = injection_matrix(model, year, case.profile)
-    targets = sorted({r.line_id for r in records if r.category == "overload"})
+    targets = records.lines(overload=True)
     outcomes = [
         assess_target(t, records, model, injections, case.calendar, ptdf, lodf)
         for t in targets

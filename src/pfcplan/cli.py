@@ -83,11 +83,8 @@ def _load_study(cfg: StudyConfig):
         system_base_mva=cfg.system_base_mva,
     )
     profile = dispatch.load_demand_profile(
-        cfg.inputs["demand"], cfg.inputs["bus_shares"]
+        cfg.inputs["demand"], cfg.inputs["bus_shares"], model.bus_by_id
     )
-    for bus_id in profile.bus_shares:
-        if bus_id not in model.bus_by_id:
-            raise NetworkDataError(f"bus_shares references unknown bus {bus_id}")
     availability = dispatch.load_res_availability(cfg.inputs["res_availability"])
     return model, profile, availability
 
@@ -130,14 +127,12 @@ def cmd_screen(cfg: StudyConfig, study, dest: Path) -> None:
     lodf = shift_factors.compute_lodf(ptdf, model)
     stage2_monitored = monitored
     if cfg.screen_from_stage1:
-        stage2_monitored = {r.line_id for r in rec1}
-    rec2 = []
-    if stage2_monitored:
-        rec2 = screening.stage2_scan(
-            base, lodf, model, calendar,
-            monitored=stage2_monitored,
-            near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
-        )
+        stage2_monitored = set(rec1.lines())
+    rec2 = screening.stage2_scan(
+        base, lodf, model, calendar,
+        monitored=stage2_monitored,
+        near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
+    )
     records = rec1 + rec2
     summaries, regional = screening.summarize(records, model)
     screening.write_workbook(records, summaries, regional, dest)
@@ -157,7 +152,7 @@ def cmd_site_pfc(cfg: StudyConfig, study, dest: Path) -> None:
     lodf = shift_factors.compute_lodf(ptdf, model)
     injections = dispatch.injection_matrix(model, year, profile)
 
-    targets = sorted({r.line_id for r in records if r.category == "overload"})
+    targets = records.lines(overload=True)
     outcomes = [
         siting.assess_target(
             target, records, model, injections, calendar, ptdf, lodf,

@@ -339,14 +339,17 @@ def _hourly_series(path, columns: dict, rest=None) -> dict[str, np.ndarray]:
     return dict(zip(names[1:], series))
 
 
-def load_demand_profile(demand_file, shares_file) -> DemandProfile:
+def load_demand_profile(demand_file, shares_file, bus_ids) -> DemandProfile:
+    """The demand series and its bus shares; a share on a bus not in
+    ``bus_ids`` (the network's buses) is rejected at its row."""
     demand = _hourly_series(demand_file, DEMAND_COLUMNS)["demand_mw"]
     _, rows = read_input(shares_file, BUS_SHARE_COLUMNS, None, DispatchInputError)
     shares: dict[str, float] = {}
     for row_no, (bus, share) in enumerate(rows, start=2):
-        if bus in shares:
+        if bus in shares or bus not in bus_ids:
+            problem = "repeated" if bus in shares else "not in the network"
             raise DispatchInputError(
-                f"{Path(shares_file)} row {row_no}: bus {bus} repeated"
+                f"{Path(shares_file)} row {row_no}: bus {bus} {problem}"
             )
         shares[bus] = share
     return DemandProfile(demand_mw=demand, bus_shares=shares)

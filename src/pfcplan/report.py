@@ -23,7 +23,7 @@ from .screening import (
     LINE_SUMMARY_COLUMNS,
     REGION_COLUMNS,
     LineSummary,
-    OverloadRecord,
+    OverloadRecords,
     region_counts,
     summarize,
 )
@@ -64,7 +64,7 @@ def build_report(
     outcomes: list[PfcOutcome],
     model: NetworkModel,
     parameters: dict,
-    records: list[OverloadRecord] | None = None,
+    records: OverloadRecords | None = None,
     ranking: PfcRanking | None = None,
     dispatch_stats: dict | None = None,
     scenario: str = "",
@@ -113,12 +113,9 @@ def build_report(
         "total_near_hours": sum(s.near_hours for s in summaries),
     }
     if records is not None:
-        screening_stats["overload_records"] = sum(
-            1 for r in records if r.category == "overload"
-        )
-        screening_stats["near_records"] = sum(
-            1 for r in records if r.category == "near"
-        )
+        n_overload = int(records.overload.sum())
+        screening_stats["overload_records"] = n_overload
+        screening_stats["near_records"] = len(records) - n_overload
 
     return StudyReport(
         scenario=scenario,

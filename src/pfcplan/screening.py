@@ -5,11 +5,24 @@ line against its effective (derated) seasonal rating. Stage 2 reuses the
 retained hourly base flows and applies LODF columns, so the whole year of N-1
 scans costs a handful of matrix passes instead of 8,760 x n_outages re-solves.
 
+Stage 2 first prunes every (monitored line l, outage k) pair that cannot
+reach the near threshold in any hour (Brandwajn's bound): the post-outage flow
+f_l + LODF[l,k] f_k never exceeds max_h|f_l| + |LODF[l,k]| max_h|f_k| in
+magnitude, and a record needs more than near% of the line's lowest effective
+rating. The bound holds for every hour, and a relative margin of 1e-9 covers
+the rounding of both sides, so a pruned pair never holds a record. For each
+outage only the surviving columns are computed, all hours at once, with the
+same multiply-then-add per element as the unpruned superposition, so every
+loading keeps its bits.
+
 Records are emitted for loadings strictly above the near threshold (default
 90%); the near class covers (90%, 100%] and the overload class (100%, inf), so
 the two classes partition everything above 90%. A loading of exactly 90%
-produces no record. Record streams are deterministically ordered by hour,
-then contingency id, then line id.
+produces no record. Records are held as column arrays (``OverloadRecords``),
+always ordered by hour, then contingency id (intact first), then line id;
+``OverloadRecord`` is the row view iteration yields. ``overloads.csv`` is
+written from the columns converted to plain Python ints and floats, so each
+float is written as its repr and reads back exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +38,18 @@ from . import dcflow
 from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar
 from .shift_factors import LodfMatrix
-from .tables import read_input, select, text, write_csv
+from .tables import read_input, select, text, write_csv, write_rows
 
 log = logging.getLogger(__name__)
 
 NEAR_PCT_DEFAULT = 90.0
 OVERLOAD_PCT_DEFAULT = 100.0
+# relative slack on the Stage 2 bound, far above the rounding of either side
+PRUNE_MARGIN = 1e-9
+ROW_CHUNK = 1 << 16  # records turned into Python rows at a time
 
 
-@dataclass(frozen=True)
-class OverloadRecord:
+class OverloadRecord(NamedTuple):
     """One (line, hour, contingency) loading excursion above the near threshold."""
 
     line_id: str
@@ -42,6 +58,116 @@ class OverloadRecord:
     loading_pct: float
     excess_mw: float  # MW above the effective rating, 0 for near records
     category: str  # "overload" (>100%) or "near" (>90% and <=100%)
+
+
+# column -> dtype, in OverloadRecord field order
+_RECORD_COLUMNS = {
+    "line": np.int64, "hour": np.int64, "contingency": np.int64,
+    "loading_pct": np.float64, "excess_mw": np.float64, "overload": bool,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class OverloadRecords:
+    """Overload records as column arrays, one entry per record.
+
+    ``line`` and ``contingency`` index ``line_ids``; a contingency of -1 is
+    the intact network. Construction sorts the columns by hour, contingency
+    id (intact first) and line id, so every record set is in record order.
+    ``len`` counts the records, iteration yields one ``OverloadRecord`` per
+    record and ``+`` joins two record sets.
+    """
+
+    line_ids: tuple[str, ...]
+    line: np.ndarray
+    hour: np.ndarray
+    contingency: np.ndarray
+    loading_pct: np.ndarray
+    excess_mw: np.ndarray  # 0 for near records
+    overload: np.ndarray  # True: overload class, False: near class
+
+    def __post_init__(self):
+        order = sorted(range(len(self.line_ids)), key=self.line_ids.__getitem__)
+        rank = np.empty(len(self.line_ids) + 1, dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        rank[-1] = -1  # the intact network sorts first
+        columns = {
+            name: np.asarray(getattr(self, name), dtype=dtype)
+            for name, dtype in _RECORD_COLUMNS.items()
+        }
+        perm = np.lexsort((
+            rank[columns["line"]], rank[columns["contingency"]], columns["hour"]
+        ))
+        for name, column in columns.items():
+            object.__setattr__(self, name, column[perm])
+
+    @classmethod
+    def from_rows(cls, rows) -> OverloadRecords:
+        """Records from rows in ``OverloadRecord`` field order, in any order."""
+        line, hour, contingency, loading, excess, category = (
+            list(zip(*rows)) or [()] * 6
+        )
+        line_ids = tuple(sorted(set(line) | set(contingency) - {None}))
+        index = {lid: i for i, lid in enumerate(line_ids)}
+        index[None] = -1
+        return cls(
+            line_ids,
+            [index[lid] for lid in line],
+            hour,
+            [index[lid] for lid in contingency],
+            loading,
+            excess,
+            [c == "overload" for c in category],
+        )
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    def __iter__(self):
+        return map(OverloadRecord._make, self.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, OverloadRecords):
+            return NotImplemented
+        return list(self.rows()) == list(other.rows())
+
+    def __add__(self, other: OverloadRecords) -> OverloadRecords:
+        known = set(self.line_ids)
+        line_ids = self.line_ids + tuple(
+            lid for lid in other.line_ids if lid not in known
+        )
+        pos = {lid: i for i, lid in enumerate(line_ids)}
+        remap = np.array([pos[lid] for lid in other.line_ids] + [-1], dtype=np.int64)
+        return OverloadRecords(
+            line_ids,
+            np.concatenate([self.line, remap[other.line]]),
+            np.concatenate([self.hour, other.hour]),
+            np.concatenate([self.contingency, remap[other.contingency]]),
+            np.concatenate([self.loading_pct, other.loading_pct]),
+            np.concatenate([self.excess_mw, other.excess_mw]),
+            np.concatenate([self.overload, other.overload]),
+        )
+
+    def rows(self):
+        """Plain-Python row tuples in ``OverloadRecord`` field order, which is
+        also the ``overloads.csv`` column order; built a chunk at a time."""
+        ids = np.array(self.line_ids + (None,), dtype=object)
+        category = np.array(["near", "overload"], dtype=object)
+        for start in range(0, len(self), ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            yield from zip(
+                ids[self.line[part]].tolist(),
+                self.hour[part].tolist(),
+                ids[self.contingency[part]].tolist(),
+                self.loading_pct[part].tolist(),
+                self.excess_mw[part].tolist(),
+                category[self.overload[part].astype(np.int64)].tolist(),
+            )
+
+    def lines(self, overload: bool = False) -> list[str]:
+        """Ids of the lines with a record (with an overload record), sorted."""
+        line = self.line[self.overload] if overload else self.line
+        return sorted(self.line_ids[i] for i in np.unique(line).tolist())
 
 
 # overloads.csv columns: header -> OverloadRecord attribute
@@ -109,41 +235,24 @@ def effective_rating_matrix(
     return seasonal * (1.0 - calendar.derate_factor)
 
 
-def _extract_records(
-    flows: np.ndarray,
-    ratings: np.ndarray,
-    hours: np.ndarray,
-    line_ids: tuple[str, ...],
-    columns: np.ndarray,
-    contingency: str | None,
-    near_pct: float,
-    overload_pct: float,
-) -> list[OverloadRecord]:
-    loading = 100.0 * np.abs(flows[:, columns]) / ratings[:, columns]
-    hit_h, hit_l = np.nonzero(loading > near_pct)
-    records = []
-    for hi, li in zip(hit_h, hit_l):
-        col = columns[li]
-        pct = float(loading[hi, li])
-        is_overload = pct > overload_pct
-        excess = (
-            float(abs(flows[hi, col]) - ratings[hi, col]) if is_overload else 0.0
-        )
-        records.append(
-            OverloadRecord(
-                line_id=line_ids[col],
-                hour=int(hours[hi]),
-                contingency=contingency,
-                loading_pct=pct,
-                excess_mw=excess,
-                category="overload" if is_overload else "near",
-            )
-        )
-    return records
+def _hits(flows, ratings, near_pct, overload_pct):
+    """Hour row, column, loading, excess and class of every loading above
+    ``near_pct``, for flows and ratings of the same shape."""
+    loading = 100.0 * np.abs(flows) / ratings
+    rows, cols = np.nonzero(loading > near_pct)
+    pct = loading[rows, cols]
+    over = pct > overload_pct
+    excess = np.where(over, np.abs(flows[rows, cols]) - ratings[rows, cols], 0.0)
+    return rows, cols, pct, excess, over
 
 
-def _sort_key(record: OverloadRecord):
-    return (record.hour, record.contingency or "", record.line_id)
+def _monitored_columns(
+    line_ids: tuple[str, ...], monitored: set[str] | None
+) -> np.ndarray:
+    return np.array(
+        [i for i, lid in enumerate(line_ids) if monitored is None or lid in monitored],
+        dtype=int,
+    )
 
 
 def stage1_scan(
@@ -155,11 +264,11 @@ def stage1_scan(
     monitored: set[str] | None = None,
     near_pct: float = NEAR_PCT_DEFAULT,
     overload_pct: float = OVERLOAD_PCT_DEFAULT,
-) -> tuple[list[OverloadRecord], BaseFlows]:
+) -> tuple[OverloadRecords, BaseFlows]:
     """Intact-network scan of every feasible hour.
 
-    Returns the (sorted) records and the full base-flow matrix, which Stage 2
-    needs for the LODF superposition. Infeasible dispatch hours are excluded.
+    Returns the records and the full base-flow matrix, which Stage 2 needs
+    for the LODF superposition. Infeasible dispatch hours are excluded.
     """
     hours = np.array(year.feasible_hours, dtype=int)
     inj = injection_matrix(model, year, profile)[hours]
@@ -174,16 +283,36 @@ def stage1_scan(
     flows = dcflow.flows_from_angles(system, angles).T  # (n_hours, n_lines)
     base = BaseFlows(hours=hours, flows_mw=flows, line_ids=system.line_ids)
 
-    mon_ids = monitored if monitored is not None else set(system.line_ids)
-    columns = np.array(
-        [i for i, lid in enumerate(system.line_ids) if lid in mon_ids], dtype=int
+    columns = _monitored_columns(system.line_ids, monitored)
+    ratings = effective_rating_matrix(
+        model, tuple(system.line_ids[i] for i in columns), hours, calendar
     )
-    ratings = effective_rating_matrix(model, system.line_ids, hours, calendar)
-    records = _extract_records(
-        flows, ratings, hours, system.line_ids, columns, None, near_pct, overload_pct
+    rows, cols, pct, excess, over = _hits(
+        flows[:, columns], ratings, near_pct, overload_pct
     )
-    records.sort(key=_sort_key)
+    records = OverloadRecords(
+        system.line_ids, columns[cols], hours[rows], np.full(len(rows), -1),
+        pct, excess, over,
+    )
     return records, base
+
+
+def screened_pairs(
+    base: BaseFlows, lodf: LodfMatrix, ratings: np.ndarray, near_pct: float
+) -> np.ndarray:
+    """Which (line, outage) pairs Stage 2 computes: bool, lines x outages.
+
+    A pair is kept when max_h|f_l| + |LODF[l,k]| max_h|f_k|, raised by
+    ``PRUNE_MARGIN``, exceeds near% of the line's lowest effective rating in
+    ``ratings`` (hours x lines). No other pair can hold a record. Islanding
+    outages (NaN columns) and the outaged line itself keep no pair.
+    """
+    peak = np.abs(base.flows_mw).max(axis=0, initial=0.0)
+    bound = peak[:, None] + np.abs(lodf.matrix) * peak
+    floor = near_pct / 100.0 * ratings.min(axis=0, initial=np.inf)
+    kept = bound * (1.0 + PRUNE_MARGIN) > floor[:, None]
+    np.fill_diagonal(kept, False)
+    return kept
 
 
 def stage2_scan(
@@ -195,90 +324,104 @@ def stage2_scan(
     outages: tuple[str, ...] | None = None,
     near_pct: float = NEAR_PCT_DEFAULT,
     overload_pct: float = OVERLOAD_PCT_DEFAULT,
-) -> list[OverloadRecord]:
+) -> OverloadRecords:
     """N-1 scan of every feasible hour against every non-islanding outage.
 
     The same topology-only LODF matrix serves every hour. Islanding outages in
-    the candidate set are skipped (they are marked, not numeric).
+    the candidate set are skipped (they are marked, not numeric). Only the
+    (line, outage) pairs ``screened_pairs`` keeps are computed.
     """
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
-    mon_ids = monitored if monitored is not None else set(base.line_ids)
-    columns = np.array(
-        [i for i, lid in enumerate(base.line_ids) if lid in mon_ids], dtype=int
-    )
-    outage_ids = outages if outages is not None else lodf.non_islanding_outages()
+    columns = _monitored_columns(base.line_ids, monitored)
+    outage_ids = outages if outages is not None else base.line_ids
     ratings = effective_rating_matrix(model, base.line_ids, base.hours, calendar)
+    kept = screened_pairs(base, lodf, ratings, near_pct)
+    flows = base.flows_mw
 
-    records: list[OverloadRecord] = []
-    skipped = 0
+    found = []
+    screened = skipped = n_kept = n_pairs = 0
     for outage in outage_ids:
         k = base.line_ids.index(outage)
         if lodf.islanding[k]:
             skipped += 1
             continue
-        post = base.flows_mw + np.outer(base.flows_mw[:, k], lodf.matrix[:, k])
-        post[:, k] = 0.0
-        records.extend(
-            _extract_records(
-                post,
-                ratings,
-                base.hours,
-                base.line_ids,
-                columns,
-                outage,
-                near_pct,
-                overload_pct,
-            )
+        cols = columns[kept[columns, k]]
+        screened += 1
+        n_kept += len(cols)
+        n_pairs += len(columns) - int(k in columns)
+        post = flows[:, cols] + flows[:, k, None] * lodf.matrix[cols, k]
+        rows, hit, pct, excess, over = _hits(
+            post, ratings[:, cols], near_pct, overload_pct
         )
-    if skipped:
-        log.info("skipped %d islanding outages in the N-1 scan", skipped)
-    records.sort(key=_sort_key)
-    return records
+        found.append(
+            (cols[hit], base.hours[rows], np.full(len(rows), k), pct, excess, over)
+        )
+    log.info(
+        "stage 2: %d outages screened, %d bridge outages skipped, "
+        "%d of %d (line, outage) pairs kept",
+        screened, skipped, n_kept, n_pairs,
+    )
+    return OverloadRecords(
+        base.line_ids, *([np.concatenate(c) for c in zip(*found)] or [()] * 6)
+    )
+
+
+def _group_max(keys: np.ndarray, values: np.ndarray):
+    """The distinct non-negative keys, ascending, and each one's largest value."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.maximum.reduceat(values[order], starts)
 
 
 def summarize(
-    records: list[OverloadRecord], model: NetworkModel
+    records: OverloadRecords, model: NetworkModel
 ) -> tuple[list[LineSummary], dict[str, int]]:
     """Per-line duration/severity rollups plus overloaded-line counts by region.
 
     Duration counts distinct overloaded hours (not record pairs); the energy
     rollup takes the worst excess per overloaded hour so parallel contingencies
-    in one hour are not double counted.
+    in one hour are not double counted. It is summed in hour order by Python's
+    ``sum``: numpy's pairwise sum could change the last digits.
     """
-    by_line: dict[str, list[OverloadRecord]] = {}
-    for rec in records:
-        by_line.setdefault(rec.line_id, []).append(rec)
+    if not len(records):
+        return [], {}
+    n_ids = len(records.line_ids)
+    line, over = records.line, records.overload
+    lines, max_loading = _group_max(line, records.loading_pct)
+    # (line, hour) and (line, contingency) pairs as one integer key each
+    stride = int(records.hour.max()) + 1
+    hour_key = line * stride + records.hour
+    pairs, worst = _group_max(hour_key[over], records.excess_mw[over])
+    overload_hours = np.bincount(pairs // stride, minlength=n_ids)
+    near_hours = np.bincount(np.unique(hour_key[~over]) // stride, minlength=n_ids)
+    outage = over & (records.contingency >= 0)
+    ctg_pairs = np.unique(line[outage] * n_ids + records.contingency[outage])
+    contingency_count = np.bincount(ctg_pairs // n_ids, minlength=n_ids)
+    # each line's worst excess per overloaded hour, in hour order, never below 0
+    worst = np.maximum(worst, 0.0).tolist()
+    ends = np.cumsum(overload_hours).tolist()
 
     summaries = []
     regional: dict[str, int] = {}
-    for line_id in sorted(by_line):
-        recs = by_line[line_id]
-        overload_hours = sorted({r.hour for r in recs if r.category == "overload"})
-        near_hours = {r.hour for r in recs if r.category == "near"}
-        worst_excess = {}
-        for r in recs:
-            if r.category == "overload":
-                worst_excess[r.hour] = max(worst_excess.get(r.hour, 0.0), r.excess_mw)
-        energy = float(sum(worst_excess[h] for h in overload_hours))
-        contingencies = {
-            r.contingency
-            for r in recs
-            if r.category == "overload" and r.contingency is not None
-        }
+    peak = dict(zip(lines.tolist(), max_loading.tolist()))
+    for i in sorted(peak, key=records.line_ids.__getitem__):
+        line_id = records.line_ids[i]
+        n_over = int(overload_hours[i])
         region = model.bus_by_id[model.line_by_id[line_id].from_bus].region
         summaries.append(
             LineSummary(
                 line_id=line_id,
-                overload_hours=len(overload_hours),
-                near_hours=len(near_hours),
-                max_loading_pct=max(r.loading_pct for r in recs),
-                overload_energy_mwh=energy,
-                contingency_count=len(contingencies),
+                overload_hours=n_over,
+                near_hours=int(near_hours[i]),
+                max_loading_pct=peak[i],
+                overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
+                contingency_count=int(contingency_count[i]),
                 region=region,
             )
         )
-        if overload_hours:
+        if n_over:
             regional[region] = regional.get(region, 0) + 1
     return summaries, regional
 
@@ -287,7 +430,7 @@ def summarize(
 
 
 def write_workbook(
-    records: list[OverloadRecord],
+    records: OverloadRecords,
     summaries: list[LineSummary],
     regional: dict[str, int],
     out_dir,
@@ -295,13 +438,13 @@ def write_workbook(
     """Write the overload workbook CSVs; returns the file names written."""
     overloaded = [s for s in summaries if s.overload_hours]
     tables = {
-        "overloads.csv": (OVERLOAD_COLUMNS, sorted(records, key=_sort_key)),
         "line_summary.csv": (LINE_SUMMARY_COLUMNS, summaries),
         "region_summary.csv": (REGION_COLUMNS, region_counts(regional)),
         "duration_histogram.csv": (DURATION_COLUMNS, overloaded),
         "severity.csv": (SEVERITY_COLUMNS, summaries),
     }
-    paths = []
+    paths = [f"{out_dir}/overloads.csv"]
+    write_rows(paths[0], OVERLOAD_COLUMNS, records.rows())
     for name, (columns, items) in tables.items():
         paths.append(f"{out_dir}/{name}")
         write_csv(paths[-1], columns, items)
@@ -313,7 +456,7 @@ def region_counts(regional: dict[str, int]) -> list[RegionCount]:
     return [RegionCount(region, n) for region, n in sorted(regional.items())]
 
 
-def read_overloads_csv(path) -> list[OverloadRecord]:
+def read_overloads_csv(path) -> OverloadRecords:
     """Read an overloads.csv back; floats round-trip exactly via repr.
 
     ``OVERLOAD_COLUMNS`` lists the columns in ``OverloadRecord`` field order.
@@ -321,12 +464,10 @@ def read_overloads_csv(path) -> list[OverloadRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows, None)  # the header
-        records = [
-            OverloadRecord(line, int(hour), ctg or None, float(pct), float(excess), cls)
+        return OverloadRecords.from_rows(
+            (line, int(hour), ctg or None, float(pct), float(excess), cls)
             for line, hour, ctg, pct, excess, cls in rows
-        ]
-    records.sort(key=_sort_key)
-    return records
+        )
 
 
 def read_line_summary_csv(path) -> list[LineSummary]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dcflow
 from .network import NetworkModel, SeasonCalendar, effective_rating
-from .screening import OverloadRecord
+from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
 
@@ -291,7 +291,7 @@ def _group_pairs(
 
 def assess_target(
     target: str,
-    records: list[OverloadRecord],
+    records: OverloadRecords,
     model: NetworkModel,
     injections: np.ndarray,
     calendar: SeasonCalendar,
@@ -314,20 +314,20 @@ def assess_target(
     for no limit); weaker couplings cannot beat a stronger one that already
     failed, so this bounds the exact re-solve work on large meshes.
     """
-    pairs = {
-        (r.hour, r.contingency)
-        for r in records
-        if r.line_id == target and r.category == "overload"
-    }
+    ids = records.line_ids
+    # the target's overload records; no record has the line index -1
+    target_index = ids.index(target) if target in ids else -1
+    hit = records.overload & (records.line == target_index)
+    outages = ids + (None,)  # contingency index -1 is the intact network
+    pairs = set(zip(
+        records.hour[hit].tolist(),
+        [outages[k] for k in records.contingency[hit].tolist()],
+    ))
     if not pairs:
         raise ValueError(f"no overload records for target {target}")
     all_hours = sorted({h for h, _ in pairs})
     total_hours = len(all_hours)
-    pre_max_loading = max(
-        r.loading_pct
-        for r in records
-        if r.line_id == target and r.category == "overload"
-    )
+    pre_max_loading = max(records.loading_pct[hit].tolist())
 
     groups = _group_pairs(pairs, injections, calendar)
     contingencies = sorted({g.contingency for g in groups}, key=lambda c: c or "")

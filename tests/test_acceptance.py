@@ -64,9 +64,7 @@ def _pipeline(case):
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = sorted(
-        rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
-    )
+    records = rec1 + rec2
     injections = injection_matrix(model, year, case.profile)
     return model, year, base, records, injections, ptdf, lodf
 

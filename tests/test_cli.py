@@ -458,3 +458,25 @@ def test_run_all_output_bytes_are_pinned(tmp_path, case_name):
         if digests.get(name) != expected.get(name)
     )
     assert not changed, f"{case_name}: output bytes differ in {changed}"
+
+
+# grid30 is in no golden case; its overloads.csv digest is also the
+# benchmark's pin for the grid30 workload
+GRID30_WORKBOOK = {
+    "overloads.csv": "ee2165ab4c71b4296fa3da7d9b3696259faea3182c5ca13848d614b56d3613e5",
+    "line_summary.csv": "44b7cbdd7331e8c7e84bf47ae018c3b0c3f0c260755f54cd582aa642d65375c6",
+    "region_summary.csv": "513a2498b271014fa9842d197d4c6d0c205035e4b58635d5cd4ea00e7caa975c",
+    "duration_histogram.csv": "38399760a3b5294fa5e1f6e80ea808806cc4d1aa6b3b582fc29762a8e46bae10",
+    "severity.csv": "4d31f17df1ef20c821f17e02c22b438277c976a7f20c7d2c38246c0867f92fb5",
+}
+
+
+def test_grid30_screen_workbook_bytes_are_pinned(tmp_path):
+    config, out = _study(tmp_path, cases.grid30_case())
+    assert main(["dispatch", "--config", str(config)]) == 0
+    assert main(["screen", "--config", str(config)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GRID30_WORKBOOK
+    }
+    assert digests == GRID30_WORKBOOK

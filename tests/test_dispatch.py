@@ -274,7 +274,7 @@ def test_curtailment_monotone_in_snsp_cap():
 def test_demand_and_availability_roundtrip(tmp_path):
     case = cases.mesh6_case()
     paths = cases.write_study_inputs(case, tmp_path)
-    profile = load_demand_profile(paths["demand"], paths["bus_shares"])
+    profile = load_demand_profile(paths["demand"], paths["bus_shares"], case.model.bus_by_id)
     assert np.array_equal(profile.demand_mw, case.profile.demand_mw)
     assert profile.bus_shares == case.profile.bus_shares
     availability = load_res_availability(paths["res_availability"])
@@ -289,7 +289,7 @@ def test_demand_file_must_cover_every_hour(tmp_path):
     (tmp_path / "demand.csv").write_text("hour,demand_mw\n0,100\n1,100\n")
     (tmp_path / "shares.csv").write_text("bus,share\nB1,1.0\n")
     with pytest.raises(DispatchInputError, match="missing"):
-        load_demand_profile(tmp_path / "demand.csv", tmp_path / "shares.csv")
+        load_demand_profile(tmp_path / "demand.csv", tmp_path / "shares.csv", {"B1"})
 
 
 def test_bad_shares_rejected():

@@ -127,7 +127,8 @@ def test_malformed_input_exits_2_naming_the_file_once(tmp_path, capsys, case):
 
 # rows that used to load: a repeated hour or bus overwrote the earlier row, an
 # empty bus id surfaced later as an unknown bus without the file, and a
-# non-finite reactance was taken as a number
+# non-finite reactance was taken as a number; a share on a bus the network
+# lacks was rejected without the file or the row
 REJECTED_ROWS = {
     "demand-repeated-hour": ("demand", _set(2, 0, "0"), 3, "hour 0 repeated"),
     "res_availability-repeated-hour": (
@@ -135,6 +136,9 @@ REJECTED_ROWS = {
     ),
     "bus_shares-repeated-bus": ("bus_shares", _repeat_row(1), 3, "bus M2 repeated"),
     "bus_shares-empty-id": ("bus_shares", _set(1, 0, ""), 2, "column bus"),
+    "bus_shares-unknown-bus": (
+        "bus_shares", _set(2, 0, "Z9"), 3, "bus Z9 not in the network"
+    ),
     "lines-nan-reactance": ("lines", _set(1, 3, "nan"), 2, "finite"),
 }
 

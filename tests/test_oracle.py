@@ -1,0 +1,163 @@
+"""Random meshes: the Stage 2 fast paths against their exact references.
+
+Each example is a small connected mesh with parallel lines, radial spurs
+(bridges), a random slack bus, balanced hourly injections and seasonal
+ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
+superposition is checked against exact re-solves without the line, and the
+bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
+which is kept here as the reference.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pfcplan import screening
+from pfcplan.dcflow import IslandingError, build_system, solve_flows, solve_with_outage
+from pfcplan.network import Bus, Line, NetworkModel, SeasonCalendar
+from pfcplan.screening import BaseFlows, effective_rating_matrix, stage2_scan
+from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
+
+from conftest import balanced_injection, dense_dc_flows, graph_bridges
+
+# hours spread over the year, so both seasons and their ratings appear
+HOURS = np.linspace(0, 8759, 12).round().astype(int)
+CALENDAR = SeasonCalendar.from_months(derate_factor=0.05)
+
+
+@dataclasses.dataclass(frozen=True)
+class Mesh:
+    edges: tuple  # (from bus, to bus) per line
+    names: tuple  # line ids, not in index order
+    reactances: tuple
+    slack: int
+    seed: int  # draws the injections
+    rating_factors: tuple  # per line: summer rating / peak post-outage flow
+    winter_factor: float
+
+
+@st.composite
+def meshes(draw):
+    n = draw(st.integers(3, 6))
+    # a random spanning tree, then cycle-closing lines; a repeated pair
+    # becomes a parallel line
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges += draw(st.lists(pair, min_size=1, max_size=n))
+    spurs = draw(st.integers(0, 2))
+    for spur in range(spurs):  # radial buses: their lines are bridges
+        edges.append((draw(st.integers(0, n + spur - 1)), n + spur))
+    m = len(edges)
+    return Mesh(
+        edges=tuple(edges),
+        names=tuple(draw(st.lists(st.integers(0, 99), min_size=m, max_size=m, unique=True))),
+        reactances=tuple(draw(st.lists(st.floats(0.05, 0.5), min_size=m, max_size=m))),
+        slack=draw(st.integers(0, n + spurs - 1)),
+        seed=draw(st.integers(0, 2**16)),
+        rating_factors=tuple(draw(st.lists(st.floats(0.8, 1.25), min_size=m, max_size=m))),
+        winter_factor=draw(st.floats(1.0, 1.2)),
+    )
+
+
+def _model(mesh: Mesh, ratings=None) -> NetworkModel:
+    n_buses = max(max(e) for e in mesh.edges) + 1
+    ratings = ratings if ratings is not None else [1.0] * len(mesh.edges)
+    lines = tuple(
+        Line(f"L{name}", f"B{f}", f"B{t}", x, r, r * mesh.winter_factor)
+        for name, (f, t), x, r in zip(mesh.names, mesh.edges, mesh.reactances, ratings)
+    )
+    buses = tuple(Bus(f"B{i}", f"B{i}", 110.0, f"R{i % 2}") for i in range(n_buses))
+    return NetworkModel(buses=buses, lines=lines, generators=(), slack_bus=f"B{mesh.slack}")
+
+
+def reference_stage2(base, lodf, model, calendar, near_pct=90.0, overload_pct=100.0):
+    """The unpruned N-1 scan: every outage's dense hours x lines superposition."""
+    ratings = effective_rating_matrix(model, base.line_ids, base.hours, calendar)
+    rows = []
+    for k, outage in enumerate(base.line_ids):
+        if lodf.islanding[k]:
+            continue
+        post = base.flows_mw + np.outer(base.flows_mw[:, k], lodf.matrix[:, k])
+        post[:, k] = 0.0
+        loading = 100.0 * np.abs(post) / ratings
+        for hi, li in zip(*np.nonzero(loading > near_pct)):
+            pct = float(loading[hi, li])
+            over = pct > overload_pct
+            excess = float(abs(post[hi, li]) - ratings[hi, li]) if over else 0.0
+            rows.append((base.line_ids[li], int(base.hours[hi]), outage, pct, excess,
+                         "overload" if over else "near"))
+    rows.sort(key=lambda r: (r[1], r[2], r[0]))
+    return rows
+
+
+def _study(mesh: Mesh):
+    """Model with drawn ratings, its base flows and its LODF matrix."""
+    model = _model(mesh)
+    rng = np.random.default_rng(mesh.seed)
+    injections = np.array([balanced_injection(rng, len(model.buses)) for _ in HOURS])
+    system = build_system(model)
+    line_ids = system.line_ids
+    flows = np.array([[dense_dc_flows(model, inj)[lid] for lid in line_ids]
+                      for inj in injections])
+    base = BaseFlows(hours=HOURS, flows_mw=flows, line_ids=line_ids)
+    lodf = compute_lodf(compute_ptdf(system, model), model)
+    # rate each line against its peak flow over the hours and outages, so
+    # the loadings straddle both class thresholds
+    peak = np.abs(flows).max(axis=0)
+    for k in np.flatnonzero(~lodf.islanding):
+        peak = np.maximum(peak, np.abs(flows + np.outer(flows[:, k], lodf.matrix[:, k])).max(axis=0))
+    by_id = dict(zip(line_ids, peak))
+    ratings = [max(by_id[f"L{name}"], 1.0) * factor
+               for name, factor in zip(mesh.names, mesh.rating_factors)]
+    return _model(mesh, ratings), injections, base, lodf
+
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+# two parallel lines plus a spur: the outage of either parallel line doubles
+# the other's flow, so a bound without its LODF term would prune real
+# overloads; the spur is a bridge
+PARALLEL = Mesh(edges=((0, 1), (0, 1), (1, 2)), names=(3, 12, 7),
+                reactances=(0.1, 0.2, 0.1), slack=2, seed=1,
+                rating_factors=(1.0, 1.2, 0.9), winter_factor=1.1)
+
+
+@SETTINGS
+@given(meshes())
+@example(PARALLEL)
+def test_lodf_flows_match_exact_resolves_and_bridges_raise(mesh):
+    model, injections, _, lodf = _study(mesh)
+    intact = solve_flows(build_system(model), injections[0])
+    bridges = graph_bridges(model)
+    for k, outage in enumerate(lodf.line_ids):
+        assert bool(lodf.islanding[k]) == (outage in bridges)
+        if outage in bridges:
+            try:
+                solve_with_outage(model, injections[0], outage)
+            except IslandingError:
+                continue
+            raise AssertionError(f"bridge {outage} solved")
+        exact = solve_with_outage(model, injections[0], outage).flows_mw
+        fast = post_contingency_flows(intact, lodf, outage)
+        assert np.allclose(fast, exact, rtol=1e-9, atol=1e-9 * np.abs(exact).max())
+
+
+@SETTINGS
+@given(meshes())
+@example(PARALLEL)
+def test_pruned_stage2_equals_the_unpruned_scan(mesh):
+    model, _, base, lodf = _study(mesh)
+    expected = reference_stage2(base, lodf, model, CALENDAR)
+    got = [(r.line_id, r.hour, r.contingency, r.loading_pct, r.excess_mw, r.category)
+           for r in stage2_scan(base, lodf, model, CALENDAR)]
+    assert got == expected  # bit for bit
+
+    ratings = effective_rating_matrix(model, base.line_ids, base.hours, CALENDAR)
+    kept = screening.screened_pairs(base, lodf, ratings, 90.0)
+    index = {lid: i for i, lid in enumerate(base.line_ids)}
+    for line, _, outage, *_ in expected:
+        assert kept[index[line], index[outage]], (line, outage)

@@ -5,7 +5,7 @@ import pytest
 from pfcplan import cases
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 from pfcplan.report import ReportConsistencyError, build_report, emit
-from pfcplan.screening import LineSummary, OverloadRecord
+from pfcplan.screening import LineSummary, OverloadRecord, OverloadRecords
 from pfcplan.siting import (
     FULLY_RESOLVED,
     NO_CHANGE,
@@ -99,7 +99,9 @@ def test_breakdown_percentages():
 
 def test_summary_mismatch_is_hard_error():
     model = cases.triangle()
-    records = [OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload")]
+    records = OverloadRecords.from_rows(
+        [OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload")]
+    )
     wrong = [_summary("L12", model.bus_by_id["B1"].region, overload_hours=99)]
     with pytest.raises(ReportConsistencyError):
         build_report(wrong, [], model, PARAMS, records=records)

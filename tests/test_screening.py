@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,9 @@ from pfcplan.network import (
     effective_rating,
 )
 from pfcplan.screening import (
+    BaseFlows,
     OverloadRecord,
+    OverloadRecords,
     read_overloads_csv,
     stage1_scan,
     stage2_scan,
@@ -61,7 +66,7 @@ def test_near_band_hours_counted():
     assert len(records) == 10
     assert all(r.category == "near" for r in records)
     assert all(r.excess_mw == 0.0 for r in records)
-    assert records[0].loading_pct == pytest.approx(95.0)
+    assert next(iter(records)).loading_pct == pytest.approx(95.0)
 
 
 def test_exactly_90_percent_emits_nothing():
@@ -72,7 +77,7 @@ def test_exactly_90_percent_emits_nothing():
     demand[0] = 90.0
     records, base, _, _, _, _ = _scan(model, demand)
     assert base.flows_mw[0, 0] == 90.0
-    assert records == []
+    assert len(records) == 0
 
 
 def test_just_above_90_percent_emits_near():
@@ -80,7 +85,7 @@ def test_just_above_90_percent_emits_near():
     demand = np.full(HOURS_PER_YEAR, 50.0)
     demand[0] = 90.001
     records, _, _, _, _, _ = _scan(model, demand)
-    assert len(records) == 1 and records[0].category == "near"
+    assert len(records) == 1 and next(iter(records)).category == "near"
 
 
 def test_overload_class_above_100():
@@ -89,7 +94,7 @@ def test_overload_class_above_100():
     demand[3] = 104.0
     records, _, _, _, _, _ = _scan(model, demand)
     assert len(records) == 1
-    rec = records[0]
+    [rec] = records
     assert rec.category == "overload" and rec.hour == 3
     assert rec.excess_mw == pytest.approx(4.0)
 
@@ -119,7 +124,7 @@ def test_clean_intact_fixture_has_zero_stage1_records():
     records, _ = stage1_scan(
         year, case.model, system, case.profile, case.calendar
     )
-    assert records == []
+    assert len(records) == 0
 
 
 def test_stage2_triangle_overload_record():
@@ -148,7 +153,7 @@ def test_stage2_zero_flow_hour_emits_nothing():
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     calendar = cases.flat_calendar()
-    assert stage2_scan(base, lodf, model, calendar) == []
+    assert len(stage2_scan(base, lodf, model, calendar)) == 0
 
 
 def test_stage2_identical_hours_identical_records():
@@ -188,6 +193,34 @@ def test_stage2_monitored_subset_and_islanding_skip():
     assert set(only_t) <= set(all_records)
 
 
+def test_stage2_logs_outages_bridges_and_pairs(caplog):
+    case = cases.grid30_case()
+    year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
+    system = build_system(case.model)
+    _, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
+    lodf = compute_lodf(compute_ptdf(system, case.model), case.model)
+    # a triangle with a radial spur: its one bridge is skipped, and with no
+    # flow no (line, outage) pair of the 3 outages x 3 other lines is kept
+    spur = cases.triangle()
+    spur = dataclasses.replace(
+        spur,
+        buses=spur.buses + (Bus("B4", "B4", 110.0, "East"),),
+        lines=spur.lines + (Line("L34", "B3", "B4", 0.1, 50.0, 50.0),),
+    )
+    spur_system = build_system(spur)
+    idle = BaseFlows(np.arange(2), np.zeros((2, 4)), spur_system.line_ids)
+    spur_lodf = compute_lodf(compute_ptdf(spur_system, spur), spur)
+    with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
+        stage2_scan(base, lodf, case.model, case.calendar)
+        stage2_scan(idle, spur_lodf, spur, cases.flat_calendar())
+    assert caplog.messages == [
+        "stage 2: 41 outages screened, 0 bridge outages skipped, "
+        "109 of 1640 (line, outage) pairs kept",
+        "stage 2: 3 outages screened, 1 bridge outages skipped, "
+        "0 of 9 (line, outage) pairs kept",
+    ]
+
+
 # -- summaries -----------------------------------------------------------------
 
 
@@ -212,18 +245,18 @@ def test_stage1_rejects_unbalanced_dispatch_with_hour_context():
 
 
 def test_summarize_empty():
-    summaries, regional = summarize([], cases.triangle())
+    summaries, regional = summarize(OverloadRecords.from_rows([]), cases.triangle())
     assert summaries == [] and regional == {}
 
 
 def test_summarize_distinct_hours_and_contingency_count():
     model = cases.triangle()
-    records = [
+    records = OverloadRecords.from_rows([
         OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload"),
         OverloadRecord("L12", 5, "L23", 104.0, 3.4, "overload"),
         OverloadRecord("L12", 9, "L13", 102.0, 1.7, "overload"),
         OverloadRecord("L12", 7, None, 95.0, 0.0, "near"),
-    ]
+    ])
     summaries, regional = summarize(records, model)
     assert len(summaries) == 1
     s = summaries[0]
@@ -251,7 +284,7 @@ def test_summarize_2750_hour_line():
 
 def test_near_only_line_not_in_regional_rollup():
     model = cases.triangle()
-    records = [OverloadRecord("L12", 5, None, 95.0, 0.0, "near")]
+    records = OverloadRecords.from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
     summaries, regional = summarize(records, model)
     assert summaries[0].overload_hours == 0
     assert regional == {}
@@ -334,11 +367,11 @@ def test_overload_energy_matches_record_recomputation(mesh6_scan):
 
 def test_workbook_roundtrip(tmp_path, mesh6_scan):
     case, _, _, rec1, rec2, _, _ = mesh6_scan
-    records = sorted(
-        rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
-    )
+    records = rec1 + rec2
     summaries, regional = summarize(records, case.model)
     files = write_workbook(records, summaries, regional, tmp_path)
     assert len(files) == 5
     again = read_overloads_csv(tmp_path / "overloads.csv")
     assert again == records
+    # the read-back records index their own line id table
+    assert again + rec1 == rec1 + records

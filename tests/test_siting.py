@@ -5,7 +5,7 @@ from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
 from pfcplan.network import HOURS_PER_YEAR
-from pfcplan.screening import stage1_scan, stage2_scan
+from pfcplan.screening import OverloadRecord, OverloadRecords, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
     FULLY_RESOLVED,
@@ -37,9 +37,7 @@ def _run_study(case):
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = sorted(
-        rec1 + rec2, key=lambda r: (r.hour, r.contingency or "", r.line_id)
-    )
+    records = rec1 + rec2
     injections = injection_matrix(model, year, case.profile)
     return model, records, injections, ptdf, lodf
 
@@ -257,11 +255,13 @@ def test_capped_relief_resolves_half_the_hours():
 
 def test_assess_requires_overload_records(triangle):
     ptdf, lodf = _factors(triangle)
-    with pytest.raises(ValueError, match="no overload records"):
-        assess_target(
-            "L13", [], triangle, np.zeros((HOURS_PER_YEAR, 3)),
-            cases.flat_calendar(), ptdf, lodf,
-        )
+    near_only = [OverloadRecord("L13", 5, None, 95.0, 0.0, "near")]
+    for rows in ([], near_only):
+        with pytest.raises(ValueError, match="no overload records"):
+            assess_target(
+                "L13", OverloadRecords.from_rows(rows), triangle,
+                np.zeros((HOURS_PER_YEAR, 3)), cases.flat_calendar(), ptdf, lodf,
+            )
 
 
 def test_factors_recomputed_for_perturbed_model_differ(triangle):
