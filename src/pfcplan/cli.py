@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import dcflow, dispatch, report, screening, shift_factors, siting
@@ -28,6 +29,7 @@ from .config import ConfigError, StudyConfig, apply_overrides, load_config
 from .network import (
     HOURS_PER_YEAR,
     NetworkDataError,
+    NetworkModel,
     filter_monitored_lines,
     load_network,
 )
@@ -74,7 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_study(cfg: StudyConfig):
+@dataclass
+class Study:
+    """The inputs loaded for one computed stage; the report reuses them, and
+    the screen records once read."""
+
+    model: NetworkModel
+    profile: dispatch.DemandProfile
+    availability: dispatch.ResAvailability
+    out_dir: Path
+
+    @cached_property
+    def records(self) -> screening.OverloadRecords:
+        return screening.read_overloads_csv(self.out_dir / "overloads.csv")
+
+
+def _load_study(cfg: StudyConfig) -> Study:
     model = load_network(
         cfg.inputs["buses"],
         cfg.inputs["lines"],
@@ -86,7 +103,7 @@ def _load_study(cfg: StudyConfig):
         cfg.inputs["demand"], cfg.inputs["bus_shares"], model.bus_by_id
     )
     availability = dispatch.load_res_availability(cfg.inputs["res_availability"])
-    return model, profile, availability
+    return Study(model, profile, availability, Path(cfg.out_dir))
 
 
 def _read_year(cfg: StudyConfig, model, profile) -> dispatch.DispatchYear:
@@ -99,10 +116,10 @@ def _read_year(cfg: StudyConfig, model, profile) -> dispatch.DispatchYear:
 # -- stage bodies: each writes its listed outputs into ``dest`` -----------------
 
 
-def cmd_dispatch(cfg: StudyConfig, study, dest: Path) -> None:
-    model, profile, availability = study
+def cmd_dispatch(cfg: StudyConfig, study: Study, dest: Path) -> None:
     year = dispatch.run_year(
-        model, profile, availability, cfg.snsp_cap, scenario=cfg.scenario
+        study.model, study.profile, study.availability, cfg.snsp_cap,
+        scenario=cfg.scenario,
     )
     dispatch.write_dispatch_csv(year, dest / "dispatch.csv")
     dispatch.write_dispatch_summary(
@@ -112,8 +129,8 @@ def cmd_dispatch(cfg: StudyConfig, study, dest: Path) -> None:
     print(f"dispatch: {HOURS_PER_YEAR - n_bad} feasible hours, {n_bad} infeasible")
 
 
-def cmd_screen(cfg: StudyConfig, study, dest: Path) -> None:
-    model, profile, _ = study
+def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
+    model, profile = study.model, study.profile
     calendar = cfg.calendar()
     year = _read_year(cfg, model, profile)
     monitored = filter_monitored_lines(model, cfg.voltage_levels)
@@ -141,11 +158,10 @@ def cmd_screen(cfg: StudyConfig, study, dest: Path) -> None:
         print(f"  {region}: {regional[region]} overloaded lines")
 
 
-def cmd_site_pfc(cfg: StudyConfig, study, dest: Path) -> None:
-    model, profile, _ = study
+def cmd_site_pfc(cfg: StudyConfig, study: Study, dest: Path) -> None:
+    model, profile, records = study.model, study.profile, study.records
     calendar = cfg.calendar()
     year = _read_year(cfg, model, profile)
-    records = screening.read_overloads_csv(Path(cfg.out_dir) / "overloads.csv")
 
     system = dcflow.build_system(model)
     ptdf = shift_factors.compute_ptdf(system, model)
@@ -227,7 +243,7 @@ def _verified(out: Path, stage: Stage, content_hash: str) -> bool:
         return False
 
 
-def _compute(cfg: StudyConfig, stage: Stage, study, content_hash: str) -> None:
+def _compute(cfg: StudyConfig, stage: Stage, study: Study, content_hash: str) -> None:
     out = Path(cfg.out_dir)
     meta = out / f"{stage.scope}_meta.json"
     with tempfile.TemporaryDirectory(dir=out, prefix=f".{stage.scope}-") as tmp:
@@ -241,9 +257,8 @@ def _compute(cfg: StudyConfig, stage: Stage, study, content_hash: str) -> None:
         os.replace(tmp / meta.name, meta)
 
 
-def _emit_report(cfg: StudyConfig, model) -> None:
+def _emit_report(cfg: StudyConfig, study: Study) -> None:
     out = Path(cfg.out_dir)
-    records = screening.read_overloads_csv(out / "overloads.csv")
     # build_report checks the screen stage's summaries against the records
     summaries = screening.read_line_summary_csv(out / "line_summary.csv")
     outcomes = siting.read_outcomes_json(out / "pfc_outcomes_detail.json")
@@ -251,9 +266,9 @@ def _emit_report(cfg: StudyConfig, model) -> None:
     study = report.build_report(
         summaries,
         outcomes,
-        model,
+        study.model,
         parameters=cfg.parameter_echo(),
-        records=records,
+        records=study.records,
         ranking=siting.rank_targets(outcomes),
         dispatch_stats={
             "infeasible_hours": len(payload["infeasible_hours"]),
@@ -285,7 +300,7 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
         study = _load_study(cfg)
         _compute(cfg, stage, study, content_hash)
     if walk == len(STAGES):
-        _emit_report(cfg, (study or _load_study(cfg))[0])
+        _emit_report(cfg, study or _load_study(cfg))
         print(f"report: written to {out / 'report'}")
     if "dispatch" in computes:
         summary = json.loads((out / "dispatch_summary.json").read_text())

@@ -8,6 +8,15 @@ on the slack-reduced nodal susceptance matrix; line flow is
 The susceptance system is factorized once per topology (sparse LU) and reused
 for every hour of the study year; each solve only does back substitution into
 a private right-hand-side workspace, so concurrent solves are safe.
+
+Building a system is cheap to repeat. The sparsity pattern of the reduced
+matrix depends only on which line is excluded, so it is derived once per
+excluded line from the COO assembly in ``susceptance_matrix`` and cached on
+the model (``NetworkModel.susceptance_patterns``, at most one entry per
+in-service line plus the intact network). A call computes only the line
+susceptances, adds them into the pattern's slots in the order the COO
+assembly adds them, and factorizes: the matrix, and so its LU, is the COO
+assembly's bit for bit.
 """
 
 from __future__ import annotations
@@ -96,47 +105,146 @@ def susceptance_matrix(
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
+@dataclass(frozen=True)
+class _Pattern:
+    """Structure of one topology's slack-reduced susceptance matrix.
+
+    Derived once per excluded line from the assembly in
+    ``susceptance_matrix`` and ``np.ix_``, so it is that assembly's structure
+    by construction. Kept line ``l`` has 4 stamps: 1/x at both diagonals and
+    -1/x at both off-diagonals. ``stamp_line`` and ``stamp_sign`` list the
+    stamps that land in the reduced matrix in the order the COO-to-CSC
+    conversion adds them, and ``slots`` the data slot each is added into.
+    """
+
+    kept: np.ndarray  # in-service positions of the kept lines, in model order
+    line_ids: tuple[str, ...]
+    position: dict[str, int]  # kept line id -> index into line_ids
+    reactance: np.ndarray  # per kept line
+    from_idx: np.ndarray
+    to_idx: np.ndarray
+    stamp_line: np.ndarray
+    stamp_sign: np.ndarray
+    slots: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    slack_index: int
+    non_slack: np.ndarray
+
+
+def _pattern(model: NetworkModel, exclude_line: str | None) -> _Pattern:
+    patterns = model.susceptance_patterns
+    if exclude_line not in patterns:
+        patterns[exclude_line] = _derive_pattern(model, exclude_line)
+    return patterns[exclude_line]
+
+
+def _derive_pattern(model: NetworkModel, exclude_line: str | None) -> _Pattern:
+    n = len(model.buses)
+    slack = model.bus_index[model.slack_bus]
+    non_slack = np.array([i for i in range(n) if i != slack], dtype=int)
+    kept = [p for p, ln in enumerate(model.in_service_lines) if ln.id != exclude_line]
+    lines = [model.in_service_lines[p] for p in kept]
+    i = np.array([model.bus_index[ln.from_bus] for ln in lines], dtype=int)
+    j = np.array([model.bus_index[ln.to_bus] for ln in lines], dtype=int)
+
+    # susceptance_matrix's stamps, numbered in its order, converted the way it
+    # converts them but with duplicates kept: sorting each column's indices is
+    # the first step of tocsc's sum_duplicates, which then adds each run of
+    # equal indices left to right. scipy's sort is not stable for long
+    # columns, so the order comes from scipy itself, not from line order.
+    rows = np.stack((i, j, i, j), axis=1).ravel()
+    cols = np.stack((i, j, j, i), axis=1).ravel()
+    probe = sp.coo_matrix((np.arange(rows.size, dtype=float), (rows, cols)), shape=(n, n))
+    probe.has_canonical_format = True  # convert without summing
+    probe = probe.tocsc()
+    probe.sort_indices()
+    stamps = probe.data.astype(int)
+    column = np.repeat(np.arange(n), np.diff(probe.indptr))
+    starts = np.ones(len(stamps), dtype=bool)
+    starts[1:] = (probe.indices[1:] != probe.indices[:-1]) | (column[1:] != column[:-1])
+    entry = np.cumsum(starts) - 1  # the summed entry each stamp is added into
+
+    # number the COO assembly's summed entries and reduce it with np.ix_, so
+    # each reduced slot's number names the entry it holds
+    full = susceptance_matrix(model, exclude_line)
+    full.data = np.arange(1.0, full.nnz + 1.0)
+    reduced = full[np.ix_(non_slack, non_slack)].tocsc()
+    slot_of = np.full(full.nnz, -1)
+    slot_of[reduced.data.astype(int) - 1] = np.arange(reduced.nnz)
+    slots = slot_of[entry]
+    inside = slots >= 0
+
+    pattern = _Pattern(
+        kept=np.array(kept, dtype=int),
+        line_ids=tuple(ln.id for ln in lines),
+        position={ln.id: p for p, ln in enumerate(lines)},
+        reactance=np.array([ln.reactance_pu for ln in lines], dtype=float),
+        from_idx=i,
+        to_idx=j,
+        stamp_line=stamps[inside] // 4,
+        stamp_sign=np.where(stamps[inside] % 4 < 2, 1.0, -1.0),
+        slots=slots[inside],
+        indices=reduced.indices,
+        indptr=reduced.indptr,
+        slack_index=slack,
+        non_slack=non_slack,
+    )
+    for value in vars(pattern).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False  # shared by every system built from it
+    return pattern
+
+
 def build_system(
     model: NetworkModel,
     exclude_line: str | None = None,
     reactance_scale: dict[str, float] | None = None,
 ) -> SusceptanceSystem:
-    """Assemble and factorize the slack-reduced susceptance system."""
-    n = len(model.buses)
-    slack = model.bus_index[model.slack_bus]
-    full = susceptance_matrix(model, exclude_line, reactance_scale)
-    keep = np.array([i for i in range(n) if i != slack], dtype=int)
-    reduced = full[np.ix_(keep, keep)].tocsc()
+    """Assemble and factorize the slack-reduced susceptance system.
+
+    Only the numbers are computed per call: the line susceptances, summed
+    into the topology's cached pattern in the order the COO assembly sums
+    them, so the matrix is the COO assembly's bit for bit.
+    """
+    pattern = _pattern(model, exclude_line)
+    x = pattern.reactance.copy()
+    for lid, scale in (reactance_scale or {}).items():
+        if lid in pattern.position:
+            p = pattern.position[lid]
+            x[p] = x[p] * scale
+    suscept = 1.0 / x
+    data = np.bincount(
+        pattern.slots,
+        weights=suscept[pattern.stamp_line] * pattern.stamp_sign,
+        minlength=len(pattern.indices),
+    )
+    reduced = sp.csc_matrix(
+        (data, pattern.indices, pattern.indptr), shape=(len(pattern.non_slack),) * 2
+    )
 
     try:
         lu = splu(reduced)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from None
     u_diag = np.abs(lu.U.diagonal())
-    scale = np.abs(reduced).max() if reduced.nnz else 0.0
+    scale = np.abs(data).max() if data.size else 0.0
     if scale == 0.0 or u_diag.min() < SINGULARITY_TOL * scale:
         raise SingularSystemError(
             "reduced susceptance matrix is singular; the network is "
             "effectively disconnected"
         )
 
-    lines = [ln for ln in model.in_service_lines if ln.id != exclude_line]
-    suscept = []
-    for ln in lines:
-        x = ln.reactance_pu
-        if reactance_scale and ln.id in reactance_scale:
-            x = x * reactance_scale[ln.id]
-        suscept.append(1.0 / x)
     return SusceptanceSystem(
         model=model,
         lu=lu,
         reduced=reduced,
-        slack_index=slack,
-        non_slack=keep,
-        line_ids=tuple(ln.id for ln in lines),
-        from_idx=np.array([model.bus_index[ln.from_bus] for ln in lines], dtype=int),
-        to_idx=np.array([model.bus_index[ln.to_bus] for ln in lines], dtype=int),
-        susceptance=np.array(suscept),
+        slack_index=pattern.slack_index,
+        non_slack=pattern.non_slack,
+        line_ids=pattern.line_ids,
+        from_idx=pattern.from_idx,
+        to_idx=pattern.to_idx,
+        susceptance=suscept,
     )
 
 
@@ -215,7 +323,7 @@ def solve_with_outage(
     The outaged line is reported with zero flow so the solution lines up with
     the in-service line ordering of the intact model.
     """
-    if outaged_line not in {ln.id for ln in model.in_service_lines}:
+    if outaged_line not in model.in_service_line_ids:
         raise ValueError(f"line {outaged_line} is not an in-service line")
     if outaged_line in model.bridges:  # name the buses it cuts off
         separated = islanded_buses(model, outaged_line)
@@ -223,14 +331,11 @@ def solve_with_outage(
     system = build_system(model, exclude_line=outaged_line, reactance_scale=reactance_scale)
     partial = solve_flows(system, injections_mw)
 
-    all_ids = tuple(ln.id for ln in model.in_service_lines)
-    flows = np.zeros(len(all_ids))
-    pos = {lid: i for i, lid in enumerate(all_ids)}
-    for lid, f in zip(partial.line_ids, partial.flows_mw):
-        flows[pos[lid]] = f
+    flows = np.zeros(len(model.in_service_line_ids))
+    flows[_pattern(model, outaged_line).kept] = partial.flows_mw
     return FlowSolution(
         bus_ids=partial.bus_ids,
         angles=partial.angles,
-        line_ids=all_ids,
+        line_ids=model.in_service_line_ids,
         flows_mw=flows,
     )

@@ -11,6 +11,7 @@ import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -117,8 +118,11 @@ class NetworkModel:
     """Validated, immutable grid description.
 
     The graph over in-service lines must be connected; the slack bus and all
-    generator buses must exist. Derived index arrays are cached so repeated
-    matrix construction stays cheap.
+    generator buses must exist. Lookups derived from the model (indices,
+    in-service lines, bridges) are cached on first use, and so is the
+    slack-reduced susceptance pattern of each topology that
+    ``dcflow.build_system`` assembles: one per excluded line, plus the intact
+    network.
     """
 
     buses: tuple[Bus, ...]
@@ -181,6 +185,12 @@ class NetworkModel:
     @cached_property
     def generator_by_id(self) -> dict[str, Generator]:
         return {g.id: g for g in self.generators}
+
+    @cached_property
+    def susceptance_patterns(self) -> dict:
+        """Slack-reduced susceptance structure per excluded line (None for
+        the intact network), filled by ``dcflow.build_system`` on first use."""
+        return {}
 
     @cached_property
     def bridges(self) -> frozenset[str]:
@@ -308,6 +318,23 @@ def _check_unique(ids, what: str):
         seen.add(i)
 
 
+def _check_rows(path, items, what: str, bus_ids: set[str], *ends: str) -> set[str]:
+    """The ids of one file's rows. A repeated id, or a bus named in an
+    ``ends`` attribute that is not in ``bus_ids``, is rejected at its row."""
+    ids: set[str] = set()
+    for row_no, item in enumerate(items, start=2):
+        unknown = [getattr(item, end) for end in ends if getattr(item, end) not in bus_ids]
+        if item.id in ids:
+            problem = f"duplicate {what} id {item.id}"
+        elif unknown:
+            problem = f"{what} {item.id} references unknown bus {unknown[0]}"
+        else:
+            ids.add(item.id)
+            continue
+        raise NetworkDataError(f"{Path(path)} row {row_no}: {problem}")
+    return ids
+
+
 def load_network(
     bus_file,
     line_file,
@@ -317,14 +344,20 @@ def load_network(
 ) -> NetworkModel:
     """Load and validate a network model from the three CSV schema files.
 
+    A repeated id, or a line or generator on a bus that ``bus_file`` lacks, is
+    rejected naming the file and the row.
+
     When ``slack_bus`` is not given, the bus of the largest-capacity generator
     is used (ties broken by generator id), falling back to the first bus.
     """
     _, buses = read_input(bus_file, BUS_COLUMNS, Bus, NetworkDataError)
+    bus_ids = _check_rows(bus_file, buses, "bus", set())
     _, lines = read_input(line_file, LINE_COLUMNS, Line, NetworkDataError)
+    _check_rows(line_file, lines, "line", bus_ids, "from_bus", "to_bus")
     _, generators = read_input(
         generator_file, GENERATOR_COLUMNS, Generator, NetworkDataError
     )
+    _check_rows(generator_file, generators, "generator", bus_ids, "bus")
 
     if slack_bus is None:
         if generators:

@@ -23,6 +23,7 @@ solved once and shared.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
 
+log = logging.getLogger(__name__)
+
 FULLY_RESOLVED = "FullyResolved"
 PARTIALLY_RESOLVED = "PartiallyResolved"
 NO_CHANGE = "NoChange"
@@ -42,6 +45,9 @@ BISECTION_TOL_PP = 0.1
 SENSITIVITY_TOL = 1e-6
 # MW change below this between zero and cap counts as "insensitive"
 INSENSITIVE_MW = 1e-9
+
+# exact re-solves made so far in this process; assess_target logs its share
+_exact_solves = 0
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,8 @@ def _solve_case(
     pfc_line: str | None = None,
     delta_pct: float = 0.0,
 ) -> dcflow.FlowSolution:
+    global _exact_solves
+    _exact_solves += 1
     scale = None
     if pfc_line is not None and delta_pct != 0.0:
         scale = {pfc_line: 1.0 + delta_pct / 100.0}
@@ -312,8 +320,10 @@ def assess_target(
 
     Only the ``max_candidates`` best-coupled hosting lines are sized (pass 0
     for no limit); weaker couplings cannot beat a stronger one that already
-    failed, so this bounds the exact re-solve work on large meshes.
+    failed, so this bounds the exact re-solve work on large meshes. One INFO
+    line reports the pair groups, the candidates sized and the exact solves.
     """
+    solves_before = _exact_solves
     ids = records.line_ids
     # the target's overload records; no record has the line index -1
     target_index = ids.index(target) if target in ids else -1
@@ -347,21 +357,11 @@ def assess_target(
     if max_candidates:
         candidates = candidates[:max_candidates]
 
-    if not candidates:
-        return PfcOutcome(
-            target_line=target,
-            classification=NO_CHANGE,
-            pfc_line=None,
-            delta_pct=None,
-            overload_hours=total_hours,
-            resolved_hours=0,
-            residual_max_loading_pct=pre_max_loading,
-            side_effect_lines=(),
-        )
-
     best = None  # (clean_hours, cleared_hours, order, candidate fields...)
     any_sensitive = False
+    sized = 0
     for order, cand in enumerate(candidates):
+        sized += 1
         deltas: list[float | None] = []
         sensitive = False
         for g in groups:
@@ -429,11 +429,14 @@ def assess_target(
         if n_clean == total_hours:
             break  # first candidate that fully resolves wins
 
-    if best is None:
-        classification = NO_CHANGE if not any_sensitive else PARTIALLY_RESOLVED
+    log.info(
+        "stage 3 %s: %d pair groups, %d candidates sized, %d exact solves",
+        target, len(groups), sized, _exact_solves - solves_before,
+    )
+    if best is None:  # no candidate, or none could clear any pair
         return PfcOutcome(
             target_line=target,
-            classification=classification,
+            classification=PARTIALLY_RESOLVED if any_sensitive else NO_CHANGE,
             pfc_line=None,
             delta_pct=None,
             overload_hours=total_hours,

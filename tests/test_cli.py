@@ -1,12 +1,14 @@
 import hashlib
 import json
+import logging
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfcplan import cases
+from pfcplan import cases, screening
 from pfcplan.cli import main
 from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.report import ReportConsistencyError
@@ -480,3 +482,40 @@ def test_grid30_screen_workbook_bytes_are_pinned(tmp_path):
         for name in GRID30_WORKBOOK
     }
     assert digests == GRID30_WORKBOOK
+
+
+# the Stage 3 outputs of grid30 (the benchmark pins the same digests) and the
+# exact re-solves each target takes; N01-N02 has no candidate host line
+GRID30_SITING = {
+    "pfc_outcomes.csv": "08f64f866c7f3a52f46211f0dfb2fc27a632a7c40b85ac511491fba9fc49a3b0",
+    "pfc_outcomes_detail.json": "1fd474cc61b7b4bdced5709c78a6decbf067177bc54a3070ad64a9fff167165e",
+}
+GRID30_EXACT_SOLVES = {"N01-N02": 0, "N10-N16": 2716, "N17-N23": 12636}
+
+
+def test_grid30_run_all_reads_the_records_once_and_logs_stage3_work(
+    tmp_path, monkeypatch, caplog
+):
+    reads = []
+    read = screening.read_overloads_csv
+    monkeypatch.setattr(
+        screening, "read_overloads_csv", lambda path: reads.append(path) or read(path)
+    )
+    config, out = _study(tmp_path, cases.grid30_case())
+    with caplog.at_level(logging.INFO, logger="pfcplan.siting"):
+        assert main(["run-all", "--config", str(config)]) == 0
+    assert len(reads) == 1  # site-pfc parses overloads.csv; the report reuses it
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GRID30_SITING
+    }
+    assert digests == GRID30_SITING
+    work = [
+        re.fullmatch(
+            r"stage 3 (\S+): \d+ pair groups, \d+ candidates sized, (\d+) exact solves",
+            r.getMessage(),
+        ).groups()
+        for r in caplog.records if r.name == "pfcplan.siting"
+    ]
+    assert len(work) == len(GRID30_EXACT_SOLVES)
+    assert {target: int(n) for target, n in work} == GRID30_EXACT_SOLVES

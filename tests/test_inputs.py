@@ -128,8 +128,16 @@ def test_malformed_input_exits_2_naming_the_file_once(tmp_path, capsys, case):
 # rows that used to load: a repeated hour or bus overwrote the earlier row, an
 # empty bus id surfaced later as an unknown bus without the file, and a
 # non-finite reactance was taken as a number; a share on a bus the network
-# lacks was rejected without the file or the row
+# lacks, a repeated network id and a line or generator on an unknown bus were
+# rejected without the file or the row
 REJECTED_ROWS = {
+    "buses-repeated-id": ("buses", _repeat_row(1), 3, "duplicate bus id"),
+    "lines-repeated-id": ("lines", _repeat_row(2), 4, "duplicate line id"),
+    "lines-unknown-bus": ("lines", _set(2, 2, "Z9"), 3, "references unknown bus Z9"),
+    "generators-repeated-id": ("generators", _repeat_row(1), 3, "duplicate generator id"),
+    "generators-unknown-bus": (
+        "generators", _set(1, 1, "Z9"), 2, "references unknown bus Z9"
+    ),
     "demand-repeated-hour": ("demand", _set(2, 0, "0"), 3, "hour 0 repeated"),
     "res_availability-repeated-hour": (
         "res_availability", _set(2, 0, "0"), 3, "hour 0 repeated"

@@ -1,11 +1,12 @@
-"""Random meshes: the Stage 2 fast paths against their exact references.
+"""Random meshes: the fast paths against their exact references.
 
 Each example is a small connected mesh with parallel lines, radial spurs
 (bridges), a random slack bus, balanced hourly injections and seasonal
 ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
-superposition is checked against exact re-solves without the line, and the
-bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
-which is kept here as the reference.
+superposition is checked against exact re-solves without the line, the
+bound-pruned ``stage2_scan`` against the dense, unpruned superposition, and
+``build_system``'s pattern-cached assembly against the COO assembly reduced
+by ``np.ix_``; both references are kept here.
 """
 
 import dataclasses
@@ -13,9 +14,18 @@ import dataclasses
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from pfcplan import screening
-from pfcplan.dcflow import IslandingError, build_system, solve_flows, solve_with_outage
+from pfcplan.dcflow import (
+    IslandingError,
+    SingularSystemError,
+    SusceptanceSystem,
+    build_system,
+    solve_flows,
+    solve_with_outage,
+    susceptance_matrix,
+)
 from pfcplan.network import Bus, Line, NetworkModel, SeasonCalendar
 from pfcplan.screening import BaseFlows, effective_rating_matrix, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
@@ -161,3 +171,91 @@ def test_pruned_stage2_equals_the_unpruned_scan(mesh):
     index = {lid: i for i, lid in enumerate(base.line_ids)}
     for line, _, outage, *_ in expected:
         assert kept[index[line], index[outage]], (line, outage)
+
+
+def reference_system(model, exclude_line=None, reactance_scale=None) -> SusceptanceSystem:
+    """The COO assembly, reduced by ``np.ix_`` and factorized by ``splu``."""
+    n = len(model.buses)
+    slack = model.bus_index[model.slack_bus]
+    keep = np.array([i for i in range(n) if i != slack], dtype=int)
+    full = susceptance_matrix(model, exclude_line, reactance_scale)
+    reduced = full[np.ix_(keep, keep)].tocsc()
+    lines = [ln for ln in model.in_service_lines if ln.id != exclude_line]
+    scale = reactance_scale or {}
+    return SusceptanceSystem(
+        model=model,
+        lu=splu(reduced),
+        reduced=reduced,
+        slack_index=slack,
+        non_slack=keep,
+        line_ids=tuple(ln.id for ln in lines),
+        from_idx=np.array([model.bus_index[ln.from_bus] for ln in lines], dtype=int),
+        to_idx=np.array([model.bus_index[ln.to_bus] for ln in lines], dtype=int),
+        susceptance=np.array(
+            [1.0 / (ln.reactance_pu * scale.get(ln.id, 1.0)) for ln in lines]
+        ),
+    )
+
+
+@st.composite
+def perturbed_meshes(draw):
+    """A mesh model, perhaps with one non-bridge line out of service, plus a
+    non-bridge line to exclude (or None) and a reactance scale on 1-2 lines
+    with an increase in (0, 40%]."""
+    model = _model(draw(meshes()))
+    ids = [ln.id for ln in model.lines]
+    off = draw(st.none() | st.sampled_from(sorted(set(ids) - graph_bridges(model))))
+    if off is not None:
+        model = dataclasses.replace(model, lines=tuple(
+            dataclasses.replace(ln, in_service=ln.id != off) for ln in model.lines
+        ))
+    in_service = [ln.id for ln in model.in_service_lines]
+    non_bridges = sorted(set(in_service) - graph_bridges(model))
+    exclude = draw(st.none() | st.sampled_from(non_bridges)) if non_bridges else None
+    scaled = draw(st.lists(st.sampled_from(in_service), min_size=1, max_size=2, unique=True))
+    deltas = st.floats(0.0, 40.0, exclude_min=True)
+    return model, exclude, {lid: 1.0 + draw(deltas) / 100.0 for lid in scaled}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# eleven lines at bus B0: its column holds 22 entries, more than scipy sorts
+# stably, so its diagonal is not summed in line order
+STAR = Mesh(edges=((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)) * 2 + ((0, 1), (1, 2)),
+            names=tuple(range(12)),
+            reactances=(0.3, 0.07, 0.11, 0.45, 0.013, 0.29, 0.17, 0.5, 0.061, 0.23,
+                        0.37, 0.19),
+            slack=1, seed=3, rating_factors=(1.0,) * 12, winter_factor=1.0)
+
+
+@SETTINGS
+@given(perturbed_meshes())
+@example((_model(STAR), None, {"L0": 1.3}))
+@example((_model(STAR), "L7", {"L4": 1.171875, "L9": 1.4}))
+def test_build_system_is_the_reference_assembly_bit_for_bit(case):
+    model, exclude, scale = case
+    rng = np.random.default_rng(len(model.lines))
+    injection = balanced_injection(rng, len(model.buses))
+    for reactance_scale in (None, scale):
+        got = build_system(model, exclude, reactance_scale)
+        ref = reference_system(model, exclude, reactance_scale)
+        assert got.reduced.shape == ref.reduced.shape
+        for attr in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(got.reduced, attr), getattr(ref.reduced, attr)), attr
+        assert _same_bits(got.susceptance, ref.susceptance)
+        assert got.line_ids == ref.line_ids
+        assert np.array_equal(got.from_idx, ref.from_idx)
+        assert np.array_equal(got.to_idx, ref.to_idx)
+        assert np.array_equal(got.non_slack, ref.non_slack)
+        assert got.slack_index == ref.slack_index
+        flows = solve_flows(got, injection).flows_mw
+        assert np.array_equal(flows, solve_flows(ref, injection).flows_mw)
+    for bridge in sorted(graph_bridges(model)):
+        try:
+            build_system(model, exclude_line=bridge)
+        except SingularSystemError:
+            continue
+        raise AssertionError(f"bridge {bridge} factorized")
