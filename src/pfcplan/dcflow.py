@@ -17,6 +17,15 @@ in-service line plus the intact network). A call computes only the line
 susceptances, adds them into the pattern's slots in the order the COO
 assembly adds them, and factorizes: the matrix, and so its LU, is the COO
 assembly's bit for bit.
+
+Repeating a build costs nothing. The model also keeps what ``build_system``
+factorized, bounded: the unscaled system of each excluded line
+(``NetworkModel.susceptance_systems``, the same bound as the patterns) and one
+slot for the last system built with a reactance scale that applies
+(``NetworkModel.scaled_system``). A call with the same excluded line and the
+same applying (line, scale) pairs gets the kept system back; its arrays are
+read-only, so every caller sees the same numbers a fresh build would give. A
+singular build is never kept. ``factorizations`` counts the LUs computed.
 """
 
 from __future__ import annotations
@@ -35,6 +44,9 @@ SINGULARITY_TOL = 1e-12
 
 # injections must balance to zero; anything under this is absorbed by the slack
 RESIDUAL_TOL_MW = 1e-6
+
+# sparse LUs computed so far in this process; siting.assess_target logs its share
+factorizations = 0
 
 
 class SingularSystemError(RuntimeError):
@@ -203,16 +215,41 @@ def build_system(
 ) -> SusceptanceSystem:
     """Assemble and factorize the slack-reduced susceptance system.
 
-    Only the numbers are computed per call: the line susceptances, summed
+    Only the numbers are computed per build: the line susceptances, summed
     into the topology's cached pattern in the order the COO assembly sums
     them, so the matrix is the COO assembly's bit for bit.
+
+    A built system is kept on the model and returned again for the same
+    excluded line and the same (line, scale) pairs that apply to its kept
+    lines: the unscaled system of every excluded line, and only the last
+    scaled one. Its arrays are read-only. A singular system is not kept.
     """
     pattern = _pattern(model, exclude_line)
+    scaled = tuple(sorted(
+        (lid, scale) for lid, scale in (reactance_scale or {}).items()
+        if lid in pattern.position
+    ))
+    if not scaled:
+        memo, key = model.susceptance_systems, exclude_line
+    else:
+        memo, key = model.scaled_system, (exclude_line, scaled)
+    system = memo.get(key)
+    if system is None:
+        system = _factorize(model, pattern, scaled)
+        if scaled:
+            memo.clear()  # one scaled slot
+        memo[key] = system
+    return system
+
+
+def _factorize(
+    model: NetworkModel, pattern: _Pattern, scaled: tuple[tuple[str, float], ...]
+) -> SusceptanceSystem:
+    global factorizations
     x = pattern.reactance.copy()
-    for lid, scale in (reactance_scale or {}).items():
-        if lid in pattern.position:
-            p = pattern.position[lid]
-            x[p] = x[p] * scale
+    for lid, scale in scaled:
+        p = pattern.position[lid]
+        x[p] = x[p] * scale
     suscept = 1.0 / x
     data = np.bincount(
         pattern.slots,
@@ -223,6 +260,7 @@ def build_system(
         (data, pattern.indices, pattern.indptr), shape=(len(pattern.non_slack),) * 2
     )
 
+    factorizations += 1
     try:
         lu = splu(reduced)
     except RuntimeError as exc:
@@ -235,6 +273,8 @@ def build_system(
             "effectively disconnected"
         )
 
+    for array in (reduced.data, reduced.indices, reduced.indptr, suscept):
+        array.flags.writeable = False  # served again to later callers
     return SusceptanceSystem(
         model=model,
         lu=lu,
@@ -305,7 +345,7 @@ def solve_flows(system: SusceptanceSystem, injections_mw: np.ndarray) -> FlowSol
     angles = solve_angles_batch(system, inj)
     flows = flows_from_angles(system, angles)
     return FlowSolution(
-        bus_ids=tuple(b.id for b in system.model.buses),
+        bus_ids=system.model.bus_ids,
         angles=angles,
         line_ids=system.line_ids,
         flows_mw=flows,

@@ -119,10 +119,10 @@ class NetworkModel:
 
     The graph over in-service lines must be connected; the slack bus and all
     generator buses must exist. Lookups derived from the model (indices,
-    in-service lines, bridges) are cached on first use, and so is the
-    slack-reduced susceptance pattern of each topology that
-    ``dcflow.build_system`` assembles: one per excluded line, plus the intact
-    network.
+    in-service lines, bridges) are cached on first use, and so are the
+    slack-reduced susceptance pattern and the unscaled factorized system of
+    each topology that ``dcflow.build_system`` assembles (one per excluded
+    line, plus the intact network) and its last scaled system.
     """
 
     buses: tuple[Bus, ...]
@@ -187,9 +187,26 @@ class NetworkModel:
         return {g.id: g for g in self.generators}
 
     @cached_property
+    def bus_ids(self) -> tuple[str, ...]:
+        return tuple(b.id for b in self.buses)
+
+    @cached_property
     def susceptance_patterns(self) -> dict:
         """Slack-reduced susceptance structure per excluded line (None for
         the intact network), filled by ``dcflow.build_system`` on first use."""
+        return {}
+
+    @cached_property
+    def susceptance_systems(self) -> dict:
+        """Unscaled factorized system per excluded line (None for the intact
+        network), filled by ``dcflow.build_system`` on first use."""
+        return {}
+
+    @cached_property
+    def scaled_system(self) -> dict:
+        """The last factorized system ``dcflow.build_system`` built with a
+        reactance scale, keyed by (excluded line, (line, scale) pairs): at
+        most one entry."""
         return {}
 
     @cached_property

@@ -84,7 +84,7 @@ def compute_ptdf(system: SusceptanceSystem, model: NetworkModel) -> PtdfMatrix:
     return PtdfMatrix(
         matrix=ptdf,
         line_ids=system.line_ids,
-        bus_ids=tuple(b.id for b in model.buses),
+        bus_ids=model.bus_ids,
         slack_bus=model.slack_bus,
     )
 

@@ -18,6 +18,17 @@ All Stage-3 evaluations are exact re-solves on the perturbed topology; the
 screening shift factors are never reused here because a reactance change
 invalidates them. Hours with identical injections, season, and contingency are
 solved once and shared.
+
+Each topology is factorized about once (grid30: 1,663 factorizations for
+15,352 Stage-3 solves on 1,660 topologies). A candidate's pair groups are
+sized in lockstep, in contingency order: the target flow without the device
+for every group, then at the cap for every group, then bisection rounds that
+visit the groups still open by (contingency, increase). Each group makes the
+same solves in the same order as a bisection of its own, and its result is
+the same; only the interleaving differs. The solves on one perturbed topology
+thus follow each other, and ``dcflow.build_system`` serves all but the first
+from the systems it keeps: the unscaled one per excluded line and the last
+scaled one. Evaluations at the chosen increase run in the same group order.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 
 from . import dcflow
 from .network import NetworkModel, SeasonCalendar, effective_rating
-from .screening import OverloadRecords
+from .screening import OverloadRecords, effective_rating_matrix
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
 
@@ -192,36 +203,41 @@ def _solve_case(
     return dcflow.solve_with_outage(model, injections, contingency, reactance_scale=scale)
 
 
-def _size_increase(
+def _size_increases(
     model: NetworkModel,
-    injections: np.ndarray,
-    contingency: str | None,
+    cases: list[tuple[np.ndarray, str | None, float]],
     candidate: PfcCandidate,
-    rating_mw: float,
     cap_pct: float,
     tol_pp: float,
-) -> tuple[float | None, float, float]:
-    """(minimal delta or None, |flow| at zero, |flow| at cap) for the target."""
+) -> list[tuple[float | None, float, float]]:
+    """Per (injections, contingency, target rating) case, in contingency
+    order: (minimal delta or None, |flow| at zero, |flow| at cap) for the
+    target, the cases bisected in lockstep."""
     target = candidate.target_line
 
-    def target_flow(delta: float) -> float:
+    def target_flow(i: int, delta: float) -> float:
+        injections, contingency, _ = cases[i]
         sol = _solve_case(model, injections, contingency, candidate.pfc_line, delta)
         return abs(sol.flow_of(target))
 
-    f_zero = target_flow(0.0)
-    f_cap = target_flow(cap_pct)
-    if f_zero <= rating_mw:
-        return 0.0, f_zero, f_cap
-    if f_cap > rating_mw:
-        return None, f_zero, f_cap
-    lo, hi = 0.0, cap_pct
-    while hi - lo > tol_pp:
-        mid = 0.5 * (lo + hi)
-        if target_flow(mid) <= rating_mw:
-            hi = mid
-        else:
-            lo = mid
-    return hi, f_zero, f_cap
+    f_zero = [target_flow(i, 0.0) for i in range(len(cases))]
+    f_cap = [target_flow(i, cap_pct) for i in range(len(cases))]
+    bounds = {  # case -> [lo, hi], for the cases the cap clears but zero does not
+        i: [0.0, cap_pct]
+        for i, (_, _, rating) in enumerate(cases)
+        if f_zero[i] > rating and f_cap[i] <= rating
+    }
+    while mids := {
+        i: 0.5 * (lo + hi) for i, (lo, hi) in bounds.items() if hi - lo > tol_pp
+    }:
+        for i in sorted(mids, key=lambda i: (cases[i][1] or "", mids[i])):
+            within = target_flow(i, mids[i]) <= cases[i][2]
+            bounds[i][1 if within else 0] = mids[i]
+    sized = []
+    for i, (_, _, rating) in enumerate(cases):
+        delta = 0.0 if f_zero[i] <= rating else bounds[i][1] if i in bounds else None
+        sized.append((delta, f_zero[i], f_cap[i]))
+    return sized
 
 
 def min_reactance_increase(
@@ -242,8 +258,8 @@ def min_reactance_increase(
     """
     if candidate.pfc_line == contingency:
         raise ValueError("PFC cannot be hosted on the contingency line")
-    delta, _, _ = _size_increase(
-        model, injections, contingency, candidate, rating_mw, cap_pct, tol_pp
+    [(delta, _, _)] = _size_increases(
+        model, [(injections, contingency, rating_mw)], candidate, cap_pct, tol_pp
     )
     return delta
 
@@ -260,21 +276,24 @@ def check_side_effects(
 ) -> list[SideEffect]:
     """Lines pushed above their effective rating, or made worse while already
     above it, by the reactance increase. Exact re-solves of both states."""
+    calendar.season(hour)  # rejects an hour outside the study year
     pre = _solve_case(model, injections, contingency)
     post = _solve_case(model, injections, contingency, pfc_line, delta_pct)
-    effects = []
-    for i, lid in enumerate(post.line_ids):
-        rating = effective_rating(model.line_by_id[lid], hour, calendar)
-        post_pct = 100.0 * abs(post.flows_mw[i]) / rating
-        pre_pct = 100.0 * abs(pre.flows_mw[i]) / rating
-        if post_pct > overload_pct and post_pct > pre_pct + 1e-9:
-            effects.append(
-                SideEffect(line_id=lid, loading_pct=post_pct, pre_loading_pct=pre_pct)
-            )
-    return effects
+    ratings = effective_rating_matrix(model, post.line_ids, [hour], calendar)[0]
+    post_pct = 100.0 * np.abs(post.flows_mw) / ratings
+    pre_pct = 100.0 * np.abs(pre.flows_mw) / ratings
+    worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
+    return [
+        SideEffect(
+            line_id=post.line_ids[i],
+            loading_pct=float(post_pct[i]),
+            pre_loading_pct=float(pre_pct[i]),
+        )
+        for i in np.flatnonzero(worse)
+    ]
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity
 class _PairGroup:
     """Overloaded (hour, contingency) pairs that share one exact solve."""
 
@@ -288,8 +307,10 @@ def _group_pairs(
     injections: np.ndarray,
     calendar: SeasonCalendar,
 ) -> list[_PairGroup]:
+    """Pairs grouped by contingency, season and injections, in contingency
+    order; no outcome depends on the order of the groups."""
     groups: dict[tuple, _PairGroup] = {}
-    for hour, contingency in sorted(pairs, key=lambda p: (p[0], p[1] or "")):
+    for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
         key = (contingency, calendar.season(hour), injections[hour].tobytes())
         if key not in groups:
             groups[key] = _PairGroup(contingency=contingency, rep_hour=hour, hours=[])
@@ -321,9 +342,10 @@ def assess_target(
     Only the ``max_candidates`` best-coupled hosting lines are sized (pass 0
     for no limit); weaker couplings cannot beat a stronger one that already
     failed, so this bounds the exact re-solve work on large meshes. One INFO
-    line reports the pair groups, the candidates sized and the exact solves.
+    line reports the pair groups, the candidates sized, the exact solves and
+    the factorizations they took.
     """
-    solves_before = _exact_solves
+    solves_before, factorizations_before = _exact_solves, dcflow.factorizations
     ids = records.line_ids
     # the target's overload records; no record has the line index -1
     target_index = ids.index(target) if target in ids else -1
@@ -362,23 +384,21 @@ def assess_target(
     sized = 0
     for order, cand in enumerate(candidates):
         sized += 1
-        deltas: list[float | None] = []
-        sensitive = False
-        for g in groups:
-            if cand.pfc_line == g.contingency:
-                deltas.append(None)
-                continue
-            rating = effective_rating(
-                model.line_by_id[target], g.rep_hour, calendar
-            )
-            delta, f_zero, f_cap = _size_increase(
-                model, injections[g.rep_hour], g.contingency, cand, rating,
-                cap_pct, tol_pp,
-            )
-            deltas.append(delta)
-            if abs(f_zero - f_cap) > INSENSITIVE_MW:
-                sensitive = True
-        any_sensitive = any_sensitive or sensitive
+        # a device cannot sit on the line its group's contingency takes out
+        hosted = [g for g in groups if g.contingency != cand.pfc_line]
+        sizes = dict(zip(hosted, _size_increases(
+            model,
+            [
+                (injections[g.rep_hour], g.contingency,
+                 effective_rating(model.line_by_id[target], g.rep_hour, calendar))
+                for g in hosted
+            ],
+            cand, cap_pct, tol_pp,
+        )))
+        deltas = [sizes[g][0] if g in sizes else None for g in groups]
+        any_sensitive = any_sensitive or any(
+            abs(f_zero - f_cap) > INSENSITIVE_MW for _, f_zero, f_cap in sizes.values()
+        )
         clearable = [d for d in deltas if d is not None]
         if not clearable:
             continue
@@ -392,12 +412,9 @@ def assess_target(
             sol = _solve_case(
                 model, injections[g.rep_hour], g.contingency, cand.pfc_line, delta_star
             )
-            ratings = np.array(
-                [
-                    effective_rating(model.line_by_id[lid], g.rep_hour, calendar)
-                    for lid in sol.line_ids
-                ]
-            )
+            ratings = effective_rating_matrix(
+                model, sol.line_ids, [g.rep_hour], calendar
+            )[0]
             loadings = 100.0 * np.abs(sol.flows_mw) / ratings
             residual = max(residual, float(loadings.max()))
             target_ok = delta_g is not None and delta_g <= delta_star
@@ -430,8 +447,10 @@ def assess_target(
             break  # first candidate that fully resolves wins
 
     log.info(
-        "stage 3 %s: %d pair groups, %d candidates sized, %d exact solves",
+        "stage 3 %s: %d pair groups, %d candidates sized, %d exact solves, "
+        "%d factorizations",
         target, len(groups), sized, _exact_solves - solves_before,
+        dcflow.factorizations - factorizations_before,
     )
     if best is None:  # no candidate, or none could clear any pair
         return PfcOutcome(

@@ -4,9 +4,10 @@ Each example is a small connected mesh with parallel lines, radial spurs
 (bridges), a random slack bus, balanced hourly injections and seasonal
 ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
 superposition is checked against exact re-solves without the line, the
-bound-pruned ``stage2_scan`` against the dense, unpruned superposition, and
-``build_system``'s pattern-cached assembly against the COO assembly reduced
-by ``np.ix_``; both references are kept here.
+bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
+``build_system``'s pattern-cached assembly and its kept systems against the
+COO assembly reduced by ``np.ix_``, and Stage 3's lockstep sizer against a
+bisection of each pair group on its own; the references are kept here.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from pfcplan import screening
+from pfcplan import screening, siting
 from pfcplan.dcflow import (
     IslandingError,
     SingularSystemError,
@@ -259,3 +260,144 @@ def test_build_system_is_the_reference_assembly_bit_for_bit(case):
         except SingularSystemError:
             continue
         raise AssertionError(f"bridge {bridge} factorized")
+
+
+
+@st.composite
+def build_sequences(draw):
+    """A mesh model and an interleaved sequence of ``build_system`` calls:
+    1-2 excluded lines (bridges and the intact network among them), each
+    with 1-3 reactance scales (None, or 1-2 scaled lines that may include the
+    excluded one), called in a drawn order with repeats."""
+    model = _model(draw(meshes()))
+    ids = [ln.id for ln in model.in_service_lines]
+    scale = st.none() | st.dictionaries(
+        st.sampled_from(ids), st.sampled_from((1.1, 1.25, 1.4)), min_size=1, max_size=2
+    )
+    topologies = [
+        (exclude, draw(scale))
+        for exclude in draw(st.lists(st.none() | st.sampled_from(ids), min_size=1,
+                                     max_size=2, unique=True))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    calls = draw(st.lists(st.sampled_from(topologies), min_size=4, max_size=16))
+    return model, calls
+
+
+@SETTINGS
+@given(build_sequences())
+@example((_model(PARALLEL), [("L3", None), ("L3", {"L12": 1.4}), ("L3", None),
+                             ("L3", {"L12": 1.1}), ("L3", {"L12": 1.4}), ("L7", None)]))
+def test_build_system_memo_serves_the_reference_system(case):
+    model, calls = case
+    bridges = graph_bridges(model)
+    injection = balanced_injection(np.random.default_rng(len(calls)), len(model.buses))
+    for exclude, scale in calls:
+        if exclude in bridges:
+            try:
+                build_system(model, exclude, scale)
+            except SingularSystemError:
+                continue
+            raise AssertionError(f"bridge {exclude} factorized")
+        got = build_system(model, exclude, scale)
+        ref = reference_system(model, exclude, scale)
+        for attr in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(got.reduced, attr), getattr(ref.reduced, attr)), attr
+        assert _same_bits(got.susceptance, ref.susceptance)
+        flows = solve_flows(got, injection).flows_mw
+        assert _same_bits(flows, solve_flows(ref, injection).flows_mw)
+        for array in (got.reduced.data, got.reduced.indices, got.reduced.indptr,
+                      got.susceptance, got.from_idx, got.to_idx, got.non_slack):
+            assert not array.flags.writeable
+        assert len(model.scaled_system) <= 1  # one scaled slot
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def reference_size(model, injection, contingency, host, target, rating,
+                   cap_pct=40.0, tol_pp=0.1):
+    """One group's bisection over fresh reference solves:
+    (minimal increase or None, |flow| at zero, |flow| at the cap)."""
+    def flow(delta):
+        scale = {host: 1.0 + delta / 100.0} if delta != 0.0 else None
+        system = reference_system(model, contingency, scale)
+        return abs(solve_flows(system, injection).flow_of(target))
+
+    f_zero, f_cap = flow(0.0), flow(cap_pct)
+    if f_zero <= rating:
+        return 0.0, f_zero, f_cap
+    if f_cap > rating:
+        return None, f_zero, f_cap
+    lo, hi = 0.0, cap_pct
+    while hi - lo > tol_pp:
+        mid = 0.5 * (lo + hi)
+        if flow(mid) <= rating:
+            hi = mid
+        else:
+            lo = mid
+    return hi, f_zero, f_cap
+
+
+@st.composite
+def sizings(draw):
+    """A mesh, its hourly injections, a target and a host line, and pair
+    groups in contingency order: (contingency, hour row, outcome, fraction).
+    Each contingency is a non-bridge line other than the target and the host
+    (or None) and holds 2-4 hours, so groups share topologies."""
+    mesh = draw(meshes())
+    model = _model(mesh)
+    rng = np.random.default_rng(mesh.seed)
+    injections = np.array([balanced_injection(rng, len(model.buses)) for _ in HOURS])
+    ids = [ln.id for ln in model.in_service_lines]
+    bridges = graph_bridges(model)
+    target = draw(st.sampled_from(sorted(set(ids) - bridges)))
+    host = draw(st.just(target) | st.sampled_from(ids))  # the target sheds its own flow
+    outages = sorted(set(ids) - bridges - {target, host})
+    contingency = st.none() | st.sampled_from(outages) if outages else st.none()
+    groups = []
+    for c in sorted(draw(st.lists(contingency, min_size=1, max_size=3, unique=True)),
+                    key=lambda c: c or ""):
+        for row in draw(st.lists(st.integers(0, len(HOURS) - 1), min_size=2, max_size=4,
+                                 unique=True)):
+            groups.append((c, row, draw(st.sampled_from(("zero", "none", "bisect"))),
+                           draw(st.floats(0.05, 0.95))))
+    return model, injections, target, host, groups
+
+
+def _rating(outcome, fraction, f_zero, f_cap):
+    """A target rating that gives ``outcome`` whenever f_zero > f_cap."""
+    if outcome == "zero":
+        return f_zero * (1.0 + fraction)
+    if outcome == "none":
+        return min(f_zero, f_cap) * (1.0 - fraction)
+    return f_cap + fraction * (f_zero - f_cap)
+
+
+# two parallel lines host the target itself: one group of each outcome
+PARALLEL_SIZING = (
+    _model(PARALLEL),
+    np.array([[60.0, 0.0, -60.0]] * len(HOURS)),
+    "L3", "L3",
+    [(None, 0, "zero", 0.5), (None, 1, "none", 0.5), (None, 2, "bisect", 0.5)],
+)
+
+
+@SETTINGS
+@given(sizings())
+@example(PARALLEL_SIZING)
+def test_lockstep_sizer_matches_per_group_bisection(case):
+    model, injections, target, host, groups = case
+    cases, expected = [], []
+    for contingency, row, outcome, fraction in groups:
+        _, f_zero, f_cap = reference_size(model, injections[row], contingency, host,
+                                          target, float("inf"))
+        rating = _rating(outcome, fraction, f_zero, f_cap)
+        cases.append((injections[row], contingency, rating))
+        expected.append(reference_size(model, injections[row], contingency, host,
+                                       target, rating))
+    candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
+    got = siting._size_increases(model, cases, candidate, siting.CAP_PCT_DEFAULT,
+                                 siting.BISECTION_TOL_PP)
+    assert [tuple(map(_bits, g)) for g in got] == [tuple(map(_bits, e)) for e in expected]

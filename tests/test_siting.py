@@ -171,6 +171,14 @@ def test_zero_delta_no_side_effects():
     )
 
 
+@pytest.mark.parametrize("hour", [-1, 8760])
+def test_side_effects_reject_an_hour_outside_the_year(hour):
+    case = cases.side_effect_case()
+    inj = np.array([100.0, -100.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        check_side_effects(case.model, "T", 30.0, inj, "K", hour, case.calendar)
+
+
 def test_clean_diversion_has_no_side_effects():
     case = cases.parallel_paths_case()
     inj = np.array([100.0, 0.0, 0.0, -100.0])
