@@ -18,7 +18,7 @@ susceptances, adds them into the pattern's slots in the order the COO
 assembly adds them, and factorizes: the matrix, and so its LU, is the COO
 assembly's bit for bit.
 
-Repeating a build costs nothing. The model also keeps what ``build_system``
+Repeating a build costs a lookup. The model also keeps what ``build_system``
 factorized, bounded: the unscaled system of each excluded line
 (``NetworkModel.susceptance_systems``, the same bound as the patterns) and one
 slot for the last system built with a reactance scale that applies
