@@ -15,6 +15,11 @@ exactly on fleets with p_min = 0).
 
 Hours where demand cannot be met are recorded as infeasible instead of
 aborting the year; downstream stages skip them.
+
+``dispatch.csv`` holds one row per (hour, generator), in hour order. It is
+written through ``tables.write_columns`` from ``DispatchYear.output_matrix``,
+a few thousand rows at a time, each output as its repr, and read back with a
+positional ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .network import HOURS_PER_YEAR, NetworkModel
-from .tables import number, read_input, text
+from .tables import (
+    CHUNK_ROWS, float_cell, number, read_input, text, text_cell, write_columns,
+)
 
 BALANCE_TOL_MW = 1e-6
 
@@ -361,12 +368,22 @@ def load_res_availability(path) -> ResAvailability:
 
 
 def write_dispatch_csv(year: DispatchYear, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "generator", "output_mw"])
-        for h in year.hours:
-            for gid, out in zip(year.generator_ids, h.outputs_mw):
-                writer.writerow([h.hour, gid, repr(float(out))])
+    """``dispatch.csv``: each hour's row per generator, in generator order."""
+    hours = np.array([str(h.hour) for h in year.hours], dtype=object)
+    generators = [text_cell(gid) for gid in year.generator_ids]
+    step = max(1, CHUNK_ROWS // max(1, len(generators)))  # hours per chunk
+    outputs = year.output_matrix
+
+    def chunks():
+        for start in range(0, len(hours), step):
+            part = slice(start, start + step)
+            yield [
+                np.repeat(hours[part], len(generators)).tolist(),
+                generators * len(hours[part]),
+                list(map(float_cell, outputs[part].ravel().tolist())),
+            ]
+
+    write_columns(path, ("hour", "generator", "output_mw"), chunks())
 
 
 def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> None:
@@ -392,10 +409,10 @@ def read_dispatch_outputs(
     gen_pos = {gid: i for i, gid in enumerate(model.generator_ids)}
     outputs = np.zeros((HOURS_PER_YEAR, len(gen_pos)))
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            outputs[int(row["hour"]), gen_pos[row["generator"]]] = float(
-                row["output_mw"]
-            )
+        reader = csv.reader(fh)
+        next(reader, None)  # the header: hour, generator, output_mw
+        for hour, gen, out in reader:
+            outputs[int(hour), gen_pos[gen]] = float(out)
     with open(summary_path, encoding="utf-8") as fh:
         summary = json.load(fh)
     infeasible = set(summary["infeasible_hours"])

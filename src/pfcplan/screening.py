@@ -20,9 +20,15 @@ Records are emitted for loadings strictly above the near threshold (default
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``),
 always ordered by hour, then contingency id (intact first), then line id;
-``OverloadRecord`` is the row view iteration yields. ``overloads.csv`` is
-written from the columns converted to plain Python ints and floats, so each
-float is written as its repr and reads back exactly.
+``OverloadRecord`` is the row view iteration yields.
+
+``overloads.csv`` is written straight from those arrays, a chunk of records
+at a time, through ``tables.write_columns``. Line and contingency cells index
+one text cell per line id (index -1, the intact network, is the empty cell),
+hour cells one cell per hour and class cells a two-entry array. Each loading
+is written as its repr; an excess of exactly +0.0, which every near record
+has, is the cell ``0.0`` without a repr, and every other excess (a -0.0
+too) is its repr. So each float reads back exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from . import dcflow
 from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar
 from .shift_factors import LodfMatrix
-from .tables import read_input, select, text, write_csv, write_rows
+from .tables import (
+    CHUNK_ROWS, float_cell, read_input, select, text, text_cell, write_columns, write_csv,
+)
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +54,6 @@ NEAR_PCT_DEFAULT = 90.0
 OVERLOAD_PCT_DEFAULT = 100.0
 # relative slack on the Stage 2 bound, far above the rounding of either side
 PRUNE_MARGIN = 1e-9
-ROW_CHUNK = 1 << 16  # records turned into Python rows at a time
 
 
 class OverloadRecord(NamedTuple):
@@ -153,8 +160,8 @@ class OverloadRecords:
         also the ``overloads.csv`` column order; built a chunk at a time."""
         ids = np.array(self.line_ids + (None,), dtype=object)
         category = np.array(["near", "overload"], dtype=object)
-        for start in range(0, len(self), ROW_CHUNK):
-            part = slice(start, start + ROW_CHUNK)
+        for start in range(0, len(self), CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
             yield from zip(
                 ids[self.line[part]].tolist(),
                 self.hour[part].tolist(),
@@ -163,6 +170,28 @@ class OverloadRecords:
                 self.excess_mw[part].tolist(),
                 category[self.overload[part].astype(np.int64)].tolist(),
             )
+
+    def cells(self):
+        """The ``overloads.csv`` cells, one list per column in ``rows`` order,
+        a chunk of records at a time."""
+        ids = np.array([text_cell(lid) for lid in self.line_ids] + [""], dtype=object)
+        first, last = int(self.hour.min(initial=0)), int(self.hour.max(initial=0))
+        hours = np.array([str(h) for h in range(first, last + 1)], dtype=object)
+        category = np.array(["near", "overload"], dtype=object)
+        for start in range(0, len(self), CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            excess = self.excess_mw[part]
+            excess_cells = np.full(len(excess), "0.0", dtype=object)
+            signed = np.flatnonzero((excess != 0.0) | np.signbit(excess))
+            excess_cells[signed] = list(map(float_cell, excess[signed].tolist()))
+            yield [
+                ids[self.line[part]].tolist(),
+                hours[self.hour[part] - first].tolist(),
+                ids[self.contingency[part]].tolist(),
+                list(map(float_cell, self.loading_pct[part].tolist())),
+                excess_cells.tolist(),
+                category[self.overload[part].view(np.int8)].tolist(),
+            ]
 
     def lines(self, overload: bool = False) -> list[str]:
         """Ids of the lines with a record (with an overload record), sorted."""
@@ -444,7 +473,7 @@ def write_workbook(
         "severity.csv": (SEVERITY_COLUMNS, summaries),
     }
     paths = [f"{out_dir}/overloads.csv"]
-    write_rows(paths[0], OVERLOAD_COLUMNS, records.rows())
+    write_columns(paths[0], OVERLOAD_COLUMNS, records.cells())
     for name, (columns, items) in tables.items():
         paths.append(f"{out_dir}/{name}")
         write_csv(paths[-1], columns, items)

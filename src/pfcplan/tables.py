@@ -9,14 +9,32 @@ An input column table maps each header to the parser of its cells, in the
 order the row type takes them. ``read_input`` reads every input CSV and
 ``write_rows`` writes them, as it writes every output CSV, so the CSV format
 is decided here alone.
+
+Every CSV goes through one writer, ``write_columns``, which takes at most
+``CHUNK_ROWS`` rows at a time as one list of formatted cells per column and
+joins them into lines. Cells have the bytes ``csv.writer`` gave them: text is
+quoted by ``csv`` itself, once per distinct value (``text_cell``), a float is
+its repr (``float_cell``), an int its ``str``, a boolean ``true``/``false``
+and None an empty cell; a NumPy scalar is written as the equal Python value.
+``write_rows`` formats values of any kind with ``cell``; ``overloads.csv`` and
+``dispatch.csv`` format whole columns from their arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from functools import lru_cache
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
+
+# rows formatted per write: enough to amortize each join, few enough that a
+# chunk's cells add no visible peak memory
+CHUNK_ROWS = 4096
 
 
 def select(columns: dict[str, str], *headers: str) -> dict[str, str]:
@@ -33,31 +51,67 @@ def rows(columns: dict[str, str], items) -> list[dict]:
 def write_csv(path, columns: dict[str, str], items) -> None:
     """Write the header row, then one row per item.
 
-    Cells follow ``csv.writer``'s own conventions: None becomes an empty cell
-    and a float is written as its repr, so floats read back exactly. That
-    holds only while row attributes are plain Python int/float, not numpy
-    scalars: under numpy 2 an ``np.float64`` (a float subclass) would be
-    written as ``np.float64(...)``. A table has at least two columns, because
-    ``attrgetter`` of a single name returns a bare value, not a row.
+    A table has at least two columns, because ``attrgetter`` of a single
+    name returns a bare value, not a row.
     """
     write_rows(path, columns, map(attrgetter(*columns.values()), items))
 
 
 def write_rows(path, columns: dict, rows, lineterminator: str = "\r\n") -> None:
     """Write a column table's header row, then ``rows`` of values in column
-    order; the cells of a ``boolean`` column are written as true/false."""
+    order, each value formatted by ``cell``."""
+    rows = iter(rows)
+    chunks = (
+        [[cell(value, lineterminator) for value in column] for column in zip(*chunk)]
+        for chunk in iter(lambda: list(islice(rows, CHUNK_ROWS)), [])
+    )
+    write_columns(path, columns, chunks, lineterminator)
+
+
+def write_columns(path, header, chunks, lineterminator: str = "\r\n") -> None:
+    """Write the ``header`` names, then each chunk of rows, given as one list
+    of formatted cells per column; an empty chunk writes nothing."""
+    names = [[text_cell(name, lineterminator)] for name in header]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(columns)
-        if boolean in columns.values():
-            rows = ([_cell(value) for value in values] for values in rows)
-        writer.writerows(rows)
+        for cells in chain([names], chunks):
+            join = ",".join if len(cells) > 1 else _lone_cell
+            lines = lineterminator.join(map(join, zip(*cells)))
+            if lines:
+                fh.write(lines + lineterminator)
 
 
-def _cell(value):
-    if isinstance(value, bool):
+def _lone_cell(row) -> str:
+    # csv quotes a row that is one empty cell, so that it is not a blank line
+    return row[0] or '""'
+
+
+def cell(value, lineterminator: str = "\r\n") -> str:
+    """The cell of a value of any kind; an object of no kind below is
+    written as the text of its ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return float_cell(value)
+    return text_cell(str(value), lineterminator)
+
+
+@lru_cache(maxsize=1 << 12)
+def text_cell(value: str, lineterminator: str = "\r\n") -> str:
+    """A text cell, quoted where ``csv.writer`` quotes it; which characters
+    need quotes depends on the line terminator."""
+    out = io.StringIO()
+    # a second, empty cell keeps csv from quoting an empty value
+    csv.writer(out, lineterminator=lineterminator).writerow((value, ""))
+    return out.getvalue()[: -1 - len(lineterminator)]
+
+
+# a float's cell is its repr, which reads back to the same bits; a NumPy
+# float64 is a float, so it is written as the equal Python float
+float_cell = float.__repr__
 
 
 # -- input files -----------------------------------------------------------------
