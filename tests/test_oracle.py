@@ -6,18 +6,21 @@ ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
 superposition is checked against exact re-solves without the line, the
 bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
 ``build_system``'s pattern-cached assembly and its kept systems against the
-COO assembly reduced by ``np.ix_``, and Stage 3's lockstep sizer against a
-bisection of each pair group on its own; the references are kept here.
+COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
+bisection of each pair group on its own, and ``assess_target`` as a whole
+against a Stage 3 on fresh reference solves; the references are kept here.
 """
 
 import dataclasses
+import functools
 
+import hypothesis
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from pfcplan import screening, siting
+from pfcplan import cases, screening, siting
 from pfcplan.dcflow import (
     IslandingError,
     SingularSystemError,
@@ -27,8 +30,9 @@ from pfcplan.dcflow import (
     solve_with_outage,
     susceptance_matrix,
 )
-from pfcplan.network import Bus, Line, NetworkModel, SeasonCalendar
-from pfcplan.screening import BaseFlows, effective_rating_matrix, stage2_scan
+from pfcplan.dispatch import injection_matrix, run_year
+from pfcplan.network import Bus, Line, NetworkModel, SeasonCalendar, effective_rating
+from pfcplan.screening import BaseFlows, effective_rating_matrix, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
 from conftest import balanced_injection, dense_dc_flows, graph_bridges
@@ -401,3 +405,178 @@ def test_lockstep_sizer_matches_per_group_bisection(case):
     got = siting._size_increases(model, cases, candidate, siting.CAP_PCT_DEFAULT,
                                  siting.BISECTION_TOL_PP)
     assert [tuple(map(_bits, g)) for g in got] == [tuple(map(_bits, e)) for e in expected]
+
+
+def _reference_flows(model, injection, contingency, host=None, delta=0.0):
+    """Line id -> MW flow of one fresh reference solve; an outaged line is
+    left out."""
+    scale = {host: 1.0 + delta / 100.0} if host is not None and delta != 0.0 else None
+    system = reference_system(model, contingency, scale)
+    return dict(zip(system.line_ids, solve_flows(system, injection).flows_mw))
+
+
+def reference_assess_target(target, records, model, injections, calendar, ptdf, lodf,
+                            cap_pct=40.0, tol_pp=0.1, overload_pct=100.0,
+                            max_candidates=8):
+    """``assess_target`` from fresh reference solves: each candidate bisects
+    each pair group on its own, and evaluates each group again at its δ*; no
+    memo, no lockstep and nothing shared between candidates or groups."""
+    rows = [r for r in records if r.line_id == target and r.category == "overload"]
+    if not rows:
+        raise ValueError(f"no overload records for target {target}")
+    hours = {r.hour for r in rows}
+    groups = {}  # (contingency, season, injections) -> hours, in contingency order
+    for hour, contingency in sorted({(r.hour, r.contingency) for r in rows},
+                                    key=lambda p: (p[1] or "", p[0])):
+        key = (contingency, calendar.season(hour), injections[hour].tobytes())
+        groups.setdefault(key, []).append(hour)
+
+    scores = {}
+    for contingency in sorted({key[0] for key in groups}, key=lambda c: c or ""):
+        for cand in siting.candidate_locations(target, lodf, ptdf, model, contingency):
+            scores[cand.pfc_line] = max(scores.get(cand.pfc_line, cand.score), cand.score)
+    hosts = sorted(scores, key=lambda h: (-scores[h], h != target, h))
+    if max_candidates:
+        hosts = hosts[:max_candidates]
+
+    def rating(lid, hour):
+        return effective_rating(model.line_by_id[lid], hour, calendar)
+
+    best, sensitive = None, False
+    for order, host in enumerate(hosts):
+        sized = {  # a device cannot sit on its group's contingency line
+            key: reference_size(model, injections[group[0]], key[0], host, target,
+                                rating(target, group[0]), cap_pct, tol_pp)
+            for key, group in groups.items() if key[0] != host
+        }
+        sensitive = sensitive or any(
+            abs(f_zero - f_cap) > siting.INSENSITIVE_MW for _, f_zero, f_cap in sized.values()
+        )
+        clearable = [delta for delta, _, _ in sized.values() if delta is not None]
+        if not clearable:
+            continue
+        delta_star = max(clearable)
+        dirty, uncleared, effects, residual = set(), set(), set(), 0.0
+        for key, group in groups.items():
+            injection, hour = injections[group[0]], group[0]
+            pre = _reference_flows(model, injection, key[0])
+            post = _reference_flows(model, injection, key[0], host, delta_star)
+            loading = {lid: 100.0 * abs(f) / rating(lid, hour) for lid, f in post.items()}
+            before = {lid: 100.0 * abs(f) / rating(lid, hour) for lid, f in pre.items()}
+            residual = max(residual, *loading.values())
+            target_ok = sized.get(key, (None,))[0] is not None and sized[key][0] <= delta_star
+            if not target_ok or max(loading.values()) > overload_pct:
+                dirty.update(group)
+            if not target_ok:
+                uncleared.update(group)
+            effects |= {lid for lid in post
+                        if loading[lid] > overload_pct and loading[lid] > before[lid] + 1e-9}
+        entry = (len(hours - dirty), len(hours - uncleared), -order,
+                 host, delta_star, tuple(sorted(effects)), residual)
+        if best is None or entry[:3] > best[:3]:
+            best = entry
+        if entry[0] == len(hours):
+            break
+
+    if best is None:
+        return siting.PfcOutcome(
+            target, siting.PARTIALLY_RESOLVED if sensitive else siting.NO_CHANGE,
+            None, None, len(hours), 0, max(r.loading_pct for r in rows), (),
+        )
+    clean, _, _, host, delta_star, effects, residual = best
+    return siting.PfcOutcome(
+        target, siting.FULLY_RESOLVED if clean == len(hours) else siting.PARTIALLY_RESOLVED,
+        host, delta_star, len(hours), clean, residual, effects,
+    )
+
+
+def _outcome_bits(outcome):
+    return tuple(_bits(v) if isinstance(v, float) else v
+                 for v in dataclasses.astuple(outcome))
+
+
+def _siting_study(mesh, hours, overload_pct):
+    """A mesh's study year as ``assess_target`` takes it after the target:
+    the records of ``hours``, intact and post-outage, classed at
+    ``overload_pct`` of the effective ratings, then the model, the injections
+    (rows at ``HOURS``), the calendar and the shift factors."""
+    model, rows, base, lodf = _study(mesh)
+    injections = np.zeros((8760, len(model.buses)))
+    injections[HOURS] = rows
+    ratings = effective_rating_matrix(model, base.line_ids, HOURS, CALENDAR)
+    loading = 100.0 * np.abs(base.flows_mw) / ratings
+    intact = [(base.line_ids[li], int(HOURS[hi]), None, loading[hi, li], 0.0, "overload")
+              for hi, li in zip(*np.nonzero(loading > overload_pct))]
+    post = stage2_scan(base, lodf, model, CALENDAR, overload_pct=overload_pct)
+    records = screening.OverloadRecords.from_rows(
+        [r for r in list(post) + intact if r[1] in hours and r[5] == "overload"]
+    )
+    return records, model, injections, CALENDAR, compute_ptdf(build_system(model), model), lodf
+
+
+@st.composite
+def siting_studies(draw):
+    """A mesh study on 1-6 of its hours, a target among its overloaded lines
+    and ``assess_target``'s settings. Records are classed at ``overload_pct``
+    (100 or 95), while sizing compares with the rating itself, so at 95 a
+    pair may need no increase."""
+    overload_pct = draw(st.sampled_from((100.0, 95.0)))
+    hours = set(draw(st.lists(st.sampled_from(HOURS.tolist()), min_size=1, max_size=6)))
+    study = _siting_study(draw(meshes()), hours, overload_pct)
+    targets = sorted({r.line_id for r in study[0]})
+    hypothesis.assume(targets)
+    settings_ = dict(
+        cap_pct=draw(st.sampled_from((40.0, 25.0))),
+        tol_pp=draw(st.sampled_from((0.1, 0.5))),
+        overload_pct=overload_pct,
+        max_candidates=draw(st.sampled_from((0, 8))),
+    )
+    return (*study, draw(st.sampled_from(targets)), settings_)
+
+
+@functools.cache
+def _fixture_study(name):
+    """A bundled case's year: its records, intact and post-outage, with the
+    inputs ``assess_target`` takes after the target."""
+    case = getattr(cases, name)()
+    model = case.model
+    year = run_year(model, case.profile, case.availability, case.snsp_cap)
+    system = build_system(model)
+    intact, base = stage1_scan(year, model, system, case.profile, case.calendar)
+    ptdf = compute_ptdf(system, model)
+    lodf = compute_lodf(ptdf, model)
+    records = intact + stage2_scan(base, lodf, model, case.calendar)
+    injections = injection_matrix(model, year, case.profile)
+    return records, model, injections, case.calendar, ptdf, lodf
+
+
+# records at 95%: some pairs of L0 need no increase, and a device on L4 must
+# not be sized for the group whose contingency takes L4 out
+HOST_OUTAGE = Mesh(edges=((0, 1), (0, 2), (0, 3), (0, 2), (1, 2)), names=(0, 1, 2, 3, 4),
+                   reactances=(0.25, 0.5, 0.5, 0.5, 0.5), slack=0, seed=0,
+                   rating_factors=(0.80078125, 1.0, 1.0, 1.0, 1.0), winter_factor=1.0)
+
+FIXTURE_TARGETS = {"parallel_paths_case": "LB", "side_effect_case": "T",
+                   "radial_feed_case": "T", "capped_relief_case": "L13a"}
+
+
+@SETTINGS
+@given(siting_studies())
+@example((*_siting_study(HOST_OUTAGE, set(HOURS.tolist()), 95.0), "L0",
+          {"overload_pct": 95.0, "max_candidates": 0}))
+@example(("parallel_paths_case", 8))
+@example(("parallel_paths_case", 0))
+@example(("side_effect_case", 8))
+@example(("radial_feed_case", 8))
+@example(("capped_relief_case", 8))
+@example(("capped_relief_case", 0))
+def test_assess_target_is_the_reference_field_for_field(case):
+    if isinstance(case[0], str):  # a bundled fixture: (name, max_candidates)
+        study, target = _fixture_study(case[0]), FIXTURE_TARGETS[case[0]]
+        kwargs = {"max_candidates": case[1]}
+    else:
+        *study, target, kwargs = case
+    got = siting.assess_target(target, *study, **kwargs)
+    hypothesis.event(got.classification)
+    expected = reference_assess_target(target, *study, **kwargs)
+    assert _outcome_bits(got) == _outcome_bits(expected)
