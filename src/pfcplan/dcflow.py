@@ -223,7 +223,18 @@ def build_system(
     excluded line and the same (line, scale) pairs that apply to its kept
     lines: the unscaled system of every excluded line, and only the last
     scaled one. Its arrays are read-only. A singular system is not kept.
+
+    Excluding a bridge raises ``SingularSystemError`` before any LU: every
+    other topology is connected, since the intact network is validated so.
+    Only an unscaled build checks its pivots, once per topology, as the
+    system is then kept; a scaled build of a connected topology is
+    factorized as it is.
     """
+    if exclude_line is not None and exclude_line in model.bridges:
+        raise SingularSystemError(
+            f"reduced susceptance matrix is singular: excluding bridge line "
+            f"{exclude_line} disconnects the network"
+        )
     pattern = _pattern(model, exclude_line)
     scaled = tuple(sorted(
         (lid, scale) for lid, scale in (reactance_scale or {}).items()
@@ -265,13 +276,14 @@ def _factorize(
         lu = splu(reduced)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from None
-    u_diag = np.abs(lu.U.diagonal())
-    scale = np.abs(data).max() if data.size else 0.0
-    if scale == 0.0 or u_diag.min() < SINGULARITY_TOL * scale:
-        raise SingularSystemError(
-            "reduced susceptance matrix is singular; the network is "
-            "effectively disconnected"
-        )
+    # reading lu.U converts both factors to CSC matrices: unscaled builds only
+    if not scaled:
+        scale = np.abs(data).max() if data.size else 0.0
+        if scale == 0.0 or np.abs(lu.U.diagonal()).min() < SINGULARITY_TOL * scale:
+            raise SingularSystemError(
+                "reduced susceptance matrix is singular; the network is "
+                "effectively disconnected"
+            )
 
     for array in (reduced.data, reduced.indices, reduced.indptr, suscept):
         array.flags.writeable = False  # served again to later callers
@@ -308,6 +320,32 @@ def _check_balance(injections_mw: np.ndarray) -> None:
             f"injections do not balance: residual {residual:.3e} MW exceeds "
             f"{RESIDUAL_TOL_MW} MW"
         )
+
+
+def reduced_injections(model: NetworkModel, injections_mw: np.ndarray) -> np.ndarray:
+    """The right-hand side ``solve_flows`` solves for one MW injection vector
+    in model bus order: per unit, without the slack bus. It is checked as
+    ``solve_flows`` checks it, and read-only, so one vector serves any number
+    of ``lu.solve`` calls on the systems of one model."""
+    inj = np.asarray(injections_mw, dtype=float)
+    if inj.shape != (len(model.buses),):
+        raise ValueError(
+            f"expected {len(model.buses)} injections, got shape {inj.shape}"
+        )
+    _check_balance(inj)
+    slack = model.bus_index[model.slack_bus]
+    rhs = np.concatenate((inj[:slack], inj[slack + 1:])) / model.system_base_mva
+    rhs.flags.writeable = False
+    return rhs
+
+
+def check_outage(model: NetworkModel, outaged_line: str) -> None:
+    """Reject an outage ``solve_with_outage`` cannot solve: a line that is not
+    in service, or a bridge (naming the buses it cuts off)."""
+    if outaged_line not in model.in_service_line_ids:
+        raise ValueError(f"line {outaged_line} is not an in-service line")
+    if outaged_line in model.bridges:
+        raise IslandingError(outaged_line, islanded_buses(model, outaged_line))
 
 
 def solve_angles_batch(system: SusceptanceSystem, injections_mw: np.ndarray) -> np.ndarray:
@@ -363,11 +401,7 @@ def solve_with_outage(
     The outaged line is reported with zero flow so the solution lines up with
     the in-service line ordering of the intact model.
     """
-    if outaged_line not in model.in_service_line_ids:
-        raise ValueError(f"line {outaged_line} is not an in-service line")
-    if outaged_line in model.bridges:  # name the buses it cuts off
-        separated = islanded_buses(model, outaged_line)
-        raise IslandingError(outaged_line, separated)
+    check_outage(model, outaged_line)
     system = build_system(model, exclude_line=outaged_line, reactance_scale=reactance_scale)
     partial = solve_flows(system, injections_mw)
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import dcflow
 from .network import NetworkModel, SeasonCalendar, effective_rating
-from .screening import OverloadRecords, effective_rating_matrix
+from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
 
@@ -185,56 +185,105 @@ def candidate_locations(
     return [PfcCandidate(target_line=target, pfc_line=lid, score=s) for s, lid in scored]
 
 
-def _solve_case(
-    model: NetworkModel,
-    injections: np.ndarray,
-    contingency: str | None,
-    pfc_line: str | None = None,
-    delta_pct: float = 0.0,
-) -> dcflow.FlowSolution:
+@dataclass(frozen=True)
+class _Setting:
+    """One hour's injections on one contingency's topology, checked once: the
+    right-hand side of every exact solve of it, and the contingency's
+    in-service position (-1 for the intact network)."""
+
+    contingency: str | None
+    rhs: np.ndarray
+    outage: int
+
+
+def _setting(
+    model: NetworkModel, injections: np.ndarray, contingency: str | None
+) -> _Setting:
+    outage = -1
+    if contingency is not None:
+        dcflow.check_outage(model, contingency)
+        outage = model.in_service_line_ids.index(contingency)
+    return _Setting(contingency, dcflow.reduced_injections(model, injections), outage)
+
+
+def _system(
+    model: NetworkModel, contingency: str | None, pfc_line: str | None, delta_pct: float
+) -> dcflow.SusceptanceSystem:
+    """The system of one exact solve: the contingency's topology with the
+    device's reactance increase."""
     global _exact_solves
     _exact_solves += 1
     scale = None
     if pfc_line is not None and delta_pct != 0.0:
         scale = {pfc_line: 1.0 + delta_pct / 100.0}
-    if contingency is None:
-        system = dcflow.build_system(model, reactance_scale=scale)
-        return dcflow.solve_flows(system, injections)
-    return dcflow.solve_with_outage(model, injections, contingency, reactance_scale=scale)
+    return dcflow.build_system(model, exclude_line=contingency, reactance_scale=scale)
+
+
+def _flows(
+    model: NetworkModel, setting: _Setting, pfc_line: str | None = None,
+    delta_pct: float = 0.0,
+) -> np.ndarray:
+    """MW flows of every in-service line from one exact solve, the
+    contingency's line at 0: ``solve_with_outage``'s numbers."""
+    system = _system(model, setting.contingency, pfc_line, delta_pct)
+    angles = np.zeros(len(model.buses))
+    angles[system.non_slack] = system.lu.solve(setting.rhs)
+    flows = dcflow.flows_from_angles(system, angles)
+    k = setting.outage
+    if k < 0:
+        return flows
+    full = np.zeros(len(flows) + 1)
+    full[:k], full[k + 1:] = flows[:k], flows[k:]
+    return full
 
 
 def _size_increases(
     model: NetworkModel,
-    cases: list[tuple[np.ndarray, str | None, float]],
+    cases: list[tuple[_Setting, float]],
     candidate: PfcCandidate,
     cap_pct: float,
     tol_pp: float,
 ) -> list[tuple[float | None, float, float]]:
-    """Per (injections, contingency, target rating) case, in contingency
-    order: (minimal delta or None, |flow| at zero, |flow| at cap) for the
-    target, the cases bisected in lockstep."""
-    target = candidate.target_line
+    """Per (setting, target rating) case, in contingency order: (minimal
+    delta or None, |flow| at zero, |flow| at cap) for the target, the cases
+    bisected in lockstep.
+
+    Each step is one exact solve that reads only the target's flow,
+    susceptance * (angle_from - angle_to) * base, from two angles (the
+    slack's is 0): the bits of the full flow vector's entry.
+    """
+    base = model.system_base_mva
+    t = model.in_service_line_ids.index(candidate.target_line)
+    slack = model.bus_index[model.slack_bus]
+    line = model.in_service_lines[t]
+    # the target's end buses in the reduced system (-1: the slack)
+    ends = [model.bus_index[line.from_bus], model.bus_index[line.to_bus]]
+    frm, to = [-1 if b == slack else b - (b > slack) for b in ends]
+    # the target's position among the lines each case's topology keeps
+    position = [t - (0 <= setting.outage < t) for setting, _ in cases]
 
     def target_flow(i: int, delta: float) -> float:
-        injections, contingency, _ = cases[i]
-        sol = _solve_case(model, injections, contingency, candidate.pfc_line, delta)
-        return abs(sol.flow_of(target))
+        setting = cases[i][0]
+        system = _system(model, setting.contingency, candidate.pfc_line, delta)
+        theta = system.lu.solve(setting.rhs)
+        diff = (theta.item(frm) if frm >= 0 else 0.0) - (theta.item(to) if to >= 0 else 0.0)
+        return abs(system.susceptance.item(position[i]) * diff * base)
 
     f_zero = [target_flow(i, 0.0) for i in range(len(cases))]
     f_cap = [target_flow(i, cap_pct) for i in range(len(cases))]
     bounds = {  # case -> [lo, hi], for the cases the cap clears but zero does not
         i: [0.0, cap_pct]
-        for i, (_, _, rating) in enumerate(cases)
+        for i, (_, rating) in enumerate(cases)
         if f_zero[i] > rating and f_cap[i] <= rating
     }
     while mids := {
         i: 0.5 * (lo + hi) for i, (lo, hi) in bounds.items() if hi - lo > tol_pp
     }:
-        for i in sorted(mids, key=lambda i: (cases[i][1] or "", mids[i])):
-            within = target_flow(i, mids[i]) <= cases[i][2]
+        for i in sorted(mids, key=lambda i: (cases[i][0].contingency or "", mids[i])):
+            within = target_flow(i, mids[i]) <= cases[i][1]
             bounds[i][1 if within else 0] = mids[i]
     sized = []
-    for i, (_, _, rating) in enumerate(cases):
+    for i, (_, rating) in enumerate(cases):
         delta = 0.0 if f_zero[i] <= rating else bounds[i][1] if i in bounds else None
         sized.append((delta, f_zero[i], f_cap[i]))
     return sized
@@ -258,10 +307,22 @@ def min_reactance_increase(
     """
     if candidate.pfc_line == contingency:
         raise ValueError("PFC cannot be hosted on the contingency line")
+    setting = _setting(model, injections, contingency)
     [(delta, _, _)] = _size_increases(
-        model, [(injections, contingency, rating_mw)], candidate, cap_pct, tol_pp
+        model, [(setting, rating_mw)], candidate, cap_pct, tol_pp
     )
     return delta
+
+
+def _ratings(model: NetworkModel, hour: int, calendar: SeasonCalendar) -> np.ndarray:
+    """Effective ratings of the in-service lines at one hour: the row
+    ``effective_rating_matrix`` gives, from one season lookup."""
+    summer = calendar.season(hour) == "summer"
+    seasonal = np.array([
+        ln.rating_summer_mw if summer else ln.rating_winter_mw
+        for ln in model.in_service_lines
+    ])
+    return seasonal * (1.0 - calendar.derate_factor)
 
 
 def check_side_effects(
@@ -277,15 +338,16 @@ def check_side_effects(
     """Lines pushed above their effective rating, or made worse while already
     above it, by the reactance increase. Exact re-solves of both states."""
     calendar.season(hour)  # rejects an hour outside the study year
-    pre = _solve_case(model, injections, contingency)
-    post = _solve_case(model, injections, contingency, pfc_line, delta_pct)
-    ratings = effective_rating_matrix(model, post.line_ids, [hour], calendar)[0]
-    post_pct = 100.0 * np.abs(post.flows_mw) / ratings
-    pre_pct = 100.0 * np.abs(pre.flows_mw) / ratings
+    setting = _setting(model, injections, contingency)
+    pre = _flows(model, setting)
+    post = _flows(model, setting, pfc_line, delta_pct)
+    ratings = _ratings(model, hour, calendar)
+    post_pct = 100.0 * np.abs(post) / ratings
+    pre_pct = 100.0 * np.abs(pre) / ratings
     worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
     return [
         SideEffect(
-            line_id=post.line_ids[i],
+            line_id=model.in_service_line_ids[i],
             loading_pct=float(post_pct[i]),
             pre_loading_pct=float(pre_pct[i]),
         )
@@ -295,27 +357,42 @@ def check_side_effects(
 
 @dataclass(eq=False)  # hashed by identity
 class _PairGroup:
-    """Overloaded (hour, contingency) pairs that share one exact solve."""
+    """Overloaded (hour, contingency) pairs that share one exact solve: its
+    setting at the first hour, and the in-service lines' ratings there."""
 
-    contingency: str | None
-    rep_hour: int
     hours: list[int]
+    setting: _Setting
+    ratings: np.ndarray
+
+    @property
+    def contingency(self) -> str | None:
+        return self.setting.contingency
+
+    @property
+    def rep_hour(self) -> int:
+        return self.hours[0]
 
 
 def _group_pairs(
+    model: NetworkModel,
     pairs: set[tuple[int, str | None]],
     injections: np.ndarray,
     calendar: SeasonCalendar,
 ) -> list[_PairGroup]:
     """Pairs grouped by contingency, season and injections, in contingency
     order; no outcome depends on the order of the groups."""
-    groups: dict[tuple, _PairGroup] = {}
+    hours: dict[tuple, list[int]] = {}
     for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
         key = (contingency, calendar.season(hour), injections[hour].tobytes())
-        if key not in groups:
-            groups[key] = _PairGroup(contingency=contingency, rep_hour=hour, hours=[])
-        groups[key].hours.append(hour)
-    return list(groups.values())
+        hours.setdefault(key, []).append(hour)
+    return [
+        _PairGroup(
+            hours=group,
+            setting=_setting(model, injections[group[0]], contingency),
+            ratings=_ratings(model, group[0], calendar),
+        )
+        for (contingency, _, _), group in hours.items()
+    ]
 
 
 def assess_target(
@@ -361,7 +438,7 @@ def assess_target(
     total_hours = len(all_hours)
     pre_max_loading = max(records.loading_pct[hit].tolist())
 
-    groups = _group_pairs(pairs, injections, calendar)
+    groups = _group_pairs(model, pairs, injections, calendar)
     contingencies = sorted({g.contingency for g in groups}, key=lambda c: c or "")
 
     # union of per-contingency candidate lists, keeping the best score each
@@ -389,8 +466,7 @@ def assess_target(
         sizes = dict(zip(hosted, _size_increases(
             model,
             [
-                (injections[g.rep_hour], g.contingency,
-                 effective_rating(model.line_by_id[target], g.rep_hour, calendar))
+                (g.setting, effective_rating(model.line_by_id[target], g.rep_hour, calendar))
                 for g in hosted
             ],
             cand, cap_pct, tol_pp,
@@ -409,13 +485,8 @@ def assess_target(
         effects: list[SideEffect] = []
         residual = 0.0
         for g, delta_g in zip(groups, deltas):
-            sol = _solve_case(
-                model, injections[g.rep_hour], g.contingency, cand.pfc_line, delta_star
-            )
-            ratings = effective_rating_matrix(
-                model, sol.line_ids, [g.rep_hour], calendar
-            )[0]
-            loadings = 100.0 * np.abs(sol.flows_mw) / ratings
+            flows = _flows(model, g.setting, cand.pfc_line, delta_star)
+            loadings = 100.0 * np.abs(flows) / g.ratings
             residual = max(residual, float(loadings.max()))
             target_ok = delta_g is not None and delta_g <= delta_star
             if not target_ok or float(loadings.max()) > overload_pct:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from pfcplan import cases, screening, siting
+from pfcplan import cases, dcflow, screening, siting
 from pfcplan.dcflow import (
     IslandingError,
     SingularSystemError,
@@ -398,7 +398,7 @@ def test_lockstep_sizer_matches_per_group_bisection(case):
         _, f_zero, f_cap = reference_size(model, injections[row], contingency, host,
                                           target, float("inf"))
         rating = _rating(outcome, fraction, f_zero, f_cap)
-        cases.append((injections[row], contingency, rating))
+        cases.append((siting._setting(model, injections[row], contingency), rating))
         expected.append(reference_size(model, injections[row], contingency, host,
                                        target, rating))
     candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
@@ -580,3 +580,65 @@ def test_assess_target_is_the_reference_field_for_field(case):
     hypothesis.event(got.classification)
     expected = reference_assess_target(target, *study, **kwargs)
     assert _outcome_bits(got) == _outcome_bits(expected)
+
+
+@st.composite
+def lean_solves(draw):
+    """A mesh model and one Stage-3 solve on it: balanced injections, a
+    non-bridge target, a host line, a contingency (None or a non-bridge line
+    other than the two) and an increase in (0, 40%]."""
+    model = _model(draw(meshes()))
+    ids = [ln.id for ln in model.in_service_lines]
+    bridges = graph_bridges(model)
+    target = draw(st.sampled_from(sorted(set(ids) - bridges)))
+    host = draw(st.just(target) | st.sampled_from(ids))
+    outages = sorted(set(ids) - bridges - {target, host})
+    contingency = draw(st.none() | st.sampled_from(outages)) if outages else None
+    injection = balanced_injection(np.random.default_rng(draw(st.integers(0, 99))),
+                                   len(model.buses))
+    return model, injection, target, host, contingency, draw(st.floats(0.0, 40.0,
+                                                                      exclude_min=True))
+
+
+# a triangle with the slack at bus 1: L0 ends at the slack, L1 starts there
+SLACK_ENDS = Mesh(edges=((0, 1), (1, 2), (0, 2)), names=(0, 1, 2),
+                  reactances=(0.1, 0.2, 0.3), slack=1, seed=5,
+                  rating_factors=(1.0,) * 3, winter_factor=1.0)
+
+
+@SETTINGS
+@given(lean_solves())
+@example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L0", "L2", None, 25.0))
+@example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L1", "L1", "L2", 12.5))
+@example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L0", "L1", "L2", 40.0))
+def test_lean_solves_give_the_full_solution_bits(case):
+    model, injection, target, host, contingency, delta = case
+    scale = {host: 1.0 + delta / 100.0}
+    if contingency is None:
+        exact = solve_flows(build_system(model, reactance_scale=scale), injection)
+    else:
+        exact = solve_with_outage(model, injection, contingency, reactance_scale=scale)
+    setting = siting._setting(model, injection, contingency)
+    candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
+    # an infinite rating needs no bisection: the cap is read once, at delta
+    [(_, _, f_cap)] = siting._size_increases(model, [(setting, float("inf"))], candidate,
+                                             delta, siting.BISECTION_TOL_PP)
+    assert _bits(f_cap) == _bits(abs(exact.flow_of(target)))
+    assert _same_bits(siting._flows(model, setting, host, delta), exact.flows_mw)
+
+
+@SETTINGS
+@given(meshes(), st.floats(1.0, 1.4))
+@example(PARALLEL, 1.25)
+def test_bridge_exclusions_raise_before_any_factorization(mesh, scale):
+    model = _model(mesh)
+    for bridge in sorted(graph_bridges(model)):
+        others = [lid for lid in model.in_service_line_ids if lid != bridge]
+        for reactance_scale in (None, {bridge: scale}, {others[0]: scale}):
+            before = dcflow.factorizations
+            try:
+                build_system(model, bridge, reactance_scale)
+            except SingularSystemError:
+                assert dcflow.factorizations == before
+                continue
+            raise AssertionError(f"bridge {bridge} factorized")
