@@ -73,6 +73,8 @@ class StudyConfig:
         missing = [k for k in INPUT_KEYS if k not in self.inputs]
         if missing:
             raise ConfigError(f"config inputs missing entries: {missing}")
+        if not self.voltage_levels:
+            raise ConfigError("voltage_levels must list at least one kV level")
         if not (0 < self.near_pct < self.overload_pct):
             raise ConfigError("need 0 < near threshold < overload threshold")
         if not (0 < self.pfc_cap_pct <= 100):

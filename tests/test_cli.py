@@ -72,6 +72,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "derrate" in capsys.readouterr().err
 
 
+def _one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(word in err for word in words), err
+
+
+def test_empty_voltage_levels_in_config_exits_2(tmp_path, capsys):
+    config, _ = _study(tmp_path, cases.triangle_case(), voltage_levels=[])
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, "voltage_levels")
+
+
+def test_empty_voltage_levels_flag_exits_2(tmp_path, capsys):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    assert main(["run-all", "--config", str(config), "--voltage-levels", ","]) == 2
+    _one_line_error(capsys, "voltage_levels")
+
+
 def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):
     case = cases.triangle_case()
     demand = np.array(case.profile.demand_mw)
