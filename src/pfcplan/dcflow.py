@@ -26,6 +26,14 @@ slot for the last system built with a reactance scale that applies
 same applying (line, scale) pairs gets the kept system back; its arrays are
 read-only, so every caller sees the same numbers a fresh build would give. A
 singular build is never kept. ``factorizations`` counts the LUs computed.
+
+Singularity is caught structurally. The intact network is validated as
+connected, so excluding a bridge (``NetworkModel.bridges``) raises
+``SingularSystemError`` before any LU, and every other topology is a
+connected Laplacian. The pivot check reads ``lu.U``, which converts both
+factors to CSC matrices, so only unscaled builds run it: at most one per
+topology, as that system is kept. ``reduced_injections`` gives the checked
+right-hand side that callers solving many systems of one model can reuse.
 """
 
 from __future__ import annotations
@@ -339,6 +347,14 @@ def reduced_injections(model: NetworkModel, injections_mw: np.ndarray) -> np.nda
     return rhs
 
 
+def solve_reduced(system: SusceptanceSystem, rhs: np.ndarray) -> np.ndarray:
+    """Bus angles (radians, slack = 0) for a ``reduced_injections`` vector:
+    one back-substitution."""
+    angles = np.zeros(system.n_buses)
+    angles[system.non_slack] = system.lu.solve(rhs)
+    return angles
+
+
 def check_outage(model: NetworkModel, outaged_line: str) -> None:
     """Reject an outage ``solve_with_outage`` cannot solve: a line that is not
     in service, or a bridge (naming the buses it cuts off)."""
@@ -374,19 +390,12 @@ def solve_flows(system: SusceptanceSystem, injections_mw: np.ndarray) -> FlowSol
     The injections must sum to zero within 1e-6 MW; any residual below that
     tolerance lands on the slack bus implicitly.
     """
-    inj = np.asarray(injections_mw, dtype=float)
-    if inj.shape != (system.n_buses,):
-        raise ValueError(
-            f"expected {system.n_buses} injections, got shape {inj.shape}"
-        )
-    _check_balance(inj)
-    angles = solve_angles_batch(system, inj)
-    flows = flows_from_angles(system, angles)
+    angles = solve_reduced(system, reduced_injections(system.model, injections_mw))
     return FlowSolution(
         bus_ids=system.model.bus_ids,
         angles=angles,
         line_ids=system.line_ids,
-        flows_mw=flows,
+        flows_mw=flows_from_angles(system, angles),
     )
 
 

@@ -14,10 +14,16 @@ loadings. Outcomes fall into three classes:
 * PartiallyResolved: everything else, including side-effect interactions and
   overloads the capped increase cannot clear.
 
-All Stage-3 evaluations are exact re-solves on the perturbed topology; the
-screening shift factors are never reused here because a reactance change
-invalidates them. Hours with identical injections, season, and contingency are
-solved once and shared.
+Every Stage-3 value is an exact SuperLU back-substitution on the perturbed
+topology's factorization; the screening shift factors are never reused here
+because a reactance change invalidates them. Hours with identical injections,
+season, and contingency form one pair group, solved once and shared. A group
+checks its injections and contingency once and keeps the right-hand side
+(injections without the slack, per unit). A sizing step reads only the
+target's flow, susceptance * (angle_from - angle_to) * base, from two entries
+of its one solve; the evaluation at the chosen increase and
+``check_side_effects`` compute every line's flow from the angles. Each value
+has the bits of the full flow vector's entry.
 
 Each topology is factorized about once (grid30: 1,663 factorizations for
 15,352 Stage-3 solves on 1,660 topologies). A candidate's pair groups are
@@ -226,9 +232,7 @@ def _flows(
     """MW flows of every in-service line from one exact solve, the
     contingency's line at 0: ``solve_with_outage``'s numbers."""
     system = _system(model, setting.contingency, pfc_line, delta_pct)
-    angles = np.zeros(len(model.buses))
-    angles[system.non_slack] = system.lu.solve(setting.rhs)
-    flows = dcflow.flows_from_angles(system, angles)
+    flows = dcflow.flows_from_angles(system, dcflow.solve_reduced(system, setting.rhs))
     k = setting.outage
     if k < 0:
         return flows
@@ -364,14 +368,6 @@ class _PairGroup:
     setting: _Setting
     ratings: np.ndarray
 
-    @property
-    def contingency(self) -> str | None:
-        return self.setting.contingency
-
-    @property
-    def rep_hour(self) -> int:
-        return self.hours[0]
-
 
 def _group_pairs(
     model: NetworkModel,
@@ -439,7 +435,7 @@ def assess_target(
     pre_max_loading = max(records.loading_pct[hit].tolist())
 
     groups = _group_pairs(model, pairs, injections, calendar)
-    contingencies = sorted({g.contingency for g in groups}, key=lambda c: c or "")
+    contingencies = sorted({g.setting.contingency for g in groups}, key=lambda c: c or "")
 
     # union of per-contingency candidate lists, keeping the best score each
     best_score: dict[str, float] = {}
@@ -462,11 +458,11 @@ def assess_target(
     for order, cand in enumerate(candidates):
         sized += 1
         # a device cannot sit on the line its group's contingency takes out
-        hosted = [g for g in groups if g.contingency != cand.pfc_line]
+        hosted = [g for g in groups if g.setting.contingency != cand.pfc_line]
         sizes = dict(zip(hosted, _size_increases(
             model,
             [
-                (g.setting, effective_rating(model.line_by_id[target], g.rep_hour, calendar))
+                (g.setting, effective_rating(model.line_by_id[target], g.hours[0], calendar))
                 for g in hosted
             ],
             cand, cap_pct, tol_pp,
@@ -497,8 +493,8 @@ def assess_target(
                     hour_cleared[h] = False
             effects.extend(
                 check_side_effects(
-                    model, cand.pfc_line, delta_star, injections[g.rep_hour],
-                    g.contingency, g.rep_hour, calendar, overload_pct,
+                    model, cand.pfc_line, delta_star, injections[g.hours[0]],
+                    g.setting.contingency, g.hours[0], calendar, overload_pct,
                 )
             )
         n_clean = sum(hour_clean.values())
