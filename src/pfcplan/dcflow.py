@@ -232,11 +232,8 @@ def build_system(
     lines: the unscaled system of every excluded line, and only the last
     scaled one. Its arrays are read-only. A singular system is not kept.
 
-    Excluding a bridge raises ``SingularSystemError`` before any LU: every
-    other topology is connected, since the intact network is validated so.
-    Only an unscaled build checks its pivots, once per topology, as the
-    system is then kept; a scaled build of a connected topology is
-    factorized as it is.
+    Excluding a bridge raises ``SingularSystemError`` before any LU; only an
+    unscaled build checks its pivots (see the module docstring).
     """
     if exclude_line is not None and exclude_line in model.bridges:
         raise SingularSystemError(
