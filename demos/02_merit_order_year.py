@@ -6,8 +6,6 @@ the rest in marginal-cost order. Tightening the cap can only increase
 curtailment, which the sweep at the end makes visible.
 """
 
-import numpy as np
-
 from pfcplan import cases
 from pfcplan.dispatch import merit_order_dispatch, run_year
 
@@ -25,8 +23,7 @@ print(f"  SNSP {hour.snsp:.3f} (cap {case.snsp_cap}), curtailed {hour.curtailed_
 
 print("\n=== the full 8,760-hour year ===")
 year = run_year(model, case.profile, case.availability, case.snsp_cap)
-snsp = np.array([h.snsp for h in year.hours])
-curtailed = np.array([h.curtailed_mw for h in year.hours])
+snsp, curtailed = year.snsp, year.curtailed_mw
 print(f"  feasible hours: {len(year.feasible_hours)}")
 print(f"  SNSP: mean {snsp.mean():.3f}, max {snsp.max():.3f}")
 print(f"  hours at the cap: {(snsp > case.snsp_cap - 1e-9).sum()}")

@@ -58,7 +58,7 @@ for case in (
 
 print("=== deployment ranking across all four cases ===")
 ranking = rank_targets(all_outcomes)
-for e in ranking.entries:
+for e in ranking:
     delta = f"{e.delta_pct:5.1f}%" if e.delta_pct is not None else "    --"
     print(f"  {e.rank}. {e.target_line:6} {e.classification:18} "
           f"{e.overload_hours:5d} h  resolved {100 * e.resolved_fraction:5.1f}%  "

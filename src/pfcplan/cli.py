@@ -78,39 +78,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class Study:
-    """The inputs loaded for one computed stage; the report reuses them, and
-    the screen records once read."""
+    """What the stages read, each loaded on first use: the network, demand
+    profile and availability inputs, and the dispatch year and screen records
+    read back from the output directory. A computed stage gets a fresh Study
+    and the report reuses the last one. Loaders are looked up on their module
+    at call time, so a wrapper on the module attribute (as bench/tracer.py
+    sets) sees every load."""
 
-    model: NetworkModel
-    profile: dispatch.DemandProfile
-    availability: dispatch.ResAvailability
-    out_dir: Path
+    cfg: StudyConfig
+
+    @cached_property
+    def model(self) -> NetworkModel:
+        cfg = self.cfg
+        return load_network(
+            cfg.inputs["buses"], cfg.inputs["lines"], cfg.inputs["generators"],
+            slack_bus=cfg.slack_bus, system_base_mva=cfg.system_base_mva,
+        )
+
+    @cached_property
+    def profile(self) -> dispatch.DemandProfile:
+        inputs = self.cfg.inputs
+        return dispatch.load_demand_profile(
+            inputs["demand"], inputs["bus_shares"], self.model.bus_by_id
+        )
+
+    @cached_property
+    def availability(self) -> dispatch.ResAvailability:
+        return dispatch.load_res_availability(self.cfg.inputs["res_availability"])
+
+    @cached_property
+    def year(self) -> dispatch.DispatchYear:
+        out = Path(self.cfg.out_dir)
+        return dispatch.read_dispatch_outputs(
+            out / "dispatch.csv", out / "dispatch_summary.json", self.model
+        )
 
     @cached_property
     def records(self) -> screening.OverloadRecords:
-        return screening.read_overloads_csv(self.out_dir / "overloads.csv")
-
-
-def _load_study(cfg: StudyConfig) -> Study:
-    model = load_network(
-        cfg.inputs["buses"],
-        cfg.inputs["lines"],
-        cfg.inputs["generators"],
-        slack_bus=cfg.slack_bus,
-        system_base_mva=cfg.system_base_mva,
-    )
-    profile = dispatch.load_demand_profile(
-        cfg.inputs["demand"], cfg.inputs["bus_shares"], model.bus_by_id
-    )
-    availability = dispatch.load_res_availability(cfg.inputs["res_availability"])
-    return Study(model, profile, availability, Path(cfg.out_dir))
-
-
-def _read_year(cfg: StudyConfig, model, profile) -> dispatch.DispatchYear:
-    out = Path(cfg.out_dir)
-    return dispatch.read_dispatch_outputs(
-        out / "dispatch.csv", out / "dispatch_summary.json", model, profile
-    )
+        return screening.read_overloads_csv(Path(self.cfg.out_dir) / "overloads.csv")
 
 
 # -- stage bodies: each writes its listed outputs into ``dest`` -----------------
@@ -130,9 +135,8 @@ def cmd_dispatch(cfg: StudyConfig, study: Study, dest: Path) -> None:
 
 
 def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
-    model, profile = study.model, study.profile
+    model, profile, year = study.model, study.profile, study.year
     calendar = cfg.calendar()
-    year = _read_year(cfg, model, profile)
     monitored = filter_monitored_lines(model, cfg.voltage_levels)
 
     system = dcflow.build_system(model)
@@ -159,9 +163,8 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
 
 
 def cmd_site_pfc(cfg: StudyConfig, study: Study, dest: Path) -> None:
-    model, profile, records = study.model, study.profile, study.records
-    calendar = cfg.calendar()
-    year = _read_year(cfg, model, profile)
+    model, profile, year = study.model, study.profile, study.year
+    records, calendar = study.records, cfg.calendar()
 
     system = dcflow.build_system(model)
     ptdf = shift_factors.compute_ptdf(system, model)
@@ -284,7 +287,7 @@ def _emit_report(cfg: StudyConfig, study: Study) -> None:
 def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    study = None
+    study = Study(cfg)
     for stage in STAGES[:walk]:
         content_hash = cfg.content_hash(stage.scope)
         if _verified(out, stage, content_hash):
@@ -296,11 +299,11 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
                 f"{stage.name} output missing or stale for this config; "
                 f"run the {stage.name} stage first"
             )
-        # each computed stage loads the inputs it reads; the report reuses them
-        study = _load_study(cfg)
+        # each computed stage loads what it reads; the report reuses the last
+        study = Study(cfg)
         _compute(cfg, stage, study, content_hash)
     if walk == len(STAGES):
-        _emit_report(cfg, study or _load_study(cfg))
+        _emit_report(cfg, study)
         print(f"report: written to {out / 'report'}")
     if "dispatch" in computes:
         summary = json.loads((out / "dispatch_summary.json").read_text())

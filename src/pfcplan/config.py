@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .network import SeasonCalendar
@@ -103,10 +103,7 @@ class StudyConfig:
         """
         if scope not in _SCOPE_PARAMS:
             raise ConfigError(f"unknown hash scope {scope!r}")
-        params = {}
-        for name in _SCOPE_PARAMS[scope]:
-            value = getattr(self, name)
-            params[name] = list(value) if isinstance(value, tuple) else value
+        params = self._values(_SCOPE_PARAMS[scope])
         digest = hashlib.sha256()
         digest.update(json.dumps(params, sort_keys=True).encode())
         for key in INPUT_KEYS:
@@ -117,36 +114,46 @@ class StudyConfig:
         return digest.hexdigest()
 
     def parameter_echo(self) -> dict:
-        """The defaults/settings block printed into summary.json."""
-        return {
-            "voltage_levels": list(self.voltage_levels),
-            "derate": self.derate,
-            "near_pct": self.near_pct,
-            "overload_pct": self.overload_pct,
-            "pfc_cap_pct": self.pfc_cap_pct,
-            "bisection_tol_pp": self.bisection_tol_pp,
-            "snsp_cap": self.snsp_cap,
-            "summer_months": list(self.summer_months),
-            "system_base_mva": self.system_base_mva,
-            "screen_from_stage1": self.screen_from_stage1,
-        }
+        """The defaults/settings block printed into summary.json: every
+        parameter that shapes results, bar the scenario and slack bus."""
+        return self._values(
+            name for name in _SITING_PARAMS if name not in ("scenario", "slack_bus")
+        )
+
+    def _values(self, names) -> dict:
+        """The named parameters as JSON values (tuples as lists)."""
+        values = {}
+        for name in names:
+            value = getattr(self, name)
+            values[name] = list(value) if isinstance(value, tuple) else value
+        return values
 
 
-_KNOWN_KEYS = {
-    "inputs",
-    "scenario",
-    "slack_bus",
-    "system_base_mva",
-    "voltage_levels",
-    "snsp_cap",
-    "derate",
-    "near_pct",
-    "overload_pct",
-    "pfc_cap_pct",
-    "bisection_tol_pp",
-    "summer_months",
-    "out_dir",
-    "screen_from_stage1",
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
+# the JSON form each StudyConfig field accepts, keyed by its annotation:
+# (check, what the error message says it must be)
+_JSON_TYPES = {
+    "dict[str, str]": (
+        lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+        "an object of path strings",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "float": (_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[float, ...]": (
+        lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"
+    ),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, list) and all(map(_integer, v)), "a list of integers"
+    ),
 }
 
 
@@ -160,11 +167,16 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _KNOWN_KEYS
+    types = {f.name: f.type for f in fields(StudyConfig)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "inputs" not in raw or not isinstance(raw["inputs"], dict):
+    if "inputs" not in raw:
         raise ConfigError(f"{path}: config needs an 'inputs' object")
+    for key, value in raw.items():
+        check, expected = _JSON_TYPES[types[key]]
+        if not check(value):
+            raise ConfigError(f"{path}: {key} must be {expected}, got {value!r}")
 
     def resolve(value: str) -> str:
         if Path(value).is_absolute():
@@ -176,29 +188,12 @@ def load_config(path) -> StudyConfig:
         "out_dir": resolve(raw.get("out_dir", StudyConfig.out_dir)),
     }
     for key, value in raw.items():
-        if key in ("inputs", "out_dir"):
-            continue
-        if key in ("voltage_levels", "summer_months"):
-            value = tuple(value)
-        kwargs[key] = value
+        if key not in kwargs:
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     return StudyConfig(**kwargs)
 
 
-def apply_overrides(
-    config: StudyConfig,
-    out_dir: str | None = None,
-    voltage_levels: tuple[float, ...] | None = None,
-    pfc_cap_pct: float | None = None,
-    screen_from_stage1: bool | None = None,
-) -> StudyConfig:
-    """Command-line flags win over the config file."""
-    updates = {}
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    if voltage_levels is not None:
-        updates["voltage_levels"] = voltage_levels
-    if pfc_cap_pct is not None:
-        updates["pfc_cap_pct"] = pfc_cap_pct
-    if screen_from_stage1 is not None:
-        updates["screen_from_stage1"] = screen_from_stage1
-    return replace(config, **updates) if updates else config
+def apply_overrides(config: StudyConfig, **flags) -> StudyConfig:
+    """Command-line flags win over the config file; a flag left unset (None)
+    keeps the file's value."""
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})

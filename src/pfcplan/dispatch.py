@@ -16,10 +16,12 @@ exactly on fleets with p_min = 0).
 Hours where demand cannot be met are recorded as infeasible instead of
 aborting the year; downstream stages skip them.
 
-``dispatch.csv`` holds one row per (hour, generator), in hour order. It is
-written through ``tables.write_columns`` from ``DispatchYear.output_matrix``,
-a few thousand rows at a time, each output as its repr, and read back with a
-positional ``csv.reader``.
+A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
+per (hour, generator), in hour order. It is written through
+``tables.write_columns`` from ``DispatchYear.outputs_mw``, a few thousand rows
+at a time, each output as its repr, and read back with a positional
+``csv.reader``; the other columns go to the summary JSON, so a year read back
+equals the computed one bit for bit.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ AVAILABILITY_COLUMNS = {"hour": int}
 
 @dataclass(frozen=True)
 class DispatchHour:
-    """One hour's generator outputs in model generator order."""
+    """One hour's solve, outputs in model generator order: the result of
+    ``merit_order_dispatch``; ``run_year`` stacks them into a year's columns."""
 
     hour: int
     outputs_mw: np.ndarray
@@ -116,30 +119,32 @@ class DispatchHour:
 
 @dataclass(frozen=True)
 class DispatchYear:
-    hours: tuple[DispatchHour, ...]
+    """The 8,760 hours as columns, one row per hour: generator outputs (hours
+    x generators, model generator order), curtailed MW, SNSP and whether the
+    hour could be dispatched. An infeasible hour has zero outputs."""
+
+    outputs_mw: np.ndarray
+    curtailed_mw: np.ndarray
+    snsp: np.ndarray
+    feasible: np.ndarray
     generator_ids: tuple[str, ...]
     snsp_cap: float
     scenario: str = ""
 
     def __post_init__(self):
-        if len(self.hours) != HOURS_PER_YEAR:
+        columns = (self.outputs_mw, self.curtailed_mw, self.snsp, self.feasible)
+        if any(len(c) != HOURS_PER_YEAR for c in columns):
             raise DispatchInputError(
                 f"a dispatch year needs exactly {HOURS_PER_YEAR} hours"
             )
-        if [h.hour for h in self.hours] != list(range(HOURS_PER_YEAR)):
-            raise DispatchInputError("hours must be 0..8759 each exactly once")
-
-    @cached_property
-    def output_matrix(self) -> np.ndarray:
-        return np.vstack([h.outputs_mw for h in self.hours])
 
     @cached_property
     def infeasible_hours(self) -> tuple[int, ...]:
-        return tuple(h.hour for h in self.hours if not h.feasible)
+        return tuple(np.flatnonzero(~self.feasible).tolist())
 
     @cached_property
     def feasible_hours(self) -> tuple[int, ...]:
-        return tuple(h.hour for h in self.hours if h.feasible)
+        return tuple(np.flatnonzero(self.feasible).tolist())
 
 
 class _Fleet:
@@ -283,28 +288,19 @@ def run_year(
         if gid in availability.factors:
             factor_matrix[:, j] = availability.factors[gid]
 
-    hours = tuple(
+    hours = [
         _dispatch_hour(fleet, h, float(profile.demand_mw[h]), factor_matrix[h], snsp_cap)
         for h in range(HOURS_PER_YEAR)
-    )
+    ]
     return DispatchYear(
-        hours=hours,
+        outputs_mw=np.array([h.outputs_mw for h in hours]),
+        curtailed_mw=np.array([h.curtailed_mw for h in hours]),
+        snsp=np.array([h.snsp for h in hours]),
+        feasible=np.array([h.feasible for h in hours]),
         generator_ids=fleet.gen_ids,
         snsp_cap=snsp_cap,
         scenario=scenario,
     )
-
-
-def bus_injections(
-    model: NetworkModel, dispatch_hour: DispatchHour, profile: DemandProfile
-) -> np.ndarray:
-    """Net MW injection per bus (model bus order): generation minus demand."""
-    inj = np.zeros(len(model.buses))
-    for g, out in zip(model.generators, dispatch_hour.outputs_mw):
-        inj[model.bus_index[g.bus]] += out
-    for bus_id, share in profile.bus_shares.items():
-        inj[model.bus_index[bus_id]] -= share * dispatch_hour.demand_mw
-    return inj
 
 
 def injection_matrix(
@@ -315,12 +311,11 @@ def injection_matrix(
     gen_to_bus = np.zeros((len(model.generators), n_bus))
     for i, g in enumerate(model.generators):
         gen_to_bus[i, model.bus_index[g.bus]] = 1.0
-    gen_by_bus = year.output_matrix @ gen_to_bus
+    gen_by_bus = year.outputs_mw @ gen_to_bus
     shares = np.zeros(n_bus)
     for bus_id, share in profile.bus_shares.items():
         shares[model.bus_index[bus_id]] = share
-    demand = np.array([h.demand_mw for h in year.hours])
-    return gen_by_bus - np.outer(demand, shares)
+    return gen_by_bus - np.outer(profile.demand_mw, shares)
 
 
 # -- CSV / JSON interfaces ---------------------------------------------------
@@ -369,10 +364,10 @@ def load_res_availability(path) -> ResAvailability:
 
 def write_dispatch_csv(year: DispatchYear, path) -> None:
     """``dispatch.csv``: each hour's row per generator, in generator order."""
-    hours = np.array([str(h.hour) for h in year.hours], dtype=object)
+    hours = np.array([str(h) for h in range(HOURS_PER_YEAR)], dtype=object)
     generators = [text_cell(gid) for gid in year.generator_ids]
     step = max(1, CHUNK_ROWS // max(1, len(generators)))  # hours per chunk
-    outputs = year.output_matrix
+    outputs = year.outputs_mw
 
     def chunks():
         for start in range(0, len(hours), step):
@@ -387,24 +382,25 @@ def write_dispatch_csv(year: DispatchYear, path) -> None:
 
 
 def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> None:
+    curtailed = year.curtailed_mw.tolist()
     summary = {
         "schema_version": 1,
         "scenario": year.scenario,
         "snsp_cap": year.snsp_cap,
         "config_hash": config_hash,
         "infeasible_hours": list(year.infeasible_hours),
-        "total_curtailment_mwh": float(sum(h.curtailed_mw for h in year.hours)),
-        "curtailment_mwh": [float(h.curtailed_mw) for h in year.hours],
-        "snsp": [float(h.snsp) for h in year.hours],
+        # summed in hour order, as a Python sum, so the digits do not depend
+        # on numpy's pairwise summation
+        "total_curtailment_mwh": float(sum(curtailed)),
+        "curtailment_mwh": curtailed,
+        "snsp": year.snsp.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_dispatch_outputs(
-    csv_path, summary_path, model: NetworkModel, profile: DemandProfile
-) -> DispatchYear:
+def read_dispatch_outputs(csv_path, summary_path, model: NetworkModel) -> DispatchYear:
     """Rebuild the dispatch year from ``dispatch.csv`` and its summary JSON."""
     gen_pos = {gid: i for i, gid in enumerate(model.generator_ids)}
     outputs = np.zeros((HOURS_PER_YEAR, len(gen_pos)))
@@ -415,20 +411,13 @@ def read_dispatch_outputs(
             outputs[int(hour), gen_pos[gen]] = float(out)
     with open(summary_path, encoding="utf-8") as fh:
         summary = json.load(fh)
-    infeasible = set(summary["infeasible_hours"])
-    hours = tuple(
-        DispatchHour(
-            hour=h,
-            outputs_mw=outputs[h],
-            demand_mw=float(profile.demand_mw[h]),
-            curtailed_mw=float(summary["curtailment_mwh"][h]),
-            snsp=float(summary["snsp"][h]),
-            feasible=h not in infeasible,
-        )
-        for h in range(HOURS_PER_YEAR)
-    )
+    feasible = np.ones(HOURS_PER_YEAR, dtype=bool)
+    feasible[summary["infeasible_hours"]] = False
     return DispatchYear(
-        hours=hours,
+        outputs_mw=outputs,
+        curtailed_mw=np.array(summary["curtailment_mwh"], dtype=float),
+        snsp=np.array(summary["snsp"], dtype=float),
+        feasible=feasible,
         generator_ids=model.generator_ids,
         snsp_cap=summary["snsp_cap"],
         scenario=summary["scenario"],

@@ -27,7 +27,7 @@ from .screening import (
     region_counts,
     summarize,
 )
-from .siting import PFC_OUTCOME_COLUMNS, RANK_COLUMNS, PfcOutcome, PfcRanking, RankEntry
+from .siting import PFC_OUTCOME_COLUMNS, RANK_COLUMNS, PfcOutcome, RankEntry
 from .tables import rows, select, write_csv
 
 SCHEMA_VERSION = 1
@@ -65,7 +65,7 @@ def build_report(
     model: NetworkModel,
     parameters: dict,
     records: OverloadRecords | None = None,
-    ranking: PfcRanking | None = None,
+    ranking: tuple[RankEntry, ...] = (),
     dispatch_stats: dict | None = None,
     scenario: str = "",
     config_hash: str = "",
@@ -127,7 +127,7 @@ def build_report(
         line_durations=list(summaries),
         pfc_rows=sorted(outcomes, key=lambda o: o.target_line),
         breakdown_pct=breakdown,
-        ranking_rows=ranking.entries if ranking is not None else (),
+        ranking_rows=ranking,
     )
 
 

@@ -139,11 +139,6 @@ RANK_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class PfcRanking:
-    entries: tuple[RankEntry, ...]
-
-
 def candidate_locations(
     target: str,
     lodf: LodfMatrix,
@@ -548,7 +543,7 @@ def assess_target(
 _CLASS_ORDER = {FULLY_RESOLVED: 0, PARTIALLY_RESOLVED: 1, NO_CHANGE: 2}
 
 
-def rank_targets(outcomes: list[PfcOutcome]) -> PfcRanking:
+def rank_targets(outcomes: list[PfcOutcome]) -> tuple[RankEntry, ...]:
     """Deterministic deployment ranking.
 
     Sort key: classification (fully < partially < no change), then more
@@ -565,7 +560,7 @@ def rank_targets(outcomes: list[PfcOutcome]) -> PfcRanking:
             o.target_line,
         ),
     )
-    entries = tuple(
+    return tuple(
         RankEntry(
             rank=i + 1,
             target_line=o.target_line,
@@ -576,7 +571,6 @@ def rank_targets(outcomes: list[PfcOutcome]) -> PfcRanking:
         )
         for i, o in enumerate(ordered)
     )
-    return PfcRanking(entries=entries)
 
 
 def _by_target(outcomes: list[PfcOutcome]) -> list[PfcOutcome]:
@@ -604,5 +598,5 @@ def read_outcomes_json(path) -> list[PfcOutcome]:
     ]
 
 
-def write_ranking(ranking: PfcRanking, path) -> None:
-    write_csv(path, RANK_COLUMNS, ranking.entries)
+def write_ranking(ranking: tuple[RankEntry, ...], path) -> None:
+    write_csv(path, RANK_COLUMNS, ranking)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfcplan import cases, screening
+from pfcplan import cases, cli, dispatch, screening
 from pfcplan.cli import main
 from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.report import ReportConsistencyError
@@ -88,6 +88,32 @@ def test_empty_voltage_levels_flag_exits_2(tmp_path, capsys):
     config, _ = _study(tmp_path, cases.triangle_case())
     assert main(["run-all", "--config", str(config), "--voltage-levels", ","]) == 2
     _one_line_error(capsys, "voltage_levels")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("voltage_levels", 110),
+        ("voltage_levels", ["110"]),
+        ("near_pct", "90"),
+        ("system_base_mva", "100"),
+        ("snsp_cap", None),
+        ("screen_from_stage1", "yes"),
+        ("summer_months", [4.5]),
+        ("scenario", 3),
+        ("inputs", 5),
+    ],
+)
+def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    cfg = json.loads(config.read_text())
+    if key == "inputs":
+        cfg["inputs"]["demand"] = value
+    else:
+        cfg[key] = value
+    config.write_text(json.dumps(cfg))
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, key)
 
 
 def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):
@@ -343,6 +369,35 @@ def test_voltage_filter_flag_restricts_monitoring(tmp_path):
     code = main(["screen", "--config", str(config), "--voltage-levels", "220"])
     assert code == 0
     assert _read_csv_rows(out / "overloads.csv") == []
+
+
+PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record each call of ``owner.name``, wrapping the module attribute the
+    stages look up, as bench/tracer.py does."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+def test_each_stage_loads_only_the_inputs_it_reads(tmp_path, monkeypatch):
+    pinned = json.loads(PINS.read_text())["grid30-study"]["counters"]
+    networks = _count_calls(monkeypatch, cli, "load_network")
+    availabilities = _count_calls(monkeypatch, dispatch, "load_res_availability")
+    config, _ = _study(tmp_path, cases.grid30_case())
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert len(networks) == pinned["network.load_network.calls"]
+    assert len(availabilities) == 1  # only dispatch reads it
+
+    config, _ = _study(tmp_path, cases.triangle_case(), name="screen")
+    assert main(["dispatch", "--config", str(config)]) == 0
+    networks.clear()
+    availabilities.clear()
+    assert main(["screen", "--config", str(config)]) == 0  # on a verified dispatch
+    assert (len(networks), len(availabilities)) == (1, 0)
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):

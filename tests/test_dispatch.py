@@ -6,12 +6,14 @@ from pfcplan.dispatch import (
     DemandProfile,
     DispatchInputError,
     ResAvailability,
-    bus_injections,
     injection_matrix,
     load_demand_profile,
     load_res_availability,
     merit_order_dispatch,
+    read_dispatch_outputs,
     run_year,
+    write_dispatch_csv,
+    write_dispatch_summary,
 )
 from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel
 
@@ -127,10 +129,9 @@ def test_run_year_constant_inputs_identical_hours():
         ResAvailability(factors={"W1": np.full(HOURS_PER_YEAR, 0.6)}),
         snsp_cap=0.65,
     )
-    assert len(year.hours) == HOURS_PER_YEAR
-    first = year.hours[0]
-    assert all(np.array_equal(h.outputs_mw, first.outputs_mw) for h in year.hours)
-    assert all(h.snsp == first.snsp for h in year.hours)
+    assert year.outputs_mw.shape == (HOURS_PER_YEAR, 2)
+    assert (year.outputs_mw == year.outputs_mw[0]).all()
+    assert (year.snsp == year.snsp[0]).all()
 
 
 def test_run_year_zero_demand_zero_output():
@@ -138,7 +139,7 @@ def test_run_year_zero_demand_zero_output():
     year = run_year(
         model, _constant_profile(0.0), ResAvailability(factors={}), snsp_cap=0.65
     )
-    assert np.all(year.output_matrix == 0.0)
+    assert np.all(year.outputs_mw == 0.0)
 
 
 def test_run_year_flags_single_infeasible_hour():
@@ -169,9 +170,9 @@ def test_run_year_requires_availability_for_renewables():
 def test_two_bus_injection_vector():
     model = _fleet_model([_thermal("G1", 200.0, 30.0)])
     profile = _constant_profile(100.0)
-    hour = merit_order_dispatch(model, 100.0, {}, snsp_cap=0.65)
-    inj = bus_injections(model, hour, profile)
-    assert inj == pytest.approx([100.0, -100.0])
+    year = run_year(model, profile, ResAvailability(factors={}), snsp_cap=0.65)
+    inj = injection_matrix(model, year, profile)
+    assert inj[0] == pytest.approx([100.0, -100.0])
 
 
 def test_split_demand_injections():
@@ -185,9 +186,9 @@ def test_split_demand_injections():
         demand_mw=np.full(HOURS_PER_YEAR, 100.0),
         bus_shares={"B1": 0.5, "B2": 0.5},
     )
-    hour = merit_order_dispatch(model, 100.0, {}, snsp_cap=0.65)
-    inj = bus_injections(model, hour, profile)
-    assert inj == pytest.approx([50.0, -50.0])
+    year = run_year(model, profile, ResAvailability(factors={}), snsp_cap=0.65)
+    inj = injection_matrix(model, year, profile)
+    assert inj[0] == pytest.approx([50.0, -50.0])
 
 
 def test_injections_sum_to_zero_every_feasible_hour():
@@ -269,6 +270,58 @@ def test_curtailment_monotone_in_snsp_cap():
 
 
 # -- file interfaces ------------------------------------------------------------
+
+
+def _grid30_year():
+    case = cases.grid30_case()
+    return case.model, case.profile, case.availability, case.snsp_cap
+
+
+def _one_infeasible_hour_year():
+    demand = np.full(HOURS_PER_YEAR, 100.0)
+    demand[4000] = 500.0
+    model = _fleet_model([_thermal("G1", 200.0, 30.0), _thermal("G2", 150.0, 20.0)])
+    profile = DemandProfile(demand_mw=demand, bus_shares={"B2": 1.0})
+    return model, profile, ResAvailability(factors={}), 0.65
+
+
+def _curtailing_year():
+    # wind available up to 120 MW against a 20% SNSP cap on 100-160 MW demand
+    hours = np.arange(HOURS_PER_YEAR)
+    demand = 130.0 + 30.0 * np.sin(hours / 24.0)
+    model = _fleet_model([_thermal("G1", 300.0, 30.0), _wind("W1", 120.0)])
+    profile = DemandProfile(demand_mw=demand, bus_shares={"B2": 1.0})
+    factors = {"W1": (hours % 97) / 96.0}
+    return model, profile, ResAvailability(factors=factors), 0.2
+
+
+@pytest.mark.parametrize(
+    "make_year", [_grid30_year, _one_infeasible_hour_year, _curtailing_year]
+)
+def test_year_read_back_equals_the_computed_year(tmp_path, make_year):
+    model, profile, availability, snsp_cap = make_year()
+    year = run_year(model, profile, availability, snsp_cap, scenario="s")
+    write_dispatch_csv(year, tmp_path / "dispatch.csv")
+    write_dispatch_summary(year, tmp_path / "dispatch_summary.json")
+    back = read_dispatch_outputs(
+        tmp_path / "dispatch.csv", tmp_path / "dispatch_summary.json", model
+    )
+    for column in ("outputs_mw", "curtailed_mw", "snsp", "feasible"):
+        computed, read = getattr(year, column), getattr(back, column)
+        assert read.dtype == computed.dtype and read.shape == computed.shape, column
+        assert read.tobytes() == computed.tobytes(), column
+    assert (back.generator_ids, back.snsp_cap, back.scenario) == (
+        year.generator_ids, year.snsp_cap, year.scenario
+    )
+    assert back.infeasible_hours == year.infeasible_hours
+    assert (
+        injection_matrix(model, back, profile).tobytes()
+        == injection_matrix(model, year, profile).tobytes()
+    )
+    if make_year is _one_infeasible_hour_year:
+        assert year.infeasible_hours == (4000,)
+    if make_year is _curtailing_year:
+        assert (year.curtailed_mw > 0).sum() > HOURS_PER_YEAR // 2
 
 
 def test_demand_and_availability_roundtrip(tmp_path):

@@ -233,12 +233,9 @@ def test_stage1_rejects_unbalanced_dispatch_with_hour_context():
     demand = np.full(HOURS_PER_YEAR, 50.0)
     profile = DemandProfile(demand_mw=demand, bus_shares={"B2": 1.0})
     year = run_year(model, profile, ResAvailability(factors={}), snsp_cap=1.0)
-    corrupt_hour = dataclasses.replace(
-        year.hours[3], outputs_mw=year.hours[3].outputs_mw + 10.0
-    )
-    year = dataclasses.replace(
-        year, hours=year.hours[:3] + (corrupt_hour,) + year.hours[4:]
-    )
+    outputs = year.outputs_mw.copy()
+    outputs[3] += 10.0
+    year = dataclasses.replace(year, outputs_mw=outputs)
     system = build_system(model)
     with pytest.raises(ValueError, match="hour 3"):
         stage1_scan(year, model, system, profile, cases.flat_calendar())

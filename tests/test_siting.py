@@ -308,8 +308,8 @@ def test_ranking_prefers_long_duration_fully_resolved():
     big = _outcome("L35", FULLY_RESOLVED, 2750, 2750, 22.0)
     small = _outcome("L07", FULLY_RESOLVED, 100, 100, 8.0)
     ranking = rank_targets([small, big])
-    assert [e.target_line for e in ranking.entries] == ["L35", "L07"]
-    assert ranking.entries[0].rank == 1
+    assert [e.target_line for e in ranking] == ["L35", "L07"]
+    assert ranking[0].rank == 1
 
 
 def test_ranking_all_no_change_listed_last():
@@ -319,20 +319,20 @@ def test_ranking_all_no_change_listed_last():
         _outcome("LZ", PARTIALLY_RESOLVED, 10, 5, 12.0),
     ]
     ranking = rank_targets(outcomes)
-    assert [e.target_line for e in ranking.entries] == ["LZ", "LY", "LX"]
+    assert [e.target_line for e in ranking] == ["LZ", "LY", "LX"]
     assert all(
-        e.classification == NO_CHANGE for e in ranking.entries[1:]
+        e.classification == NO_CHANGE for e in ranking[1:]
     )
 
 
 def test_ranking_singleton():
     ranking = rank_targets([_outcome("L1", FULLY_RESOLVED, 10, 10, 5.0)])
-    assert len(ranking.entries) == 1
-    assert ranking.entries[0].target_line == "L1"
+    assert len(ranking) == 1
+    assert ranking[0].target_line == "L1"
 
 
 def test_ranking_deterministic_tiebreak_by_line_id():
     a = _outcome("LA", FULLY_RESOLVED, 100, 100, 10.0)
     b = _outcome("LB", FULLY_RESOLVED, 100, 100, 10.0)
     ranking = rank_targets([b, a])
-    assert [e.target_line for e in ranking.entries] == ["LA", "LB"]
+    assert [e.target_line for e in ranking] == ["LA", "LB"]
