@@ -8,7 +8,9 @@ bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
 ``build_system``'s pattern-cached assembly and its kept systems against the
 COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
 bisection of each pair group on its own, and ``assess_target`` as a whole
-against a Stage 3 on fresh reference solves; the references are kept here.
+against a Stage 3 on fresh reference solves. Merit-order dispatch, a year
+and a single hour, is checked against the scalar per-hour solve on random
+fleets. The references are kept here.
 """
 
 import dataclasses
@@ -30,8 +32,13 @@ from pfcplan.dcflow import (
     solve_with_outage,
     susceptance_matrix,
 )
-from pfcplan.dispatch import injection_matrix, run_year
-from pfcplan.network import Bus, Line, NetworkModel, SeasonCalendar, effective_rating
+from pfcplan.dispatch import (
+    BALANCE_TOL_MW, DemandProfile, ResAvailability, _Fleet, injection_matrix,
+    merit_order_dispatch, run_year,
+)
+from pfcplan.network import (
+    HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel, SeasonCalendar, effective_rating,
+)
 from pfcplan.screening import BaseFlows, effective_rating_matrix, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
@@ -642,3 +649,152 @@ def test_bridge_exclusions_raise_before_any_factorization(mesh, scale):
                 assert dcflow.factorizations == before
                 continue
             raise AssertionError(f"bridge {bridge} factorized")
+
+
+# -- merit-order dispatch -------------------------------------------------------
+
+
+def reference_dispatch_hour(fleet, demand, factors, snsp_cap):
+    """One hour's merit-order solve, scalar: the outputs (model generator
+    order), curtailed MW, SNSP, whether the hour is feasible and its deficit
+    (negative for over-generation)."""
+    n = len(fleet.gen_ids)
+    outputs = np.zeros(n)
+
+    available = np.where(fleet.nonsync, factors * fleet.p_max, 0.0)
+    total_available = float(available.sum())
+    res_target = min(total_available, snsp_cap * demand, demand)
+    residual = demand - res_target
+
+    if fleet.thermal_cap < residual - BALANCE_TOL_MW:
+        return outputs, 0.0, 0.0, False, residual - fleet.thermal_cap
+
+    if total_available > 0.0:
+        outputs[fleet.nonsync] = available[fleet.nonsync] * (res_target / total_available)
+
+    remaining = residual
+    marginal = -1
+    for i in fleet.merit_order:
+        if remaining <= 0.0:
+            break
+        take = min(fleet.p_max[i], remaining)
+        outputs[i] = take
+        remaining -= take
+        marginal = i
+
+    if marginal >= 0 and 0.0 < outputs[marginal] < fleet.p_min[marginal]:
+        surplus = fleet.p_min[marginal] - outputs[marginal]
+        outputs[marginal] = fleet.p_min[marginal]
+        for i in reversed(fleet.merit_order):
+            if surplus <= 0.0:
+                break
+            if i == marginal or outputs[i] <= 0.0:
+                continue
+            room = outputs[i] - fleet.p_min[i]
+            cut = min(room, surplus)
+            outputs[i] -= cut
+            surplus -= cut
+        if surplus > BALANCE_TOL_MW and res_target > 0.0:
+            cut = min(res_target, surplus)
+            scale = (res_target - cut) / res_target
+            outputs[fleet.nonsync] *= scale
+            res_target -= cut
+            surplus -= cut
+        if surplus > BALANCE_TOL_MW:
+            return np.zeros(n), 0.0, 0.0, False, -surplus
+
+    curtailed = total_available - float(outputs[fleet.nonsync].sum())
+    snsp = float(outputs[fleet.nonsync].sum()) / demand if demand > 0 else 0.0
+    return outputs, max(curtailed, 0.0), snsp, True, 0.0
+
+
+def _fleet_model(gens):
+    buses = (Bus("B1", "B1", 110.0, "W"), Bus("B2", "B2", 110.0, "W"))
+    lines = (Line("L1", "B1", "B2", 0.1, 1000.0, 1000.0),)
+    return NetworkModel(buses=buses, lines=lines, generators=tuple(gens), slack_bus="B1")
+
+
+@st.composite
+def dispatch_hours(draw):
+    """A fleet of 1-16 units in random model order (thermal units with p_min
+    floors and srmc ties, ids whose text order is not their index order, plus
+    wind and solar), an SNSP cap in (0, 1] and 1-8 hours of demand and
+    availability: zero, signed zero, low enough that the floors over-generate,
+    the exact end of a merit-order unit, or anything up to a capacity
+    shortfall."""
+    n_thermal = draw(st.integers(0, 12))
+    n_res = draw(st.integers(0 if n_thermal else 1, 4))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n_thermal + n_res,
+                        max_size=n_thermal + n_res, unique=True))
+    size = st.sampled_from((50.0, 100.0)) | st.floats(1.0, 300.0)
+    gens = []
+    for k in range(n_thermal):
+        p_max = draw(size)
+        floor = draw(st.sampled_from((0.0, 0.0, 0.3, 0.9, 1.0)) | st.floats(0.0, 1.0))
+        srmc = draw(st.sampled_from((10.0, 20.0, 35.5)))
+        gens.append(Generator(f"G{ids[k]}", "B1", "thermal", p_max, p_max * floor,
+                              srmc, True))
+    for k in range(n_thermal, n_thermal + n_res):
+        kind = draw(st.sampled_from(("wind", "solar")))
+        gens.append(Generator(f"R{ids[k]}", "B2", kind, draw(size), 0.0, 0.0, False))
+    model = _fleet_model(draw(st.permutations(gens)))
+
+    fleet = _Fleet(model)
+    capacity = fleet.p_max.sum()
+    ends = np.cumsum(fleet.p_max[fleet.merit_order]).tolist() or [0.0]
+    demand = (
+        st.sampled_from((0.0, -0.0))
+        | st.sampled_from(ends)
+        | st.floats(0.0, 0.2).map(lambda s: s * capacity)
+        | st.floats(0.0, 1.5).map(lambda s: s * capacity)
+    )
+    factor = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    res_ids = [g.id for g in model.generators if not g.synchronous]
+    hours = draw(st.lists(
+        st.tuples(demand, st.fixed_dictionaries({gid: factor for gid in res_ids})),
+        min_size=1, max_size=8,
+    ))
+    cap = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    return model, hours, cap
+
+
+def _hour_bits(outputs, curtailed, snsp, feasible, deficit):
+    return (np.asarray(outputs, dtype=float).tobytes(), float.hex(curtailed),
+            float.hex(snsp), bool(feasible), float.hex(deficit))
+
+
+@SETTINGS
+@given(dispatch_hours())
+# the marginal unit's floor is taken back from the cheaper unit
+@example((_fleet_model([Generator("G1", "B1", "thermal", 100.0, 0.0, 10.0, True),
+                        Generator("G2", "B1", "thermal", 50.0, 20.0, 20.0, True)]),
+          [(110.0, {})], 0.65))
+# the floor spills into wind curtailment, or over-generates past it
+@example((_fleet_model([Generator("G1", "B1", "thermal", 100.0, 50.0, 10.0, True),
+                        Generator("W1", "B2", "wind", 100.0, 0.0, 0.0, False)]),
+          [(100.0, {"W1": 0.8}), (30.0, {"W1": 0.1}), (500.0, {"W1": 0.5})], 1.0))
+def test_dispatch_is_the_scalar_reference_bit_for_bit(case):
+    model, hours, cap = case
+    fleet = _Fleet(model)
+    expected = []
+    for demand, res_factors in hours:
+        factors = np.array([res_factors.get(gid, 1.0) for gid in fleet.gen_ids])
+        expected.append(reference_dispatch_hour(fleet, demand, factors, cap))
+        got = merit_order_dispatch(model, demand, res_factors, cap)
+        assert _hour_bits(got.outputs_mw, got.curtailed_mw, got.snsp, got.feasible,
+                          got.deficit_mw) == _hour_bits(*expected[-1])
+    kinds = {"over-generation" if e[4] < 0 else "shortfall" if e[4] > 0 else "feasible"
+             for e in expected}
+    hypothesis.event(", ".join(sorted(kinds)))
+
+    # the drawn hours repeated over a year
+    cycle = np.arange(HOURS_PER_YEAR) % len(hours)
+    demand = np.array([d for d, _ in hours])[cycle]
+    factors = {gid: np.array([f[gid] for _, f in hours])[cycle] for gid in hours[0][1]}
+    year = run_year(model, DemandProfile(demand_mw=demand, bus_shares={"B1": 1.0}),
+                    ResAvailability(factors=factors), cap)
+    outputs, curtailed, snsp, feasible, _ = zip(*expected)
+    assert year.outputs_mw.tobytes() == np.array(outputs)[cycle].tobytes()
+    assert year.curtailed_mw.tobytes() == np.array(curtailed)[cycle].tobytes()
+    assert year.snsp.tobytes() == np.array(snsp)[cycle].tobytes()
+    assert year.feasible.tolist() == np.array(feasible)[cycle].tolist()
