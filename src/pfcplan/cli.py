@@ -33,6 +33,7 @@ from .network import (
     filter_monitored_lines,
     load_network,
 )
+from .tables import number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +43,7 @@ EXIT_SOLVER = 4
 
 def _parse_levels(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(number(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad voltage level list: {text!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -73,6 +74,9 @@ class StudyConfig:
         missing = [k for k in INPUT_KEYS if k not in self.inputs]
         if missing:
             raise ConfigError(f"config inputs missing entries: {missing}")
+        unknown = sorted(set(self.inputs) - set(INPUT_KEYS))
+        if unknown:
+            raise ConfigError(f"config inputs has unknown entries: {unknown}")
         if not self.voltage_levels:
             raise ConfigError("voltage_levels must list at least one kV level")
         if not (0 < self.near_pct < self.overload_pct):
@@ -134,7 +138,8 @@ def _integer(value) -> bool:
 
 
 def _number(value) -> bool:
-    return _integer(value) or isinstance(value, float)
+    """An integer or a finite float: Python's json reads NaN and Infinity."""
+    return _integer(value) or isinstance(value, float) and math.isfinite(value)
 
 
 # the JSON form each StudyConfig field accepts, keyed by its annotation:
@@ -146,10 +151,10 @@ _JSON_TYPES = {
     ),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "float": (_number, "a number"),
+    "float": (_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[float, ...]": (
-        lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"
+        lambda v: isinstance(v, list) and all(map(_number, v)), "a list of finite numbers"
     ),
     "tuple[int, ...]": (
         lambda v: isinstance(v, list) and all(map(_integer, v)), "a list of integers"

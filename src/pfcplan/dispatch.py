@@ -13,8 +13,13 @@ enforced only as a post-hoc clamp on the marginal unit, with the surplus taken
 back from cheaper running units (so the strict merit-order property holds
 exactly on fleets with p_min = 0).
 
-Hours where demand cannot be met are recorded as infeasible instead of
-aborting the year; downstream stages skip them.
+Hours where demand cannot be met, or where running floors exceed it, are
+recorded as infeasible instead of aborting the year; downstream stages skip
+them.
+
+One kernel (``_dispatch``) walks the merit order once over all hours, each
+step masked to the hours it applies to, so an hour gets the same bits whether
+``merit_order_dispatch`` solves it alone or ``run_year`` in the year.
 
 A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
 per (hour, generator), in hour order. It is written through
@@ -106,15 +111,13 @@ AVAILABILITY_COLUMNS = {"hour": int}
 @dataclass(frozen=True)
 class DispatchHour:
     """One hour's solve, outputs in model generator order: the result of
-    ``merit_order_dispatch``; ``run_year`` stacks them into a year's columns."""
+    ``merit_order_dispatch``."""
 
-    hour: int
     outputs_mw: np.ndarray
-    demand_mw: float
     curtailed_mw: float
     snsp: float
-    feasible: bool = True
-    deficit_mw: float = 0.0
+    feasible: bool
+    deficit_mw: float
 
 
 @dataclass(frozen=True)
@@ -163,85 +166,72 @@ class _Fleet:
         self.thermal_cap = float(self.p_max[thermal].sum()) if thermal.size else 0.0
 
 
-def _dispatch_hour(
-    fleet: _Fleet, hour: int, demand: float, factors: np.ndarray, snsp_cap: float
-) -> DispatchHour:
-    n = len(fleet.gen_ids)
-    outputs = np.zeros(n)
+def _dispatch(
+    fleet: _Fleet, demand: np.ndarray, factors: np.ndarray, snsp_cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merit-order solve of every hour at once: ``demand`` per hour and the
+    availability ``factors`` (hours x generators) give each hour's outputs,
+    curtailed MW, SNSP, feasibility and deficit (negative for
+    over-generation). An infeasible hour has zero outputs, curtailment and
+    SNSP."""
+    if not (0 < snsp_cap <= 1):
+        raise DispatchInputError("snsp_cap must lie in (0, 1]")
+    nonsync, p_max, p_min = fleet.nonsync, fleet.p_max, fleet.p_min
+    outputs = np.zeros(factors.shape)
 
-    available = np.where(fleet.nonsync, factors * fleet.p_max, 0.0)
-    total_available = float(available.sum())
-    res_target = min(total_available, snsp_cap * demand, demand)
+    available = np.where(nonsync, factors * p_max, 0.0)
+    total_available = available.sum(axis=1)
+    res_target = np.minimum(np.minimum(total_available, snsp_cap * demand), demand)
     residual = demand - res_target
+    feasible = ~(fleet.thermal_cap < residual - BALANCE_TOL_MW)
+    deficit = np.where(feasible, 0.0, residual - fleet.thermal_cap)
 
-    if fleet.thermal_cap < residual - BALANCE_TOL_MW:
-        deficit = residual - fleet.thermal_cap
-        return DispatchHour(
-            hour=hour,
-            outputs_mw=outputs,
-            demand_mw=demand,
-            curtailed_mw=0.0,
-            snsp=0.0,
-            feasible=False,
-            deficit_mw=deficit,
-        )
+    res_share = np.divide(res_target, total_available, out=np.zeros_like(demand),
+                          where=total_available > 0.0)
+    outputs[:, nonsync] = available[:, nonsync] * res_share[:, None]
 
-    if total_available > 0.0:
-        outputs[fleet.nonsync] = available[fleet.nonsync] * (res_target / total_available)
-
-    # merit-order fill of the thermal residual
-    remaining = residual
-    marginal = -1
+    # merit-order fill of the thermal residual, one unit at a time over the
+    # hours still short (a cumsum over the units would round differently)
+    remaining = residual.copy()
+    marginal = np.full(len(demand), -1)
     for i in fleet.merit_order:
-        if remaining <= 0.0:
-            break
-        take = min(fleet.p_max[i], remaining)
-        outputs[i] = take
-        remaining -= take
-        marginal = i
+        on = remaining > 0.0
+        take = np.minimum(p_max[i], remaining[on])
+        outputs[on, i] = take
+        remaining[on] -= take
+        marginal[on] = i
 
     # p_min is a clamp on the marginal unit only; the surplus comes back from
     # cheaper running units (down to their own floors), then from extra RES
     # curtailment
-    if marginal >= 0 and 0.0 < outputs[marginal] < fleet.p_min[marginal]:
-        surplus = fleet.p_min[marginal] - outputs[marginal]
-        outputs[marginal] = fleet.p_min[marginal]
-        for i in reversed(fleet.merit_order):
-            if surplus <= 0.0:
-                break
-            if i == marginal or outputs[i] <= 0.0:
-                continue
-            room = outputs[i] - fleet.p_min[i]
-            cut = min(room, surplus)
-            outputs[i] -= cut
-            surplus -= cut
-        if surplus > BALANCE_TOL_MW and res_target > 0.0:
-            cut = min(res_target, surplus)
-            scale = (res_target - cut) / res_target
-            outputs[fleet.nonsync] *= scale
-            res_target -= cut
-            surplus -= cut
-        if surplus > BALANCE_TOL_MW:
-            # running floors exceed demand: over-generation infeasibility
-            return DispatchHour(
-                hour=hour,
-                outputs_mw=np.zeros(n),
-                demand_mw=demand,
-                curtailed_mw=0.0,
-                snsp=0.0,
-                feasible=False,
-                deficit_mw=-surplus,
-            )
+    hours = np.flatnonzero(marginal >= 0)
+    unit = marginal[hours]
+    below = (0.0 < outputs[hours, unit]) & (outputs[hours, unit] < p_min[unit])
+    hours, unit = hours[below], unit[below]
+    surplus = p_min[unit] - outputs[hours, unit]
+    outputs[hours, unit] = p_min[unit]
+    for i in fleet.merit_order[::-1]:
+        cut_from = (surplus > 0.0) & (unit != i) & (outputs[hours, i] > 0.0)
+        room = outputs[hours[cut_from], i] - p_min[i]
+        cut = np.minimum(room, surplus[cut_from])
+        outputs[hours[cut_from], i] -= cut
+        surplus[cut_from] -= cut
+    spill = (surplus > BALANCE_TOL_MW) & (res_target[hours] > 0.0)
+    target = res_target[hours[spill]]
+    cut = np.minimum(target, surplus[spill])
+    outputs[np.ix_(hours[spill], nonsync)] *= ((target - cut) / target)[:, None]
+    surplus[spill] -= cut
+    # running floors exceed demand: over-generation infeasibility
+    over = surplus > BALANCE_TOL_MW
+    feasible[hours[over]] = False
+    deficit[hours[over]] = -surplus[over]
 
-    curtailed = total_available - float(outputs[fleet.nonsync].sum())
-    snsp = float(outputs[fleet.nonsync].sum()) / demand if demand > 0 else 0.0
-    return DispatchHour(
-        hour=hour,
-        outputs_mw=outputs,
-        demand_mw=demand,
-        curtailed_mw=max(curtailed, 0.0),
-        snsp=snsp,
-    )
+    outputs[~feasible] = 0.0
+    res_output = outputs[:, nonsync].sum(axis=1)
+    curtailed = np.where(feasible, np.maximum(total_available - res_output, 0.0), 0.0)
+    snsp = np.divide(res_output, demand, out=np.zeros_like(demand),
+                     where=feasible & (demand > 0))
+    return outputs, curtailed, snsp, feasible, deficit
 
 
 def merit_order_dispatch(
@@ -249,22 +239,22 @@ def merit_order_dispatch(
     demand_mw: float,
     res_factors: dict[str, float],
     snsp_cap: float,
-    hour: int = 0,
 ) -> DispatchHour:
     """Solve a single hour. ``res_factors`` maps renewable generator ids to
     availability in [0, 1]; non-synchronous units without an entry count as
     fully available."""
     if demand_mw < 0:
         raise DispatchInputError("demand must be non-negative")
-    if not (0 < snsp_cap <= 1):
-        raise DispatchInputError("snsp_cap must lie in (0, 1]")
     fleet = _Fleet(model)
     factors = np.array(
-        [res_factors.get(gid, 1.0) for gid in fleet.gen_ids], dtype=float
+        [[res_factors.get(gid, 1.0) for gid in fleet.gen_ids]], dtype=float
     )
     if (factors < 0).any() or (factors > 1).any():
         raise DispatchInputError("availability factors must lie in [0, 1]")
-    return _dispatch_hour(fleet, hour, float(demand_mw), factors, snsp_cap)
+    outputs, *scalars = _dispatch(
+        fleet, np.array([demand_mw], dtype=float), factors, snsp_cap
+    )
+    return DispatchHour(outputs[0], *(column.item() for column in scalars))
 
 
 def run_year(
@@ -274,9 +264,8 @@ def run_year(
     snsp_cap: float,
     scenario: str = "",
 ) -> DispatchYear:
-    """8,760 independent merit-order solves assembled in hour order."""
-    if not (0 < snsp_cap <= 1):
-        raise DispatchInputError("snsp_cap must lie in (0, 1]")
+    """The year's merit-order dispatch, every hour solved on its own inputs,
+    all hours in one pass of the solver."""
     fleet = _Fleet(model)
     for g in model.generators:
         if g.kind in ("wind", "solar") and g.id not in availability.factors:
@@ -287,19 +276,11 @@ def run_year(
     for j, gid in enumerate(fleet.gen_ids):
         if gid in availability.factors:
             factor_matrix[:, j] = availability.factors[gid]
-
-    hours = [
-        _dispatch_hour(fleet, h, float(profile.demand_mw[h]), factor_matrix[h], snsp_cap)
-        for h in range(HOURS_PER_YEAR)
-    ]
+    outputs, curtailed, snsp, feasible, _ = _dispatch(
+        fleet, profile.demand_mw, factor_matrix, snsp_cap
+    )
     return DispatchYear(
-        outputs_mw=np.array([h.outputs_mw for h in hours]),
-        curtailed_mw=np.array([h.curtailed_mw for h in hours]),
-        snsp=np.array([h.snsp for h in hours]),
-        feasible=np.array([h.feasible for h in hours]),
-        generator_ids=fleet.gen_ids,
-        snsp_cap=snsp_cap,
-        scenario=scenario,
+        outputs, curtailed, snsp, feasible, fleet.gen_ids, snsp_cap, scenario
     )
 
 

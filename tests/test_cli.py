@@ -102,18 +102,33 @@ def test_empty_voltage_levels_flag_exits_2(tmp_path, capsys):
         ("summer_months", [4.5]),
         ("scenario", 3),
         ("inputs", 5),
+        # Python's json reads NaN and Infinity
+        ("system_base_mva", float("nan")),
+        ("system_base_mva", float("inf")),
+        ("bisection_tol_pp", float("nan")),
+        ("voltage_levels", [float("nan")]),
+        # an entry the study never reads, next to the one it does
+        ("inputs", {"demand_peak": "demand.csv"}),
     ],
 )
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     config, _ = _study(tmp_path, cases.triangle_case())
     cfg = json.loads(config.read_text())
     if key == "inputs":
-        cfg["inputs"]["demand"] = value
+        cfg["inputs"].update(value if isinstance(value, dict) else {"demand": value})
     else:
         cfg[key] = value
     config.write_text(json.dumps(cfg))
     assert main(["run-all", "--config", str(config)]) == 2
     _one_line_error(capsys, key)
+
+
+def test_non_finite_voltage_levels_flag_exits_2(tmp_path, capsys):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    with pytest.raises(SystemExit) as exit_:
+        main(["run-all", "--config", str(config), "--voltage-levels", "110,nan"])
+    assert exit_.value.code == 2
+    assert "--voltage-levels" in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):
