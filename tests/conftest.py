@@ -124,3 +124,10 @@ def two_bus_model(x: float = 0.1, rating: float = 100.0) -> NetworkModel:
         ),
         slack_bus="B1",
     )
+
+
+def fleet_model(gens) -> NetworkModel:
+    """Two buses and one line around a fleet; every generator bus exists."""
+    buses = tuple(Bus(f"B{i}", f"B{i}", 110.0, "W") for i in (1, 2))
+    lines = (Line("L1", "B1", "B2", 0.1, 1000.0, 1000.0),)
+    return NetworkModel(buses=buses, lines=lines, generators=tuple(gens), slack_bus="B1")

@@ -17,12 +17,7 @@ from pfcplan.dispatch import (
 )
 from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel
 
-
-def _fleet_model(gens):
-    # string of buses so every generator bus exists
-    buses = tuple(Bus(f"B{i}", f"B{i}", 110.0, "W") for i in (1, 2))
-    lines = (Line("L1", "B1", "B2", 0.1, 1000.0, 1000.0),)
-    return NetworkModel(buses=buses, lines=lines, generators=tuple(gens), slack_bus="B1")
+from conftest import fleet_model
 
 
 def _thermal(gid, p_max, srmc, p_min=0.0, bus="B1"):
@@ -34,7 +29,7 @@ def _wind(gid, p_max, bus="B1"):
 
 
 def test_single_unit_balances_demand():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0)])
     hour = merit_order_dispatch(model, 100.0, {}, snsp_cap=0.65)
     assert hour.outputs_mw[0] == pytest.approx(100.0)
     assert hour.snsp == 0.0
@@ -43,7 +38,7 @@ def test_single_unit_balances_demand():
 
 
 def test_snsp_cap_binds_wind_scaled_and_curtailed():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 100.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 100.0)])
     hour = merit_order_dispatch(model, 100.0, {"W1": 0.8}, snsp_cap=0.65)
     by_id = dict(zip(model.generator_ids, hour.outputs_mw))
     assert by_id["W1"] == pytest.approx(65.0)  # capped at 0.65 * 100
@@ -53,7 +48,7 @@ def test_snsp_cap_binds_wind_scaled_and_curtailed():
 
 
 def test_capacity_shortfall_yields_infeasible_record():
-    model = _fleet_model([_thermal("G1", 400.0, 30.0)])
+    model = fleet_model([_thermal("G1", 400.0, 30.0)])
     hour = merit_order_dispatch(model, 500.0, {}, snsp_cap=0.65)
     assert not hour.feasible
     assert hour.deficit_mw == pytest.approx(100.0)
@@ -61,7 +56,7 @@ def test_capacity_shortfall_yields_infeasible_record():
 
 
 def test_merit_order_cheapest_first_with_id_tiebreak():
-    model = _fleet_model(
+    model = fleet_model(
         [
             _thermal("G_b", 50.0, 20.0),
             _thermal("G_a", 50.0, 20.0),  # same cost, earlier id
@@ -76,7 +71,7 @@ def test_merit_order_cheapest_first_with_id_tiebreak():
 
 
 def test_p_min_clamp_pulls_back_cheaper_unit():
-    model = _fleet_model(
+    model = fleet_model(
         [_thermal("G1", 100.0, 10.0), _thermal("G2", 50.0, 20.0, p_min=20.0)]
     )
     hour = merit_order_dispatch(model, 110.0, {}, snsp_cap=0.65)
@@ -87,7 +82,7 @@ def test_p_min_clamp_pulls_back_cheaper_unit():
 
 
 def test_res_only_demand_no_cap():
-    model = _fleet_model([_wind("W1", 100.0)])
+    model = fleet_model([_wind("W1", 100.0)])
     hour = merit_order_dispatch(model, 40.0, {"W1": 0.5}, snsp_cap=1.0)
     assert hour.outputs_mw[0] == pytest.approx(40.0)  # demand binds, not cap
     assert hour.curtailed_mw == pytest.approx(10.0)
@@ -97,7 +92,7 @@ def test_res_only_demand_no_cap():
 def test_p_min_surplus_spills_into_res_curtailment():
     # the only thermal unit is clamped to its floor; with no cheaper unit to
     # back off, the excess comes out of the wind instead
-    model = _fleet_model(
+    model = fleet_model(
         [_thermal("G1", 100.0, 10.0, p_min=50.0), _wind("W1", 100.0)]
     )
     hour = merit_order_dispatch(model, 100.0, {"W1": 0.8}, snsp_cap=1.0)
@@ -109,7 +104,7 @@ def test_p_min_surplus_spills_into_res_curtailment():
 
 
 def test_p_min_overgeneration_is_infeasible():
-    model = _fleet_model([_thermal("G1", 200.0, 10.0, p_min=150.0)])
+    model = fleet_model([_thermal("G1", 200.0, 10.0, p_min=150.0)])
     hour = merit_order_dispatch(model, 100.0, {}, snsp_cap=0.65)
     assert not hour.feasible
     assert hour.deficit_mw == pytest.approx(-50.0)  # running floor above demand
@@ -122,7 +117,7 @@ def _constant_profile(demand):
 
 
 def test_run_year_constant_inputs_identical_hours():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 50.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 50.0)])
     year = run_year(
         model,
         _constant_profile(100.0),
@@ -135,7 +130,7 @@ def test_run_year_constant_inputs_identical_hours():
 
 
 def test_run_year_zero_demand_zero_output():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0)])
     year = run_year(
         model, _constant_profile(0.0), ResAvailability(factors={}), snsp_cap=0.65
     )
@@ -143,7 +138,7 @@ def test_run_year_zero_demand_zero_output():
 
 
 def test_run_year_flags_single_infeasible_hour():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0)])
     demand = np.full(HOURS_PER_YEAR, 100.0)
     demand[4000] = 500.0
     year = run_year(
@@ -157,7 +152,7 @@ def test_run_year_flags_single_infeasible_hour():
 
 
 def test_run_year_requires_availability_for_renewables():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 50.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0), _wind("W1", 50.0)])
     with pytest.raises(DispatchInputError, match="W1"):
         run_year(
             model, _constant_profile(100.0), ResAvailability(factors={}), snsp_cap=0.65
@@ -168,7 +163,7 @@ def test_run_year_requires_availability_for_renewables():
 
 
 def test_two_bus_injection_vector():
-    model = _fleet_model([_thermal("G1", 200.0, 30.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0)])
     profile = _constant_profile(100.0)
     year = run_year(model, profile, ResAvailability(factors={}), snsp_cap=0.65)
     inj = injection_matrix(model, year, profile)
@@ -208,7 +203,7 @@ def _random_fleet(rng, n_thermal=4, n_wind=2):
         for i in range(n_thermal)
     ]
     gens += [_wind(f"W{i}", rng.uniform(30, 120)) for i in range(n_wind)]
-    return _fleet_model(gens)
+    return fleet_model(gens)
 
 
 def test_energy_balance_and_cap_over_random_hours():
@@ -258,7 +253,7 @@ def test_merit_order_no_inversion_on_zero_pmin_fleets():
 
 
 def test_curtailment_monotone_in_snsp_cap():
-    model = _fleet_model([_thermal("G1", 300.0, 30.0), _wind("W1", 120.0)])
+    model = fleet_model([_thermal("G1", 300.0, 30.0), _wind("W1", 120.0)])
     demand, factor = 150.0, 0.9
     caps = np.linspace(0.1, 1.0, 10)
     curtailed = [
@@ -280,7 +275,7 @@ def _grid30_year():
 def _one_infeasible_hour_year():
     demand = np.full(HOURS_PER_YEAR, 100.0)
     demand[4000] = 500.0
-    model = _fleet_model([_thermal("G1", 200.0, 30.0), _thermal("G2", 150.0, 20.0)])
+    model = fleet_model([_thermal("G1", 200.0, 30.0), _thermal("G2", 150.0, 20.0)])
     profile = DemandProfile(demand_mw=demand, bus_shares={"B2": 1.0})
     return model, profile, ResAvailability(factors={}), 0.65
 
@@ -289,7 +284,7 @@ def _curtailing_year():
     # wind available up to 120 MW against a 20% SNSP cap on 100-160 MW demand
     hours = np.arange(HOURS_PER_YEAR)
     demand = 130.0 + 30.0 * np.sin(hours / 24.0)
-    model = _fleet_model([_thermal("G1", 300.0, 30.0), _wind("W1", 120.0)])
+    model = fleet_model([_thermal("G1", 300.0, 30.0), _wind("W1", 120.0)])
     profile = DemandProfile(demand_mw=demand, bus_shares={"B2": 1.0})
     factors = {"W1": (hours % 97) / 96.0}
     return model, profile, ResAvailability(factors=factors), 0.2

@@ -42,7 +42,7 @@ from pfcplan.network import (
 from pfcplan.screening import BaseFlows, effective_rating_matrix, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
-from conftest import balanced_injection, dense_dc_flows, graph_bridges
+from conftest import balanced_injection, dense_dc_flows, fleet_model, graph_bridges
 
 # hours spread over the year, so both seasons and their ratings appear
 HOURS = np.linspace(0, 8759, 12).round().astype(int)
@@ -708,12 +708,6 @@ def reference_dispatch_hour(fleet, demand, factors, snsp_cap):
     return outputs, max(curtailed, 0.0), snsp, True, 0.0
 
 
-def _fleet_model(gens):
-    buses = (Bus("B1", "B1", 110.0, "W"), Bus("B2", "B2", 110.0, "W"))
-    lines = (Line("L1", "B1", "B2", 0.1, 1000.0, 1000.0),)
-    return NetworkModel(buses=buses, lines=lines, generators=tuple(gens), slack_bus="B1")
-
-
 @st.composite
 def dispatch_hours(draw):
     """A fleet of 1-16 units in random model order (thermal units with p_min
@@ -737,7 +731,7 @@ def dispatch_hours(draw):
     for k in range(n_thermal, n_thermal + n_res):
         kind = draw(st.sampled_from(("wind", "solar")))
         gens.append(Generator(f"R{ids[k]}", "B2", kind, draw(size), 0.0, 0.0, False))
-    model = _fleet_model(draw(st.permutations(gens)))
+    model = fleet_model(draw(st.permutations(gens)))
 
     fleet = _Fleet(model)
     capacity = fleet.p_max.sum()
@@ -766,11 +760,11 @@ def _hour_bits(outputs, curtailed, snsp, feasible, deficit):
 @SETTINGS
 @given(dispatch_hours())
 # the marginal unit's floor is taken back from the cheaper unit
-@example((_fleet_model([Generator("G1", "B1", "thermal", 100.0, 0.0, 10.0, True),
+@example((fleet_model([Generator("G1", "B1", "thermal", 100.0, 0.0, 10.0, True),
                         Generator("G2", "B1", "thermal", 50.0, 20.0, 20.0, True)]),
           [(110.0, {})], 0.65))
 # the floor spills into wind curtailment, or over-generates past it
-@example((_fleet_model([Generator("G1", "B1", "thermal", 100.0, 50.0, 10.0, True),
+@example((fleet_model([Generator("G1", "B1", "thermal", 100.0, 50.0, 10.0, True),
                         Generator("W1", "B2", "wind", 100.0, 0.0, 0.0, False)]),
           [(100.0, {"W1": 0.8}), (30.0, {"W1": 0.1}), (500.0, {"W1": 0.5})], 1.0))
 def test_dispatch_is_the_scalar_reference_bit_for_bit(case):
