@@ -135,6 +135,8 @@ class _Pattern:
     -1/x at both off-diagonals. ``stamp_line`` and ``stamp_sign`` list the
     stamps that land in the reduced matrix in the order the COO-to-CSC
     conversion adds them, and ``slots`` the data slot each is added into.
+    ``structure`` is the reduced matrix itself: every system built on the
+    pattern shares its checked indices and pointers and sets its own data.
     """
 
     kept: np.ndarray  # in-service positions of the kept lines, in model order
@@ -146,8 +148,7 @@ class _Pattern:
     stamp_line: np.ndarray
     stamp_sign: np.ndarray
     slots: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    structure: sp.csc_matrix
     slack_index: int
     non_slack: np.ndarray
 
@@ -205,14 +206,13 @@ def _derive_pattern(model: NetworkModel, exclude_line: str | None) -> _Pattern:
         stamp_line=stamps[inside] // 4,
         stamp_sign=np.where(stamps[inside] % 4 < 2, 1.0, -1.0),
         slots=slots[inside],
-        indices=reduced.indices,
-        indptr=reduced.indptr,
+        structure=reduced,
         slack_index=slack,
         non_slack=non_slack,
     )
-    for value in vars(pattern).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False  # shared by every system built from it
+    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    for value in arrays + [reduced.data, reduced.indices, reduced.indptr]:
+        value.flags.writeable = False  # shared by every system built from it
     return pattern
 
 
@@ -270,11 +270,10 @@ def _factorize(
     data = np.bincount(
         pattern.slots,
         weights=suscept[pattern.stamp_line] * pattern.stamp_sign,
-        minlength=len(pattern.indices),
+        minlength=pattern.structure.nnz,
     )
-    reduced = sp.csc_matrix(
-        (data, pattern.indices, pattern.indptr), shape=(len(pattern.non_slack),) * 2
-    )
+    reduced = sp.csc_matrix(pattern.structure)  # shares its structure, unchecked
+    reduced.data = data
 
     factorizations += 1
     try:

@@ -10,17 +10,24 @@ reach the near threshold in any hour (Brandwajn's bound): the post-outage flow
 f_l + LODF[l,k] f_k never exceeds max_h|f_l| + |LODF[l,k]| max_h|f_k| in
 magnitude, and a record needs more than near% of the line's lowest effective
 rating. The bound holds for every hour, and a relative margin of 1e-9 covers
-the rounding of both sides, so a pruned pair never holds a record. For each
-outage only the surviving columns are computed, all hours at once, with the
-same multiply-then-add per element as the unpruned superposition, so every
-loading keeps its bits.
+the rounding of both sides, so a pruned pair never holds a record.
+
+Both stages find their records with one hit kernel over flows laid out lines
+x hours: Stage 1 passes the monitored rows of the intact flows, and Stage 2,
+per outage, the surviving rows of f_l + LODF[l,k] f_k, the product and sum
+the unpruned superposition makes. The kernel loads only the cells whose |f|
+exceeds near% of the line's lower effective rating, less the same relative
+margin, which no record can fall below; each of those cells gets the unpruned
+scan's 100 |f| / r against the rating of its hour's season, so every loading
+keeps its bits and no dense loading matrix is formed.
 
 Records are emitted for loadings strictly above the near threshold (default
 90%); the near class covers (90%, 100%] and the overload class (100%, inf), so
 the two classes partition everything above 90%. A loading of exactly 90%
-produces no record. Records are held as column arrays (``OverloadRecords``),
-always ordered by hour, then contingency id (intact first), then line id;
-``OverloadRecord`` is the row view iteration yields.
+produces no record. Records are held as column arrays (``OverloadRecords``,
+indices as int32), always ordered by hour, then contingency id (intact
+first), then line id, through one int64 key; ``OverloadRecord`` is the row
+view iteration yields.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``. Line and contingency cells index
@@ -69,7 +76,7 @@ class OverloadRecord(NamedTuple):
 
 # column -> dtype, in OverloadRecord field order
 _RECORD_COLUMNS = {
-    "line": np.int64, "hour": np.int64, "contingency": np.int64,
+    "line": np.int32, "hour": np.int32, "contingency": np.int32,
     "loading_pct": np.float64, "excess_mw": np.float64, "overload": bool,
 }
 
@@ -94,17 +101,25 @@ class OverloadRecords:
     overload: np.ndarray  # True: overload class, False: near class
 
     def __post_init__(self):
-        order = sorted(range(len(self.line_ids)), key=self.line_ids.__getitem__)
-        rank = np.empty(len(self.line_ids) + 1, dtype=np.int64)
-        rank[order] = np.arange(len(order))
+        n = len(self.line_ids)
+        order = sorted(range(n), key=self.line_ids.__getitem__)
+        rank = np.empty(n + 1, dtype=np.int64)
+        rank[order] = np.arange(n)
         rank[-1] = -1  # the intact network sorts first
         columns = {
             name: np.asarray(getattr(self, name), dtype=dtype)
             for name, dtype in _RECORD_COLUMNS.items()
         }
-        perm = np.lexsort((
-            rank[columns["line"]], rank[columns["contingency"]], columns["hour"]
-        ))
+        # (hour, contingency rank + 1, line rank) as one int64 in base n + 1;
+        # a stable sort keeps record sets that are already ordered runs cheap
+        key = columns["hour"].astype(np.int64)
+        key *= n + 1
+        key += rank[columns["contingency"]]
+        key += 1
+        key *= n + 1
+        key += rank[columns["line"]]
+        perm = np.argsort(key, kind="stable")
+        del key
         for name, column in columns.items():
             object.__setattr__(self, name, column[perm])
 
@@ -144,7 +159,7 @@ class OverloadRecords:
             lid for lid in other.line_ids if lid not in known
         )
         pos = {lid: i for i, lid in enumerate(line_ids)}
-        remap = np.array([pos[lid] for lid in other.line_ids] + [-1], dtype=np.int64)
+        remap = np.array([pos[lid] for lid in other.line_ids] + [-1], dtype=np.int32)
         return OverloadRecords(
             line_ids,
             np.concatenate([self.line, remap[other.line]]),
@@ -247,6 +262,16 @@ class BaseFlows:
     line_ids: tuple[str, ...]
 
 
+def _season_ratings(
+    model: NetworkModel, line_ids: tuple[str, ...], calendar: SeasonCalendar
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective (derated) summer and winter MW ratings of ``line_ids``."""
+    keep = 1.0 - calendar.derate_factor
+    summer = np.array([model.line_by_id[lid].rating_summer_mw for lid in line_ids])
+    winter = np.array([model.line_by_id[lid].rating_winter_mw for lid in line_ids])
+    return summer * keep, winter * keep
+
+
 def effective_rating_matrix(
     model: NetworkModel,
     line_ids: tuple[str, ...],
@@ -254,25 +279,34 @@ def effective_rating_matrix(
     calendar: SeasonCalendar,
 ) -> np.ndarray:
     """Effective MW ratings, shape (n_hours, n_lines)."""
-    summer = np.array(
-        [model.line_by_id[lid].rating_summer_mw for lid in line_ids]
-    )
-    winter = np.array(
-        [model.line_by_id[lid].rating_winter_mw for lid in line_ids]
-    )
-    seasonal = np.where(calendar.summer_mask[hours][:, None], summer, winter)
-    return seasonal * (1.0 - calendar.derate_factor)
+    summer, winter = _season_ratings(model, line_ids, calendar)
+    return np.where(calendar.summer_mask[hours][:, None], summer, winter)
 
 
-def _hits(flows, ratings, near_pct, overload_pct):
-    """Hour row, column, loading, excess and class of every loading above
-    ``near_pct``, for flows and ratings of the same shape."""
-    loading = 100.0 * np.abs(flows) / ratings
-    rows, cols = np.nonzero(loading > near_pct)
-    pct = loading[rows, cols]
+def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
+    """Every loading above ``near_pct`` in ``flows_t``, the flows of
+    ``lines`` laid out lines x hours, which it overwrites with |f|.
+
+    ``summer`` and ``winter`` are the effective ratings of every line and
+    ``is_summer`` marks the summer hours (columns). Only the cells whose |f|
+    exceeds the line's floor, near% of its lower rating less ``PRUNE_MARGIN``,
+    are loaded: a record needs fl(fl(100 |f|) / r) > near, so
+    |f| > near r / 100 (1 - 2^-51), and the margin is far above that
+    rounding. Returns the number of those cells and, per record, its line,
+    hour column, loading, excess (0 for near records) and class.
+    """
+    magnitude = np.abs(flows_t, out=flows_t)
+    floor = np.minimum(summer, winter)[lines] * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
+    rows, cols = np.nonzero(magnitude > floor[:, None])
+    a = magnitude[rows, cols]
+    line = lines[rows]
+    r = np.where(is_summer[cols], summer[line], winter[line])
+    pct = 100.0 * a / r
+    hit = np.flatnonzero(pct > near_pct)
+    pct = pct[hit]
     over = pct > overload_pct
-    excess = np.where(over, np.abs(flows[rows, cols]) - ratings[rows, cols], 0.0)
-    return rows, cols, pct, excess, over
+    excess = np.where(over, a[hit] - r[hit], 0.0)
+    return len(rows), line[hit], cols[hit], pct, excess, over
 
 
 def _monitored_columns(
@@ -280,7 +314,7 @@ def _monitored_columns(
 ) -> np.ndarray:
     return np.array(
         [i for i, lid in enumerate(line_ids) if monitored is None or lid in monitored],
-        dtype=int,
+        dtype=np.int32,  # the record columns' dtype
     )
 
 
@@ -309,19 +343,17 @@ def stage1_scan(
             f"(residual {residuals.max():.3e} MW)"
         )
     angles = dcflow.solve_angles_batch(system, inj.T)
-    flows = dcflow.flows_from_angles(system, angles).T  # (n_hours, n_lines)
-    base = BaseFlows(hours=hours, flows_mw=flows, line_ids=system.line_ids)
+    flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
+    base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
 
     columns = _monitored_columns(system.line_ids, monitored)
-    ratings = effective_rating_matrix(
-        model, tuple(system.line_ids[i] for i in columns), hours, calendar
-    )
-    rows, cols, pct, excess, over = _hits(
-        flows[:, columns], ratings, near_pct, overload_pct
+    summer, winter = _season_ratings(model, system.line_ids, calendar)
+    _, line, cols, pct, excess, over = _hits(
+        flows_t[columns], columns, summer, winter, calendar.summer_mask[hours],
+        near_pct, overload_pct,
     )
     records = OverloadRecords(
-        system.line_ids, columns[cols], hours[rows], np.full(len(rows), -1),
-        pct, excess, over,
+        system.line_ids, line, hours[cols], np.full(len(line), -1), pct, excess, over,
     )
     return records, base
 
@@ -333,8 +365,9 @@ def screened_pairs(
 
     A pair is kept when max_h|f_l| + |LODF[l,k]| max_h|f_k|, raised by
     ``PRUNE_MARGIN``, exceeds near% of the line's lowest effective rating in
-    ``ratings`` (hours x lines). No other pair can hold a record. Islanding
-    outages (NaN columns) and the outaged line itself keep no pair.
+    ``ratings`` (one row per hour, or per season in the hours; one column
+    per line). No other pair can hold a record. Islanding outages (NaN
+    columns) and the outaged line itself keep no pair.
     """
     peak = np.abs(base.flows_mw).max(axis=0, initial=0.0)
     bound = peak[:, None] + np.abs(lodf.matrix) * peak
@@ -364,12 +397,16 @@ def stage2_scan(
         raise ValueError("base flows and LODF cover different line sets")
     columns = _monitored_columns(base.line_ids, monitored)
     outage_ids = outages if outages is not None else base.line_ids
-    ratings = effective_rating_matrix(model, base.line_ids, base.hours, calendar)
-    kept = screened_pairs(base, lodf, ratings, near_pct)
-    flows = base.flows_mw
+    summer, winter = _season_ratings(model, base.line_ids, calendar)
+    is_summer = calendar.summer_mask[base.hours]
+    # the ratings of the seasons the hours cover, one row each
+    seasons = np.array([summer, winter])[np.array([is_summer.any(), not is_summer.all()])]
+    kept = screened_pairs(base, lodf, seasons, near_pct)
+    flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
+    hours = base.hours.astype(np.int32)
 
     found = []
-    screened = skipped = n_kept = n_pairs = 0
+    screened = skipped = n_kept = n_pairs = n_cells = 0
     for outage in outage_ids:
         k = base.line_ids.index(outage)
         if lodf.islanding[k]:
@@ -379,21 +416,25 @@ def stage2_scan(
         screened += 1
         n_kept += len(cols)
         n_pairs += len(columns) - int(k in columns)
-        post = flows[:, cols] + flows[:, k, None] * lodf.matrix[cols, k]
-        rows, hit, pct, excess, over = _hits(
-            post, ratings[:, cols], near_pct, overload_pct
+        post = flows_t[cols]
+        post += lodf.matrix[cols, k, None] * flows_t[k]
+        cells, line, hour, pct, excess, over = _hits(
+            post, cols, summer, winter, is_summer, near_pct, overload_pct
         )
+        n_cells += cells
         found.append(
-            (cols[hit], base.hours[rows], np.full(len(rows), k), pct, excess, over)
+            (line, hours[hour], np.full(len(line), k, dtype=np.int32), pct, excess, over)
         )
-    log.info(
-        "stage 2: %d outages screened, %d bridge outages skipped, "
-        "%d of %d (line, outage) pairs kept",
-        screened, skipped, n_kept, n_pairs,
-    )
-    return OverloadRecords(
+    records = OverloadRecords(
         base.line_ids, *([np.concatenate(c) for c in zip(*found)] or [()] * 6)
     )
+    log.info(
+        "stage 2: %d outages screened, %d bridge outages skipped, "
+        "%d of %d (line, outage) pairs kept, %d pair-hours above the floor, "
+        "%d records",
+        screened, skipped, n_kept, n_pairs, n_cells, len(records),
+    )
+    return records
 
 
 def _group_max(keys: np.ndarray, values: np.ndarray):
@@ -417,7 +458,7 @@ def summarize(
     if not len(records):
         return [], {}
     n_ids = len(records.line_ids)
-    line, over = records.line, records.overload
+    line, over = records.line.astype(np.int64), records.overload  # keys below pass 2**31
     lines, max_loading = _group_max(line, records.loading_pct)
     # (line, hour) and (line, contingency) pairs as one integer key each
     stride = int(records.hour.max()) + 1

@@ -275,8 +275,11 @@ def _size_increases(
         for i, (_, rating) in enumerate(cases)
         if f_zero[i] > rating and f_cap[i] <= rating
     }
+    # a case closes at the tolerance, or once its bounds are adjacent floats
+    # and the midpoint is one of them
     while mids := {
-        i: 0.5 * (lo + hi) for i, (lo, hi) in bounds.items() if hi - lo > tol_pp
+        i: 0.5 * (lo + hi) for i, (lo, hi) in bounds.items()
+        if hi - lo > tol_pp and lo < 0.5 * (lo + hi) < hi
     }:
         for i in sorted(mids, key=lambda i: (cases[i][0].contingency or "", mids[i])):
             within = target_flow(i, mids[i]) <= cases[i][1]

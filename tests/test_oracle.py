@@ -4,8 +4,9 @@ Each example is a small connected mesh with parallel lines, radial spurs
 (bridges), a random slack bus, balanced hourly injections and seasonal
 ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
 superposition is checked against exact re-solves without the line, the
-bound-pruned ``stage2_scan`` against the dense, unpruned superposition,
-``build_system``'s pattern-cached assembly and its kept systems against the
+bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
+with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
+on monitored subsets against a dense scalar scan, ``build_system``'s pattern-cached assembly and its kept systems against the
 COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
 bisection of each pair group on its own, and ``assess_target`` as a whole
 against a Stage 3 on fresh reference solves. Merit-order dispatch, a year
@@ -33,7 +34,7 @@ from pfcplan.dcflow import (
     susceptance_matrix,
 )
 from pfcplan.dispatch import (
-    BALANCE_TOL_MW, DemandProfile, ResAvailability, _Fleet, injection_matrix,
+    BALANCE_TOL_MW, DemandProfile, DispatchYear, ResAvailability, _Fleet, injection_matrix,
     merit_order_dispatch, run_year,
 )
 from pfcplan.network import (
@@ -183,6 +184,138 @@ def test_pruned_stage2_equals_the_unpruned_scan(mesh):
     index = {lid: i for i, lid in enumerate(base.line_ids)}
     for line, _, outage, *_ in expected:
         assert kept[index[line], index[outage]], (line, outage)
+
+
+def reference_stage1(model, base, monitored, calendar, near_pct=90.0, overload_pct=100.0):
+    """The dense intact scan: 100 |f| / r per hour and monitored line, one
+    scalar at a time, against ``effective_rating``."""
+    rows = []
+    for li, lid in enumerate(base.line_ids):
+        if monitored is not None and lid not in monitored:
+            continue
+        line = model.line_by_id[lid]
+        for hi, hour in enumerate(base.hours.tolist()):
+            a = abs(float(base.flows_mw[hi, li]))
+            r = effective_rating(line, hour, calendar)
+            pct = 100.0 * a / r
+            if pct > near_pct:
+                over = pct > overload_pct
+                rows.append((lid, hour, None, pct, a - r if over else 0.0,
+                             "overload" if over else "near"))
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return rows
+
+
+def _dispatched(model, injections):
+    """``model`` with one generator per bus, a dispatch year whose feasible
+    hours are ``HOURS`` and inject the rows of ``injections``, and a zero
+    demand profile: what ``stage1_scan`` takes."""
+    gens = tuple(Generator(f"G{b.id}", b.id, "thermal", 1e6, 0.0, 10.0, True)
+                 for b in model.buses)
+    outputs = np.zeros((HOURS_PER_YEAR, len(gens)))
+    outputs[HOURS] = injections
+    feasible = np.zeros(HOURS_PER_YEAR, dtype=bool)
+    feasible[HOURS] = True
+    zeros = np.zeros(HOURS_PER_YEAR)
+    year = DispatchYear(outputs, zeros, zeros, feasible, tuple(g.id for g in gens), 1.0)
+    return (dataclasses.replace(model, generators=gens), year,
+            DemandProfile(zeros, {model.buses[0].id: 1.0}))
+
+
+def _stage1(model, injections, monitored=None):
+    model, year, profile = _dispatched(model, injections)
+    return stage1_scan(year, model, build_system(model), profile, CALENDAR, monitored)
+
+
+def _edge_model(mesh, line_ids, flows, near, offsets):
+    """``mesh`` rated so that each line's peak loading over ``flows`` (a list
+    of hours x lines arrays, columns in ``line_ids`` order) lies a few ulps
+    from ``near``: the summer rating that puts it at ``near``, stepped by the
+    line's entry of ``offsets`` ulps."""
+    season = np.where(CALENDAR.summer_mask[HOURS], 1.0, mesh.winter_factor)[:, None]
+    peak = dict(zip(line_ids, np.max([np.abs(f) / season for f in flows], axis=(0, 1))))
+    exact = np.array([max(peak[f"L{name}"], 1.0) for name in mesh.names])
+    exact *= 100.0 / near / (1.0 - CALENDAR.derate_factor)
+    return _model(mesh, (exact + np.array(offsets) * np.spacing(exact)).tolist())
+
+
+def _stage1_edge(mesh, near, offsets, monitored=None):
+    """A Stage 1 case whose intact peak loadings lie a few ulps from ``near``."""
+    model, injections, _, _ = _study(mesh)
+    _, base = _stage1(model, injections)
+    return _edge_model(mesh, base.line_ids, [base.flows_mw], near, offsets), injections, monitored
+
+
+def _stage2_edge(mesh, near, offsets):
+    """A Stage 2 case whose post-outage peak loadings lie a few ulps from ``near``."""
+    _, _, base, lodf = _study(mesh)
+    posts = [np.zeros_like(base.flows_mw)]
+    for k in np.flatnonzero(~lodf.islanding):
+        posts.append(base.flows_mw + np.outer(base.flows_mw[:, k], lodf.matrix[:, k]))
+        posts[-1][:, k] = 0.0  # the outaged line carries nothing
+    return _edge_model(mesh, base.line_ids, posts, near, offsets), base, lodf
+
+
+def _offsets(mesh):
+    return st.lists(st.integers(-4, 4), min_size=len(mesh.edges), max_size=len(mesh.edges))
+
+
+@st.composite
+def stage1_studies(draw):
+    """A mesh study, its ratings drawn or put a few ulps from 90% or 100%,
+    and a monitored subset of its lines (None: every line)."""
+    mesh = draw(meshes())
+    near = draw(st.sampled_from((None, 90.0, 100.0)))
+    if near is None:
+        model, injections, _, _ = _study(mesh)
+    else:
+        model, injections, _ = _stage1_edge(mesh, near, draw(_offsets(mesh)))
+    ids = sorted(model.line_by_id)
+    return model, injections, draw(st.none() | st.sets(st.sampled_from(ids)))
+
+
+@st.composite
+def stage2_edges(draw):
+    mesh = draw(meshes())
+    return _stage2_edge(mesh, draw(st.sampled_from((90.0, 100.0))), draw(_offsets(mesh)))
+
+
+@SETTINGS
+@given(stage1_studies())
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=4), 90.0, (-1, -1, -1)))
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (0, 1, -1), {"L3", "L12"}))
+def test_stage1_records_are_the_dense_scan(case):
+    model, injections, monitored = case
+    records, base = _stage1(model, injections, monitored)
+    expected = reference_stage1(model, base, monitored, CALENDAR)
+    assert [tuple(r) for r in records] == expected  # bit for bit
+
+
+@SETTINGS
+@given(stage2_edges())
+@example(_stage2_edge(dataclasses.replace(PARALLEL, seed=0), 90.0, (0, 0, 0)))
+@example(_stage2_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (1, -1, 0)))
+def test_stage2_records_at_the_class_edges_are_the_unpruned_scan(case):
+    model, base, lodf = case
+    expected = reference_stage2(base, lodf, model, CALENDAR)
+    assert [tuple(r) for r in stage2_scan(base, lodf, model, CALENDAR)] == expected
+
+
+def test_summarize_keys_do_not_wrap_past_46341_lines():
+    # (line, contingency) pairs key as line * n_ids + contingency, which
+    # passes 2**31 once the line indices pass 46,341
+    rows = [("L12", 5, "L13", 110.0, 8.5, "overload"), ("L12", 9, "L23", 102.0, 1.7, "overload"),
+            ("L13", 5, None, 95.0, 0.0, "near")]
+    small = screening.OverloadRecords.from_rows(rows)
+    pad = tuple(f"X{i:05d}" for i in range(50_000))
+    big = screening.OverloadRecords(
+        pad + small.line_ids, small.line + len(pad), small.hour,
+        np.where(small.contingency < 0, -1, small.contingency + len(pad)),
+        small.loading_pct, small.excess_mw, small.overload,
+    )
+    assert list(big) == list(small)
+    model = cases.triangle()
+    assert screening.summarize(big, model) == screening.summarize(small, model)
 
 
 def reference_system(model, exclude_line=None, reactance_scale=None) -> SusceptanceSystem:
@@ -342,7 +475,7 @@ def reference_size(model, injection, contingency, host, target, rating,
     if f_cap > rating:
         return None, f_zero, f_cap
     lo, hi = 0.0, cap_pct
-    while hi - lo > tol_pp:
+    while hi - lo > tol_pp and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if flow(mid) <= rating:
             hi = mid

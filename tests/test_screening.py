@@ -200,7 +200,8 @@ def test_stage2_logs_outages_bridges_and_pairs(caplog):
     _, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
     lodf = compute_lodf(compute_ptdf(system, case.model), case.model)
     # a triangle with a radial spur: its one bridge is skipped, and with no
-    # flow no (line, outage) pair of the 3 outages x 3 other lines is kept
+    # flow no (line, outage) pair of the 3 outages x 3 other lines is kept,
+    # so no pair-hour reaches the kernel
     spur = cases.triangle()
     spur = dataclasses.replace(
         spur,
@@ -215,9 +216,10 @@ def test_stage2_logs_outages_bridges_and_pairs(caplog):
         stage2_scan(idle, spur_lodf, spur, cases.flat_calendar())
     assert caplog.messages == [
         "stage 2: 41 outages screened, 0 bridge outages skipped, "
-        "109 of 1640 (line, outage) pairs kept",
+        "109 of 1640 (line, outage) pairs kept, "
+        "14095 pair-hours above the floor, 8028 records",
         "stage 2: 3 outages screened, 1 bridge outages skipped, "
-        "0 of 9 (line, outage) pairs kept",
+        "0 of 9 (line, outage) pairs kept, 0 pair-hours above the floor, 0 records",
     ]
 
 

@@ -96,6 +96,22 @@ def test_bisection_matches_closed_form_divider(triangle):
     assert abs(solve_flows(lower, _triangle_injections()).flow_of("L13")) > 55.0
 
 
+def test_bisection_below_float_spacing_ends_at_adjacent_floats(triangle):
+    # at 1e-20 pp the bracket shrinks until lo and hi are adjacent floats and
+    # their midpoint is one of them; the sizer returns hi there
+    cand = PfcCandidate(target_line="L13", pfc_line="L13", score=1.0)
+    delta = min_reactance_increase(
+        triangle, _triangle_injections(), None, cand, rating_mw=55.0, tol_pp=1e-20
+    )
+    assert delta == pytest.approx(300.0 / 11.0, rel=1e-12)
+
+    def flow(d):
+        system = build_system(triangle, reactance_scale={"L13": 1 + d / 100})
+        return abs(solve_flows(system, _triangle_injections()).flow_of("L13"))
+
+    assert flow(delta) <= 55.0 < flow(np.nextafter(delta, 0.0))
+
+
 def test_sizing_zero_when_rating_already_met(triangle):
     cand = PfcCandidate(target_line="L13", pfc_line="L13", score=1.0)
     delta = min_reactance_increase(
