@@ -50,18 +50,18 @@ def constant_demand(mw: float) -> np.ndarray:
     return np.full(HOURS_PER_YEAR, float(mw))
 
 
-def flat_calendar(derate: float = 0.0) -> SeasonCalendar:
+def flat_calendar() -> SeasonCalendar:
     """All-summer calendar; handy when a case sets effective ratings directly."""
     return SeasonCalendar(
-        summer_mask=np.ones(HOURS_PER_YEAR, dtype=bool), derate_factor=derate
+        summer_mask=np.ones(HOURS_PER_YEAR, dtype=bool), derate_factor=0.0
     )
 
 
-def _bus(bid: str, region: str = "Core", kv: float = 110.0) -> Bus:
-    return Bus(id=bid, name=bid, voltage_kv=kv, region=region)
+def _bus(bid: str, region: str = "Core") -> Bus:
+    return Bus(id=bid, name=bid, voltage_kv=110.0, region=region)
 
 
-def _line(lid, f, t, x, rating, rating_winter=None, in_service=True) -> Line:
+def _line(lid, f, t, x, rating, rating_winter=None) -> Line:
     return Line(
         id=lid,
         from_bus=f,
@@ -69,13 +69,10 @@ def _line(lid, f, t, x, rating, rating_winter=None, in_service=True) -> Line:
         reactance_pu=x,
         rating_summer_mw=rating,
         rating_winter_mw=rating_winter if rating_winter is not None else rating,
-        in_service=in_service,
     )
 
 
-def triangle(
-    ratings: dict[str, float] | None = None, slack: str = "B3"
-) -> NetworkModel:
+def triangle(ratings: dict[str, float] | None = None) -> NetworkModel:
     """Three buses in a loop, all reactances 1 pu: the hand-solvable mesh.
 
     A 90 MW transfer from B1 to B3 splits 60 MW on the direct line and 30 MW
@@ -95,17 +92,17 @@ def triangle(
                 srmc=25.0, synchronous=True,
             ),
         ),
-        slack_bus=slack,
+        slack_bus="B3",
     )
 
 
-def triangle_case(demand_mw: float = 90.0, ratings=None) -> StudyCase:
+def triangle_case(ratings=None) -> StudyCase:
     model = triangle(ratings=ratings)
     return StudyCase(
         name="triangle",
         model=model,
         profile=DemandProfile(
-            demand_mw=constant_demand(demand_mw),
+            demand_mw=constant_demand(90.0),
             bus_shares={"B3": 1.0},
         ),
         availability=ResAvailability(factors={}),

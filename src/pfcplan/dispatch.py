@@ -264,14 +264,16 @@ def run_year(
     snsp_cap: float,
     scenario: str = "",
 ) -> DispatchYear:
-    """The year's merit-order dispatch, every hour solved on its own inputs,
-    all hours in one pass of the solver."""
+    """The year's merit-order dispatch, every hour on its own inputs, in one
+    pass; each wind and solar generator has one availability series, and no other."""
     fleet = _Fleet(model)
-    for g in model.generators:
-        if g.kind in ("wind", "solar") and g.id not in availability.factors:
-            raise DispatchInputError(
-                f"no availability series for renewable generator {g.id}"
-            )
+    renewable = [g.id for g in model.generators if g.kind in ("wind", "solar")]
+    if missing := [gid for gid in renewable if gid not in availability.factors]:
+        raise DispatchInputError(
+            f"no availability series for renewable generator {missing[0]}"
+        )
+    if extra := sorted(set(availability.factors) - set(renewable)):
+        raise DispatchInputError(f"availability for no wind or solar generator: {extra[0]}")
     factor_matrix = np.ones((HOURS_PER_YEAR, len(fleet.gen_ids)))
     for j, gid in enumerate(fleet.gen_ids):
         if gid in availability.factors:

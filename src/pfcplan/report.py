@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from html import escape
 from pathlib import Path
 
 from .network import NetworkModel
@@ -156,7 +157,7 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
         f'<line x1="{margin_left}" y1="{margin_top + plot_h}" '
         f'x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" stroke="black"/>',
         f'<line x1="{margin_left}" y1="{margin_top}" '
@@ -182,7 +183,7 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10" '
-            f'transform="rotate(-45 {lx:.2f} {ly:.2f})">{label}</text>'
+            f'transform="rotate(-45 {lx:.2f} {ly:.2f})">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,9 +1,10 @@
 """Stage 1 (intact) and Stage 2 (N-1) overload screening over the study year.
 
 Stage 1 solves one DC load flow per feasible hour and checks every monitored
-line against its effective (derated) seasonal rating. Stage 2 reuses the
-retained hourly base flows and applies LODF columns, so the whole year of N-1
-scans costs a handful of matrix passes instead of 8,760 x n_outages re-solves.
+line against its effective (derated) seasonal rating, from the one source
+``network.effective_ratings``. Stage 2 reuses the retained hourly base flows
+and applies LODF columns, so the whole year of N-1 scans costs a handful of
+matrix passes instead of 8,760 x n_outages re-solves.
 
 Stage 2 first prunes every (monitored line l, outage k) pair that cannot
 reach the near threshold in any hour (Brandwajn's bound): the post-outage flow
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import dcflow
 from .dispatch import DemandProfile, DispatchYear, injection_matrix
-from .network import NetworkModel, SeasonCalendar
+from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .shift_factors import LodfMatrix
 from .tables import (
     CHUNK_ROWS, float_cell, read_input, select, text, text_cell, write_columns, write_csv,
@@ -190,8 +191,7 @@ class OverloadRecords:
         """The ``overloads.csv`` cells, one list per column in ``rows`` order,
         a chunk of records at a time."""
         ids = np.array([text_cell(lid) for lid in self.line_ids] + [""], dtype=object)
-        first, last = int(self.hour.min(initial=0)), int(self.hour.max(initial=0))
-        hours = np.array([str(h) for h in range(first, last + 1)], dtype=object)
+        hours = np.array([str(h) for h in range(self.hour.max(initial=0) + 1)], dtype=object)
         category = np.array(["near", "overload"], dtype=object)
         for start in range(0, len(self), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
@@ -201,7 +201,7 @@ class OverloadRecords:
             excess_cells[signed] = list(map(float_cell, excess[signed].tolist()))
             yield [
                 ids[self.line[part]].tolist(),
-                hours[self.hour[part] - first].tolist(),
+                hours[self.hour[part]].tolist(),
                 ids[self.contingency[part]].tolist(),
                 list(map(float_cell, self.loading_pct[part].tolist())),
                 excess_cells.tolist(),
@@ -260,27 +260,6 @@ class BaseFlows:
     hours: np.ndarray  # feasible hour indices, ascending
     flows_mw: np.ndarray  # shape (n_hours, n_lines)
     line_ids: tuple[str, ...]
-
-
-def _season_ratings(
-    model: NetworkModel, line_ids: tuple[str, ...], calendar: SeasonCalendar
-) -> tuple[np.ndarray, np.ndarray]:
-    """Effective (derated) summer and winter MW ratings of ``line_ids``."""
-    keep = 1.0 - calendar.derate_factor
-    summer = np.array([model.line_by_id[lid].rating_summer_mw for lid in line_ids])
-    winter = np.array([model.line_by_id[lid].rating_winter_mw for lid in line_ids])
-    return summer * keep, winter * keep
-
-
-def effective_rating_matrix(
-    model: NetworkModel,
-    line_ids: tuple[str, ...],
-    hours: np.ndarray,
-    calendar: SeasonCalendar,
-) -> np.ndarray:
-    """Effective MW ratings, shape (n_hours, n_lines)."""
-    summer, winter = _season_ratings(model, line_ids, calendar)
-    return np.where(calendar.summer_mask[hours][:, None], summer, winter)
 
 
 def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
@@ -347,7 +326,7 @@ def stage1_scan(
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
 
     columns = _monitored_columns(system.line_ids, monitored)
-    summer, winter = _season_ratings(model, system.line_ids, calendar)
+    summer, winter = effective_ratings(model, system.line_ids, calendar)
     _, line, cols, pct, excess, over = _hits(
         flows_t[columns], columns, summer, winter, calendar.summer_mask[hours],
         near_pct, overload_pct,
@@ -383,21 +362,19 @@ def stage2_scan(
     model: NetworkModel,
     calendar: SeasonCalendar,
     monitored: set[str] | None = None,
-    outages: tuple[str, ...] | None = None,
     near_pct: float = NEAR_PCT_DEFAULT,
     overload_pct: float = OVERLOAD_PCT_DEFAULT,
 ) -> OverloadRecords:
     """N-1 scan of every feasible hour against every non-islanding outage.
 
-    The same topology-only LODF matrix serves every hour. Islanding outages in
-    the candidate set are skipped (they are marked, not numeric). Only the
-    (line, outage) pairs ``screened_pairs`` keeps are computed.
+    The same topology-only LODF matrix serves every hour. Islanding outages
+    are skipped (they are marked, not numeric). Only the (line, outage) pairs
+    ``screened_pairs`` keeps are computed.
     """
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
     columns = _monitored_columns(base.line_ids, monitored)
-    outage_ids = outages if outages is not None else base.line_ids
-    summer, winter = _season_ratings(model, base.line_ids, calendar)
+    summer, winter = effective_ratings(model, base.line_ids, calendar)
     is_summer = calendar.summer_mask[base.hours]
     # the ratings of the seasons the hours cover, one row each
     seasons = np.array([summer, winter])[np.array([is_summer.any(), not is_summer.all()])]
@@ -407,8 +384,7 @@ def stage2_scan(
 
     found = []
     screened = skipped = n_kept = n_pairs = n_cells = 0
-    for outage in outage_ids:
-        k = base.line_ids.index(outage)
+    for k in range(len(base.line_ids)):
         if lodf.islanding[k]:
             skipped += 1
             continue

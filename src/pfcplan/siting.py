@@ -19,11 +19,12 @@ topology's factorization; the screening shift factors are never reused here
 because a reactance change invalidates them. Hours with identical injections,
 season, and contingency form one pair group, solved once and shared. A group
 checks its injections and contingency once and keeps the right-hand side
-(injections without the slack, per unit). A sizing step reads only the
+(injections without the slack, per unit) and its season's effective ratings
+from ``network.effective_ratings``, which sizing, the evaluation at the
+chosen increase and ``check_side_effects`` read. A sizing step reads only the
 target's flow, susceptance * (angle_from - angle_to) * base, from two entries
-of its one solve; the evaluation at the chosen increase and
-``check_side_effects`` compute every line's flow from the angles. Each value
-has the bits of the full flow vector's entry.
+of its one solve; the other two compute every line's flow from the angles.
+Each value has the bits of the full flow vector's entry.
 
 Each topology is factorized about once (grid30: 1,663 factorizations for
 15,352 Stage-3 solves on 1,660 topologies). A candidate's pair groups are
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dcflow
-from .network import NetworkModel, SeasonCalendar, effective_rating
+from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
@@ -145,7 +146,6 @@ def candidate_locations(
     ptdf: PtdfMatrix,
     model: NetworkModel,
     contingency: str | None = None,
-    min_score: float = SENSITIVITY_TOL,
 ) -> list[PfcCandidate]:
     """Hosting lines ordered by expected relief of the target per unit increase.
 
@@ -171,7 +171,7 @@ def candidate_locations(
         phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
 
     self_factor = float(phi_t[t])
-    if self_factor >= 1.0 - min_score:
+    if self_factor >= 1.0 - SENSITIVITY_TOL:
         return []  # bridge under the relevant contingency
 
     scored = [(1.0 - self_factor, target)]
@@ -179,7 +179,7 @@ def candidate_locations(
         if lid == target or lid == contingency:
             continue
         coupling = abs(float(phi_t[c]))
-        if coupling > min_score:
+        if coupling > SENSITIVITY_TOL:
             scored.append((coupling, lid))
     # strongest coupling first; the target itself wins ties
     scored.sort(key=lambda sc: (-sc[0], sc[1] != target, sc[1]))
@@ -316,36 +316,19 @@ def min_reactance_increase(
     return delta
 
 
-def _ratings(model: NetworkModel, hour: int, calendar: SeasonCalendar) -> np.ndarray:
-    """Effective ratings of the in-service lines at one hour: the row
-    ``effective_rating_matrix`` gives, from one season lookup."""
-    summer = calendar.season(hour) == "summer"
-    seasonal = np.array([
-        ln.rating_summer_mw if summer else ln.rating_winter_mw
-        for ln in model.in_service_lines
-    ])
-    return seasonal * (1.0 - calendar.derate_factor)
-
-
 def check_side_effects(
     model: NetworkModel,
+    group: _PairGroup,
     pfc_line: str,
     delta_pct: float,
-    injections: np.ndarray,
-    contingency: str | None,
-    hour: int,
-    calendar: SeasonCalendar,
     overload_pct: float = 100.0,
 ) -> list[SideEffect]:
     """Lines pushed above their effective rating, or made worse while already
-    above it, by the reactance increase. Exact re-solves of both states."""
-    calendar.season(hour)  # rejects an hour outside the study year
-    setting = _setting(model, injections, contingency)
-    pre = _flows(model, setting)
-    post = _flows(model, setting, pfc_line, delta_pct)
-    ratings = _ratings(model, hour, calendar)
-    post_pct = 100.0 * np.abs(post) / ratings
-    pre_pct = 100.0 * np.abs(pre) / ratings
+    above it, by the reactance increase: exact re-solves of the group's setting."""
+    pre = _flows(model, group.setting)
+    post = _flows(model, group.setting, pfc_line, delta_pct)
+    post_pct = 100.0 * np.abs(post) / group.ratings
+    pre_pct = 100.0 * np.abs(pre) / group.ratings
     worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
     return [
         SideEffect(
@@ -360,7 +343,7 @@ def check_side_effects(
 @dataclass(eq=False)  # hashed by identity
 class _PairGroup:
     """Overloaded (hour, contingency) pairs that share one exact solve: its
-    setting at the first hour, and the in-service lines' ratings there."""
+    setting at the first hour, and its season's in-service ratings (read-only)."""
 
     hours: list[int]
     setting: _Setting
@@ -374,18 +357,20 @@ def _group_pairs(
     calendar: SeasonCalendar,
 ) -> list[_PairGroup]:
     """Pairs grouped by contingency, season and injections, in contingency
-    order; no outcome depends on the order of the groups."""
+    order (no outcome depends on it); an hour outside the year raises."""
     hours: dict[tuple, list[int]] = {}
     for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
         key = (contingency, calendar.season(hour), injections[hour].tobytes())
         hours.setdefault(key, []).append(hour)
+    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
+    summer.flags.writeable = winter.flags.writeable = False
     return [
         _PairGroup(
             hours=group,
             setting=_setting(model, injections[group[0]], contingency),
-            ratings=_ratings(model, group[0], calendar),
+            ratings=summer if season == "summer" else winter,
         )
-        for (contingency, _, _), group in hours.items()
+        for (contingency, season, _), group in hours.items()
     ]
 
 
@@ -449,6 +434,7 @@ def assess_target(
     ]
     if max_candidates:
         candidates = candidates[:max_candidates]
+    t = model.in_service_line_ids.index(target)
 
     best = None  # (clean_hours, cleared_hours, order, candidate fields...)
     any_sensitive = False
@@ -458,12 +444,7 @@ def assess_target(
         # a device cannot sit on the line its group's contingency takes out
         hosted = [g for g in groups if g.setting.contingency != cand.pfc_line]
         sizes = dict(zip(hosted, _size_increases(
-            model,
-            [
-                (g.setting, effective_rating(model.line_by_id[target], g.hours[0], calendar))
-                for g in hosted
-            ],
-            cand, cap_pct, tol_pp,
+            model, [(g.setting, g.ratings[t]) for g in hosted], cand, cap_pct, tol_pp,
         )))
         deltas = [sizes[g][0] if g in sizes else None for g in groups]
         any_sensitive = any_sensitive or any(
@@ -490,10 +471,7 @@ def assess_target(
                 for h in g.hours:
                     hour_cleared[h] = False
             effects.extend(
-                check_side_effects(
-                    model, cand.pfc_line, delta_star, injections[g.hours[0]],
-                    g.setting.contingency, g.hours[0], calendar, overload_pct,
-                )
+                check_side_effects(model, g, cand.pfc_line, delta_star, overload_pct)
             )
         n_clean = sum(hour_clean.values())
         n_cleared = sum(hour_cleared.values())

@@ -131,6 +131,19 @@ def test_non_finite_voltage_levels_flag_exits_2(tmp_path, capsys):
     assert "--voltage-levels" in capsys.readouterr().err.splitlines()[-1]
 
 
+def test_availability_series_of_no_renewable_generator_exits_2(tmp_path, capsys):
+    config, _ = _study(tmp_path, cases.mesh6_case())
+    path = Path(json.loads(config.read_text())["inputs"]["res_availability"])
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(
+        "\n".join([header + ",W9"] + [row + ",0.5" for row in rows]) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["dispatch", "--config", str(config)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "W9" in line
+
+
 def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):
     case = cases.triangle_case()
     demand = np.array(case.profile.demand_mw)

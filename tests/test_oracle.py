@@ -11,7 +11,8 @@ COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
 bisection of each pair group on its own, and ``assess_target`` as a whole
 against a Stage 3 on fresh reference solves. Merit-order dispatch, a year
 and a single hour, is checked against the scalar per-hour solve on random
-fleets. The references are kept here.
+fleets, and ``network.effective_ratings`` against the scalar
+``effective_rating``. The references are kept here.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import functools
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -39,8 +41,9 @@ from pfcplan.dispatch import (
 )
 from pfcplan.network import (
     HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel, SeasonCalendar, effective_rating,
+    effective_ratings,
 )
-from pfcplan.screening import BaseFlows, effective_rating_matrix, stage1_scan, stage2_scan
+from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
 from conftest import balanced_injection, dense_dc_flows, fleet_model, graph_bridges
@@ -95,6 +98,12 @@ def _model(mesh: Mesh, ratings=None) -> NetworkModel:
     )
     buses = tuple(Bus(f"B{i}", f"B{i}", 110.0, f"R{i % 2}") for i in range(n_buses))
     return NetworkModel(buses=buses, lines=lines, generators=(), slack_bus=f"B{mesh.slack}")
+
+
+def effective_rating_matrix(model, line_ids, hours, calendar):
+    """Effective MW ratings, shape (n_hours, n_lines)."""
+    summer, winter = effective_ratings(model, line_ids, calendar)
+    return np.where(calendar.summer_mask[hours][:, None], summer, winter)
 
 
 def reference_stage2(base, lodf, model, calendar, near_pct=90.0, overload_pct=100.0):
@@ -184,6 +193,35 @@ def test_pruned_stage2_equals_the_unpruned_scan(mesh):
     index = {lid: i for i, lid in enumerate(base.line_ids)}
     for line, _, outage, *_ in expected:
         assert kept[index[line], index[outage]], (line, outage)
+
+
+BUNDLED_CASES = ("triangle_case", "mesh6_case", "grid30_case", "parallel_paths_case",
+                 "side_effect_case", "radial_feed_case", "capped_relief_case")
+
+
+def _assert_effective_ratings_are_the_scalar_rule(model, calendar):
+    """``effective_ratings`` of every in-service line, in both seasons,
+    equals ``effective_rating`` in a summer and a winter hour, bit for bit."""
+    summer_hour = int(np.flatnonzero(calendar.summer_mask)[0])
+    winter_hour = int(np.flatnonzero(~calendar.summer_mask)[0])
+    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
+    for line, s, w in zip(model.in_service_lines, summer.tolist(), winter.tolist()):
+        assert float.hex(s) == float.hex(effective_rating(line, summer_hour, calendar))
+        assert float.hex(w) == float.hex(effective_rating(line, winter_hour, calendar))
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_effective_ratings_are_the_scalar_rule_on_the_bundled_cases(name):
+    _assert_effective_ratings_are_the_scalar_rule(getattr(cases, name)().model, CALENDAR)
+
+
+@SETTINGS
+@given(meshes())
+@example(PARALLEL)
+def test_effective_ratings_are_the_scalar_rule_on_meshes(mesh):
+    # distinct seasonal ratings: winter is 1.3-1.5 times the drawn summer rating
+    mesh = dataclasses.replace(mesh, winter_factor=mesh.winter_factor + 0.3)
+    _assert_effective_ratings_are_the_scalar_rule(_model(mesh, mesh.rating_factors), CALENDAR)
 
 
 def reference_stage1(model, base, monitored, calendar, near_pct=90.0, overload_pct=100.0):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -13,6 +15,7 @@ from pfcplan.siting import (
     PfcOutcome,
 )
 
+SVG = "{http://www.w3.org/2000/svg}"
 PARAMS = {"derate": 0.1, "near_pct": 90.0, "overload_pct": 100.0}
 
 
@@ -120,6 +123,26 @@ def test_emit_with_charts_single_bar(tmp_path):
     svg = (tmp_path / "report" / "charts" / "duration_per_line.svg").read_text()
     assert svg.count("<rect") == 2  # background plus exactly one bar
     assert "L12" in svg
+
+
+def test_charts_stay_well_formed_for_a_line_id_with_markup(tmp_path):
+    model = _regional_model()
+    odd = "L<B&"
+    lines = tuple(
+        dataclasses.replace(ln, id=odd) if ln.id == "L1" else ln for ln in model.lines
+    )
+    model = dataclasses.replace(model, lines=lines)
+    report = build_report(
+        [_summary(odd, "West")], [_outcome(odd, FULLY_RESOLVED)], model, PARAMS
+    )
+    emit(report, tmp_path)
+    charts = tmp_path / "report" / "charts"
+    texts = {
+        name: [t.text for t in ET.parse(charts / name).iter(f"{SVG}text")]
+        for name in ("duration_per_line.svg", "resolution_breakdown.svg")
+    }
+    assert odd in texts["duration_per_line.svg"]
+    assert "PFC outcome breakdown" in texts["resolution_breakdown.svg"]
 
 
 def test_emit_deterministic_with_pinned_timestamp(tmp_path):

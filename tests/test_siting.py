@@ -13,6 +13,7 @@ from pfcplan.siting import (
     PARTIALLY_RESOLVED,
     PfcCandidate,
     PfcOutcome,
+    _group_pairs,
     assess_target,
     candidate_locations,
     check_side_effects,
@@ -166,13 +167,17 @@ def test_radial_invariance_across_delta_grid():
 # -- side effects -----------------------------------------------------------------
 
 
+def _group(case, inj, contingency, hour=0):
+    """Stage 3's pair group of one (hour, contingency), ``inj`` in every hour."""
+    injections = np.tile(inj, (HOURS_PER_YEAR, 1))
+    [group] = _group_pairs(case.model, {(hour, contingency)}, injections, case.calendar)
+    return group
+
+
 def test_side_effect_fixture_lists_violation():
     case = cases.side_effect_case()
-    model = case.model
     inj = np.array([100.0, -100.0, 0.0, 0.0])
-    effects = check_side_effects(
-        model, "T", 30.0, inj, "K", hour=0, calendar=case.calendar
-    )
+    effects = check_side_effects(case.model, _group(case, inj, "K"), "T", 30.0)
     assert [e.line_id for e in effects].count("B") == 1
     effect = next(e for e in effects if e.line_id == "B")
     assert effect.loading_pct > 100.0
@@ -182,9 +187,7 @@ def test_side_effect_fixture_lists_violation():
 def test_zero_delta_no_side_effects():
     case = cases.side_effect_case()
     inj = np.array([100.0, -100.0, 0.0, 0.0])
-    assert (
-        check_side_effects(case.model, "T", 0.0, inj, "K", 0, case.calendar) == []
-    )
+    assert check_side_effects(case.model, _group(case, inj, "K"), "T", 0.0) == []
 
 
 @pytest.mark.parametrize("hour", [-1, 8760])
@@ -192,15 +195,13 @@ def test_side_effects_reject_an_hour_outside_the_year(hour):
     case = cases.side_effect_case()
     inj = np.array([100.0, -100.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="outside"):
-        check_side_effects(case.model, "T", 30.0, inj, "K", hour, case.calendar)
+        _group(case, inj, "K", hour)
 
 
 def test_clean_diversion_has_no_side_effects():
     case = cases.parallel_paths_case()
     inj = np.array([100.0, 0.0, 0.0, -100.0])
-    effects = check_side_effects(
-        case.model, "LB", 28.0, inj, "LE", 0, case.calendar
-    )
+    effects = check_side_effects(case.model, _group(case, inj, "LE"), "LB", 28.0)
     assert effects == []
 
 
