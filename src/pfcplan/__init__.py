@@ -2,120 +2,14 @@
 controllers: a year of hourly DC load flows, N-1 screening via shift factors,
 and reactance-perturbation siting that classifies every overload as fully
 resolved, partially resolved, or unresolvable.
+
+The package root holds the four names of the library quick start; everything
+else is imported from its module (``pfcplan.cases``, ``pfcplan.siting``, ...).
 """
 
-from .network import (
-    Bus,
-    DisconnectedNetworkError,
-    Generator,
-    HOURS_PER_YEAR,
-    Line,
-    NetworkDataError,
-    NetworkModel,
-    SeasonCalendar,
-    effective_rating,
-    filter_monitored_lines,
-    load_network,
-    save_network,
-)
-from .dispatch import (
-    DemandProfile,
-    DispatchHour,
-    DispatchInputError,
-    DispatchYear,
-    ResAvailability,
-    injection_matrix,
-    merit_order_dispatch,
-    run_year,
-)
-from .dcflow import (
-    FlowSolution,
-    IslandingError,
-    SingularSystemError,
-    SusceptanceSystem,
-    build_system,
-    solve_flows,
-    solve_with_outage,
-    susceptance_matrix,
-)
-from .shift_factors import (
-    LodfMatrix,
-    PtdfMatrix,
-    compute_lodf,
-    compute_ptdf,
-    post_contingency_flows,
-)
-from .screening import (
-    BaseFlows,
-    LineSummary,
-    OverloadRecord,
-    OverloadRecords,
-    stage1_scan,
-    stage2_scan,
-    summarize,
-)
-from .siting import (
-    FULLY_RESOLVED,
-    NO_CHANGE,
-    PARTIALLY_RESOLVED,
-    PfcCandidate,
-    PfcOutcome,
-    assess_target,
-    candidate_locations,
-    min_reactance_increase,
-    rank_targets,
-)
+from .dcflow import build_system, solve_flows
+from .shift_factors import compute_lodf, compute_ptdf
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bus",
-    "Line",
-    "Generator",
-    "NetworkModel",
-    "SeasonCalendar",
-    "NetworkDataError",
-    "DisconnectedNetworkError",
-    "HOURS_PER_YEAR",
-    "load_network",
-    "save_network",
-    "effective_rating",
-    "filter_monitored_lines",
-    "DemandProfile",
-    "ResAvailability",
-    "DispatchHour",
-    "DispatchYear",
-    "DispatchInputError",
-    "merit_order_dispatch",
-    "run_year",
-    "injection_matrix",
-    "SusceptanceSystem",
-    "FlowSolution",
-    "IslandingError",
-    "SingularSystemError",
-    "build_system",
-    "solve_flows",
-    "solve_with_outage",
-    "susceptance_matrix",
-    "PtdfMatrix",
-    "LodfMatrix",
-    "compute_ptdf",
-    "compute_lodf",
-    "post_contingency_flows",
-    "OverloadRecord",
-    "OverloadRecords",
-    "LineSummary",
-    "BaseFlows",
-    "stage1_scan",
-    "stage2_scan",
-    "summarize",
-    "PfcCandidate",
-    "PfcOutcome",
-    "FULLY_RESOLVED",
-    "PARTIALLY_RESOLVED",
-    "NO_CHANGE",
-    "candidate_locations",
-    "min_reactance_increase",
-    "assess_target",
-    "rank_targets",
-]
+__all__ = ["build_system", "solve_flows", "compute_ptdf", "compute_lodf"]

@@ -70,7 +70,10 @@ class DemandProfile:
         shares = np.array(list(self.bus_shares.values()), dtype=float)
         if (shares < 0).any():
             raise DispatchInputError("bus shares must be non-negative")
-        if abs(shares.sum() - 1.0) > 1e-9:
+        # an hour's injections miss balance by the shares' error times its
+        # demand, and screening refuses a miss above 1e-6 MW
+        error = abs(float(shares.sum()) - 1.0)
+        if error > 1e-9 or error * demand.max() > BALANCE_TOL_MW:
             raise DispatchInputError(
                 f"bus shares must sum to 1, got {float(shares.sum())!r}"
             )
@@ -156,6 +159,7 @@ class _Fleet:
     def __init__(self, model: NetworkModel):
         gens = model.generators
         self.gen_ids = model.generator_ids
+        self.renewable = [g.id for g in gens if g.kind in ("wind", "solar")]
         self.nonsync = np.array([not g.synchronous for g in gens], dtype=bool)
         self.p_max = np.array([g.p_max_mw for g in gens])
         self.p_min = np.array([g.p_min_mw for g in gens])
@@ -164,6 +168,13 @@ class _Fleet:
         order = sorted(thermal, key=lambda i: (self.srmc[i], self.gen_ids[i]))
         self.merit_order = np.array(order, dtype=int)
         self.thermal_cap = float(self.p_max[thermal].sum()) if thermal.size else 0.0
+
+    def check_availability_ids(self, ids) -> None:
+        """Refuse an availability id that names no wind or solar generator."""
+        if extra := sorted(set(ids) - set(self.renewable)):
+            raise DispatchInputError(
+                f"availability for no wind or solar generator: {extra[0]}"
+            )
 
 
 def _dispatch(
@@ -240,12 +251,13 @@ def merit_order_dispatch(
     res_factors: dict[str, float],
     snsp_cap: float,
 ) -> DispatchHour:
-    """Solve a single hour. ``res_factors`` maps renewable generator ids to
-    availability in [0, 1]; non-synchronous units without an entry count as
-    fully available."""
+    """Solve a single hour. ``res_factors`` maps wind and solar generator ids
+    to availability in [0, 1], and any other id is refused; non-synchronous
+    units without an entry count as fully available."""
     if demand_mw < 0:
         raise DispatchInputError("demand must be non-negative")
     fleet = _Fleet(model)
+    fleet.check_availability_ids(res_factors)
     factors = np.array(
         [[res_factors.get(gid, 1.0) for gid in fleet.gen_ids]], dtype=float
     )
@@ -267,13 +279,11 @@ def run_year(
     """The year's merit-order dispatch, every hour on its own inputs, in one
     pass; each wind and solar generator has one availability series, and no other."""
     fleet = _Fleet(model)
-    renewable = [g.id for g in model.generators if g.kind in ("wind", "solar")]
-    if missing := [gid for gid in renewable if gid not in availability.factors]:
+    if missing := [gid for gid in fleet.renewable if gid not in availability.factors]:
         raise DispatchInputError(
             f"no availability series for renewable generator {missing[0]}"
         )
-    if extra := sorted(set(availability.factors) - set(renewable)):
-        raise DispatchInputError(f"availability for no wind or solar generator: {extra[0]}")
+    fleet.check_availability_ids(availability.factors)
     factor_matrix = np.ones((HOURS_PER_YEAR, len(fleet.gen_ids)))
     for j, gid in enumerate(fleet.gen_ids):
         if gid in availability.factors:

@@ -12,7 +12,7 @@ those ratings, and ``effective_rating`` the same product for one line and hour.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -219,16 +219,6 @@ class NetworkModel:
         return frozenset(
             ln.id for ln in self.in_service_lines if islanded_buses(self, ln.id)
         )
-
-    def with_line_reactance(self, line_id: str, scale: float) -> "NetworkModel":
-        """New model with one line's reactance multiplied by ``scale``."""
-        if line_id not in self.line_by_id:
-            raise NetworkDataError(f"unknown line {line_id}")
-        lines = tuple(
-            replace(ln, reactance_pu=ln.reactance_pu * scale) if ln.id == line_id else ln
-            for ln in self.lines
-        )
-        return replace(self, lines=lines)
 
 
 def islanded_buses(model: NetworkModel, without_line: str | None = None) -> set[str]:

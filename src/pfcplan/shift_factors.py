@@ -130,10 +130,3 @@ def post_contingency_flows(
     flows[k] = 0.0
     return flows
 
-
-def verify_islanding_marks(lodf: LodfMatrix, model: NetworkModel) -> bool:
-    """Cross-check islanding marks against the model's bridges (graph traversal)."""
-    return all(
-        marked == (lid in model.bridges)
-        for lid, marked in zip(lodf.line_ids, lodf.islanding)
-    )

@@ -186,25 +186,48 @@ def candidate_locations(
     return [PfcCandidate(target_line=target, pfc_line=lid, score=s) for s, lid in scored]
 
 
-@dataclass(frozen=True)
-class _Setting:
-    """One hour's injections on one contingency's topology, checked once: the
-    right-hand side of every exact solve of it, and the contingency's
-    in-service position (-1 for the intact network)."""
+@dataclass(eq=False)  # hashed by identity
+class _PairGroup:
+    """Overloaded (hour, contingency) pairs that share one exact solve, checked
+    once: the right-hand side of every exact solve of it (the first hour's
+    injections), the contingency's in-service position (-1 for the intact
+    network) and its season's in-service ratings (read-only)."""
 
+    hours: list[int]
     contingency: str | None
     rhs: np.ndarray
     outage: int
+    ratings: np.ndarray
 
 
-def _setting(
-    model: NetworkModel, injections: np.ndarray, contingency: str | None
-) -> _Setting:
-    outage = -1
-    if contingency is not None:
-        dcflow.check_outage(model, contingency)
-        outage = model.in_service_line_ids.index(contingency)
-    return _Setting(contingency, dcflow.reduced_injections(model, injections), outage)
+def _group_pairs(
+    model: NetworkModel,
+    pairs: set[tuple[int, str | None]],
+    injections: np.ndarray,
+    calendar: SeasonCalendar,
+) -> list[_PairGroup]:
+    """Pairs grouped by contingency, season and injections, in contingency
+    order (no outcome depends on it); an hour outside the year raises."""
+    hours: dict[tuple, list[int]] = {}
+    for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
+        key = (contingency, calendar.season(hour), injections[hour].tobytes())
+        hours.setdefault(key, []).append(hour)
+    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
+    summer.flags.writeable = winter.flags.writeable = False
+    groups = []
+    for (contingency, season, _), group in hours.items():
+        outage = -1
+        if contingency is not None:
+            dcflow.check_outage(model, contingency)
+            outage = model.in_service_line_ids.index(contingency)
+        groups.append(_PairGroup(
+            hours=group,
+            contingency=contingency,
+            rhs=dcflow.reduced_injections(model, injections[group[0]]),
+            outage=outage,
+            ratings=summer if season == "summer" else winter,
+        ))
+    return groups
 
 
 def _system(
@@ -221,14 +244,14 @@ def _system(
 
 
 def _flows(
-    model: NetworkModel, setting: _Setting, pfc_line: str | None = None,
+    model: NetworkModel, group: _PairGroup, pfc_line: str | None = None,
     delta_pct: float = 0.0,
 ) -> np.ndarray:
-    """MW flows of every in-service line from one exact solve, the
+    """MW flows of every in-service line from one exact solve of the group, the
     contingency's line at 0: ``solve_with_outage``'s numbers."""
-    system = _system(model, setting.contingency, pfc_line, delta_pct)
-    flows = dcflow.flows_from_angles(system, dcflow.solve_reduced(system, setting.rhs))
-    k = setting.outage
+    system = _system(model, group.contingency, pfc_line, delta_pct)
+    flows = dcflow.flows_from_angles(system, dcflow.solve_reduced(system, group.rhs))
+    k = group.outage
     if k < 0:
         return flows
     full = np.zeros(len(flows) + 1)
@@ -238,12 +261,12 @@ def _flows(
 
 def _size_increases(
     model: NetworkModel,
-    cases: list[tuple[_Setting, float]],
+    cases: list[tuple[_PairGroup, float]],
     candidate: PfcCandidate,
     cap_pct: float,
     tol_pp: float,
 ) -> list[tuple[float | None, float, float]]:
-    """Per (setting, target rating) case, in contingency order: (minimal
+    """Per (pair group, target rating) case, in contingency order: (minimal
     delta or None, |flow| at zero, |flow| at cap) for the target, the cases
     bisected in lockstep.
 
@@ -259,12 +282,12 @@ def _size_increases(
     ends = [model.bus_index[line.from_bus], model.bus_index[line.to_bus]]
     frm, to = [-1 if b == slack else b - (b > slack) for b in ends]
     # the target's position among the lines each case's topology keeps
-    position = [t - (0 <= setting.outage < t) for setting, _ in cases]
+    position = [t - (0 <= g.outage < t) for g, _ in cases]
 
     def target_flow(i: int, delta: float) -> float:
-        setting = cases[i][0]
-        system = _system(model, setting.contingency, candidate.pfc_line, delta)
-        theta = system.lu.solve(setting.rhs)
+        g = cases[i][0]
+        system = _system(model, g.contingency, candidate.pfc_line, delta)
+        theta = system.lu.solve(g.rhs)
         diff = (theta.item(frm) if frm >= 0 else 0.0) - (theta.item(to) if to >= 0 else 0.0)
         return abs(system.susceptance.item(position[i]) * diff * base)
 
@@ -291,31 +314,6 @@ def _size_increases(
     return sized
 
 
-def min_reactance_increase(
-    model: NetworkModel,
-    injections: np.ndarray,
-    contingency: str | None,
-    candidate: PfcCandidate,
-    rating_mw: float,
-    cap_pct: float = CAP_PCT_DEFAULT,
-    tol_pp: float = BISECTION_TOL_PP,
-) -> float | None:
-    """Smallest reactance increase (percent) that brings the target's flow
-    within the rating, by bisection against exact re-solves.
-
-    Returns 0.0 when no increase is needed and None when even the cap fails.
-    The returned value satisfies the rating while a value one tolerance step
-    lower does not.
-    """
-    if candidate.pfc_line == contingency:
-        raise ValueError("PFC cannot be hosted on the contingency line")
-    setting = _setting(model, injections, contingency)
-    [(delta, _, _)] = _size_increases(
-        model, [(setting, rating_mw)], candidate, cap_pct, tol_pp
-    )
-    return delta
-
-
 def check_side_effects(
     model: NetworkModel,
     group: _PairGroup,
@@ -324,9 +322,9 @@ def check_side_effects(
     overload_pct: float = 100.0,
 ) -> list[SideEffect]:
     """Lines pushed above their effective rating, or made worse while already
-    above it, by the reactance increase: exact re-solves of the group's setting."""
-    pre = _flows(model, group.setting)
-    post = _flows(model, group.setting, pfc_line, delta_pct)
+    above it, by the reactance increase: exact re-solves of the group."""
+    pre = _flows(model, group)
+    post = _flows(model, group, pfc_line, delta_pct)
     post_pct = 100.0 * np.abs(post) / group.ratings
     pre_pct = 100.0 * np.abs(pre) / group.ratings
     worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
@@ -337,40 +335,6 @@ def check_side_effects(
             pre_loading_pct=float(pre_pct[i]),
         )
         for i in np.flatnonzero(worse)
-    ]
-
-
-@dataclass(eq=False)  # hashed by identity
-class _PairGroup:
-    """Overloaded (hour, contingency) pairs that share one exact solve: its
-    setting at the first hour, and its season's in-service ratings (read-only)."""
-
-    hours: list[int]
-    setting: _Setting
-    ratings: np.ndarray
-
-
-def _group_pairs(
-    model: NetworkModel,
-    pairs: set[tuple[int, str | None]],
-    injections: np.ndarray,
-    calendar: SeasonCalendar,
-) -> list[_PairGroup]:
-    """Pairs grouped by contingency, season and injections, in contingency
-    order (no outcome depends on it); an hour outside the year raises."""
-    hours: dict[tuple, list[int]] = {}
-    for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
-        key = (contingency, calendar.season(hour), injections[hour].tobytes())
-        hours.setdefault(key, []).append(hour)
-    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
-    summer.flags.writeable = winter.flags.writeable = False
-    return [
-        _PairGroup(
-            hours=group,
-            setting=_setting(model, injections[group[0]], contingency),
-            ratings=summer if season == "summer" else winter,
-        )
-        for (contingency, season, _), group in hours.items()
     ]
 
 
@@ -418,7 +382,7 @@ def assess_target(
     pre_max_loading = max(records.loading_pct[hit].tolist())
 
     groups = _group_pairs(model, pairs, injections, calendar)
-    contingencies = sorted({g.setting.contingency for g in groups}, key=lambda c: c or "")
+    contingencies = sorted({g.contingency for g in groups}, key=lambda c: c or "")
 
     # union of per-contingency candidate lists, keeping the best score each
     best_score: dict[str, float] = {}
@@ -442,9 +406,9 @@ def assess_target(
     for order, cand in enumerate(candidates):
         sized += 1
         # a device cannot sit on the line its group's contingency takes out
-        hosted = [g for g in groups if g.setting.contingency != cand.pfc_line]
+        hosted = [g for g in groups if g.contingency != cand.pfc_line]
         sizes = dict(zip(hosted, _size_increases(
-            model, [(g.setting, g.ratings[t]) for g in hosted], cand, cap_pct, tol_pp,
+            model, [(g, g.ratings[t]) for g in hosted], cand, cap_pct, tol_pp,
         )))
         deltas = [sizes[g][0] if g in sizes else None for g in groups]
         any_sensitive = any_sensitive or any(
@@ -460,7 +424,7 @@ def assess_target(
         effects: list[SideEffect] = []
         residual = 0.0
         for g, delta_g in zip(groups, deltas):
-            flows = _flows(model, g.setting, cand.pfc_line, delta_star)
+            flows = _flows(model, g, cand.pfc_line, delta_star)
             loadings = 100.0 * np.abs(flows) / g.ratings
             residual = max(residual, float(loadings.max()))
             target_ok = delta_g is not None and delta_g <= delta_star

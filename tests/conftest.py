@@ -1,8 +1,10 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and Stage 3 on one pair.
 
 The oracle helpers here deliberately re-derive results from first principles
 (dense linear algebra, union-find graph traversal) instead of calling the
-package's own machinery, so they stay valid checks of it.
+package's own machinery, so they stay valid checks of it. The Stage 3 helpers
+do the opposite: they run the package's own pair grouping and sizer on one
+(hour, contingency) pair.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pfcplan import cases
+from pfcplan import cases, siting
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 
 
@@ -87,6 +89,40 @@ def balanced_injection(rng: np.random.Generator, n: int, scale: float = 50.0) ->
     inj = rng.normal(0.0, scale, size=n)
     inj[0] -= inj.sum()
     return inj
+
+
+# -- Stage 3 on one (hour, contingency) pair ---------------------------------
+
+
+def pair_group(model: NetworkModel, injection: np.ndarray, contingency: str | None):
+    """Stage 3's pair group of one hour's injections under one contingency."""
+    [group] = siting._group_pairs(
+        model, {(0, contingency)}, injection[None, :], cases.flat_calendar()
+    )
+    return group
+
+
+def min_reactance_increase(
+    model: NetworkModel,
+    injection: np.ndarray,
+    contingency: str | None,
+    candidate: siting.PfcCandidate,
+    rating_mw: float,
+    cap_pct: float = siting.CAP_PCT_DEFAULT,
+    tol_pp: float = siting.BISECTION_TOL_PP,
+) -> float | None:
+    """Smallest reactance increase (percent) that brings the target's flow
+    within the rating: Stage 3's bisection against exact re-solves, on one pair.
+
+    Returns 0.0 when no increase is needed and None when even the cap fails.
+    The returned value satisfies the rating while a value one tolerance step
+    lower does not.
+    """
+    group = pair_group(model, injection, contingency)
+    [(delta, _, _)] = siting._size_increases(
+        model, [(group, rating_mw)], candidate, cap_pct, tol_pp
+    )
+    return delta
 
 
 # -- canonical models --------------------------------------------------------

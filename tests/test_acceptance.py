@@ -39,10 +39,14 @@ from pfcplan.siting import (
     PARTIALLY_RESOLVED,
     PfcCandidate,
     assess_target,
-    min_reactance_increase,
 )
 
-from conftest import balanced_injection, dense_dc_flows, graph_bridges
+from conftest import (
+    balanced_injection,
+    dense_dc_flows,
+    graph_bridges,
+    min_reactance_increase,
+)
 from test_cli import _normalized_tree, _study
 
 

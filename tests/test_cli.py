@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -142,6 +143,24 @@ def test_availability_series_of_no_renewable_generator_exits_2(tmp_path, capsys)
     assert main(["dispatch", "--config", str(config)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert "W9" in line
+
+
+def test_bus_shares_that_unbalance_the_peak_hour_exit_2(tmp_path, capsys):
+    # 9e-10 off 1 passes the 1e-9 sum rule, but puts 5,000 MW x 9e-10 =
+    # 4.5e-6 MW of imbalance into every hour, which screening would refuse
+    case = cases.triangle_case()
+    g1 = dataclasses.replace(case.model.generators[0], p_max_mw=9000.0)
+    heavy = dataclasses.replace(
+        case,
+        model=dataclasses.replace(case.model, generators=(g1,)),
+        profile=cases.DemandProfile(cases.constant_demand(5000.0), {"B2": 0.5, "B3": 0.5}),
+    )
+    config, _ = _study(tmp_path, heavy)
+    path = Path(json.loads(config.read_text())["inputs"]["bus_shares"])
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("B2,0.5\n", f"B2,{0.5 + 9e-10!r}\n"), encoding="utf-8")
+    assert main(["dispatch", "--config", str(config)]) == 2
+    _one_line_error(capsys, "bus shares must sum to 1", repr(0.5 + 9e-10 + 0.5))
 
 
 def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):

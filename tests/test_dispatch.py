@@ -350,3 +350,14 @@ def test_bad_shares_rejected():
 def test_availability_outside_unit_interval_rejected():
     with pytest.raises(DispatchInputError):
         ResAvailability(factors={"W1": np.full(HOURS_PER_YEAR, 1.2)})
+
+
+@pytest.mark.parametrize("factors, named", [
+    ({"W9": 0.5, "T1": 0.2}, "T1"),  # ids no generator has: the first one
+    ({"G1": 0.5}, "G1"),  # a thermal unit has no availability either
+])
+def test_single_hour_refuses_availability_of_no_wind_or_solar_generator(factors, named):
+    model = cases.mesh6_case().model
+    with pytest.raises(DispatchInputError,
+                       match=f"^availability for no wind or solar generator: {named}$"):
+        merit_order_dispatch(model, 100.0, factors, snsp_cap=0.65)

@@ -46,7 +46,13 @@ from pfcplan.network import (
 from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
-from conftest import balanced_injection, dense_dc_flows, fleet_model, graph_bridges
+from conftest import (
+    balanced_injection,
+    dense_dc_flows,
+    fleet_model,
+    graph_bridges,
+    pair_group,
+)
 
 # hours spread over the year, so both seasons and their ratings appear
 HOURS = np.linspace(0, 8759, 12).round().astype(int)
@@ -576,7 +582,7 @@ def test_lockstep_sizer_matches_per_group_bisection(case):
         _, f_zero, f_cap = reference_size(model, injections[row], contingency, host,
                                           target, float("inf"))
         rating = _rating(outcome, fraction, f_zero, f_cap)
-        cases.append((siting._setting(model, injections[row], contingency), rating))
+        cases.append((pair_group(model, injections[row], contingency), rating))
         expected.append(reference_size(model, injections[row], contingency, host,
                                        target, rating))
     candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
@@ -796,13 +802,13 @@ def test_lean_solves_give_the_full_solution_bits(case):
         exact = solve_flows(build_system(model, reactance_scale=scale), injection)
     else:
         exact = solve_with_outage(model, injection, contingency, reactance_scale=scale)
-    setting = siting._setting(model, injection, contingency)
+    group = pair_group(model, injection, contingency)
     candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
     # an infinite rating needs no bisection: the cap is read once, at delta
-    [(_, _, f_cap)] = siting._size_increases(model, [(setting, float("inf"))], candidate,
+    [(_, _, f_cap)] = siting._size_increases(model, [(group, float("inf"))], candidate,
                                              delta, siting.BISECTION_TOL_PP)
     assert _bits(f_cap) == _bits(abs(exact.flow_of(target)))
-    assert _same_bits(siting._flows(model, setting, host, delta), exact.flows_mw)
+    assert _same_bits(siting._flows(model, group, host, delta), exact.flows_mw)
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,10 @@ from pfcplan.siting import (
     assess_target,
     candidate_locations,
     check_side_effects,
-    min_reactance_increase,
     rank_targets,
 )
 
-from conftest import graph_bridges
+from conftest import graph_bridges, min_reactance_increase
 
 
 def _factors(model):
@@ -289,11 +290,20 @@ def test_assess_requires_overload_records(triangle):
             )
 
 
+def _with_line_reactance(model, line_id, scale):
+    """The model with one line's reactance multiplied by ``scale``."""
+    lines = tuple(
+        replace(ln, reactance_pu=ln.reactance_pu * scale) if ln.id == line_id else ln
+        for ln in model.lines
+    )
+    return replace(model, lines=lines)
+
+
 def test_factors_recomputed_for_perturbed_model_differ(triangle):
     # a PFC changes the topology matrices: factors must come from the
     # perturbed model, and a stale cache is detectably wrong
     ptdf, _ = _factors(triangle)
-    perturbed = triangle.with_line_reactance("L13", 1.4)
+    perturbed = _with_line_reactance(triangle, "L13", 1.4)
     ptdf2, _ = _factors(perturbed)
     assert not np.allclose(ptdf.matrix, ptdf2.matrix)
     system = build_system(perturbed)
