@@ -24,14 +24,13 @@ step masked to the hours it applies to, so an hour gets the same bits whether
 A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
 per (hour, generator), in hour order. It is written through
 ``tables.write_columns`` from ``DispatchYear.outputs_mw``, a few thousand rows
-at a time, each output as its repr, and read back with a positional
-``csv.reader``; the other columns go to the summary JSON, so a year read back
-equals the computed one bit for bit.
+at a time, each output as its repr, and read back a chunk at a time by
+``tables.read_chunks``; the other columns go to the summary JSON, so a year
+read back equals the computed one bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +40,8 @@ import numpy as np
 
 from .network import HOURS_PER_YEAR, NetworkModel
 from .tables import (
-    CHUNK_ROWS, float_cell, number, read_input, text, text_cell, write_columns,
+    CHUNK_ROWS, float_cell, number, read_chunks, read_columns, text, text_cell,
+    write_columns,
 )
 
 BALANCE_TOL_MW = 1e-6
@@ -82,6 +82,8 @@ class DemandProfile:
 # demand.csv (one row per hour) and bus_shares.csv columns: header -> parser
 DEMAND_COLUMNS = {"hour": int, "demand_mw": number}
 BUS_SHARE_COLUMNS = {"bus": text, "share": number}
+# dispatch.csv columns, one row per (hour, generator)
+DISPATCH_COLUMNS = {"hour": int, "generator": text, "output_mw": number}
 
 
 @dataclass(frozen=True)
@@ -318,28 +320,28 @@ def _hourly_series(path, columns: dict, rest=None) -> dict[str, np.ndarray]:
     """The 8,760-hour series, in hour order, of each value column of an
     hour-indexed input file; every hour must appear exactly once."""
     path = Path(path)
-    names, rows = read_input(path, columns, None, DispatchInputError, rest=rest)
-    by_hour = [None] * HOURS_PER_YEAR
-    for row_no, row in enumerate(rows, start=2):
-        hour = row[0]
-        if not 0 <= hour < HOURS_PER_YEAR:
-            raise DispatchInputError(f"{path} row {row_no}: hour {hour} out of range")
-        if by_hour[hour] is not None:
-            raise DispatchInputError(f"{path} row {row_no}: hour {hour} repeated")
-        by_hour[hour] = row
-    missing = by_hour.count(None)
-    if missing:
-        raise DispatchInputError(f"{path}: {missing} hours missing")
-    series = np.array(by_hour, dtype=float)[:, 1:].T.copy()
-    return dict(zip(names[1:], series))
+    table = read_columns(path, columns, DispatchInputError, rest=rest)
+    hour = table.pop("hour")
+    # the first row whose hour is out of range or on an earlier row
+    repeated = np.ones(len(hour), dtype=bool)
+    repeated[np.unique(hour, return_index=True)[1]] = False
+    out_of_range = (hour < 0) | (hour >= HOURS_PER_YEAR)
+    for row in np.flatnonzero(out_of_range | repeated)[:1].tolist():
+        problem = "out of range" if out_of_range[row] else "repeated"
+        raise DispatchInputError(f"{path} row {row + 2}: hour {hour[row]} {problem}")
+    if len(hour) < HOURS_PER_YEAR:
+        raise DispatchInputError(f"{path}: {HOURS_PER_YEAR - len(hour)} hours missing")
+    order = np.argsort(hour)
+    return {name: column[order] for name, column in table.items()}
 
 
 def load_demand_profile(demand_file, shares_file, bus_ids) -> DemandProfile:
     """The demand series and its bus shares; a share on a bus not in
     ``bus_ids`` (the network's buses) is rejected at its row."""
     demand = _hourly_series(demand_file, DEMAND_COLUMNS)["demand_mw"]
-    _, rows = read_input(shares_file, BUS_SHARE_COLUMNS, None, DispatchInputError)
+    table = read_columns(shares_file, BUS_SHARE_COLUMNS, DispatchInputError)
     shares: dict[str, float] = {}
+    rows = zip(table["bus"].tolist(), table["share"].tolist())
     for row_no, (bus, share) in enumerate(rows, start=2):
         if bus in shares or bus not in bus_ids:
             problem = "repeated" if bus in shares else "not in the network"
@@ -371,7 +373,7 @@ def write_dispatch_csv(year: DispatchYear, path) -> None:
                 list(map(float_cell, outputs[part].ravel().tolist())),
             ]
 
-    write_columns(path, ("hour", "generator", "output_mw"), chunks())
+    write_columns(path, DISPATCH_COLUMNS, chunks())
 
 
 def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> None:
@@ -397,11 +399,10 @@ def read_dispatch_outputs(csv_path, summary_path, model: NetworkModel) -> Dispat
     """Rebuild the dispatch year from ``dispatch.csv`` and its summary JSON."""
     gen_pos = {gid: i for i, gid in enumerate(model.generator_ids)}
     outputs = np.zeros((HOURS_PER_YEAR, len(gen_pos)))
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header: hour, generator, output_mw
-        for hour, gen, out in reader:
-            outputs[int(hour), gen_pos[gen]] = float(out)
+    for chunk in read_chunks(csv_path, DISPATCH_COLUMNS, DispatchInputError):
+        generator = chunk["generator"]
+        generator = np.fromiter(map(gen_pos.__getitem__, generator), int, len(generator))
+        outputs[chunk["hour"], generator] = chunk["output_mw"]
     with open(summary_path, encoding="utf-8") as fh:
         summary = json.load(fh)
     feasible = np.ones(HOURS_PER_YEAR, dtype=bool)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tables import boolean, number, read_input, text, write_rows
+from .tables import boolean, number, read_columns, text, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -335,21 +335,27 @@ def _check_unique(ids, what: str):
         seen.add(i)
 
 
-def _check_rows(path, items, what: str, bus_ids: set[str], *ends: str) -> set[str]:
-    """The ids of one file's rows. A repeated id, or a bus named in an
-    ``ends`` attribute that is not in ``bus_ids``, is rejected at its row."""
-    ids: set[str] = set()
-    for row_no, item in enumerate(items, start=2):
-        unknown = [getattr(item, end) for end in ends if getattr(item, end) not in bus_ids]
-        if item.id in ids:
-            problem = f"duplicate {what} id {item.id}"
-        elif unknown:
-            problem = f"{what} {item.id} references unknown bus {unknown[0]}"
+def _read_rows(path, columns: dict, row, bus_ids, *ends: str) -> dict:
+    """Each data row of a network file as a ``row``, by id. A row its type refuses,
+    a repeated id or a bus in ``ends`` not in ``bus_ids`` is rejected at its row."""
+    what, items = row.__name__.lower(), {}
+    table = read_columns(path, columns, NetworkDataError)
+    for row_no, values in enumerate(zip(*(c.tolist() for c in table.values())), start=2):
+        try:
+            item = row(*values)
+        except ValueError as exc:
+            problem = exc
         else:
-            ids.add(item.id)
-            continue
+            unknown = [b for b in (getattr(item, end) for end in ends) if b not in bus_ids]
+            if item.id in items:
+                problem = f"duplicate {what} id {item.id}"
+            elif unknown:
+                problem = f"{what} {item.id} references unknown bus {unknown[0]}"
+            else:
+                items[item.id] = item
+                continue
         raise NetworkDataError(f"{Path(path)} row {row_no}: {problem}")
-    return ids
+    return items
 
 
 def load_network(
@@ -367,28 +373,23 @@ def load_network(
     When ``slack_bus`` is not given, the bus of the largest-capacity generator
     is used (ties broken by generator id), falling back to the first bus.
     """
-    _, buses = read_input(bus_file, BUS_COLUMNS, Bus, NetworkDataError)
-    bus_ids = _check_rows(bus_file, buses, "bus", set())
-    _, lines = read_input(line_file, LINE_COLUMNS, Line, NetworkDataError)
-    _check_rows(line_file, lines, "line", bus_ids, "from_bus", "to_bus")
-    _, generators = read_input(
-        generator_file, GENERATOR_COLUMNS, Generator, NetworkDataError
-    )
-    _check_rows(generator_file, generators, "generator", bus_ids, "bus")
+    buses = _read_rows(bus_file, BUS_COLUMNS, Bus, ())
+    lines = _read_rows(line_file, LINE_COLUMNS, Line, buses, "from_bus", "to_bus")
+    generators = _read_rows(generator_file, GENERATOR_COLUMNS, Generator, buses, "bus")
 
     if slack_bus is None:
         if generators:
-            biggest = max(generators, key=lambda g: (g.p_max_mw, g.id))
+            biggest = max(generators.values(), key=lambda g: (g.p_max_mw, g.id))
             slack_bus = biggest.bus
         elif buses:
-            slack_bus = buses[0].id
+            slack_bus = next(iter(buses))
         else:
             raise NetworkDataError(f"{bus_file}: no buses defined")
 
     return NetworkModel(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        generators=tuple(generators),
+        buses=tuple(buses.values()),
+        lines=tuple(lines.values()),
+        generators=tuple(generators.values()),
         slack_bus=slack_bus,
         system_base_mva=system_base_mva,
     )

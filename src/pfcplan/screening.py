@@ -41,7 +41,6 @@ too) is its repr. So each float reads back exactly.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,7 +52,8 @@ from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .shift_factors import LodfMatrix
 from .tables import (
-    CHUNK_ROWS, float_cell, read_input, select, text, text_cell, write_columns, write_csv,
+    CHUNK_ROWS, float_cell, number, read_columns, select, text, text_cell, write_columns,
+    write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -125,22 +125,20 @@ class OverloadRecords:
             object.__setattr__(self, name, column[perm])
 
     @classmethod
-    def from_rows(cls, rows) -> OverloadRecords:
-        """Records from rows in ``OverloadRecord`` field order, in any order."""
-        line, hour, contingency, loading, excess, category = (
-            list(zip(*rows)) or [()] * 6
-        )
-        line_ids = tuple(sorted(set(line) | set(contingency) - {None}))
+    def from_columns(cls, line, hour, contingency, loading, excess, category):
+        """Records from columns in ``OverloadRecord`` field order, in any
+        order; a contingency of None or "" is the intact network."""
+        line_ids = tuple(sorted(set(line) | set(contingency) - {None, ""}))
         index = {lid: i for i, lid in enumerate(line_ids)}
-        index[None] = -1
+        index[None] = index[""] = -1
         return cls(
             line_ids,
-            [index[lid] for lid in line],
+            np.fromiter(map(index.__getitem__, line), np.int32, len(line)),
             hour,
-            [index[lid] for lid in contingency],
+            np.fromiter(map(index.__getitem__, contingency), np.int32, len(contingency)),
             loading,
             excess,
-            [c == "overload" for c in category],
+            np.asarray(category, dtype=object) == "overload",
         )
 
     def __len__(self) -> int:
@@ -503,20 +501,14 @@ def region_counts(regional: dict[str, int]) -> list[RegionCount]:
 
 
 def read_overloads_csv(path) -> OverloadRecords:
-    """Read an overloads.csv back; floats round-trip exactly via repr.
-
-    ``OVERLOAD_COLUMNS`` lists the columns in ``OverloadRecord`` field order.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        next(rows, None)  # the header
-        return OverloadRecords.from_rows(
-            (line, int(hour), ctg or None, float(pct), float(excess), cls)
-            for line, hour, ctg, pct, excess, cls in rows
-        )
+    """Read an overloads.csv back; floats round-trip exactly via repr. An
+    empty contingency cell is the intact network."""
+    columns = dict(zip(OVERLOAD_COLUMNS, (text, int, str, number, number, text)))
+    return OverloadRecords.from_columns(*read_columns(path, columns, ValueError).values())
 
 
 def read_line_summary_csv(path) -> list[LineSummary]:
     """Read a line_summary.csv back; its columns are in ``LineSummary`` field order."""
-    columns = dict(zip(LINE_SUMMARY_COLUMNS, (text, int, int, float, float, int, text)))
-    return read_input(path, columns, LineSummary, ValueError)[1]
+    columns = dict(zip(LINE_SUMMARY_COLUMNS, (text, int, int, number, number, int, text)))
+    table = read_columns(path, columns, ValueError)
+    return list(map(LineSummary, *(column.tolist() for column in table.values())))

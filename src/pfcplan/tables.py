@@ -5,10 +5,12 @@ of the row object that fills it, in column order. Each row type declares its
 table next to its dataclass; CSV files are written by ``write_csv`` and JSON
 row lists built by ``rows`` from those same tables.
 
-An input column table maps each header to the parser of its cells, in the
-order the row type takes them. ``read_input`` reads every input CSV and
-``write_rows`` writes them, as it writes every output CSV, so the CSV format
-is decided here alone.
+An input column table maps each header to the parser of its cells (``number``,
+``int``, ``text``, ``str`` or ``boolean``). Every CSV read, input or stage
+output, goes through one column reader, ``read_chunks``: one ``np.loadtxt``
+pass with a structured dtype built from the table, each column then checked
+whole; the parsers run only on the error path, to name the first bad cell.
+``write_rows`` writes the inputs, so the CSV format is decided here alone.
 
 Every CSV goes through one writer, ``write_columns``, which takes at most
 ``CHUNK_ROWS`` rows at a time as one list of formatted cells per column and
@@ -25,16 +27,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import lru_cache
-from itertools import chain, islice
+from contextlib import contextmanager
+from functools import lru_cache, partial
+from itertools import chain, filterfalse, islice
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 # rows formatted per write: enough to amortize each join, few enough that a
-# chunk's cells add no visible peak memory
-CHUNK_ROWS = 4096
+# chunk's cells add no visible peak memory (4096 rows set grid30's peak)
+CHUNK_ROWS = 1024
+# bytes of rows parsed per read, for the same reason
+CHUNK_BYTES = 1 << 16
 
 
 def select(columns: dict[str, str], *headers: str) -> dict[str, str]:
@@ -133,8 +138,8 @@ def number(raw: str) -> float:
 
 
 def boolean(raw: str) -> bool:
-    """``true`` or ``false`` in any letter case."""
-    lowered = raw.lower()
+    """``true`` or ``false`` in any letter case, spaces around it ignored."""
+    lowered = raw.strip().lower()
     if lowered == "true":
         return True
     if lowered == "false":
@@ -142,42 +147,83 @@ def boolean(raw: str) -> bool:
     raise ValueError(f"must be true or false, got {raw!r}")
 
 
-def read_input(path, columns: dict, row, error: type[ValueError], rest=None):
-    """Parse an input CSV into one ``row(*values)`` per data row.
+# the loadtxt field of each parser; text is read as str objects
+_FIELDS = {number: "f8", int: "i8", text: "O", str: "O", boolean: "?"}
 
-    ``columns`` maps each header the file must have to the parser of its
-    stripped cells. With ``rest``, every other header is a column too, parsed
-    by ``rest`` after the declared ones. ``row`` None keeps each row as its
-    list of values. Returns the headers read, in value order, and the rows.
 
-    Blank lines are skipped; row numbers count the header as row 1. Every
-    failure is raised as ``error`` naming the file once, and the row and
-    column where it has them.
-    """
+@contextmanager
+def _lines(path):
+    """A CSV's header cells and its lines of more than whitespace, BOM dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        yield next(csv.reader(fh), []), filterfalse(str.isspace, fh)
+
+
+_loadtxt = partial(np.loadtxt, comments=None, delimiter=",", quotechar='"', ndmin=1)
+
+
+def read_chunks(path, columns: dict, error: type[ValueError], rest=None):
+    """Yield an empty chunk, then each chunk of rows of an input CSV as one
+    array per column, keyed by header. With ``rest``, every other header is
+    a column too, parsed by ``rest``. Every failure is raised as ``error``
+    naming the file once, and the row (the header is row 1) and column."""
     path = Path(path)
     if not path.exists():
         raise error(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in columns if name not in header]
-        if missing:
+    with _lines(path) as (header, lines):
+        if missing := [name for name in columns if name not in header]:
             raise error(f"{path}: missing columns {missing}")
-        names = list(columns)
-        if rest is not None:
-            names += [name for name in header if name not in columns]
-        cells = [(header.index(name), columns.get(name, rest)) for name in names]
-        rows = []
-        for row_no, raw in enumerate(filter(None, reader), start=2):
-            values = []
+        if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
+            raise error(f"{path}: column {repeated[0]} repeated")
+        names = [*columns, *(n for n in header if rest is not None and n not in columns)]
+        cells = [(name, columns.get(name, rest), header.index(name)) for name in names]
+        dtype = np.dtype([(f"f{i}", _FIELDS[cell[1]]) for i, cell in enumerate(cells)])
+        rows = CHUNK_BYTES // dtype.itemsize + 1
+        read = partial(_loadtxt, dtype=dtype, usecols=[i for *_, i in cells],
+                       converters={i: boolean for _, parse, i in cells if parse is boolean})
+        table, start = np.zeros(0, dtype), 0
+        while True:  # one loadtxt call per chunk
+            chunk = {}
+            for (name, parse, _), field in zip(cells, dtype.names):
+                column = chunk[name] = table[field]
+                if parse in (text, str):
+                    column = chunk[name] = np.array([*map(str.strip, column)], object)
+                if (parse is text and (column == "").any()
+                        or parse is number and not np.isfinite(column).all()):
+                    raise _cell_error(path, cells, read, start, error)
+            yield chunk
+            start += len(table)
+            if (first := next(lines, None)) is None:  # loadtxt warns at no data
+                return
             try:
-                for i, parse in cells:
-                    values.append(parse(raw[i].strip()))
-                rows.append(values if row is None else row(*values))
-            except (ValueError, IndexError) as exc:
-                where = f"{path} row {row_no}"
-                if len(values) < len(cells):  # a cell failed, not the row type
-                    where += f", column {names[len(values)]}"
-                    exc = "missing" if isinstance(exc, IndexError) else exc
-                raise error(f"{where}: {exc}") from None
-    return names, rows
+                table = read(chain([first], lines), max_rows=rows)
+            except ValueError:
+                raise _cell_error(path, cells, read, start, error) from None
+
+
+def read_columns(path, columns: dict, error: type[ValueError], rest=None) -> dict:
+    """Read an input CSV whole: the chunks of ``read_chunks``, joined."""
+    chunks = list(read_chunks(path, columns, error, rest))
+    return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+
+
+def _cell_error(path, cells, read, start: int, error: type[ValueError]):
+    """The error of the first cell, from data row ``start`` on, that its
+    parser refuses; ``cells`` holds each column's name, parser and index."""
+    with _lines(path) as (_, lines):
+        if start:
+            read(lines, max_rows=start)
+        for row_no, line in enumerate(lines, start + 2):
+            raw = _loadtxt(chain([line], lines), object, max_rows=1).tolist()
+            for name, parse, i in cells:
+                try:
+                    value = parse(cell := raw[i].strip())
+                    # what int() and float() read beyond numpy's grammar
+                    if parse in (number, int) and ("_" in cell or not cell.isascii()):
+                        raise ValueError(
+                            f"must be ASCII digits without underscores, got {cell!r}")
+                    if parse is int and not -(2**63) <= value < 2**63:
+                        raise ValueError(f"must fit in 64 bits, got {cell!r}")
+                except (IndexError, ValueError) as exc:
+                    problem = "missing" if isinstance(exc, IndexError) else exc
+                    return error(f"{path} row {row_no}, column {name}: {problem}")
+    return error(f"{path}: a row from row {start + 2} on could not be parsed")

@@ -12,8 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pfcplan import cases, siting
+from pfcplan import cases, screening, siting
 from pfcplan.network import Bus, Generator, Line, NetworkModel
+
+
+def records_from_rows(rows) -> screening.OverloadRecords:
+    """Records from rows in ``OverloadRecord`` field order, in any order."""
+    return screening.OverloadRecords.from_columns(*(list(zip(*rows)) or [()] * 6))
 
 
 # -- independent oracles -----------------------------------------------------

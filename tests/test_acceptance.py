@@ -402,17 +402,13 @@ def test_determinism_and_tieout(tmp_path):
             assert reported["contingency_count"] == len(entry["ctg"])
         # the summary's screening totals tie out as well
         assert summary["screening"]["overloaded_lines"] == sum(regional.values())
-        n_over = sum(
-            1
-            for row in csv.DictReader(open(out_a / "overloads.csv", newline=""))
-            if row["class"] == "overload"
-        )
+        with open(out_a / "overloads.csv", newline="") as fh:
+            n_over = sum(1 for row in csv.DictReader(fh) if row["class"] == "overload")
         assert summary["screening"]["overload_records"] == n_over
 
         # and the outcome breakdown percentages from pfc_outcomes.csv
-        outcome_rows = list(
-            csv.DictReader(open(out_a / "pfc_outcomes.csv", newline=""))
-        )
+        with open(out_a / "pfc_outcomes.csv", newline="") as fh:
+            outcome_rows = list(csv.DictReader(fh))
         counts = {"FullyResolved": 0, "PartiallyResolved": 0, "NoChange": 0}
         for row in outcome_rows:
             counts[row["classification"]] += 1

@@ -52,6 +52,7 @@ from conftest import (
     fleet_model,
     graph_bridges,
     pair_group,
+    records_from_rows,
 )
 
 # hours spread over the year, so both seasons and their ratings appear
@@ -350,7 +351,7 @@ def test_summarize_keys_do_not_wrap_past_46341_lines():
     # passes 2**31 once the line indices pass 46,341
     rows = [("L12", 5, "L13", 110.0, 8.5, "overload"), ("L12", 9, "L23", 102.0, 1.7, "overload"),
             ("L13", 5, None, 95.0, 0.0, "near")]
-    small = screening.OverloadRecords.from_rows(rows)
+    small = records_from_rows(rows)
     pad = tuple(f"X{i:05d}" for i in range(50_000))
     big = screening.OverloadRecords(
         pad + small.line_ids, small.line + len(pad), small.hour,
@@ -692,7 +693,7 @@ def _siting_study(mesh, hours, overload_pct):
     intact = [(base.line_ids[li], int(HOURS[hi]), None, loading[hi, li], 0.0, "overload")
               for hi, li in zip(*np.nonzero(loading > overload_pct))]
     post = stage2_scan(base, lodf, model, CALENDAR, overload_pct=overload_pct)
-    records = screening.OverloadRecords.from_rows(
+    records = records_from_rows(
         [r for r in list(post) + intact if r[1] in hours and r[5] == "overload"]
     )
     return records, model, injections, CALENDAR, compute_ptdf(build_system(model), model), lodf

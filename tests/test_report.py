@@ -7,13 +7,15 @@ import pytest
 from pfcplan import cases
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 from pfcplan.report import ReportConsistencyError, build_report, emit
-from pfcplan.screening import LineSummary, OverloadRecord, OverloadRecords
+from pfcplan.screening import LineSummary, OverloadRecord
 from pfcplan.siting import (
     FULLY_RESOLVED,
     NO_CHANGE,
     PARTIALLY_RESOLVED,
     PfcOutcome,
 )
+
+from conftest import records_from_rows
 
 SVG = "{http://www.w3.org/2000/svg}"
 PARAMS = {"derate": 0.1, "near_pct": 90.0, "overload_pct": 100.0}
@@ -102,7 +104,7 @@ def test_breakdown_percentages():
 
 def test_summary_mismatch_is_hard_error():
     model = cases.triangle()
-    records = OverloadRecords.from_rows(
+    records = records_from_rows(
         [OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload")]
     )
     wrong = [_summary("L12", model.bus_by_id["B1"].region, overload_hours=99)]

@@ -23,7 +23,6 @@ from pfcplan.network import (
 from pfcplan.screening import (
     BaseFlows,
     OverloadRecord,
-    OverloadRecords,
     read_overloads_csv,
     stage1_scan,
     stage2_scan,
@@ -31,6 +30,8 @@ from pfcplan.screening import (
     write_workbook,
 )
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
+
+from conftest import records_from_rows
 
 
 def _two_bus(x=0.1, rating=100.0):
@@ -244,13 +245,13 @@ def test_stage1_rejects_unbalanced_dispatch_with_hour_context():
 
 
 def test_summarize_empty():
-    summaries, regional = summarize(OverloadRecords.from_rows([]), cases.triangle())
+    summaries, regional = summarize(records_from_rows([]), cases.triangle())
     assert summaries == [] and regional == {}
 
 
 def test_summarize_distinct_hours_and_contingency_count():
     model = cases.triangle()
-    records = OverloadRecords.from_rows([
+    records = records_from_rows([
         OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload"),
         OverloadRecord("L12", 5, "L23", 104.0, 3.4, "overload"),
         OverloadRecord("L12", 9, "L13", 102.0, 1.7, "overload"),
@@ -283,7 +284,7 @@ def test_summarize_2750_hour_line():
 
 def test_near_only_line_not_in_regional_rollup():
     model = cases.triangle()
-    records = OverloadRecords.from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
+    records = records_from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
     summaries, regional = summarize(records, model)
     assert summaries[0].overload_hours == 0
     assert regional == {}

@@ -7,7 +7,7 @@ from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
 from pfcplan.network import HOURS_PER_YEAR
-from pfcplan.screening import OverloadRecord, OverloadRecords, stage1_scan, stage2_scan
+from pfcplan.screening import OverloadRecord, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
     FULLY_RESOLVED,
@@ -22,7 +22,7 @@ from pfcplan.siting import (
     rank_targets,
 )
 
-from conftest import graph_bridges, min_reactance_increase
+from conftest import graph_bridges, min_reactance_increase, records_from_rows
 
 
 def _factors(model):
@@ -285,7 +285,7 @@ def test_assess_requires_overload_records(triangle):
     for rows in ([], near_only):
         with pytest.raises(ValueError, match="no overload records"):
             assess_target(
-                "L13", OverloadRecords.from_rows(rows), triangle,
+                "L13", records_from_rows(rows), triangle,
                 np.zeros((HOURS_PER_YEAR, 3)), cases.flat_calendar(), ptdf, lodf,
             )
 
