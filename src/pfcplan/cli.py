@@ -11,6 +11,11 @@ its outputs under temporary names, moves each into the output directory with
 ``os.replace`` and writes its meta last, so an interrupted stage leaves no
 meta that verifies. The report is not cached: it is re-emitted from the stage
 outputs after siting and by ``pfcplan report``.
+
+Within one command a stage that computes the dispatch year or the overload
+records hands them to the later stages, so each of ``dispatch.csv`` and
+``overloads.csv`` is parsed at most once per command, and not at all by a
+``run-all`` that computes both.
 """
 
 from __future__ import annotations
@@ -81,10 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 class Study:
     """What the stages read, each loaded on first use: the network, demand
     profile and availability inputs, and the dispatch year and screen records
-    read back from the output directory. A computed stage gets a fresh Study
-    and the report reuses the last one. Loaders are looked up on their module
-    at call time, so a wrapper on the module attribute (as bench/tracer.py
-    sets) sees every load."""
+    read back from the output directory. ``cmd_dispatch`` and ``cmd_screen``
+    set the year and the records they compute, which have the bits of a
+    read-back (every float is written as its repr). A computed stage gets a
+    fresh Study holding the year and records of the one before, and loads
+    its inputs again; the report reuses the last Study. One load of the inputs
+    per command (ROADMAP item 4) waits for a re-pin of
+    ``network.load_network.calls`` in bench/pins.json. Loaders are looked up
+    on their module at call time, so a wrapper on the module attribute (as
+    bench/tracer.py sets) sees every load."""
 
     cfg: StudyConfig
 
@@ -131,6 +141,7 @@ def cmd_dispatch(cfg: StudyConfig, study: Study, dest: Path) -> None:
     dispatch.write_dispatch_summary(
         year, dest / "dispatch_summary.json", config_hash=cfg.content_hash("dispatch")
     )
+    study.year = year
     n_bad = len(year.infeasible_hours)
     print(f"dispatch: {HOURS_PER_YEAR - n_bad} feasible hours, {n_bad} infeasible")
 
@@ -155,7 +166,7 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
         monitored=stage2_monitored,
         near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
     )
-    records = rec1 + rec2
+    records = study.records = rec1 + rec2
     summaries, regional = screening.summarize(records, model)
     screening.write_workbook(records, summaries, regional, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")
@@ -300,8 +311,11 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
                 f"{stage.name} output missing or stale for this config; "
                 f"run the {stage.name} stage first"
             )
-        # each computed stage loads what it reads; the report reuses the last
+        # a computed stage loads its inputs afresh and keeps the year and
+        # records the command holds; the report reuses the last Study
+        held = {k: v for k, v in vars(study).items() if k in ("year", "records")}
         study = Study(cfg)
+        vars(study).update(held)
         _compute(cfg, stage, study, content_hash)
     if walk == len(STAGES):
         _emit_report(cfg, study)
@@ -325,7 +339,8 @@ def main(argv=None) -> int:
         )
         return _run(cfg, *COMMANDS[args.command])
     except (
-        ConfigError, NetworkDataError, dispatch.DispatchInputError, OSError
+        ConfigError, NetworkDataError, dispatch.DispatchInputError,
+        dcflow.ImbalanceError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

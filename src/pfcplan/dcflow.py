@@ -61,6 +61,10 @@ class SingularSystemError(RuntimeError):
     """The reduced susceptance matrix is numerically singular."""
 
 
+class ImbalanceError(ValueError):
+    """Bus injections whose sum misses zero by more than ``RESIDUAL_TOL_MW``."""
+
+
 class IslandingError(RuntimeError):
     """A line outage would split the network."""
 
@@ -317,12 +321,17 @@ class FlowSolution:
         return float(self.flows_mw[self.line_ids.index(line_id)])
 
 
-def _check_balance(injections_mw: np.ndarray) -> None:
-    residual = abs(float(injections_mw.sum()))
-    if residual > RESIDUAL_TOL_MW:
-        raise ValueError(
-            f"injections do not balance: residual {residual:.3e} MW exceeds "
-            f"{RESIDUAL_TOL_MW} MW"
+def check_balance(injections_mw: np.ndarray, hours: np.ndarray | None = None) -> None:
+    """Refuse MW injections whose sum misses zero by more than
+    ``RESIDUAL_TOL_MW``: one vector, or one row per hour of ``hours``, the
+    message naming the worst hour."""
+    residuals = np.atleast_1d(np.abs(injections_mw.sum(axis=-1)))
+    if residuals.size and residuals.max() > RESIDUAL_TOL_MW:
+        worst = int(residuals.argmax())
+        where = "" if hours is None else f"hour {hours[worst]}: "
+        raise ImbalanceError(
+            f"{where}injections do not balance: residual {residuals[worst]:.3e} MW "
+            f"exceeds {RESIDUAL_TOL_MW} MW"
         )
 
 
@@ -336,7 +345,7 @@ def reduced_injections(model: NetworkModel, injections_mw: np.ndarray) -> np.nda
         raise ValueError(
             f"expected {len(model.buses)} injections, got shape {inj.shape}"
         )
-    _check_balance(inj)
+    check_balance(inj)
     slack = model.bus_index[model.slack_bus]
     rhs = np.concatenate((inj[:slack], inj[slack + 1:])) / model.system_base_mva
     rhs.flags.writeable = False

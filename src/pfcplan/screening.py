@@ -312,13 +312,7 @@ def stage1_scan(
     """
     hours = np.array(year.feasible_hours, dtype=int)
     inj = injection_matrix(model, year, profile)[hours]
-    residuals = np.abs(inj.sum(axis=1))
-    if residuals.size and residuals.max() > dcflow.RESIDUAL_TOL_MW:
-        worst = int(hours[int(residuals.argmax())])
-        raise ValueError(
-            f"hour {worst}: injections do not balance "
-            f"(residual {residuals.max():.3e} MW)"
-        )
+    dcflow.check_balance(inj, hours)
     angles = dcflow.solve_angles_batch(system, inj.T)
     flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)

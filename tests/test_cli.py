@@ -181,6 +181,27 @@ def test_capacity_short_year_exits_3_with_hours_listed(tmp_path):
     assert (out / "dispatch.csv").exists()  # files still written
 
 
+def test_mw_values_too_large_to_balance_exit_2_naming_the_hour(tmp_path, capsys):
+    # at 1e9 times grid30's MW the rounding of an hour's injection sum alone
+    # exceeds the 1e-6 MW balance tolerance, which Stage 1 refuses
+    config, _ = _study(tmp_path, cases.grid30_case())
+    inputs = json.loads(config.read_text())["inputs"]
+    scaled = {"demand": ("demand_mw",), "generators": ("p_max_mw", "p_min_mw"),
+              "lines": ("rating_summer_mw", "rating_winter_mw")}
+    for key, columns in scaled.items():
+        rows = _read_csv_rows(inputs[key])
+        for row in rows:
+            row.update({c: repr(float(row[c]) * 1e9) for c in columns})
+        header = list(rows[0])
+        Path(inputs[key]).write_text(
+            "\n".join([",".join(header)] + [",".join(r[c] for c in header) for r in rows])
+            + "\n",
+            encoding="utf-8",
+        )
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, "hour 3984", "do not balance", "residual 9.155e-05 MW")
+
+
 # -- screen ---------------------------------------------------------------------
 
 
@@ -447,6 +468,71 @@ def test_each_stage_loads_only_the_inputs_it_reads(tmp_path, monkeypatch):
     assert (len(networks), len(availabilities)) == (1, 0)
 
 
+def test_each_command_parses_dispatch_csv_and_overloads_csv_at_most_once(
+    tmp_path, monkeypatch
+):
+    years = _count_calls(monkeypatch, dispatch, "read_dispatch_outputs")
+    records = _count_calls(monkeypatch, screening, "read_overloads_csv")
+    case = cases.side_effect_case()
+
+    def parses(command, config):
+        years.clear()
+        records.clear()
+        assert main([command, "--config", str(config)]) == 0
+        return len(years), len(records)
+
+    # what run-all computes it hands on: it parses neither file
+    config, _ = _study(tmp_path, case, name="computed")
+    assert parses("run-all", config) == (0, 0)
+    # a cached dispatch is read once, by screen, and handed to site-pfc
+    config, _ = _study(tmp_path, case, name="cached")
+    assert parses("dispatch", config) == (0, 0)
+    assert parses("run-all", config) == (1, 0)
+    # one stage on verified upstream reads each of its files once
+    config, _ = _study(tmp_path, case, name="staged")
+    assert parses("dispatch", config) == (0, 0)
+    assert parses("screen", config) == (1, 0)
+    assert parses("site-pfc", config) == (1, 1)
+    assert parses("report", config) == (0, 1)
+
+
+def _bits(value):
+    """A value with its float bits spelled out: arrays by dtype, shape and
+    bytes, floats by ``float.hex``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def test_run_all_hands_on_the_bits_a_read_back_of_its_files_gives(tmp_path, monkeypatch):
+    handed = []
+    site_pfc = cli.cmd_site_pfc
+
+    def record_then_site(cfg, study, dest):
+        handed.append((study, dict(vars(study))))  # before site-pfc loads anything
+        site_pfc(cfg, study, dest)
+
+    monkeypatch.setattr(cli, "cmd_site_pfc", record_then_site)
+    config, out = _study(tmp_path, cases.grid30_case())
+    assert main(["run-all", "--config", str(config)]) == 0
+    [(study, held)] = handed
+    assert sorted(held) == ["cfg", "records", "year"]
+
+    year = dispatch.read_dispatch_outputs(
+        out / "dispatch.csv", out / "dispatch_summary.json", study.model
+    )
+    for field in dataclasses.fields(year):
+        name = field.name
+        assert _bits(getattr(held["year"], name)) == _bits(getattr(year, name)), name
+    records = screening.read_overloads_csv(out / "overloads.csv")
+    assert len(records) == len(held["records"]) > 0
+    assert [tuple(map(_bits, r)) for r in held["records"].rows()] == [
+        tuple(map(_bits, r)) for r in records.rows()
+    ]
+
+
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     from pfcplan import cli
     from pfcplan.dcflow import SingularSystemError
@@ -614,7 +700,7 @@ GRID30_SITING = {
 GRID30_STAGE3_WORK = {"N01-N02": (0, 0), "N10-N16": (2716, 322), "N17-N23": (12636, 1341)}
 
 
-def test_grid30_run_all_reads_the_records_once_and_logs_stage3_work(
+def test_grid30_run_all_parses_no_records_and_logs_stage3_work(
     tmp_path, monkeypatch, caplog
 ):
     reads = []
@@ -625,7 +711,7 @@ def test_grid30_run_all_reads_the_records_once_and_logs_stage3_work(
     config, out = _study(tmp_path, cases.grid30_case())
     with caplog.at_level(logging.INFO, logger="pfcplan.siting"):
         assert main(["run-all", "--config", str(config)]) == 0
-    assert len(reads) == 1  # site-pfc parses overloads.csv; the report reuses it
+    assert len(reads) == 0  # screen hands its records to site-pfc and the report
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in GRID30_SITING

@@ -3,6 +3,7 @@ import pytest
 
 from pfcplan import cases
 from pfcplan.dcflow import (
+    ImbalanceError,
     IslandingError,
     build_system,
     solve_flows,
@@ -62,7 +63,7 @@ def test_zero_injection_zero_flow(triangle):
 
 def test_unbalanced_injections_rejected(triangle):
     system = build_system(triangle)
-    with pytest.raises(ValueError, match="do not balance"):
+    with pytest.raises(ImbalanceError, match="do not balance: residual 1.000e[+]01 MW"):
         solve_flows(system, np.array([90.0, 0.0, -80.0]))
 
 

@@ -8,7 +8,8 @@ bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
 with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
 on monitored subsets against a dense scalar scan, ``build_system``'s pattern-cached assembly and its kept systems against the
 COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
-bisection of each pair group on its own, and ``assess_target`` as a whole
+bisection of each pair group on its own (and its flow at zero increase
+against the group's full unscaled solve), and ``assess_target`` as a whole
 against a Stage 3 on fresh reference solves. Merit-order dispatch, a year
 and a single hour, is checked against the scalar per-hour solve on random
 fleets, and ``network.effective_ratings`` against the scalar
@@ -810,6 +811,48 @@ def test_lean_solves_give_the_full_solution_bits(case):
                                              delta, siting.BISECTION_TOL_PP)
     assert _bits(f_cap) == _bits(abs(exact.flow_of(target)))
     assert _same_bits(siting._flows(model, group, host, delta), exact.flows_mw)
+
+
+def _assert_f_zero_is_the_pre_state(model, groups, target, host):
+    """The sizer's |flow| at zero of each pair group is the target's entry of
+    the group's unscaled full solve, ``_flows(model, g)``, bit for bit: the
+    pre-state a group could keep for sizing and side effects alike."""
+    candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
+    t = model.in_service_line_ids.index(target)
+    # an infinite rating needs no bisection
+    sized = siting._size_increases(model, [(g, float("inf")) for g in groups], candidate,
+                                   siting.CAP_PCT_DEFAULT, siting.BISECTION_TOL_PP)
+    assert [_bits(f_zero) for _, f_zero, _ in sized] == [
+        _bits(abs(siting._flows(model, g)[t])) for g in groups
+    ]
+
+
+@SETTINGS
+@given(sizings())
+@example(PARALLEL_SIZING)
+@example((*PARALLEL_SIZING[:4], [(None, 0, "zero", 0.5), ("L12", 1, "zero", 0.5)]))
+def test_sizer_f_zero_is_the_pre_state_flow_on_meshes(case):
+    model, injections, target, host, groups = case
+    # every drawn (contingency, hour) and each hour intact, in contingency order
+    settings_ = {(c, row) for c, row, *_ in groups} | {(None, row) for _, row, *_ in groups}
+    _assert_f_zero_is_the_pre_state(
+        model,
+        [pair_group(model, injections[row], c)
+         for c, row in sorted(settings_, key=lambda s: (s[0] or "", s[1]))],
+        target, host,
+    )
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_TARGETS, "grid30_case"])
+def test_sizer_f_zero_is_the_pre_state_flow_on_the_bundled_cases(name):
+    records, model, injections, calendar, _, _ = _fixture_study(name)
+    for target in records.lines(overload=True):
+        overloaded = {(r.hour, r.contingency) for r in records
+                      if r.line_id == target and r.category == "overload"}
+        pairs = overloaded | {(hour, None) for hour, _ in overloaded}
+        groups = siting._group_pairs(model, pairs, injections, calendar)
+        assert any(g.contingency is None for g in groups)
+        _assert_f_zero_is_the_pre_state(model, groups, target, target)
 
 
 @SETTINGS
