@@ -90,8 +90,10 @@ class Study:
     set the year and the records they compute, which have the bits of a
     read-back (every float is written as its repr). A computed stage gets a
     fresh Study holding the year and records of the one before, and loads
-    its inputs again; the report reuses the last Study. One load of the inputs
-    per command (ROADMAP item 4) waits for a re-pin of
+    its inputs again; the report reuses the last Study, and takes the
+    dispatch figures it and the exit code need from the year that Study
+    holds, reading ``dispatch_summary.json`` only when it holds none. One
+    load of the inputs per command (ROADMAP item 4) waits for a re-pin of
     ``network.load_network.calls`` in bench/pins.json. Loaders are looked up
     on their module at call time, so a wrapper on the module attribute (as
     bench/tracer.py sets) sees every load."""
@@ -127,6 +129,22 @@ class Study:
     @cached_property
     def records(self) -> screening.OverloadRecords:
         return screening.read_overloads_csv(Path(self.cfg.out_dir) / "overloads.csv")
+
+    @cached_property
+    def dispatch_stats(self) -> dict:
+        """The year's infeasible hour count and total curtailment, as the
+        summary JSON stores them: from the year when the command holds it,
+        else from ``dispatch_summary.json``, parsed once."""
+        if "year" in vars(self):
+            year = self.year
+            infeasible = len(year.infeasible_hours)
+            total = float(sum(year.curtailed_mw.tolist()))  # the writer's sum
+        else:
+            path = Path(self.cfg.out_dir) / "dispatch_summary.json"
+            summary = json.loads(path.read_text())
+            infeasible = len(summary["infeasible_hours"])
+            total = summary["total_curtailment_mwh"]
+        return {"infeasible_hours": infeasible, "total_curtailment_mwh": total}
 
 
 # -- stage bodies: each writes its listed outputs into ``dest`` -----------------
@@ -277,7 +295,6 @@ def _emit_report(cfg: StudyConfig, study: Study) -> None:
     # build_report checks the screen stage's summaries against the records
     summaries = screening.read_line_summary_csv(out / "line_summary.csv")
     outcomes = siting.read_outcomes_json(out / "pfc_outcomes_detail.json")
-    payload = json.loads((out / "dispatch_summary.json").read_text())
     study = report.build_report(
         summaries,
         outcomes,
@@ -285,10 +302,7 @@ def _emit_report(cfg: StudyConfig, study: Study) -> None:
         parameters=cfg.parameter_echo(),
         records=study.records,
         ranking=siting.rank_targets(outcomes),
-        dispatch_stats={
-            "infeasible_hours": len(payload["infeasible_hours"]),
-            "total_curtailment_mwh": payload["total_curtailment_mwh"],
-        },
+        dispatch_stats=study.dispatch_stats,
         scenario=cfg.scenario,
         config_hash=cfg.content_hash(),
     )
@@ -320,9 +334,8 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
     if walk == len(STAGES):
         _emit_report(cfg, study)
         print(f"report: written to {out / 'report'}")
-    if "dispatch" in computes:
-        summary = json.loads((out / "dispatch_summary.json").read_text())
-        return EXIT_INFEASIBLE if summary["infeasible_hours"] else EXIT_OK
+    if "dispatch" in computes and study.dispatch_stats["infeasible_hours"]:
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 

@@ -23,10 +23,10 @@ step masked to the hours it applies to, so an hour gets the same bits whether
 
 A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
 per (hour, generator), in hour order. It is written through
-``tables.write_columns`` from ``DispatchYear.outputs_mw``, a few thousand rows
-at a time, each output as its repr, and read back a chunk at a time by
-``tables.read_chunks``; the other columns go to the summary JSON, so a year
-read back equals the computed one bit for bit.
+``tables.write_columns`` from ``DispatchYear.outputs_mw``, about a thousand
+rows at a time, each output as its repr (``tables.float_cells``), and read
+back a chunk at a time by ``tables.read_chunks``; the other columns go to the
+summary JSON, so a year read back equals the computed one bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .network import HOURS_PER_YEAR, NetworkModel
 from .tables import (
-    CHUNK_ROWS, float_cell, number, read_chunks, read_columns, text, text_cell,
+    CHUNK_ROWS, float_cells, number, read_chunks, read_columns, text, text_cell,
     write_columns,
 )
 
@@ -150,9 +150,9 @@ class DispatchYear:
     def infeasible_hours(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(~self.feasible).tolist())
 
-    @cached_property
-    def feasible_hours(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.feasible).tolist())
+    @property
+    def feasible_hours(self) -> np.ndarray:
+        return np.flatnonzero(self.feasible)
 
 
 class _Fleet:
@@ -370,7 +370,7 @@ def write_dispatch_csv(year: DispatchYear, path) -> None:
             yield [
                 np.repeat(hours[part], len(generators)).tolist(),
                 generators * len(hours[part]),
-                list(map(float_cell, outputs[part].ravel().tolist())),
+                float_cells(outputs[part]),
             ]
 
     write_columns(path, DISPATCH_COLUMNS, chunks())

@@ -33,10 +33,10 @@ view iteration yields.
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``. Line and contingency cells index
 one text cell per line id (index -1, the intact network, is the empty cell),
-hour cells one cell per hour and class cells a two-entry array. Each loading
-is written as its repr; an excess of exactly +0.0, which every near record
-has, is the cell ``0.0`` without a repr, and every other excess (a -0.0
-too) is its repr. So each float reads back exactly.
+hour cells one cell per hour and class cells a two-entry array. Loading and
+excess cells come from ``tables.float_cells``: each is the float's repr (the
++0.0 excess of every near record is ``0.0``, a -0.0 ``-0.0``), so each float
+reads back exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .shift_factors import LodfMatrix
 from .tables import (
-    CHUNK_ROWS, float_cell, number, read_columns, select, text, text_cell, write_columns,
+    CHUNK_ROWS, float_cells, number, read_columns, select, text, text_cell, write_columns,
     write_csv,
 )
 
@@ -193,16 +193,12 @@ class OverloadRecords:
         category = np.array(["near", "overload"], dtype=object)
         for start in range(0, len(self), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            excess = self.excess_mw[part]
-            excess_cells = np.full(len(excess), "0.0", dtype=object)
-            signed = np.flatnonzero((excess != 0.0) | np.signbit(excess))
-            excess_cells[signed] = list(map(float_cell, excess[signed].tolist()))
             yield [
                 ids[self.line[part]].tolist(),
                 hours[self.hour[part]].tolist(),
                 ids[self.contingency[part]].tolist(),
-                list(map(float_cell, self.loading_pct[part].tolist())),
-                excess_cells.tolist(),
+                float_cells(self.loading_pct[part]),
+                float_cells(self.excess_mw[part]),
                 category[self.overload[part].view(np.int8)].tolist(),
             ]
 
@@ -310,7 +306,7 @@ def stage1_scan(
     Returns the records and the full base-flow matrix, which Stage 2 needs
     for the LODF superposition. Infeasible dispatch hours are excluded.
     """
-    hours = np.array(year.feasible_hours, dtype=int)
+    hours = year.feasible_hours
     inj = injection_matrix(model, year, profile)[hours]
     dcflow.check_balance(inj, hours)
     angles = dcflow.solve_angles_batch(system, inj.T)

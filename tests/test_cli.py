@@ -496,6 +496,32 @@ def test_each_command_parses_dispatch_csv_and_overloads_csv_at_most_once(
     assert parses("report", config) == (0, 1)
 
 
+def test_run_all_takes_the_dispatch_figures_from_the_year_it_holds(
+    tmp_path, monkeypatch
+):
+    summaries = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):  # json.load parses through it too
+        value = loads(text, *args, **kwargs)
+        if isinstance(value, dict) and "curtailment_mwh" in value:
+            summaries.append(value)
+        return value
+
+    monkeypatch.setattr(json, "loads", counted)
+    config, out = _study(tmp_path, cases.side_effect_case())
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert len(summaries) == 0
+    report = loads((out / "report" / "summary.json").read_text())["dispatch"]
+    assert main(["report", "--config", str(config)]) == 0
+    assert len(summaries) == 1
+    stored = summaries[0]
+    assert report == {
+        "infeasible_hours": len(stored["infeasible_hours"]),
+        "total_curtailment_mwh": stored["total_curtailment_mwh"],
+    }
+
+
 def _bits(value):
     """A value with its float bits spelled out: arrays by dtype, shape and
     bytes, floats by ``float.hex``."""

@@ -53,3 +53,12 @@ def test_tracer_installs_on_the_package_and_traces_run_all(tmp_path):
                  "shift_factors.compute_lodf", "siting.check_side_effects"):
         assert layers[f"{name}.calls"] > 0, name
     assert layers["report.emit.wall_s"] > 0
+
+
+def test_the_cli_imports_without_orjson(tmp_path):
+    # orjson's import pulls in uuid, zoneinfo and datetime; tables.float_cells
+    # loads it when a float column is first written, not at every start-up
+    done = _python(["-c", "import sys, pfcplan.cli; print('orjson' in sys.modules)"],
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -4,6 +4,9 @@ Tables are drawn with text that needs quoting, repr-sensitive floats, ints,
 booleans and None, under both line terminators, and with row counts on both
 sides of the writer's chunk boundary. Rows are built by cycling a few drawn
 values per column, so a table of thousands of rows costs a handful of draws.
+``float_cells``, which writes the float columns of ``overloads.csv`` and
+``dispatch.csv``, is checked against repr on its own, at the edges of the
+range where orjson's bytes are used.
 """
 
 import csv
@@ -13,8 +16,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pfcplan.dispatch import DISPATCH_COLUMNS, DispatchYear, write_dispatch_csv
+from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.screening import OVERLOAD_COLUMNS, OverloadRecords, write_workbook
-from pfcplan.tables import CHUNK_ROWS, boolean, write_csv, write_rows
+from pfcplan.tables import CHUNK_ROWS, boolean, float_cells, write_csv, write_rows
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -123,3 +128,40 @@ def test_numpy_scalars_are_written_as_their_values(tmp_path):
     expected = b"value,count,flag\r\n1.5,3,true\r\n-0.0,-7,false\r\n1e+16,0,\r\n"
     assert (tmp_path / "python.csv").read_bytes() == expected
     assert (tmp_path / "numpy.csv").read_bytes() == expected
+
+
+# the edges of orjson's exact range (1e-4 <= |x| < 1e16, and ±0.0) and
+# values outside it, where repr and orjson differ
+EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324, -0.0, 0.0,
+         -1e-4, float("nan"), float("inf"), float("-inf"), 1.5e-05, 1e22]
+
+
+@SETTINGS
+@given(st.lists(st.floats() | st.sampled_from(EDGES), max_size=40).map(np.array))
+@example(np.array(EDGES))
+@example(np.zeros(0))
+@example(np.array(EDGES * 3)[::4])  # not contiguous
+def test_float_cells_are_reprs(values):
+    assert float_cells(values) == list(map(float.__repr__, values.tolist()))
+
+
+def test_dispatch_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    ids = ("G,1", 'G"2', "G3")
+    # magnitudes from 1e-9 to 1e20, both signs, and every seventh cell an edge
+    shape = (HOURS_PER_YEAR, len(ids))
+    outputs = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-9, 21, shape)
+    outputs.flat[::7] = np.resize(EDGES, len(outputs.flat[::7]))
+    year = DispatchYear(
+        outputs_mw=outputs, curtailed_mw=np.zeros(HOURS_PER_YEAR),
+        snsp=np.zeros(HOURS_PER_YEAR), feasible=np.ones(HOURS_PER_YEAR, bool),
+        generator_ids=ids, snsp_cap=0.5,
+    )
+    write_dispatch_csv(year, tmp_path / "dispatch.csv")
+    rows = (
+        (hour, gid, value)
+        for hour, values in enumerate(outputs.tolist())
+        for gid, value in zip(ids, values)
+    )
+    reference_write_rows(tmp_path / "ref.csv", DISPATCH_COLUMNS, rows)
+    assert (tmp_path / "dispatch.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
