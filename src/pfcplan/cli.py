@@ -184,7 +184,7 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
         monitored=stage2_monitored,
         near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
     )
-    records = study.records = rec1 + rec2
+    records = study.records = screening.join_stages(rec1, rec2)
     summaries, regional = screening.summarize(records, model)
     screening.write_workbook(records, summaries, regional, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")

@@ -13,17 +13,24 @@ Building a system is cheap to repeat. The sparsity pattern of the reduced
 matrix depends only on which line is excluded, so it is derived once per
 excluded line from the COO assembly in ``susceptance_matrix`` and cached on
 the model (``NetworkModel.susceptance_patterns``, at most one entry per
-in-service line plus the intact network). A call computes only the line
-susceptances, adds them into the pattern's slots in the order the COO
-assembly adds them, and factorizes: the matrix, and so its LU, is the COO
-assembly's bit for bit.
+in-service line plus the intact network), its row indices and column
+pointers canonical and in ``intc``, as ``splu`` makes them. A call computes
+only the line susceptances and adds them into the pattern's slots in the
+order the COO assembly adds them. It hands that data array and the pattern's
+arrays straight to SuperLU's ``gstrf``, the call ``scipy.sparse.linalg.splu``
+ends in, with SuperLU's default options, which are ``splu``'s. No sparse
+matrix is made per factorization and ``splu``'s per-call checks and casts
+are skipped. The matrix, and so its LU, is the COO assembly's and ``splu``'s
+bit for bit. On grid30 a factorizing build costs 45-70 us, nearly all of it
+SuperLU's own factorization.
 
 Repeating a build costs a lookup. The model also keeps what ``build_system``
 factorized, bounded: the unscaled system of each excluded line
 (``NetworkModel.susceptance_systems``, the same bound as the patterns) and one
 slot for the last system built with a reactance scale that applies
 (``NetworkModel.scaled_system``). A call with the same excluded line and the
-same applying (line, scale) pairs gets the kept system back; its arrays are
+same applying (line, scale) pairs gets the kept system back; the pairs are
+sorted only when more than one applies. The kept system's arrays are
 read-only, so every caller sees the same numbers a fresh build would give. A
 singular build is never kept. ``factorizations`` counts the LUs computed.
 
@@ -41,10 +48,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .network import NetworkModel, islanded_buses
+
+try:  # the SuperLU entry point splu calls, without splu's per-call wrapper
+    from scipy.sparse.linalg._dsolve._superlu import gstrf as _gstrf
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        f"pfcplan.dcflow factorizes through scipy.sparse.linalg._dsolve._superlu.gstrf, "
+        f"which scipy {scipy.__version__} does not provide"
+    ) from exc
 
 # a reduced-system pivot below this fraction of the largest matrix entry is
 # treated as singular (an undetected island)
@@ -81,14 +96,17 @@ class IslandingError(RuntimeError):
 class SusceptanceSystem:
     """Factorized slack-reduced susceptance system for one topology.
 
-    Immutable after construction. ``lu`` solves the reduced system; the line
-    arrays describe the in-service lines (minus any excluded outage) in model
-    order and are what flow reconstruction uses.
+    Immutable after construction. ``lu`` solves the reduced system, whose
+    CSC arrays are ``data``, ``indices`` and ``indptr``; the line arrays
+    describe the in-service lines (minus any excluded outage) in model order
+    and are what flow reconstruction uses.
     """
 
     model: NetworkModel
     lu: object  # SuperLU factorization of the reduced matrix
-    reduced: sp.csc_matrix
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     slack_index: int
     non_slack: np.ndarray  # bus positions kept in the reduced system
     line_ids: tuple[str, ...]
@@ -99,6 +117,13 @@ class SusceptanceSystem:
     @property
     def n_buses(self) -> int:
         return len(self.model.buses)
+
+    @property
+    def reduced(self) -> sp.csc_matrix:
+        """The factorized matrix, a CSC matrix over the read-only arrays made
+        on each read."""
+        n = len(self.non_slack)
+        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=(n, n))
 
 
 def susceptance_matrix(
@@ -139,8 +164,8 @@ class _Pattern:
     -1/x at both off-diagonals. ``stamp_line`` and ``stamp_sign`` list the
     stamps that land in the reduced matrix in the order the COO-to-CSC
     conversion adds them, and ``slots`` the data slot each is added into.
-    ``structure`` is the reduced matrix itself: every system built on the
-    pattern shares its checked indices and pointers and sets its own data.
+    ``indices`` and ``indptr`` are the reduced matrix's, canonical and
+    ``intc``: every system built on the pattern shares them.
     """
 
     kept: np.ndarray  # in-service positions of the kept lines, in model order
@@ -152,7 +177,8 @@ class _Pattern:
     stamp_line: np.ndarray
     stamp_sign: np.ndarray
     slots: np.ndarray
-    structure: sp.csc_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
     slack_index: int
     non_slack: np.ndarray
 
@@ -195,6 +221,7 @@ def _derive_pattern(model: NetworkModel, exclude_line: str | None) -> _Pattern:
     full = susceptance_matrix(model, exclude_line)
     full.data = np.arange(1.0, full.nnz + 1.0)
     reduced = full[np.ix_(non_slack, non_slack)].tocsc()
+    reduced.sum_duplicates()  # canonical, as splu makes its input: sorts only
     slot_of = np.full(full.nnz, -1)
     slot_of[reduced.data.astype(int) - 1] = np.arange(reduced.nnz)
     slots = slot_of[entry]
@@ -210,13 +237,14 @@ def _derive_pattern(model: NetworkModel, exclude_line: str | None) -> _Pattern:
         stamp_line=stamps[inside] // 4,
         stamp_sign=np.where(stamps[inside] % 4 < 2, 1.0, -1.0),
         slots=slots[inside],
-        structure=reduced,
+        indices=reduced.indices.astype(np.intc),
+        indptr=reduced.indptr.astype(np.intc),
         slack_index=slack,
         non_slack=non_slack,
     )
-    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
-    for value in arrays + [reduced.data, reduced.indices, reduced.indptr]:
-        value.flags.writeable = False  # shared by every system built from it
+    for value in vars(pattern).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False  # shared by every system built from it
     return pattern
 
 
@@ -245,10 +273,10 @@ def build_system(
             f"{exclude_line} disconnects the network"
         )
     pattern = _pattern(model, exclude_line)
-    scaled = tuple(sorted(
-        (lid, scale) for lid, scale in (reactance_scale or {}).items()
-        if lid in pattern.position
-    ))
+    scaled = ()
+    if reactance_scale:
+        scaled = [item for item in reactance_scale.items() if item[0] in pattern.position]
+        scaled = tuple(sorted(scaled) if len(scaled) > 1 else scaled)
     if not scaled:
         memo, key = model.susceptance_systems, exclude_line
     else:
@@ -271,17 +299,17 @@ def _factorize(
         p = pattern.position[lid]
         x[p] = x[p] * scale
     suscept = 1.0 / x
+    nnz = len(pattern.indices)
     data = np.bincount(
-        pattern.slots,
-        weights=suscept[pattern.stamp_line] * pattern.stamp_sign,
-        minlength=pattern.structure.nnz,
+        pattern.slots, weights=suscept[pattern.stamp_line] * pattern.stamp_sign, minlength=nnz
     )
-    reduced = sp.csc_matrix(pattern.structure)  # shares its structure, unchecked
-    reduced.data = data
 
     factorizations += 1
-    try:
-        lu = splu(reduced)
+    try:  # splu(A)'s own call, with its default options
+        lu = _gstrf(
+            len(pattern.non_slack), nnz, data, pattern.indices, pattern.indptr,
+            csc_construct_func=sp.csc_array, ilu=False, options={},
+        )
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from None
     # reading lu.U converts both factors to CSC matrices: unscaled builds only
@@ -293,12 +321,13 @@ def _factorize(
                 "effectively disconnected"
             )
 
-    for array in (reduced.data, reduced.indices, reduced.indptr, suscept):
-        array.flags.writeable = False  # served again to later callers
+    data.flags.writeable = suscept.flags.writeable = False  # served again to later callers
     return SusceptanceSystem(
         model=model,
         lu=lu,
-        reduced=reduced,
+        data=data,
+        indices=pattern.indices,
+        indptr=pattern.indptr,
         slack_index=pattern.slack_index,
         non_slack=pattern.non_slack,
         line_ids=pattern.line_ids,

@@ -26,7 +26,9 @@ per (hour, generator), in hour order. It is written through
 ``tables.write_columns`` from ``DispatchYear.outputs_mw``, about a thousand
 rows at a time, each output as its repr (``tables.float_cells``), and read
 back a chunk at a time by ``tables.read_chunks``; the other columns go to the
-summary JSON, so a year read back equals the computed one bit for bit.
+summary JSON, so a year read back equals the computed one bit for bit. The
+summary has ``json.dump``'s ``indent=2`` layout; its two hourly lists are
+laid out from json's C encoder.
 """
 
 from __future__ import annotations
@@ -391,8 +393,28 @@ def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> N
         "snsp": year.snsp.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        _dump_summary(summary, fh)
         fh.write("\n")
+
+
+def _dump_summary(summary: dict, fh) -> None:
+    """Write ``json.dump(summary, fh, indent=2, sort_keys=True)``'s text. The
+    two hourly lists go through json's C encoder, ``CHUNK_ROWS`` values per
+    call, rather than its Python one: each ``", "`` of ``json.dumps(values)``
+    becomes the line break and indent ``indent=2`` puts between a top-level
+    list's items, as no number's text holds ``", "``."""
+    hourly = ("curtailment_mwh", "snsp")
+    rest = json.dumps({**summary, **dict.fromkeys(hourly, [])}, indent=2, sort_keys=True)
+    for key in hourly:
+        # no JSON string holds a raw line break, so only the entry matches
+        head, entry, rest = rest.partition(f'\n  "{key}": []')
+        fh.write(head + entry[:-1])
+        values = summary[key]
+        for start in range(0, len(values), CHUNK_ROWS):  # no large string, no RSS step
+            items = json.dumps(values[start:start + CHUNK_ROWS])[1:-1]
+            fh.write(("\n    " if start == 0 else ",\n    ") + items.replace(", ", ",\n    "))
+        fh.write("\n  ]" if values else "]")
+    fh.write(rest)
 
 
 def read_dispatch_outputs(csv_path, summary_path, model: NetworkModel) -> DispatchYear:

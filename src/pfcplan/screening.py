@@ -28,7 +28,8 @@ the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
 indices as int32), always ordered by hour, then contingency id (intact
 first), then line id, through one int64 key; ``OverloadRecord`` is the row
-view iteration yields.
+view iteration yields. ``join_stages`` inserts Stage 1's records into Stage
+2's, so the joined set is not sorted again.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``. Line and contingency cells index
@@ -89,8 +90,8 @@ class OverloadRecords:
     ``line`` and ``contingency`` index ``line_ids``; a contingency of -1 is
     the intact network. Construction sorts the columns by hour, contingency
     id (intact first) and line id, so every record set is in record order.
-    ``len`` counts the records, iteration yields one ``OverloadRecord`` per
-    record and ``+`` joins two record sets.
+    ``len`` counts the records and iteration yields one ``OverloadRecord``
+    per record.
     """
 
     line_ids: tuple[str, ...]
@@ -112,17 +113,20 @@ class OverloadRecords:
             for name, dtype in _RECORD_COLUMNS.items()
         }
         # (hour, contingency rank + 1, line rank) as one int64 in base n + 1;
-        # a stable sort keeps record sets that are already ordered runs cheap
+        # a stable sort keeps record sets that are already ordered runs cheap,
+        # and columns already in order are kept as they are
         key = columns["hour"].astype(np.int64)
         key *= n + 1
         key += rank[columns["contingency"]]
         key += 1
         key *= n + 1
         key += rank[columns["line"]]
-        perm = np.argsort(key, kind="stable")
+        if (key[1:] < key[:-1]).any():
+            perm = np.argsort(key, kind="stable")
+            columns = {name: column[perm] for name, column in columns.items()}
         del key
         for name, column in columns.items():
-            object.__setattr__(self, name, column[perm])
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_columns(cls, line, hour, contingency, loading, excess, category):
@@ -151,23 +155,6 @@ class OverloadRecords:
         if not isinstance(other, OverloadRecords):
             return NotImplemented
         return list(self.rows()) == list(other.rows())
-
-    def __add__(self, other: OverloadRecords) -> OverloadRecords:
-        known = set(self.line_ids)
-        line_ids = self.line_ids + tuple(
-            lid for lid in other.line_ids if lid not in known
-        )
-        pos = {lid: i for i, lid in enumerate(line_ids)}
-        remap = np.array([pos[lid] for lid in other.line_ids] + [-1], dtype=np.int32)
-        return OverloadRecords(
-            line_ids,
-            np.concatenate([self.line, remap[other.line]]),
-            np.concatenate([self.hour, other.hour]),
-            np.concatenate([self.contingency, remap[other.contingency]]),
-            np.concatenate([self.loading_pct, other.loading_pct]),
-            np.concatenate([self.excess_mw, other.excess_mw]),
-            np.concatenate([self.overload, other.overload]),
-        )
 
     def rows(self):
         """Plain-Python row tuples in ``OverloadRecord`` field order, which is
@@ -270,8 +257,10 @@ def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
     """
     magnitude = np.abs(flows_t, out=flows_t)
     floor = np.minimum(summer, winter)[lines] * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
-    rows, cols = np.nonzero(magnitude > floor[:, None])
-    a = magnitude[rows, cols]
+    # the cells above the floor in row-major order, as np.nonzero gives them
+    cells = np.flatnonzero(magnitude > floor[:, None])
+    rows, cols = np.divmod(cells, magnitude.shape[1])
+    a = magnitude.ravel()[cells]
     line = lines[rows]
     r = np.where(is_summer[cols], summer[line], winter[line])
     pct = 100.0 * a / r
@@ -279,7 +268,7 @@ def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
     pct = pct[hit]
     over = pct > overload_pct
     excess = np.where(over, a[hit] - r[hit], 0.0)
-    return len(rows), line[hit], cols[hit], pct, excess, over
+    return len(cells), line[hit], cols[hit], pct, excess, over
 
 
 def _monitored_columns(
@@ -399,6 +388,19 @@ def stage2_scan(
         screened, skipped, n_kept, n_pairs, n_cells, len(records),
     )
     return records
+
+
+def join_stages(stage1: OverloadRecords, stage2: OverloadRecords) -> OverloadRecords:
+    """Stage 1 and Stage 2 records of the same lines as one record set, in
+    record order without a second sort: an intact record sorts before every
+    outage record of its hour, so each Stage-1 record goes in before the
+    first Stage-2 record of its hour, the Stage-1 records in their order."""
+    if stage1.line_ids != stage2.line_ids:
+        raise ValueError("Stage 1 and Stage 2 records cover different line sets")
+    at = np.searchsorted(stage2.hour, stage1.hour)
+    return OverloadRecords(stage2.line_ids, *(
+        np.insert(getattr(stage2, name), at, getattr(stage1, name)) for name in _RECORD_COLUMNS
+    ))
 
 
 def _group_max(keys: np.ndarray, values: np.ndarray):

@@ -21,6 +21,26 @@ def records_from_rows(rows) -> screening.OverloadRecords:
     return screening.OverloadRecords.from_columns(*(list(zip(*rows)) or [()] * 6))
 
 
+def concat_records(
+    first: screening.OverloadRecords, second: screening.OverloadRecords
+) -> screening.OverloadRecords:
+    """Two record sets as one, by concatenating every column and sorting the
+    whole set again: the reference ``screening.join_stages`` must match."""
+    known = set(first.line_ids)
+    line_ids = first.line_ids + tuple(lid for lid in second.line_ids if lid not in known)
+    pos = {lid: i for i, lid in enumerate(line_ids)}
+    remap = np.array([pos[lid] for lid in second.line_ids] + [-1], dtype=np.int32)
+    return screening.OverloadRecords(
+        line_ids,
+        np.concatenate([first.line, remap[second.line]]),
+        np.concatenate([first.hour, second.hour]),
+        np.concatenate([first.contingency, remap[second.contingency]]),
+        np.concatenate([first.loading_pct, second.loading_pct]),
+        np.concatenate([first.excess_mw, second.excess_mw]),
+        np.concatenate([first.overload, second.overload]),
+    )
+
+
 # -- independent oracles -----------------------------------------------------
 
 

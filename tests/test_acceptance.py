@@ -31,7 +31,7 @@ from pfcplan.network import (
     Line,
     NetworkModel,
 )
-from pfcplan.screening import stage1_scan, stage2_scan
+from pfcplan.screening import join_stages, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 from pfcplan.siting import (
     FULLY_RESOLVED,
@@ -68,7 +68,7 @@ def _pipeline(case):
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = rec1 + rec2
+    records = join_stages(rec1, rec2)
     injections = injection_matrix(model, year, case.profile)
     return model, year, base, records, injections, ptdf, lodf
 

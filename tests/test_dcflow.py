@@ -1,7 +1,14 @@
+import importlib.util
+import re
+import sys
+import types
+
 import numpy as np
 import pytest
+import scipy
+from scipy.sparse.linalg._dsolve import linsolve
 
-from pfcplan import cases
+from pfcplan import cases, dcflow
 from pfcplan.dcflow import (
     ImbalanceError,
     IslandingError,
@@ -18,6 +25,23 @@ def test_two_bus_reduced_system():
     system = build_system(two_bus_model(x=0.1))
     assert system.reduced.shape == (1, 1)
     assert system.reduced.toarray()[0, 0] == pytest.approx(10.0)
+
+
+def test_factorization_calls_the_superlu_entry_point_splu_calls():
+    # dcflow skips splu's wrapper and calls the private C function splu ends
+    # in; a scipy whose splu calls something else must fail here
+    assert getattr(linsolve._superlu, "gstrf", None) is dcflow._gstrf, (
+        f"scipy {scipy.__version__}: splu no longer factorizes through "
+        "scipy.sparse.linalg._dsolve._superlu.gstrf"
+    )
+
+
+def test_a_moved_superlu_entry_point_fails_the_import_naming_scipy(monkeypatch):
+    stub = types.ModuleType("scipy.sparse.linalg._dsolve._superlu")  # no gstrf
+    monkeypatch.setitem(sys.modules, stub.__name__, stub)
+    spec = importlib.util.spec_from_file_location("pfcplan._dcflow_probe", dcflow.__file__)
+    with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__} ")):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_triangle_full_matrix_entries(triangle):

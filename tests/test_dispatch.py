@@ -1,10 +1,16 @@
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfcplan import cases
 from pfcplan.dispatch import (
     DemandProfile,
     DispatchInputError,
+    DispatchYear,
     ResAvailability,
     injection_matrix,
     load_demand_profile,
@@ -14,6 +20,7 @@ from pfcplan.dispatch import (
     run_year,
     write_dispatch_csv,
     write_dispatch_summary,
+    _dump_summary,
 )
 from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel
 
@@ -361,3 +368,46 @@ def test_single_hour_refuses_availability_of_no_wind_or_solar_generator(factors,
     with pytest.raises(DispatchInputError,
                        match=f"^availability for no wind or solar generator: {named}$"):
         merit_order_dispatch(model, 100.0, factors, snsp_cap=0.65)
+
+
+# any float, NaN, infinities and -0.0 among them
+HOURLY = st.lists(st.floats(width=64), max_size=12)
+TEXT = st.text(st.characters(codec="utf-8"), max_size=12) | st.just('\n  "snsp": []')
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(HOURLY, HOURLY, TEXT, st.lists(st.integers(0, HOURS_PER_YEAR - 1), unique=True))
+def test_dispatch_summary_file_is_json_dump(tmp_path_factory, curtailed, snsp, scenario,
+                                            infeasible):
+    feasible = np.ones(HOURS_PER_YEAR, dtype=bool)
+    feasible[infeasible] = False
+    year = DispatchYear(
+        outputs_mw=np.zeros((HOURS_PER_YEAR, 1)),
+        curtailed_mw=np.resize(np.array(curtailed or [0.0]), HOURS_PER_YEAR),
+        snsp=np.resize(np.array(snsp or [float("nan")]), HOURS_PER_YEAR),
+        feasible=feasible,
+        generator_ids=("G1",),
+        snsp_cap=0.65,
+        scenario=scenario,
+    )
+    path = tmp_path_factory.mktemp("summary") / "dispatch_summary.json"
+    write_dispatch_summary(year, path, config_hash="abc")
+    summary = {
+        "schema_version": 1, "scenario": scenario, "snsp_cap": 0.65, "config_hash": "abc",
+        "infeasible_hours": sorted(infeasible),
+        "total_curtailment_mwh": float(sum(year.curtailed_mw.tolist())),
+        "curtailment_mwh": year.curtailed_mw.tolist(), "snsp": year.snsp.tolist(),
+    }
+    expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(HOURLY, HOURLY, TEXT)
+def test_summary_lays_out_empty_and_non_finite_lists_as_json_dumps(curtailed, snsp,
+                                                                    scenario):
+    summary = {"scenario": scenario, "curtailment_mwh": curtailed, "snsp": snsp,
+               "infeasible_hours": []}
+    text = io.StringIO()
+    _dump_summary(summary, text)
+    assert text.getvalue() == json.dumps(summary, indent=2, sort_keys=True)

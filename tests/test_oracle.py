@@ -371,12 +371,15 @@ def reference_system(model, exclude_line=None, reactance_scale=None) -> Suscepta
     keep = np.array([i for i in range(n) if i != slack], dtype=int)
     full = susceptance_matrix(model, exclude_line, reactance_scale)
     reduced = full[np.ix_(keep, keep)].tocsc()
+    lu = splu(reduced)  # makes ``reduced`` canonical in place first
     lines = [ln for ln in model.in_service_lines if ln.id != exclude_line]
     scale = reactance_scale or {}
     return SusceptanceSystem(
         model=model,
-        lu=splu(reduced),
-        reduced=reduced,
+        lu=lu,
+        data=reduced.data,
+        indices=reduced.indices,
+        indptr=reduced.indptr,
         slack_index=slack,
         non_slack=keep,
         line_ids=tuple(ln.id for ln in lines),
@@ -413,6 +416,22 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_reference_factors(got: SusceptanceSystem, ref: SusceptanceSystem) -> None:
+    """The matrix, read-only, and its LU are the reference ``splu``'s bits:
+    the same permutations and the same L and U factors."""
+    reduced = got.reduced
+    assert reduced.shape == ref.reduced.shape
+    for attr in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(reduced, attr), getattr(ref.reduced, attr)), attr
+        assert not getattr(reduced, attr).flags.writeable, attr
+    assert _same_bits(got.lu.perm_r, ref.lu.perm_r)
+    assert _same_bits(got.lu.perm_c, ref.lu.perm_c)
+    for factor in ("L", "U"):
+        mine, theirs = getattr(got.lu, factor), getattr(ref.lu, factor)
+        for attr in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(mine, attr), getattr(theirs, attr)), (factor, attr)
+
+
 # eleven lines at bus B0: its column holds 22 entries, more than scipy sorts
 # stably, so its diagonal is not summed in line order
 STAR = Mesh(edges=((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)) * 2 + ((0, 1), (1, 2)),
@@ -433,9 +452,7 @@ def test_build_system_is_the_reference_assembly_bit_for_bit(case):
     for reactance_scale in (None, scale):
         got = build_system(model, exclude, reactance_scale)
         ref = reference_system(model, exclude, reactance_scale)
-        assert got.reduced.shape == ref.reduced.shape
-        for attr in ("data", "indices", "indptr"):
-            assert _same_bits(getattr(got.reduced, attr), getattr(ref.reduced, attr)), attr
+        assert_reference_factors(got, ref)
         assert _same_bits(got.susceptance, ref.susceptance)
         assert got.line_ids == ref.line_ids
         assert np.array_equal(got.from_idx, ref.from_idx)
@@ -478,6 +495,11 @@ def build_sequences(draw):
 @given(build_sequences())
 @example((_model(PARALLEL), [("L3", None), ("L3", {"L12": 1.4}), ("L3", None),
                              ("L3", {"L12": 1.1}), ("L3", {"L12": 1.4}), ("L7", None)]))
+# the memo key: a scale only on the excluded line, one on a kept line, and
+# two scales, given in both orders
+@example((_model(PARALLEL), [("L3", {"L3": 1.4}), ("L3", {"L12": 1.25}), ("L3", {"L3": 1.4})]))
+@example((_model(PARALLEL), [("L3", {"L12": 1.1, "L7": 1.4}), (None, {"L7": 1.4, "L12": 1.1}),
+                             ("L3", {"L7": 1.4, "L12": 1.1}), (None, {"L3": 1.25})]))
 def test_build_system_memo_serves_the_reference_system(case):
     model, calls = case
     bridges = graph_bridges(model)
@@ -491,15 +513,22 @@ def test_build_system_memo_serves_the_reference_system(case):
             raise AssertionError(f"bridge {exclude} factorized")
         got = build_system(model, exclude, scale)
         ref = reference_system(model, exclude, scale)
-        for attr in ("data", "indices", "indptr"):
-            assert _same_bits(getattr(got.reduced, attr), getattr(ref.reduced, attr)), attr
+        assert_reference_factors(got, ref)
         assert _same_bits(got.susceptance, ref.susceptance)
         flows = solve_flows(got, injection).flows_mw
         assert _same_bits(flows, solve_flows(ref, injection).flows_mw)
-        for array in (got.reduced.data, got.reduced.indices, got.reduced.indptr,
+        for array in (got.data, got.indices, got.indptr,
                       got.susceptance, got.from_idx, got.to_idx, got.non_slack):
             assert not array.flags.writeable
         assert len(model.scaled_system) <= 1  # one scaled slot
+        # the system an order-free key serves: the unscaled one when no
+        # scale applies to a kept line, else the same one in either order
+        factorizations = dcflow.factorizations
+        if not set(scale or ()) & set(got.line_ids):
+            assert got is build_system(model, exclude)
+        else:
+            assert got is build_system(model, exclude, dict(reversed(scale.items())))
+        assert dcflow.factorizations == factorizations
 
 
 def _bits(x):
@@ -731,7 +760,7 @@ def _fixture_study(name):
     intact, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    records = intact + stage2_scan(base, lodf, model, case.calendar)
+    records = screening.join_stages(intact, stage2_scan(base, lodf, model, case.calendar))
     injections = injection_matrix(model, year, case.profile)
     return records, model, injections, case.calendar, ptdf, lodf
 

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_with_outage
@@ -23,6 +25,9 @@ from pfcplan.network import (
 from pfcplan.screening import (
     BaseFlows,
     OverloadRecord,
+    OverloadRecords,
+    _hits,
+    join_stages,
     read_overloads_csv,
     stage1_scan,
     stage2_scan,
@@ -31,7 +36,7 @@ from pfcplan.screening import (
 )
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
-from conftest import records_from_rows
+from conftest import concat_records, records_from_rows
 
 
 def _two_bus(x=0.1, rating=100.0):
@@ -277,7 +282,7 @@ def test_summarize_2750_hour_line():
     ptdf = compute_ptdf(system, case.model)
     lodf = compute_lodf(ptdf, case.model)
     rec2 = stage2_scan(base, lodf, case.model, case.calendar)
-    summaries, _ = summarize(rec1 + rec2, case.model)
+    summaries, _ = summarize(join_stages(rec1, rec2), case.model)
     target = next(s for s in summaries if s.line_id == "L13a")
     assert target.overload_hours == 2750
 
@@ -310,7 +315,7 @@ def mesh6_scan():
 def test_every_record_above_near_threshold(mesh6_scan):
     _, _, _, rec1, rec2, _, _ = mesh6_scan
     assert rec1 or rec2  # the fixture is tuned to produce findings
-    for r in rec1 + rec2:
+    for r in join_stages(rec1, rec2):
         assert r.loading_pct > 90.0
         assert (r.excess_mw > 0) == (r.category == "overload")
 
@@ -355,10 +360,10 @@ def test_record_stream_deterministic_and_ordered(mesh6_scan):
 
 def test_overload_energy_matches_record_recomputation(mesh6_scan):
     case, _, _, rec1, rec2, _, _ = mesh6_scan
-    summaries, _ = summarize(rec1 + rec2, case.model)
+    summaries, _ = summarize(join_stages(rec1, rec2), case.model)
     for s in summaries:
         worst = {}
-        for r in rec1 + rec2:
+        for r in join_stages(rec1, rec2):
             if r.line_id == s.line_id and r.category == "overload":
                 worst[r.hour] = max(worst.get(r.hour, 0.0), r.excess_mw)
         assert s.overload_energy_mwh == pytest.approx(sum(worst.values()))
@@ -367,11 +372,97 @@ def test_overload_energy_matches_record_recomputation(mesh6_scan):
 
 def test_workbook_roundtrip(tmp_path, mesh6_scan):
     case, _, _, rec1, rec2, _, _ = mesh6_scan
-    records = rec1 + rec2
+    records = join_stages(rec1, rec2)
     summaries, regional = summarize(records, case.model)
     files = write_workbook(records, summaries, regional, tmp_path)
     assert len(files) == 5
     again = read_overloads_csv(tmp_path / "overloads.csv")
     assert again == records
     # the read-back records index their own line id table
-    assert again + rec1 == rec1 + records
+    assert concat_records(again, rec1) == concat_records(rec1, records)
+
+
+def _same_records(got: OverloadRecords, expected: OverloadRecords) -> None:
+    assert got.line_ids == expected.line_ids
+    for name in ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload"):
+        mine, theirs = getattr(got, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+def test_join_stages_is_the_sorted_concatenation(mesh6_scan):
+    _, _, _, rec1, rec2, _, _ = mesh6_scan
+    _same_records(join_stages(rec1, rec2), concat_records(rec1, rec2))
+
+
+LINE_IDS = ("L2", "L10", "L1")  # not in id order
+
+
+@st.composite
+def stage_records(draw, stage1: bool):
+    """Records of one stage over ``LINE_IDS``, distinct (hour, contingency,
+    line) triples, in any order."""
+    ctg = st.just(-1) if stage1 else st.integers(0, len(LINE_IDS) - 1)
+    triples = draw(st.lists(st.tuples(st.integers(0, 5), ctg, st.integers(0, 2)),
+                            unique=True, max_size=25))
+    loading = draw(st.lists(st.floats(90.5, 150.0), min_size=len(triples),
+                            max_size=len(triples)))
+    hour, contingency, line = (np.array(c, dtype=np.int32).reshape(-1)
+                               for c in zip(*triples)) if triples else [np.zeros(0)] * 3
+    pct = np.array(loading)
+    return OverloadRecords(LINE_IDS, line, hour, contingency, pct,
+                           np.where(pct > 100.0, pct - 100.0, 0.0), pct > 100.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stage_records(stage1=True), stage_records(stage1=False))
+def test_join_stages_matches_the_sorted_concatenation_field_for_field(rec1, rec2):
+    _same_records(join_stages(rec1, rec2), concat_records(rec1, rec2))
+
+
+def test_join_stages_does_not_sort_again(monkeypatch):
+    def columns(hour, contingency, line):
+        pct = np.full(len(hour), 95.0)
+        return OverloadRecords(LINE_IDS, np.array(line), np.array(hour), np.array(contingency),
+                               pct, np.zeros(len(hour)), pct > 100.0)
+
+    rec1 = columns([0, 3, 3, 7], [-1] * 4, [2, 0, 1, 1])
+    rec2 = columns([0, 3, 3, 9], [0, 1, 2, 0], [1, 1, 0, 2])
+    expected = concat_records(rec1, rec2)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the joined records were sorted again")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    _same_records(join_stages(rec1, rec2), expected)
+
+
+def test_join_stages_refuses_different_line_sets():
+    rec = records_from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
+    other = records_from_rows([OverloadRecord("L13", 5, "L12", 95.0, 0.0, "near")])
+    with pytest.raises(ValueError, match="different line sets"):
+        join_stages(rec, other)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+def test_hit_kernel_without_hours_or_lines_finds_nothing(shape):
+    # no feasible hour leaves a lines x 0 flow matrix: no record and no
+    # numpy warning (warnings are errors here)
+    flows = np.zeros(shape)
+    ratings = np.ones(3)
+    cells, line, hour, pct, excess, over = _hits(
+        flows, np.arange(shape[0]), ratings, ratings, np.zeros(shape[1], dtype=bool),
+        90.0, 100.0,
+    )
+    assert cells == 0
+    assert all(len(column) == 0 for column in (line, hour, pct, excess, over))
+
+
+def test_scans_of_a_year_without_feasible_hours_find_nothing():
+    model = cases.triangle(ratings={"L12": 85.0})
+    _, base, system, year, profile, calendar = _scan(model, np.full(HOURS_PER_YEAR, 90.0))
+    lodf = compute_lodf(compute_ptdf(system, model), model)
+    assert len(stage2_scan(base, lodf, model, calendar))  # as dispatched, it has records
+    year = dataclasses.replace(year, feasible=np.zeros(HOURS_PER_YEAR, dtype=bool))
+    records, base = stage1_scan(year, model, system, profile, calendar)
+    assert len(records) == 0 and base.flows_mw.shape == (0, len(model.lines))
+    assert len(stage2_scan(base, lodf, model, calendar)) == 0
