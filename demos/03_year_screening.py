@@ -11,7 +11,7 @@ import time
 from pfcplan import cases
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import run_year
-from pfcplan.screening import join_stages, stage1_scan, stage2_scan, summarize
+from pfcplan.screening import stage1_scan, stage2_scan, summarize
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 case = cases.grid30_case()
@@ -32,13 +32,13 @@ print(f"\nstage 1 (intact, {len(base.hours)} hours): "
 start = time.perf_counter()
 ptdf = compute_ptdf(system, model)
 lodf = compute_lodf(ptdf, model)
-stage2_records = stage2_scan(base, lodf, model, case.calendar)
+records = stage2_scan(base, lodf, model, case.calendar, intact=stage1_records)
 t_stage2 = time.perf_counter() - start
 n_outages = len(lodf.non_islanding_outages())
 print(f"stage 2 ({n_outages} outages x {len(base.hours)} hours): "
-      f"{len(stage2_records)} records in {t_stage2:.2f}s")
+      f"{len(records) - len(stage1_records)} records in {t_stage2:.2f}s")
 
-summaries, regional = summarize(join_stages(stage1_records, stage2_records), model)
+summaries, regional = summarize(records, model)
 
 print("\noverloaded lines by region:")
 for region, count in sorted(regional.items()):

@@ -13,7 +13,7 @@
 from pfcplan import cases
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import injection_matrix, run_year
-from pfcplan.screening import join_stages, stage1_scan, stage2_scan
+from pfcplan.screening import stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import assess_target, rank_targets
 
@@ -25,8 +25,7 @@ def study(case):
     rec1, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = join_stages(rec1, rec2)
+    records = stage2_scan(base, lodf, model, case.calendar, intact=rec1)
     injections = injection_matrix(model, year, case.profile)
     targets = records.lines(overload=True)
     outcomes = [

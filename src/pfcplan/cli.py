@@ -179,12 +179,12 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
     stage2_monitored = monitored
     if cfg.screen_from_stage1:
         stage2_monitored = set(rec1.lines())
-    rec2 = screening.stage2_scan(
+    records = study.records = screening.stage2_scan(
         base, lodf, model, calendar,
         monitored=stage2_monitored,
-        near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
+        near_pct=cfg.near_pct, overload_pct=cfg.overload_pct, intact=rec1,
     )
-    records = study.records = screening.join_stages(rec1, rec2)
+    del base, rec1
     summaries, regional = screening.summarize(records, model)
     screening.write_workbook(records, summaries, regional, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")

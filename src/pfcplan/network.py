@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 HOURS_PER_YEAR = 8760
 
 GENERATOR_KINDS = ("thermal", "wind", "solar")
+# the smallest line rating accepted: 100 |f| / r stays finite for any MW flow
+MIN_RATING_MW = 1e-6
 
 
 class NetworkDataError(ValueError):
@@ -74,8 +76,8 @@ class Line:
     def __post_init__(self):
         if self.reactance_pu <= 0:
             raise NetworkDataError(f"line {self.id}: reactance_pu must be > 0")
-        if self.rating_summer_mw <= 0 or self.rating_winter_mw <= 0:
-            raise NetworkDataError(f"line {self.id}: ratings must be > 0")
+        if min(self.rating_summer_mw, self.rating_winter_mw) < MIN_RATING_MW:
+            raise NetworkDataError(f"line {self.id}: ratings must be >= {MIN_RATING_MW:g} MW")
         if self.from_bus == self.to_bus:
             raise NetworkDataError(f"line {self.id}: from_bus equals to_bus")
 

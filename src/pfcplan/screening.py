@@ -27,9 +27,12 @@ Records are emitted for loadings strictly above the near threshold (default
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
 indices as int32), always ordered by hour, then contingency id (intact
-first), then line id, through one int64 key; ``OverloadRecord`` is the row
-view iteration yields. ``join_stages`` inserts Stage 1's records into Stage
-2's, so the joined set is not sorted again.
+first), then line id; ``OverloadRecord`` is the row view iteration yields.
+``stage2_scan(..., intact=...)`` assembles the screen's records once: it
+puts each outage's hits, in (line id, hour) order, after Stage 1's records
+and orders them all with one stable radix pass by hour column. ``summarize``
+reads its rollups from the run boundaries of radix passes by line and by
+contingency. Above 65,536 line ids both fall back to a comparison sort.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``. Line and contingency cells index
@@ -89,9 +92,9 @@ class OverloadRecords:
 
     ``line`` and ``contingency`` index ``line_ids``; a contingency of -1 is
     the intact network. Construction sorts the columns by hour, contingency
-    id (intact first) and line id, so every record set is in record order.
-    ``len`` counts the records and iteration yields one ``OverloadRecord``
-    per record.
+    id (intact first) and line id unless they are in that order already, as
+    ``stage2_scan`` hands them. ``len`` counts the records and iteration
+    yields one ``OverloadRecord`` per record.
     """
 
     line_ids: tuple[str, ...]
@@ -104,7 +107,7 @@ class OverloadRecords:
 
     def __post_init__(self):
         n = len(self.line_ids)
-        order = sorted(range(n), key=self.line_ids.__getitem__)
+        order = _by_id(self.line_ids)
         rank = np.empty(n + 1, dtype=np.int64)
         rank[order] = np.arange(n)
         rank[-1] = -1  # the intact network sorts first
@@ -113,8 +116,7 @@ class OverloadRecords:
             for name, dtype in _RECORD_COLUMNS.items()
         }
         # (hour, contingency rank + 1, line rank) as one int64 in base n + 1;
-        # a stable sort keeps record sets that are already ordered runs cheap,
-        # and columns already in order are kept as they are
+        # columns already in order are kept as they are
         key = columns["hour"].astype(np.int64)
         key *= n + 1
         key += rank[columns["contingency"]]
@@ -271,13 +273,30 @@ def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
     return len(cells), line[hit], cols[hit], pct, excess, over
 
 
+def _by_id(line_ids: tuple[str, ...]) -> list[int]:
+    """The indices of ``line_ids`` in line-id order, the records' line order."""
+    return sorted(range(len(line_ids)), key=line_ids.__getitem__)
+
+
 def _monitored_columns(
     line_ids: tuple[str, ...], monitored: set[str] | None
 ) -> np.ndarray:
+    """The indices of the monitored lines, in line-id order."""
     return np.array(
-        [i for i, lid in enumerate(line_ids) if monitored is None or lid in monitored],
+        [i for i in _by_id(line_ids) if monitored is None or line_ids[i] in monitored],
         dtype=np.int32,  # the record columns' dtype
     )
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """The stable ascending order of ``key``, whose entries lie in [0, bound):
+    numpy's radix sort when they fit in 16 bits, its comparison sort above."""
+    return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Where each run of rows equal in every one of ``columns`` (all >= 0) starts."""
+    return np.flatnonzero(np.logical_or.reduce([np.diff(c, prepend=-1) != 0 for c in columns]))
 
 
 def stage1_scan(
@@ -341,15 +360,21 @@ def stage2_scan(
     monitored: set[str] | None = None,
     near_pct: float = NEAR_PCT_DEFAULT,
     overload_pct: float = OVERLOAD_PCT_DEFAULT,
+    intact: OverloadRecords | None = None,
 ) -> OverloadRecords:
     """N-1 scan of every feasible hour against every non-islanding outage.
 
     The same topology-only LODF matrix serves every hour. Islanding outages
     are skipped (they are marked, not numeric). Only the (line, outage) pairs
-    ``screened_pairs`` keeps are computed.
+    ``screened_pairs`` keeps are computed. With ``intact``, Stage 1's records
+    of the same lines and hours, returns those and Stage 2's as one set.
     """
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
+    intact = intact if intact is not None else OverloadRecords(base.line_ids, *[()] * 6)
+    at = np.searchsorted(base.hours, intact.hour)  # the intact records' hour columns
+    if intact.line_ids != base.line_ids or (np.append(base.hours, -1)[at] != intact.hour).any():
+        raise ValueError("Stage 1 and Stage 2 records cover different line sets or hours")
     columns = _monitored_columns(base.line_ids, monitored)
     summer, winter = effective_ratings(model, base.line_ids, calendar)
     is_summer = calendar.summer_mask[base.hours]
@@ -357,11 +382,12 @@ def stage2_scan(
     seasons = np.array([summer, winter])[np.array([is_summer.any(), not is_summer.all()])]
     kept = screened_pairs(base, lodf, seasons, near_pct)
     flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
-    hours = base.hours.astype(np.int32)
 
-    found = []
+    # per column, the intact records and then each outage's hits, hours as columns
+    pieces = {name: [getattr(intact, name)] for name in _RECORD_COLUMNS}
+    pieces["hour"] = [at]
     screened = skipped = n_kept = n_pairs = n_cells = 0
-    for k in range(len(base.line_ids)):
+    for k in _by_id(base.line_ids):
         if lodf.islanding[k]:
             skipped += 1
             continue
@@ -375,40 +401,26 @@ def stage2_scan(
             post, cols, summer, winter, is_summer, near_pct, overload_pct
         )
         n_cells += cells
-        found.append(
-            (line, hours[hour], np.full(len(line), k, dtype=np.int32), pct, excess, over)
-        )
-    records = OverloadRecords(
-        base.line_ids, *([np.concatenate(c) for c in zip(*found)] or [()] * 6)
-    )
+        ctg = np.full(len(line), k, dtype=np.int32)
+        for name, piece in zip(_RECORD_COLUMNS, (line, hour, ctg, pct, excess, over)):
+            pieces[name].append(piece)
+    del flows_t
+    # the intact records in record order, then each outage's hits (outages in
+    # id order) in (line id, hour) order: a stable pass by hour orders them all
+    column = np.concatenate(pieces.pop("hour"))
+    order = _stable_order(column, len(base.hours))
+    joined = {"hour": base.hours.astype(np.int32)[column[order]]}
+    del column
+    for name in list(pieces):  # one column at a time, its pieces freed
+        joined[name] = np.concatenate(pieces.pop(name))[order]
+    records = OverloadRecords(base.line_ids, **joined)
     log.info(
         "stage 2: %d outages screened, %d bridge outages skipped, "
         "%d of %d (line, outage) pairs kept, %d pair-hours above the floor, "
         "%d records",
-        screened, skipped, n_kept, n_pairs, n_cells, len(records),
+        screened, skipped, n_kept, n_pairs, n_cells, len(records) - len(intact),
     )
     return records
-
-
-def join_stages(stage1: OverloadRecords, stage2: OverloadRecords) -> OverloadRecords:
-    """Stage 1 and Stage 2 records of the same lines as one record set, in
-    record order without a second sort: an intact record sorts before every
-    outage record of its hour, so each Stage-1 record goes in before the
-    first Stage-2 record of its hour, the Stage-1 records in their order."""
-    if stage1.line_ids != stage2.line_ids:
-        raise ValueError("Stage 1 and Stage 2 records cover different line sets")
-    at = np.searchsorted(stage2.hour, stage1.hour)
-    return OverloadRecords(stage2.line_ids, *(
-        np.insert(getattr(stage2, name), at, getattr(stage1, name)) for name in _RECORD_COLUMNS
-    ))
-
-
-def _group_max(keys: np.ndarray, values: np.ndarray):
-    """The distinct non-negative keys, ascending, and each one's largest value."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.maximum.reduceat(values[order], starts)
 
 
 def summarize(
@@ -424,17 +436,23 @@ def summarize(
     if not len(records):
         return [], {}
     n_ids = len(records.line_ids)
-    line, over = records.line.astype(np.int64), records.overload  # keys below pass 2**31
-    lines, max_loading = _group_max(line, records.loading_pct)
-    # (line, hour) and (line, contingency) pairs as one integer key each
-    stride = int(records.hour.max()) + 1
-    hour_key = line * stride + records.hour
-    pairs, worst = _group_max(hour_key[over], records.excess_mw[over])
-    overload_hours = np.bincount(pairs // stride, minlength=n_ids)
-    near_hours = np.bincount(np.unique(hour_key[~over]) // stride, minlength=n_ids)
-    outage = over & (records.contingency >= 0)
-    ctg_pairs = np.unique(line[outage] * n_ids + records.contingency[outage])
-    contingency_count = np.bincount(ctg_pairs // n_ids, minlength=n_ids)
+    # the records by line, each line's in record order, so by hour
+    by_line = _stable_order(records.line, n_ids)
+    line, hour, over = records.line[by_line], records.hour[by_line], records.overload[by_line]
+    starts = _run_starts(line)
+    lines, max_loading = line[starts], np.maximum.reduceat(records.loading_pct[by_line], starts)
+    # one run per overloaded (line, hour) with its worst excess, one per near (line, hour)
+    over_rows, over_line, near_line = by_line[over], line[over], line[~over]
+    pairs = _run_starts(over_line, hour[over])
+    overload_hours = np.bincount(over_line[pairs], minlength=n_ids)
+    worst = np.maximum.reduceat(records.excess_mw[over_rows], pairs)
+    near_hours = np.bincount(near_line[_run_starts(near_line, hour[~over])], minlength=n_ids)
+    # the overloading outages by contingency: one run per (contingency, line) pair
+    ctg = records.contingency[over_rows]
+    outage = ctg >= 0
+    by_ctg = _stable_order(ctg[outage], n_ids)
+    ctg, ctg_line = ctg[outage][by_ctg], over_line[outage][by_ctg]
+    contingency_count = np.bincount(ctg_line[_run_starts(ctg, ctg_line)], minlength=n_ids)
     # each line's worst excess per overloaded hour, in hour order, never below 0
     worst = np.maximum(worst, 0.0).tolist()
     ends = np.cumsum(overload_hours).tolist()

@@ -25,7 +25,7 @@ def concat_records(
     first: screening.OverloadRecords, second: screening.OverloadRecords
 ) -> screening.OverloadRecords:
     """Two record sets as one, by concatenating every column and sorting the
-    whole set again: the reference ``screening.join_stages`` must match."""
+    whole set again: the reference ``stage2_scan(..., intact=...)`` must match."""
     known = set(first.line_ids)
     line_ids = first.line_ids + tuple(lid for lid in second.line_ids if lid not in known)
     pos = {lid: i for i, lid in enumerate(line_ids)}
@@ -39,6 +39,63 @@ def concat_records(
         np.concatenate([first.excess_mw, second.excess_mw]),
         np.concatenate([first.overload, second.overload]),
     )
+
+
+def same_records(got: screening.OverloadRecords, expected: screening.OverloadRecords) -> None:
+    """The two record sets hold the same line table and columns, bit for bit."""
+    assert got.line_ids == expected.line_ids
+    for name in ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload"):
+        mine, theirs = getattr(got, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+def _group_max(keys: np.ndarray, values: np.ndarray):
+    """The distinct non-negative keys, ascending, and each one's largest value."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.maximum.reduceat(values[order], starts)
+
+
+def summarize_by_sorting(records: screening.OverloadRecords, model):
+    """``screening.summarize`` by comparison sorts and ``np.unique`` over
+    integer (line, hour) and (line, contingency) keys: the reference the
+    run-boundary rollup must match bit for bit."""
+    if not len(records):
+        return [], {}
+    n_ids = len(records.line_ids)
+    line, over = records.line.astype(np.int64), records.overload  # keys below pass 2**31
+    lines, max_loading = _group_max(line, records.loading_pct)
+    stride = int(records.hour.max()) + 1
+    hour_key = line * stride + records.hour
+    pairs, worst = _group_max(hour_key[over], records.excess_mw[over])
+    overload_hours = np.bincount(pairs // stride, minlength=n_ids)
+    near_hours = np.bincount(np.unique(hour_key[~over]) // stride, minlength=n_ids)
+    outage = over & (records.contingency >= 0)
+    ctg_pairs = np.unique(line[outage] * n_ids + records.contingency[outage])
+    contingency_count = np.bincount(ctg_pairs // n_ids, minlength=n_ids)
+    worst = np.maximum(worst, 0.0).tolist()
+    ends = np.cumsum(overload_hours).tolist()
+
+    summaries = []
+    regional: dict[str, int] = {}
+    peak = dict(zip(lines.tolist(), max_loading.tolist()))
+    for i in sorted(peak, key=records.line_ids.__getitem__):
+        line_id = records.line_ids[i]
+        n_over = int(overload_hours[i])
+        region = model.bus_by_id[model.line_by_id[line_id].from_bus].region
+        summaries.append(screening.LineSummary(
+            line_id=line_id,
+            overload_hours=n_over,
+            near_hours=int(near_hours[i]),
+            max_loading_pct=peak[i],
+            overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
+            contingency_count=int(contingency_count[i]),
+            region=region,
+        ))
+        if n_over:
+            regional[region] = regional.get(region, 0) + 1
+    return summaries, regional
 
 
 # -- independent oracles -----------------------------------------------------

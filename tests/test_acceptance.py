@@ -31,7 +31,7 @@ from pfcplan.network import (
     Line,
     NetworkModel,
 )
-from pfcplan.screening import join_stages, stage1_scan, stage2_scan
+from pfcplan.screening import stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 from pfcplan.siting import (
     FULLY_RESOLVED,
@@ -67,8 +67,7 @@ def _pipeline(case):
     rec1, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = join_stages(rec1, rec2)
+    records = stage2_scan(base, lodf, model, case.calendar, intact=rec1)
     injections = injection_matrix(model, year, case.profile)
     return model, year, base, records, injections, ptdf, lodf
 

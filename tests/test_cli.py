@@ -202,6 +202,21 @@ def test_mw_values_too_large_to_balance_exit_2_naming_the_hour(tmp_path, capsys)
     _one_line_error(capsys, "hour 3984", "do not balance", "residual 9.155e-05 MW")
 
 
+def test_a_rating_below_the_floor_exits_2_naming_the_line(tmp_path, capsys):
+    # a subnormal rating passes "> 0" but 100 |f| / r overflows to inf
+    config, out = _study(tmp_path, cases.side_effect_case())
+    path = Path(json.loads(config.read_text())["inputs"]["lines"])
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), first.split(",")))
+    cells["rating_summer_mw"] = "1e-320"
+    path.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n",
+                    encoding="utf-8")
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, "lines.csv row 2", f"line {cells['id']}",
+                    "ratings must be >= 1e-06 MW")
+    assert not (out / "line_summary.csv").exists()
+
+
 # -- screen ---------------------------------------------------------------------
 
 

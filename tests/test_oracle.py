@@ -49,11 +49,13 @@ from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_f
 
 from conftest import (
     balanced_injection,
+    concat_records,
     dense_dc_flows,
     fleet_model,
     graph_bridges,
     pair_group,
     records_from_rows,
+    same_records,
 )
 
 # hours spread over the year, so both seasons and their ratings appear
@@ -347,9 +349,23 @@ def test_stage2_records_at_the_class_edges_are_the_unpruned_scan(case):
     assert [tuple(r) for r in stage2_scan(base, lodf, model, CALENDAR)] == expected
 
 
+@SETTINGS
+@given(stage1_studies())
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=4), 90.0, (-1, -1, -1)))
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (0, 1, -1), {"L3", "L12"}))
+def test_stage2_with_intact_records_is_the_sorted_concatenation_on_meshes(case):
+    model, injections, monitored = case
+    rec1, base = _stage1(model, injections)
+    lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
+    for lines in (None, monitored):
+        alone = stage2_scan(base, lodf, model, CALENDAR, lines)
+        same_records(stage2_scan(base, lodf, model, CALENDAR, lines, intact=rec1),
+                     concat_records(rec1, alone))
+
+
 def test_summarize_keys_do_not_wrap_past_46341_lines():
-    # (line, contingency) pairs key as line * n_ids + contingency, which
-    # passes 2**31 once the line indices pass 46,341
+    # line indices past 46,341, where a (line, contingency) key of
+    # line * n_ids + contingency would pass 2**31, summarize as the 3-line table
     rows = [("L12", 5, "L13", 110.0, 8.5, "overload"), ("L12", 9, "L23", 102.0, 1.7, "overload"),
             ("L13", 5, None, 95.0, 0.0, "near")]
     small = records_from_rows(rows)
@@ -760,7 +776,7 @@ def _fixture_study(name):
     intact, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    records = screening.join_stages(intact, stage2_scan(base, lodf, model, case.calendar))
+    records = stage2_scan(base, lodf, model, case.calendar, intact=intact)
     injections = injection_matrix(model, year, case.profile)
     return records, model, injections, case.calendar, ptdf, lodf
 

@@ -1,9 +1,10 @@
 import dataclasses
 import logging
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfcplan import cases
@@ -27,7 +28,6 @@ from pfcplan.screening import (
     OverloadRecord,
     OverloadRecords,
     _hits,
-    join_stages,
     read_overloads_csv,
     stage1_scan,
     stage2_scan,
@@ -36,7 +36,7 @@ from pfcplan.screening import (
 )
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
-from conftest import concat_records, records_from_rows
+from conftest import concat_records, records_from_rows, same_records, summarize_by_sorting
 
 
 def _two_bus(x=0.1, rating=100.0):
@@ -281,8 +281,8 @@ def test_summarize_2750_hour_line():
     rec1, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, case.model)
     lodf = compute_lodf(ptdf, case.model)
-    rec2 = stage2_scan(base, lodf, case.model, case.calendar)
-    summaries, _ = summarize(join_stages(rec1, rec2), case.model)
+    records = stage2_scan(base, lodf, case.model, case.calendar, intact=rec1)
+    summaries, _ = summarize(records, case.model)
     target = next(s for s in summaries if s.line_id == "L13a")
     assert target.overload_hours == 2750
 
@@ -312,10 +312,17 @@ def mesh6_scan():
     return case, year, base, rec1, rec2, lodf, inj
 
 
-def test_every_record_above_near_threshold(mesh6_scan):
+@pytest.fixture(scope="module")
+def mesh6_records(mesh6_scan):
+    """The mesh6 year's Stage 1 and Stage 2 records as one set."""
+    case, _, base, rec1, _, lodf, _ = mesh6_scan
+    return stage2_scan(base, lodf, case.model, case.calendar, intact=rec1)
+
+
+def test_every_record_above_near_threshold(mesh6_scan, mesh6_records):
     _, _, _, rec1, rec2, _, _ = mesh6_scan
     assert rec1 or rec2  # the fixture is tuned to produce findings
-    for r in join_stages(rec1, rec2):
+    for r in mesh6_records:
         assert r.loading_pct > 90.0
         assert (r.excess_mw > 0) == (r.category == "overload")
 
@@ -358,21 +365,21 @@ def test_record_stream_deterministic_and_ordered(mesh6_scan):
     assert keys == sorted(keys)
 
 
-def test_overload_energy_matches_record_recomputation(mesh6_scan):
-    case, _, _, rec1, rec2, _, _ = mesh6_scan
-    summaries, _ = summarize(join_stages(rec1, rec2), case.model)
+def test_overload_energy_matches_record_recomputation(mesh6_scan, mesh6_records):
+    case = mesh6_scan[0]
+    summaries, _ = summarize(mesh6_records, case.model)
     for s in summaries:
         worst = {}
-        for r in join_stages(rec1, rec2):
+        for r in mesh6_records:
             if r.line_id == s.line_id and r.category == "overload":
                 worst[r.hour] = max(worst.get(r.hour, 0.0), r.excess_mw)
         assert s.overload_energy_mwh == pytest.approx(sum(worst.values()))
         assert s.overload_hours == len(worst)
 
 
-def test_workbook_roundtrip(tmp_path, mesh6_scan):
-    case, _, _, rec1, rec2, _, _ = mesh6_scan
-    records = join_stages(rec1, rec2)
+def test_workbook_roundtrip(tmp_path, mesh6_scan, mesh6_records):
+    case, _, _, rec1, _, _, _ = mesh6_scan
+    records = mesh6_records
     summaries, regional = summarize(records, case.model)
     files = write_workbook(records, summaries, regional, tmp_path)
     assert len(files) == 5
@@ -382,65 +389,185 @@ def test_workbook_roundtrip(tmp_path, mesh6_scan):
     assert concat_records(again, rec1) == concat_records(rec1, records)
 
 
-def _same_records(got: OverloadRecords, expected: OverloadRecords) -> None:
-    assert got.line_ids == expected.line_ids
-    for name in ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload"):
-        mine, theirs = getattr(got, name), getattr(expected, name)
-        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+def _screen_inputs(case):
+    """A case's Stage 1 records, base flows and LODF matrix."""
+    year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
+    system = build_system(case.model)
+    rec1, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
+    return rec1, base, compute_lodf(compute_ptdf(system, case.model), case.model)
 
 
-def test_join_stages_is_the_sorted_concatenation(mesh6_scan):
-    _, _, _, rec1, rec2, _, _ = mesh6_scan
-    _same_records(join_stages(rec1, rec2), concat_records(rec1, rec2))
+# the bundled cases; mesh6 at 360 MW is the one with Stage 1 records
+BUNDLED_CASES = ("triangle_case", "mesh6_case", "grid30_case", "parallel_paths_case",
+                 "side_effect_case", "radial_feed_case", "capped_relief_case")
+LOADED_MESH6 = cases.mesh6_case(demand_mw=360.0)
 
 
-LINE_IDS = ("L2", "L10", "L1")  # not in id order
+@pytest.mark.parametrize("name", BUNDLED_CASES + ("loaded_mesh6",))
+def test_stage2_with_intact_records_is_the_sorted_concatenation(name):
+    case = LOADED_MESH6 if name == "loaded_mesh6" else getattr(cases, name)()
+    rec1, base, lodf = _screen_inputs(case)
+    every_other = set(sorted(base.line_ids)[::2])
+    for monitored in (None, every_other):
+        alone = stage2_scan(base, lodf, case.model, case.calendar, monitored=monitored)
+        joined = stage2_scan(base, lodf, case.model, case.calendar, monitored=monitored,
+                             intact=rec1)
+        same_records(joined, concat_records(rec1, alone))
+
+
+# a triangle whose line table is not in line-id order, rated 100 MW
+LINE_IDS = ("L2", "L10", "L1")
+UNORDERED = NetworkModel(
+    buses=tuple(Bus(f"B{i}", f"B{i}", 110.0, "West") for i in (1, 2, 3)),
+    lines=tuple(Line(lid, f, t, x, 100.0, 100.0) for lid, (f, t), x in zip(
+        LINE_IDS, (("B1", "B2"), ("B1", "B3"), ("B2", "B3")), (0.1, 0.2, 0.15))),
+    generators=(),
+    slack_bus="B1",
+)
+UNORDERED_LODF = compute_lodf(compute_ptdf(build_system(UNORDERED), UNORDERED), UNORDERED)
 
 
 @st.composite
-def stage_records(draw, stage1: bool):
-    """Records of one stage over ``LINE_IDS``, distinct (hour, contingency,
-    line) triples, in any order."""
-    ctg = st.just(-1) if stage1 else st.integers(0, len(LINE_IDS) - 1)
-    triples = draw(st.lists(st.tuples(st.integers(0, 5), ctg, st.integers(0, 2)),
-                            unique=True, max_size=25))
-    loading = draw(st.lists(st.floats(90.5, 150.0), min_size=len(triples),
-                            max_size=len(triples)))
-    hour, contingency, line = (np.array(c, dtype=np.int32).reshape(-1)
-                               for c in zip(*triples)) if triples else [np.zeros(0)] * 3
-    pct = np.array(loading)
-    return OverloadRecords(LINE_IDS, line, hour, contingency, pct,
+def intact_records(draw):
+    """Stage 1 records over ``LINE_IDS`` and hours 0-5: distinct (hour, line)
+    pairs, in any order."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)),
+                          unique=True, max_size=15))
+    pct = np.array(draw(st.lists(st.floats(90.5, 150.0), min_size=len(pairs),
+                                 max_size=len(pairs))))
+    hour, line = (np.array(c, dtype=np.int32).reshape(-1) for c in zip(*pairs)) \
+        if pairs else [np.zeros(0)] * 2
+    return OverloadRecords(LINE_IDS, line, hour, np.full(len(pairs), -1), pct,
                            np.where(pct > 100.0, pct - 100.0, 0.0), pct > 100.0)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(stage_records(stage1=True), stage_records(stage1=False))
-def test_join_stages_matches_the_sorted_concatenation_field_for_field(rec1, rec2):
-    _same_records(join_stages(rec1, rec2), concat_records(rec1, rec2))
+@given(intact_records(),
+       st.lists(st.floats(-150.0, 150.0), min_size=18, max_size=18),
+       st.none() | st.sets(st.sampled_from(LINE_IDS)))
+def test_stage2_with_intact_matches_the_sorted_concatenation_field_for_field(
+    rec1, flows, monitored
+):
+    base = BaseFlows(np.arange(6), np.array(flows).reshape(6, 3), LINE_IDS)
+    calendar = cases.flat_calendar()
+    alone = stage2_scan(base, UNORDERED_LODF, UNORDERED, calendar, monitored)
+    joined = stage2_scan(base, UNORDERED_LODF, UNORDERED, calendar, monitored, intact=rec1)
+    same_records(joined, concat_records(rec1, alone))
 
 
-def test_join_stages_does_not_sort_again(monkeypatch):
-    def columns(hour, contingency, line):
-        pct = np.full(len(hour), 95.0)
-        return OverloadRecords(LINE_IDS, np.array(line), np.array(hour), np.array(contingency),
-                               pct, np.zeros(len(hour)), pct > 100.0)
-
-    rec1 = columns([0, 3, 3, 7], [-1] * 4, [2, 0, 1, 1])
-    rec2 = columns([0, 3, 3, 9], [0, 1, 2, 0], [1, 1, 0, 2])
-    expected = concat_records(rec1, rec2)
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("the joined records were sorted again")
-
-    monkeypatch.setattr(np, "argsort", no_sort)
-    _same_records(join_stages(rec1, rec2), expected)
+def _unordered_screen():
+    """Stage 1 records, base flows, LODF, model and calendar of the
+    ``UNORDERED`` triangle, whose line table is not in line-id order."""
+    flows = np.array([[95.0, -120.0, 60.0], [50.0, 80.0, -99.0], [130.0, 10.0, -40.0],
+                      [0.0, 0.0, 0.0], [99.0, 99.0, 99.0], [-150.0, 140.0, 20.0]])
+    pct = np.array([95.0, 120.0, 130.0, 99.0])
+    rec1 = OverloadRecords(LINE_IDS, [0, 1, 0, 2], [0, 0, 2, 4], [-1] * 4, pct,
+                           np.maximum(pct - 100.0, 0.0), pct > 100.0)
+    base = BaseFlows(np.arange(6), flows, LINE_IDS)
+    return rec1, base, UNORDERED_LODF, UNORDERED, cases.flat_calendar()
 
 
-def test_join_stages_refuses_different_line_sets():
-    rec = records_from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
-    other = records_from_rows([OverloadRecord("L13", 5, "L12", 95.0, 0.0, "near")])
-    with pytest.raises(ValueError, match="different line sets"):
-        join_stages(rec, other)
+@pytest.mark.parametrize("name", ["loaded_mesh6", "unordered_triangle"])
+def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
+    if name == "loaded_mesh6":
+        model, calendar = LOADED_MESH6.model, LOADED_MESH6.calendar
+        rec1, base, lodf = _screen_inputs(LOADED_MESH6)
+    else:
+        rec1, base, lodf, model, calendar = _unordered_screen()
+    assert len(rec1)
+    expected = concat_records(rec1, stage2_scan(base, lodf, model, calendar))
+    expected_summary = summarize_by_sorting(expected, model)
+    keys = []
+
+    def radix_only(key, *args, **kwargs):
+        assert key.dtype.itemsize <= 2, f"a comparison sort of {key.dtype} keys"
+        keys.append(len(key))
+        return argsort(key, *args, **kwargs)
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique on the screen path")
+
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", radix_only)
+    monkeypatch.setattr(np, "unique", no_unique)
+    records = stage2_scan(base, lodf, model, calendar, intact=rec1)
+    summary = summarize(records, model)
+    monkeypatch.undo()
+    same_records(records, expected)
+    assert summary == expected_summary
+    assert keys[0] == len(expected) > len(rec1)  # the one pass that orders the joined set
+
+
+def test_stage2_refuses_intact_records_of_other_lines_or_hours(mesh6_scan):
+    case, _, base, _, _, lodf, _ = mesh6_scan
+    other_lines = records_from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
+    off_hour = OverloadRecords(base.line_ids, [0], [int(base.hours[-1]) + 1], [-1], [95.0],
+                               [0.0], [False])
+    before_first = OverloadRecords(base.line_ids, [0], [-1], [-1], [95.0], [0.0], [False])
+    for intact in (other_lines, off_hour, before_first):
+        with pytest.raises(ValueError, match="different line sets"):
+            stage2_scan(base, lodf, case.model, case.calendar, intact=intact)
+
+
+def _hex(summary):
+    return tuple(float.hex(v) if isinstance(v, float) else v
+                 for v in dataclasses.astuple(summary))
+
+
+def _regions(line_ids):
+    """What ``summarize`` reads of a model: each line's from-bus and its region."""
+    buses = {f"B{r}": Bus(f"B{r}", f"B{r}", 110.0, f"R{r}") for r in range(3)}
+    ends = {lid: types.SimpleNamespace(from_bus=f"B{i % 3}") for i, lid in enumerate(line_ids)}
+    return types.SimpleNamespace(bus_by_id=buses, line_by_id=ends)
+
+
+def _rollup_records(n_ids, rows):
+    """Records over ``n_ids`` lines (ids not in index order) from (line,
+    hour, contingency, loading, excess, overload) rows, in any order."""
+    line_ids = tuple(f"L{(i * 7919) % n_ids:05d}" for i in range(n_ids))
+    return OverloadRecords(line_ids, *(list(c) for c in zip(*rows)) if rows else [()] * 6)
+
+
+@st.composite
+def rollup_records(draw):
+    """Record sets for ``summarize``: distinct (line, hour, contingency)
+    triples over few hours, so hours repeat, loadings with ties, and excesses
+    that include -0.0 and 0.0 on overload records."""
+    n_ids = draw(st.integers(1, 5))
+    triples = draw(st.lists(st.tuples(st.integers(0, n_ids - 1), st.integers(0, 6),
+                                      st.integers(-1, n_ids - 1)),
+                            unique=True, max_size=40))
+    rows = []
+    for line, hour, contingency in triples:
+        over = draw(st.booleans())
+        pct = draw(st.sampled_from((95.0, 120.0)) | st.floats(90.5, 200.0))
+        excess = draw(st.sampled_from((-0.0, 0.0)) | st.floats(-1.0, 50.0)) if over else 0.0
+        rows.append((line, hour, contingency, pct, excess, over))
+    return _rollup_records(n_ids, rows)
+
+
+# line ids 0, 1 and 65,536: a 16-bit key would put 65,536 with line 0
+WIDE = _rollup_records(65_537, [
+    (0, 3, -1, 101.0, 1.0, True), (65_536, 3, 0, 99.0, 0.0, False),
+    (1, 3, 65_536, 130.0, 30.0, True), (0, 4, 65_536, 140.0, 40.0, True),
+    (65_536, 4, 1, 120.0, 20.0, True), (0, 5, 1, 111.0, -0.0, True),
+    (65_536, 5, 0, 125.0, 25.0, True),
+])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rollup_records())
+@example(_rollup_records(1, []))
+@example(_rollup_records(1, [(0, 2, -1, 95.0, 0.0, False), (0, 2, 0, 96.0, 0.0, False),
+                             (0, 5, 0, 97.0, 0.0, False)]))
+@example(_rollup_records(2, [(1, 0, -1, 101.0, -0.0, True), (1, 0, 0, 102.0, -0.0, True)]))
+@example(WIDE)
+def test_summarize_matches_the_sorting_reference_bit_for_bit(records):
+    model = _regions(records.line_ids)
+    got, regional = summarize(records, model)
+    expected, expected_regional = summarize_by_sorting(records, model)
+    assert [_hex(s) for s in got] == [_hex(s) for s in expected]
+    assert regional == expected_regional
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])

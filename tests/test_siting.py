@@ -7,7 +7,7 @@ from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
 from pfcplan.network import HOURS_PER_YEAR
-from pfcplan.screening import OverloadRecord, join_stages, stage1_scan, stage2_scan
+from pfcplan.screening import OverloadRecord, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
     FULLY_RESOLVED,
@@ -38,8 +38,7 @@ def _run_study(case):
     rec1, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    rec2 = stage2_scan(base, lodf, model, case.calendar)
-    records = join_stages(rec1, rec2)
+    records = stage2_scan(base, lodf, model, case.calendar, intact=rec1)
     injections = injection_matrix(model, year, case.profile)
     return model, records, injections, ptdf, lodf
 
