@@ -28,6 +28,10 @@ HOURS_PER_YEAR = 8760
 GENERATOR_KINDS = ("thermal", "wind", "solar")
 # the smallest line rating accepted: 100 |f| / r stays finite for any MW flow
 MIN_RATING_MW = 1e-6
+# the smallest reactance accepted: the susceptance 1 / x stays finite
+MIN_REACTANCE_PU = 1e-6
+# the smallest system base accepted: the per-unit injections MW / base stay finite
+MIN_BASE_MVA = 1e-6
 
 
 class NetworkDataError(ValueError):
@@ -74,8 +78,8 @@ class Line:
     in_service: bool = True
 
     def __post_init__(self):
-        if self.reactance_pu <= 0:
-            raise NetworkDataError(f"line {self.id}: reactance_pu must be > 0")
+        if self.reactance_pu < MIN_REACTANCE_PU:
+            raise NetworkDataError(f"line {self.id}: reactance_pu must be >= {MIN_REACTANCE_PU:g}")
         if min(self.rating_summer_mw, self.rating_winter_mw) < MIN_RATING_MW:
             raise NetworkDataError(f"line {self.id}: ratings must be >= {MIN_RATING_MW:g} MW")
         if self.from_bus == self.to_bus:
@@ -156,8 +160,8 @@ class NetworkModel:
                 )
         if self.slack_bus not in known:
             raise NetworkDataError(f"slack bus {self.slack_bus} does not exist")
-        if self.system_base_mva <= 0:
-            raise NetworkDataError("system_base_mva must be > 0")
+        if self.system_base_mva < MIN_BASE_MVA:
+            raise NetworkDataError(f"system_base_mva must be >= {MIN_BASE_MVA:g} MVA")
         unreachable = islanded_buses(self)
         if unreachable:
             raise DisconnectedNetworkError(unreachable)

@@ -26,11 +26,12 @@ Records are emitted for loadings strictly above the near threshold (default
 90%); the near class covers (90%, 100%] and the overload class (100%, inf), so
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
-indices as int32), always ordered by hour, then contingency id (intact
-first), then line id; ``OverloadRecord`` is the row view iteration yields.
-``stage2_scan(..., intact=...)`` assembles the screen's records once: it
-puts each outage's hits, in (line id, hour) order, after Stage 1's records
-and orders them all with one stable radix pass by hour column. ``summarize``
+indices as int32) in record order: by hour, then contingency id (intact
+first), then line id. Their producers hand them over in that order. The hit
+kernel yields hits by line id, then hour, and one stable radix pass by hour
+column orders them: ``stage1_scan`` makes it over its hits, and
+``stage2_scan(..., intact=...)`` over Stage 1's records followed by each
+outage's hits, so the screen's records are assembled once. ``summarize``
 reads its rollups from the run boundaries of radix passes by line and by
 contingency. Above 65,536 line ids both fall back to a comparison sort.
 
@@ -91,10 +92,11 @@ class OverloadRecords:
     """Overload records as column arrays, one entry per record.
 
     ``line`` and ``contingency`` index ``line_ids``; a contingency of -1 is
-    the intact network. Construction sorts the columns by hour, contingency
-    id (intact first) and line id unless they are in that order already, as
-    ``stage2_scan`` hands them. ``len`` counts the records and iteration
-    yields one ``OverloadRecord`` per record.
+    the intact network. The columns must arrive in record order: by hour,
+    then contingency id (the intact network first), then line id, as
+    ``stage1_scan``, ``stage2_scan`` and ``read_overloads_csv`` hand them.
+    Construction only casts each column to its dtype. ``len`` counts the
+    records and iteration yields one ``OverloadRecord`` per record.
     """
 
     line_ids: tuple[str, ...]
@@ -106,34 +108,14 @@ class OverloadRecords:
     overload: np.ndarray  # True: overload class, False: near class
 
     def __post_init__(self):
-        n = len(self.line_ids)
-        order = _by_id(self.line_ids)
-        rank = np.empty(n + 1, dtype=np.int64)
-        rank[order] = np.arange(n)
-        rank[-1] = -1  # the intact network sorts first
-        columns = {
-            name: np.asarray(getattr(self, name), dtype=dtype)
-            for name, dtype in _RECORD_COLUMNS.items()
-        }
-        # (hour, contingency rank + 1, line rank) as one int64 in base n + 1;
-        # columns already in order are kept as they are
-        key = columns["hour"].astype(np.int64)
-        key *= n + 1
-        key += rank[columns["contingency"]]
-        key += 1
-        key *= n + 1
-        key += rank[columns["line"]]
-        if (key[1:] < key[:-1]).any():
-            perm = np.argsort(key, kind="stable")
-            columns = {name: column[perm] for name, column in columns.items()}
-        del key
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
+        for name, dtype in _RECORD_COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     @classmethod
     def from_columns(cls, line, hour, contingency, loading, excess, category):
-        """Records from columns in ``OverloadRecord`` field order, in any
-        order; a contingency of None or "" is the intact network."""
+        """Records from columns in ``OverloadRecord`` field order, in record
+        order as ``read_overloads_csv`` reads them; a contingency of None or
+        "" is the intact network."""
         line_ids = tuple(sorted(set(line) | set(contingency) - {None, ""}))
         index = {lid: i for i, lid in enumerate(line_ids)}
         index[None] = index[""] = -1
@@ -151,32 +133,24 @@ class OverloadRecords:
         return len(self.hour)
 
     def __iter__(self):
-        return map(OverloadRecord._make, self.rows())
-
-    def __eq__(self, other):
-        if not isinstance(other, OverloadRecords):
-            return NotImplemented
-        return list(self.rows()) == list(other.rows())
-
-    def rows(self):
-        """Plain-Python row tuples in ``OverloadRecord`` field order, which is
-        also the ``overloads.csv`` column order; built a chunk at a time."""
+        """One ``OverloadRecord`` per record, built a chunk at a time; the
+        tests and bench/tracer.py (which counts records by class) read it."""
         ids = np.array(self.line_ids + (None,), dtype=object)
         category = np.array(["near", "overload"], dtype=object)
         for start in range(0, len(self), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            yield from zip(
+            yield from map(OverloadRecord._make, zip(
                 ids[self.line[part]].tolist(),
                 self.hour[part].tolist(),
                 ids[self.contingency[part]].tolist(),
                 self.loading_pct[part].tolist(),
                 self.excess_mw[part].tolist(),
                 category[self.overload[part].astype(np.int64)].tolist(),
-            )
+            ))
 
     def cells(self):
-        """The ``overloads.csv`` cells, one list per column in ``rows`` order,
-        a chunk of records at a time."""
+        """The ``overloads.csv`` cells, one list per column in ``OverloadRecord``
+        field order, a chunk of records at a time."""
         ids = np.array([text_cell(lid) for lid in self.line_ids] + [""], dtype=object)
         hours = np.array([str(h) for h in range(self.hour.max(initial=0) + 1)], dtype=object)
         category = np.array(["near", "overload"], dtype=object)
@@ -327,8 +301,11 @@ def stage1_scan(
         flows_t[columns], columns, summer, winter, calendar.summer_mask[hours],
         near_pct, overload_pct,
     )
+    # the hits come by line id, then hour: a stable pass by hour orders them
+    order = _stable_order(cols, len(hours))
     records = OverloadRecords(
-        system.line_ids, line, hours[cols], np.full(len(line), -1), pct, excess, over,
+        system.line_ids, line[order], hours[cols[order]], np.full(len(line), -1),
+        pct[order], excess[order], over[order],
     )
     return records, base
 
@@ -512,7 +489,9 @@ def region_counts(regional: dict[str, int]) -> list[RegionCount]:
 
 def read_overloads_csv(path) -> OverloadRecords:
     """Read an overloads.csv back; floats round-trip exactly via repr. An
-    empty contingency cell is the intact network."""
+    empty contingency cell is the intact network. The rows are kept in file
+    order: ``write_workbook`` wrote them in record order, and the stage
+    runner reads the file only once its sha256 verifies."""
     columns = dict(zip(OVERLOAD_COLUMNS, (text, int, str, number, number, text)))
     return OverloadRecords.from_columns(*read_columns(path, columns, ValueError).values())
 

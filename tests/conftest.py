@@ -16,9 +16,31 @@ from pfcplan import cases, screening, siting
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 
 
+RECORD_COLUMNS = ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload")
+
+
+def in_record_order(records: screening.OverloadRecords) -> screening.OverloadRecords:
+    """The records sorted by hour, contingency id (the intact network first)
+    and line id through one stable sort of an int64 key: the reference order
+    every producer of ``OverloadRecords`` must hand its columns in."""
+    n = len(records.line_ids)
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[sorted(range(n), key=records.line_ids.__getitem__)] = np.arange(n)
+    rank[-1] = -1  # the intact network sorts first
+    # (hour, contingency rank + 1, line rank) in base n + 1
+    key = records.hour.astype(np.int64) * (n + 1) + rank[records.contingency] + 1
+    key = key * (n + 1) + rank[records.line]
+    perm = np.argsort(key, kind="stable")
+    return screening.OverloadRecords(
+        records.line_ids, *(getattr(records, name)[perm] for name in RECORD_COLUMNS)
+    )
+
+
 def records_from_rows(rows) -> screening.OverloadRecords:
     """Records from rows in ``OverloadRecord`` field order, in any order."""
-    return screening.OverloadRecords.from_columns(*(list(zip(*rows)) or [()] * 6))
+    return in_record_order(
+        screening.OverloadRecords.from_columns(*(list(zip(*rows)) or [()] * 6))
+    )
 
 
 def concat_records(
@@ -30,7 +52,7 @@ def concat_records(
     line_ids = first.line_ids + tuple(lid for lid in second.line_ids if lid not in known)
     pos = {lid: i for i, lid in enumerate(line_ids)}
     remap = np.array([pos[lid] for lid in second.line_ids] + [-1], dtype=np.int32)
-    return screening.OverloadRecords(
+    return in_record_order(screening.OverloadRecords(
         line_ids,
         np.concatenate([first.line, remap[second.line]]),
         np.concatenate([first.hour, second.hour]),
@@ -38,15 +60,28 @@ def concat_records(
         np.concatenate([first.loading_pct, second.loading_pct]),
         np.concatenate([first.excess_mw, second.excess_mw]),
         np.concatenate([first.overload, second.overload]),
-    )
+    ))
 
 
 def same_records(got: screening.OverloadRecords, expected: screening.OverloadRecords) -> None:
     """The two record sets hold the same line table and columns, bit for bit."""
     assert got.line_ids == expected.line_ids
-    for name in ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload"):
+    for name in RECORD_COLUMNS:
         mine, theirs = getattr(got, name), getattr(expected, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+def assert_producers_keep_record_order(rec1, base, lodf, model, calendar, out_dir,
+                                       monitored=None):
+    """Stage 1's records ``rec1``, Stage 2's with and without them and the
+    read-back of the workbook written from the joined set each equal
+    ``in_record_order`` of themselves, bit for bit."""
+    alone = screening.stage2_scan(base, lodf, model, calendar, monitored)
+    joined = screening.stage2_scan(base, lodf, model, calendar, monitored, intact=rec1)
+    screening.write_workbook(joined, [], {}, out_dir)
+    back = screening.read_overloads_csv(f"{out_dir}/overloads.csv")
+    for records in (rec1, alone, joined, back):
+        same_records(records, in_record_order(records))
 
 
 def _group_max(keys: np.ndarray, values: np.ndarray):

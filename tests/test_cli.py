@@ -202,18 +202,43 @@ def test_mw_values_too_large_to_balance_exit_2_naming_the_hour(tmp_path, capsys)
     _one_line_error(capsys, "hour 3984", "do not balance", "residual 9.155e-05 MW")
 
 
-def test_a_rating_below_the_floor_exits_2_naming_the_line(tmp_path, capsys):
-    # a subnormal rating passes "> 0" but 100 |f| / r overflows to inf
-    config, out = _study(tmp_path, cases.side_effect_case())
+def _set_first_line(config, column, value):
+    """Set one cell of the first line in a study's lines.csv; returns its cells."""
     path = Path(json.loads(config.read_text())["inputs"]["lines"])
     header, first, *rest = path.read_text(encoding="utf-8").splitlines()
     cells = dict(zip(header.split(","), first.split(",")))
-    cells["rating_summer_mw"] = "1e-320"
+    cells[column] = value
     path.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n",
                     encoding="utf-8")
+    return cells
+
+
+def test_a_rating_below_the_floor_exits_2_naming_the_line(tmp_path, capsys):
+    # a subnormal rating passes "> 0" but 100 |f| / r overflows to inf
+    config, out = _study(tmp_path, cases.side_effect_case())
+    cells = _set_first_line(config, "rating_summer_mw", "1e-320")
     assert main(["run-all", "--config", str(config)]) == 2
     _one_line_error(capsys, "lines.csv row 2", f"line {cells['id']}",
                     "ratings must be >= 1e-06 MW")
+    assert not (out / "line_summary.csv").exists()
+
+
+def test_a_reactance_below_the_floor_exits_2_naming_the_line(tmp_path, capsys):
+    # a subnormal reactance passes "> 0" but its susceptance 1 / x overflows
+    config, out = _study(tmp_path, cases.side_effect_case())
+    cells = _set_first_line(config, "reactance_pu", "1e-320")
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, "lines.csv row 2", f"line {cells['id']}",
+                    "reactance_pu must be >= 1e-06")
+    assert not (out / "overloads.csv").exists()
+
+
+def test_a_system_base_below_the_floor_exits_2(tmp_path, capsys):
+    # a subnormal base passes "> 0" but MW / base overflows: the loadings
+    # were inf and the report's read-back of line_summary.csv raised
+    config, out = _study(tmp_path, cases.side_effect_case(), system_base_mva=1e-320)
+    assert main(["run-all", "--config", str(config)]) == 2
+    _one_line_error(capsys, "system_base_mva must be >= 1e-06 MVA")
     assert not (out / "line_summary.csv").exists()
 
 
@@ -569,8 +594,8 @@ def test_run_all_hands_on_the_bits_a_read_back_of_its_files_gives(tmp_path, monk
         assert _bits(getattr(held["year"], name)) == _bits(getattr(year, name)), name
     records = screening.read_overloads_csv(out / "overloads.csv")
     assert len(records) == len(held["records"]) > 0
-    assert [tuple(map(_bits, r)) for r in held["records"].rows()] == [
-        tuple(map(_bits, r)) for r in records.rows()
+    assert [tuple(map(_bits, r)) for r in held["records"]] == [
+        tuple(map(_bits, r)) for r in records
     ]
 
 

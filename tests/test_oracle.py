@@ -48,6 +48,7 @@ from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
 
 from conftest import (
+    assert_producers_keep_record_order,
     balanced_injection,
     concat_records,
     dense_dc_flows,
@@ -361,6 +362,18 @@ def test_stage2_with_intact_records_is_the_sorted_concatenation_on_meshes(case):
         alone = stage2_scan(base, lodf, model, CALENDAR, lines)
         same_records(stage2_scan(base, lodf, model, CALENDAR, lines, intact=rec1),
                      concat_records(rec1, alone))
+
+
+@SETTINGS
+@given(stage1_studies())
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=4), 90.0, (-1, -1, -1)))
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (0, 1, -1), {"L3", "L12"}))
+def test_every_producer_hands_its_records_in_record_order_on_meshes(tmp_path_factory, case):
+    model, injections, monitored = case
+    rec1, base = _stage1(model, injections)
+    lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
+    assert_producers_keep_record_order(rec1, base, lodf, model, CALENDAR,
+                                       tmp_path_factory.mktemp("records"), monitored)
 
 
 def test_summarize_keys_do_not_wrap_past_46341_lines():

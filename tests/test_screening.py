@@ -36,7 +36,10 @@ from pfcplan.screening import (
 )
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
-from conftest import concat_records, records_from_rows, same_records, summarize_by_sorting
+from conftest import (
+    assert_producers_keep_record_order, concat_records, in_record_order, records_from_rows,
+    same_records, summarize_by_sorting,
+)
 
 
 def _two_bus(x=0.1, rating=100.0):
@@ -360,7 +363,8 @@ def test_record_stream_deterministic_and_ordered(mesh6_scan):
         year, model, system, case.profile, calendar
     )
     rec2b = stage2_scan(baseb, lodf, model, calendar)
-    assert rec1 == rec1b and rec2 == rec2b
+    same_records(rec1b, rec1)
+    same_records(rec2b, rec2)
     keys = [(r.hour, r.contingency or "", r.line_id) for r in rec2]
     assert keys == sorted(keys)
 
@@ -384,9 +388,9 @@ def test_workbook_roundtrip(tmp_path, mesh6_scan, mesh6_records):
     files = write_workbook(records, summaries, regional, tmp_path)
     assert len(files) == 5
     again = read_overloads_csv(tmp_path / "overloads.csv")
-    assert again == records
+    assert list(again) == list(records)
     # the read-back records index their own line id table
-    assert concat_records(again, rec1) == concat_records(rec1, records)
+    assert list(concat_records(again, rec1)) == list(concat_records(rec1, records))
 
 
 def _screen_inputs(case):
@@ -415,6 +419,45 @@ def test_stage2_with_intact_records_is_the_sorted_concatenation(name):
         same_records(joined, concat_records(rec1, alone))
 
 
+@pytest.mark.parametrize("name", BUNDLED_CASES + ("loaded_mesh6",))
+def test_every_producer_hands_its_records_in_record_order(tmp_path, name):
+    case = LOADED_MESH6 if name == "loaded_mesh6" else getattr(cases, name)()
+    rec1, base, lodf = _screen_inputs(case)
+    every_other = set(sorted(base.line_ids)[::2])
+    for monitored in (None, every_other):
+        assert_producers_keep_record_order(rec1, base, lodf, case.model, case.calendar,
+                                           tmp_path, monitored)
+
+
+def _only_16_bit_sorts(monkeypatch) -> list[int]:
+    """Let ``np.argsort`` sort only keys of 16 bits or fewer, and refuse
+    ``np.unique``; returns the list the length of each sorted key goes to."""
+    argsort, keys = np.argsort, []
+
+    def radix_only(key, *args, **kwargs):
+        assert key.dtype.itemsize <= 2, f"a comparison sort of {key.dtype} keys"
+        keys.append(len(key))
+        return argsort(key, *args, **kwargs)
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique on the screen path")
+
+    monkeypatch.setattr(np, "argsort", radix_only)
+    monkeypatch.setattr(np, "unique", no_unique)
+    return keys
+
+
+def test_stage1_orders_its_records_with_one_16_bit_sort(monkeypatch):
+    case = LOADED_MESH6
+    year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
+    system = build_system(case.model)
+    keys = _only_16_bit_sorts(monkeypatch)
+    records, _ = stage1_scan(year, case.model, system, case.profile, case.calendar)
+    monkeypatch.undo()
+    assert keys == [len(records)] and len(records) > 1
+    same_records(records, in_record_order(records))
+
+
 # a triangle whose line table is not in line-id order, rated 100 MW
 LINE_IDS = ("L2", "L10", "L1")
 UNORDERED = NetworkModel(
@@ -437,8 +480,10 @@ def intact_records(draw):
                                  max_size=len(pairs))))
     hour, line = (np.array(c, dtype=np.int32).reshape(-1) for c in zip(*pairs)) \
         if pairs else [np.zeros(0)] * 2
-    return OverloadRecords(LINE_IDS, line, hour, np.full(len(pairs), -1), pct,
-                           np.where(pct > 100.0, pct - 100.0, 0.0), pct > 100.0)
+    return in_record_order(OverloadRecords(
+        LINE_IDS, line, hour, np.full(len(pairs), -1), pct,
+        np.where(pct > 100.0, pct - 100.0, 0.0), pct > 100.0,
+    ))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -461,8 +506,8 @@ def _unordered_screen():
     flows = np.array([[95.0, -120.0, 60.0], [50.0, 80.0, -99.0], [130.0, 10.0, -40.0],
                       [0.0, 0.0, 0.0], [99.0, 99.0, 99.0], [-150.0, 140.0, 20.0]])
     pct = np.array([95.0, 120.0, 130.0, 99.0])
-    rec1 = OverloadRecords(LINE_IDS, [0, 1, 0, 2], [0, 0, 2, 4], [-1] * 4, pct,
-                           np.maximum(pct - 100.0, 0.0), pct > 100.0)
+    rec1 = in_record_order(OverloadRecords(LINE_IDS, [0, 1, 0, 2], [0, 0, 2, 4], [-1] * 4,
+                                           pct, np.maximum(pct - 100.0, 0.0), pct > 100.0))
     base = BaseFlows(np.arange(6), flows, LINE_IDS)
     return rec1, base, UNORDERED_LODF, UNORDERED, cases.flat_calendar()
 
@@ -477,19 +522,7 @@ def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
     assert len(rec1)
     expected = concat_records(rec1, stage2_scan(base, lodf, model, calendar))
     expected_summary = summarize_by_sorting(expected, model)
-    keys = []
-
-    def radix_only(key, *args, **kwargs):
-        assert key.dtype.itemsize <= 2, f"a comparison sort of {key.dtype} keys"
-        keys.append(len(key))
-        return argsort(key, *args, **kwargs)
-
-    def no_unique(*args, **kwargs):
-        raise AssertionError("np.unique on the screen path")
-
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", radix_only)
-    monkeypatch.setattr(np, "unique", no_unique)
+    keys = _only_16_bit_sorts(monkeypatch)
     records = stage2_scan(base, lodf, model, calendar, intact=rec1)
     summary = summarize(records, model)
     monkeypatch.undo()
@@ -525,7 +558,8 @@ def _rollup_records(n_ids, rows):
     """Records over ``n_ids`` lines (ids not in index order) from (line,
     hour, contingency, loading, excess, overload) rows, in any order."""
     line_ids = tuple(f"L{(i * 7919) % n_ids:05d}" for i in range(n_ids))
-    return OverloadRecords(line_ids, *(list(c) for c in zip(*rows)) if rows else [()] * 6)
+    columns = (list(c) for c in zip(*rows)) if rows else [()] * 6
+    return in_record_order(OverloadRecords(line_ids, *columns))
 
 
 @st.composite

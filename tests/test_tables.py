@@ -21,6 +21,8 @@ from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.screening import OVERLOAD_COLUMNS, OverloadRecords, write_workbook
 from pfcplan.tables import CHUNK_ROWS, boolean, float_cells, write_csv, write_rows
 
+from conftest import in_record_order
+
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
@@ -89,7 +91,9 @@ def record_sets(draw):
     # a near record's excess is 0.0 or -0.0, an overload record's anything drawn
     over = [o for o, _ in classed]
     excess_mw = [x if o else np.copysign(0.0, x) for o, x in classed]
-    return OverloadRecords(tuple(ids), line, hour, contingency, loading, excess_mw, over)
+    return in_record_order(
+        OverloadRecords(tuple(ids), line, hour, contingency, loading, excess_mw, over)
+    )
 
 
 NEGATIVE_ZERO = OverloadRecords(
@@ -104,7 +108,7 @@ NEGATIVE_ZERO = OverloadRecords(
 def test_overloads_csv_matches_csv_writer(tmp_path_factory, records):
     tmp = tmp_path_factory.mktemp("records")
     write_workbook(records, [], {}, tmp)
-    reference_write_rows(tmp / "ref.csv", OVERLOAD_COLUMNS, records.rows())
+    reference_write_rows(tmp / "ref.csv", OVERLOAD_COLUMNS, records)
     assert (tmp / "overloads.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
