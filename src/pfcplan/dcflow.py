@@ -51,7 +51,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from .network import NetworkModel, islanded_buses
+from .network import BALANCE_TOL_MW, NetworkModel, islanded_buses
 
 try:  # the SuperLU entry point splu calls, without splu's per-call wrapper
     from scipy.sparse.linalg._dsolve._superlu import gstrf as _gstrf
@@ -65,9 +65,6 @@ except ImportError as exc:  # pragma: no cover - depends on the installed scipy
 # treated as singular (an undetected island)
 SINGULARITY_TOL = 1e-12
 
-# injections must balance to zero; anything under this is absorbed by the slack
-RESIDUAL_TOL_MW = 1e-6
-
 # sparse LUs computed so far in this process; siting.assess_target logs its share
 factorizations = 0
 
@@ -77,19 +74,20 @@ class SingularSystemError(RuntimeError):
 
 
 class ImbalanceError(ValueError):
-    """Bus injections whose sum misses zero by more than ``RESIDUAL_TOL_MW``."""
+    """Bus injections whose sum misses zero by more than
+    ``network.BALANCE_TOL_MW``."""
 
 
 class IslandingError(RuntimeError):
-    """A line outage would split the network."""
+    """A line outage would split the network; ``separated`` names the buses
+    it cuts off, when the raiser knows them."""
 
-    def __init__(self, line_id: str, separated: set[str]):
+    def __init__(self, line_id: str, separated: set[str] | frozenset[str] = frozenset()):
         self.line_id = line_id
         self.separated = set(separated)
-        super().__init__(
-            f"outage of line {line_id} islands buses "
-            + "{" + ", ".join(sorted(self.separated)) + "}"
-        )
+        cut = "{" + ", ".join(sorted(self.separated)) + "}"
+        where = f"buses {cut}" if self.separated else "part of the network"
+        super().__init__(f"outage of line {line_id} islands {where}")
 
 
 @dataclass(frozen=True)
@@ -352,15 +350,15 @@ class FlowSolution:
 
 def check_balance(injections_mw: np.ndarray, hours: np.ndarray | None = None) -> None:
     """Refuse MW injections whose sum misses zero by more than
-    ``RESIDUAL_TOL_MW``: one vector, or one row per hour of ``hours``, the
+    ``BALANCE_TOL_MW``: one vector, or one row per hour of ``hours``, the
     message naming the worst hour."""
     residuals = np.atleast_1d(np.abs(injections_mw.sum(axis=-1)))
-    if residuals.size and residuals.max() > RESIDUAL_TOL_MW:
+    if residuals.size and residuals.max() > BALANCE_TOL_MW:
         worst = int(residuals.argmax())
         where = "" if hours is None else f"hour {hours[worst]}: "
         raise ImbalanceError(
             f"{where}injections do not balance: residual {residuals[worst]:.3e} MW "
-            f"exceeds {RESIDUAL_TOL_MW} MW"
+            f"exceeds {BALANCE_TOL_MW} MW"
         )
 
 

@@ -40,14 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import HOURS_PER_YEAR, NetworkModel
+from .network import BALANCE_TOL_MW, HOURS_PER_YEAR, NetworkModel
 from .tables import (
     CHUNK_ROWS, float_cells, number, read_chunks, read_columns, text, text_cell,
     write_columns,
 )
-
-BALANCE_TOL_MW = 1e-6
-
 
 class DispatchInputError(ValueError):
     """Malformed or inconsistent dispatch input data."""
@@ -73,7 +70,7 @@ class DemandProfile:
         if (shares < 0).any():
             raise DispatchInputError("bus shares must be non-negative")
         # an hour's injections miss balance by the shares' error times its
-        # demand, and screening refuses a miss above 1e-6 MW
+        # demand, and screening refuses a miss above BALANCE_TOL_MW
         error = abs(float(shares.sum()) - 1.0)
         if error > 1e-9 or error * demand.max() > BALANCE_TOL_MW:
             raise DispatchInputError(

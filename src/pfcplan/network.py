@@ -32,6 +32,9 @@ MIN_RATING_MW = 1e-6
 MIN_REACTANCE_PU = 1e-6
 # the smallest system base accepted: the per-unit injections MW / base stay finite
 MIN_BASE_MVA = 1e-6
+# bus injections must balance to within this: dispatch's surplus and shortfall
+# tests, its bus-share check and the flow solvers' balance check all read it
+BALANCE_TOL_MW = 1e-6
 
 
 class NetworkDataError(ValueError):

@@ -56,7 +56,7 @@ class LodfMatrix:
     def entry(self, line_id: str, outage_id: str) -> float:
         k = self.line_ids.index(outage_id)
         if self.islanding[k]:
-            raise IslandingError(outage_id, set())
+            raise IslandingError(outage_id)
         return float(self.matrix[self.line_ids.index(line_id), k])
 
     def is_islanding(self, outage_id: str) -> bool:
@@ -125,7 +125,7 @@ def post_contingency_flows(
         raise ValueError("base solution and LODF cover different line sets")
     k = lodf.line_ids.index(outage_line)
     if lodf.islanding[k]:
-        raise IslandingError(outage_line, set())
+        raise IslandingError(outage_line)
     flows = base.flows_mw + lodf.matrix[:, k] * base.flows_mw[k]
     flows[k] = 0.0
     return flows

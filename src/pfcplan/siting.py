@@ -2,10 +2,12 @@
 
 A power flow controller is modeled as a reactance increase of up to a cap
 (default 40%) on one hosting line, diverting flow onto parallel paths. For
-every target line with overload records, candidate hosting lines are ordered
-by flow sensitivity, the smallest sufficient increase is found by bisection
-against exact re-solves, and every other line is checked for new or worsened
-loadings. Outcomes fall into three classes:
+every target line with overload records, candidate hosting lines are ranked
+by flow sensitivity in one pass over the target's contingencies (each host
+by its best coupling), the smallest sufficient increase is found by
+bisection against exact re-solves, and every other line is checked for new
+or worsened loadings; the check returns the ids of the lines it flags.
+Outcomes fall into three classes:
 
 * FullyResolved: one candidate and one fixed increase clear every overloaded
   (hour, contingency) pair with no line left above its effective rating.
@@ -42,12 +44,13 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import dcflow
-from .network import NetworkModel, SeasonCalendar, effective_ratings
+from .network import NetworkModel, SeasonCalendar, effective_ratings, islanded_buses
 from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
@@ -75,13 +78,6 @@ class PfcCandidate:
     target_line: str
     pfc_line: str
     score: float  # expected relief per unit fractional reactance increase
-
-
-@dataclass(frozen=True)
-class SideEffect:
-    line_id: str
-    loading_pct: float
-    pre_loading_pct: float
 
 
 @dataclass(frozen=True)
@@ -145,45 +141,45 @@ def candidate_locations(
     lodf: LodfMatrix,
     ptdf: PtdfMatrix,
     model: NetworkModel,
-    contingency: str | None = None,
+    contingencies: Iterable[str | None] = (None,),
 ) -> list[PfcCandidate]:
     """Hosting lines ordered by expected relief of the target per unit increase.
 
-    Sensitivities are evaluated on the post-contingency topology when a
-    contingency is given (via the outage compensation of the transfer
-    factors). A target that is a bridge under the relevant contingency has no
-    parallel path, so the list is empty: nothing can move its flow.
+    Each host scores its best coupling over ``contingencies`` (None: the
+    intact network), evaluated on each post-contingency topology via the
+    outage compensation of the transfer factors. A contingency under which the
+    target is a bridge leaves no parallel path, so it offers no candidates:
+    nothing can move the target's flow there.
     """
     line_ids = ptdf.line_ids
     if target not in line_ids:
         raise ValueError(f"target {target} is not an in-service line")
-    if contingency == target:
-        raise ValueError("target cannot be its own contingency")
     t = line_ids.index(target)
     phi = line_transfer_factors(ptdf, model)
-
-    if contingency is None:
-        phi_t = phi[t, :].copy()
-    else:
-        k = line_ids.index(contingency)
-        if lodf.islanding[k]:
-            raise dcflow.IslandingError(contingency, set())
-        phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
-
-    self_factor = float(phi_t[t])
-    if self_factor >= 1.0 - SENSITIVITY_TOL:
-        return []  # bridge under the relevant contingency
-
-    scored = [(1.0 - self_factor, target)]
-    for c, lid in enumerate(line_ids):
-        if lid == target or lid == contingency:
-            continue
-        coupling = abs(float(phi_t[c]))
-        if coupling > SENSITIVITY_TOL:
-            scored.append((coupling, lid))
+    best: dict[str, float] = {}
+    for contingency in contingencies:
+        if contingency == target:
+            raise ValueError("target cannot be its own contingency")
+        if contingency is None:
+            phi_t = phi[t, :]
+        else:
+            k = line_ids.index(contingency)
+            if lodf.islanding[k]:
+                raise dcflow.IslandingError(contingency, islanded_buses(model, contingency))
+            phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
+        self_factor = float(phi_t[t])
+        if self_factor >= 1.0 - SENSITIVITY_TOL:
+            continue  # bridge under this contingency
+        best[target] = max(best.get(target, 0.0), 1.0 - self_factor)
+        for c, lid in enumerate(line_ids):
+            coupling = abs(float(phi_t[c]))
+            if lid not in (target, contingency) and coupling > max(
+                SENSITIVITY_TOL, best.get(lid, 0.0)
+            ):
+                best[lid] = coupling
     # strongest coupling first; the target itself wins ties
-    scored.sort(key=lambda sc: (-sc[0], sc[1] != target, sc[1]))
-    return [PfcCandidate(target_line=target, pfc_line=lid, score=s) for s, lid in scored]
+    ranked = sorted(best.items(), key=lambda ls: (-ls[1], ls[0] != target, ls[0]))
+    return [PfcCandidate(target_line=target, pfc_line=lid, score=s) for lid, s in ranked]
 
 
 @dataclass(eq=False)  # hashed by identity
@@ -320,22 +316,14 @@ def check_side_effects(
     pfc_line: str,
     delta_pct: float,
     overload_pct: float = 100.0,
-) -> list[SideEffect]:
-    """Lines pushed above their effective rating, or made worse while already
-    above it, by the reactance increase: exact re-solves of the group."""
-    pre = _flows(model, group)
-    post = _flows(model, group, pfc_line, delta_pct)
-    post_pct = 100.0 * np.abs(post) / group.ratings
-    pre_pct = 100.0 * np.abs(pre) / group.ratings
+) -> list[str]:
+    """Ids of the lines, in in-service order, pushed above their effective
+    rating, or made worse while already above it, by the reactance increase:
+    exact re-solves of the group."""
+    pre_pct = 100.0 * np.abs(_flows(model, group)) / group.ratings
+    post_pct = 100.0 * np.abs(_flows(model, group, pfc_line, delta_pct)) / group.ratings
     worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
-    return [
-        SideEffect(
-            line_id=model.in_service_line_ids[i],
-            loading_pct=float(post_pct[i]),
-            pre_loading_pct=float(pre_pct[i]),
-        )
-        for i in np.flatnonzero(worse)
-    ]
+    return [model.in_service_line_ids[i] for i in np.flatnonzero(worse)]
 
 
 def assess_target(
@@ -377,34 +365,20 @@ def assess_target(
     ))
     if not pairs:
         raise ValueError(f"no overload records for target {target}")
-    all_hours = sorted({h for h, _ in pairs})
-    total_hours = len(all_hours)
-    pre_max_loading = max(records.loading_pct[hit].tolist())
+    total_hours = len({h for h, _ in pairs})
 
     groups = _group_pairs(model, pairs, injections, calendar)
-    contingencies = sorted({g.contingency for g in groups}, key=lambda c: c or "")
-
-    # union of per-contingency candidate lists, keeping the best score each
-    best_score: dict[str, float] = {}
-    for contingency in contingencies:
-        for cand in candidate_locations(target, lodf, ptdf, model, contingency):
-            if cand.pfc_line not in best_score or cand.score > best_score[cand.pfc_line]:
-                best_score[cand.pfc_line] = cand.score
-    candidates = [
-        PfcCandidate(target_line=target, pfc_line=lid, score=s)
-        for lid, s in sorted(
-            best_score.items(), key=lambda kv: (-kv[1], kv[0] != target, kv[0])
-        )
-    ]
+    candidates = candidate_locations(
+        target, lodf, ptdf, model, dict.fromkeys(g.contingency for g in groups)
+    )
     if max_candidates:
         candidates = candidates[:max_candidates]
     t = model.in_service_line_ids.index(target)
 
-    best = None  # (clean_hours, cleared_hours, order, candidate fields...)
+    best = None  # (clean_hours, cleared_hours, -sized, candidate fields...)
     any_sensitive = False
     sized = 0
-    for order, cand in enumerate(candidates):
-        sized += 1
+    for sized, cand in enumerate(candidates, 1):
         # a device cannot sit on the line its group's contingency takes out
         hosted = [g for g in groups if g.contingency != cand.pfc_line]
         sizes = dict(zip(hosted, _size_increases(
@@ -419,38 +393,24 @@ def assess_target(
             continue
         delta_star = max(clearable)
 
-        hour_clean = {h: True for h in all_hours}
-        hour_cleared = {h: True for h in all_hours}
-        effects: list[SideEffect] = []
-        residual = 0.0
+        dirty, uncleared, effects, residual = set(), set(), set(), 0.0
         for g, delta_g in zip(groups, deltas):
             flows = _flows(model, g, cand.pfc_line, delta_star)
-            loadings = 100.0 * np.abs(flows) / g.ratings
-            residual = max(residual, float(loadings.max()))
-            target_ok = delta_g is not None and delta_g <= delta_star
-            if not target_ok or float(loadings.max()) > overload_pct:
-                for h in g.hours:
-                    hour_clean[h] = False
-            if not target_ok:
-                for h in g.hours:
-                    hour_cleared[h] = False
-            effects.extend(
+            peak = float((100.0 * np.abs(flows) / g.ratings).max())
+            residual = max(residual, peak)
+            cleared = delta_g is not None and delta_g <= delta_star
+            if not cleared:
+                uncleared.update(g.hours)
+            if not cleared or peak > overload_pct:
+                dirty.update(g.hours)
+            effects.update(
                 check_side_effects(model, g, cand.pfc_line, delta_star, overload_pct)
             )
-        n_clean = sum(hour_clean.values())
-        n_cleared = sum(hour_cleared.values())
-        entry = (
-            n_clean,
-            n_cleared,
-            -order,
-            cand.pfc_line,
-            delta_star,
-            tuple(sorted({e.line_id for e in effects})),
-            residual,
-        )
+        entry = (total_hours - len(dirty), total_hours - len(uncleared), -sized,
+                 cand.pfc_line, delta_star, tuple(sorted(effects)), residual)
         if best is None or entry[:3] > best[:3]:
             best = entry
-        if n_clean == total_hours:
+        if not dirty:
             break  # first candidate that fully resolves wins
 
     log.info(
@@ -459,23 +419,16 @@ def assess_target(
         target, len(groups), sized, _exact_solves - solves_before,
         dcflow.factorizations - factorizations_before,
     )
-    if best is None:  # no candidate, or none could clear any pair
-        return PfcOutcome(
-            target_line=target,
-            classification=PARTIALLY_RESOLVED if any_sensitive else NO_CHANGE,
-            pfc_line=None,
-            delta_pct=None,
-            overload_hours=total_hours,
-            resolved_hours=0,
-            residual_max_loading_pct=pre_max_loading,
-            side_effect_lines=(),
-        )
-
-    clean, _cleared, _order, pfc_line, delta_star, effect_lines, residual = best
-    classification = FULLY_RESOLVED if clean == total_hours else PARTIALLY_RESOLVED
+    # no candidate, or none could clear any pair: the screened peak stands
+    clean, _, _, pfc_line, delta_star, effect_lines, residual = best or (
+        0, 0, 0, None, None, (), max(records.loading_pct[hit].tolist()),
+    )
     return PfcOutcome(
         target_line=target,
-        classification=classification,
+        classification=(
+            FULLY_RESOLVED if clean == total_hours
+            else PARTIALLY_RESOLVED if best or any_sensitive else NO_CHANGE
+        ),
         pfc_line=pfc_line,
         delta_pct=delta_star,
         overload_hours=total_hours,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases
+from pfcplan import cases, dcflow, dispatch, network
 from pfcplan.dispatch import (
     DemandProfile,
     DispatchInputError,
@@ -352,6 +352,13 @@ def test_bad_shares_rejected():
         DemandProfile(
             demand_mw=np.zeros(HOURS_PER_YEAR), bus_shares={"B1": 0.5, "B2": 0.6}
         )
+
+
+def test_share_and_balance_checks_read_one_tolerance():
+    # the share check exists so that the flow solvers' balance check passes;
+    # both read network.BALANCE_TOL_MW, so neither can drift alone
+    assert dispatch.BALANCE_TOL_MW is dcflow.BALANCE_TOL_MW is network.BALANCE_TOL_MW
+    assert not hasattr(dcflow, "RESIDUAL_TOL_MW")
 
 
 def test_availability_outside_unit_interval_rejected():

@@ -9,8 +9,11 @@ with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
 on monitored subsets against a dense scalar scan, ``build_system``'s pattern-cached assembly and its kept systems against the
 COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
 bisection of each pair group on its own (and its flow at zero increase
-against the group's full unscaled solve), and ``assess_target`` as a whole
-against a Stage 3 on fresh reference solves. Merit-order dispatch, a year
+against the group's full unscaled solve), one ``candidate_locations``
+ranking over several contingencies against the union of its
+single-contingency rankings, and ``assess_target`` as a whole against a
+Stage 3 on fresh reference solves (also on four targets of the benchmark's
+8x9 lattice). Merit-order dispatch, a year
 and a single hour, is checked against the scalar per-hour solve on random
 fleets, and ``network.effective_ratings`` against the scalar
 ``effective_rating``. The references are kept here.
@@ -18,6 +21,9 @@ fleets, and ``network.effective_ratings`` against the scalar
 
 import dataclasses
 import functools
+import importlib.util
+import json
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -27,6 +33,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from pfcplan import cases, dcflow, screening, siting
+from pfcplan.cli import Study
+from pfcplan.config import load_config
 from pfcplan.dcflow import (
     IslandingError,
     SingularSystemError,
@@ -677,7 +685,7 @@ def reference_assess_target(target, records, model, injections, calendar, ptdf, 
 
     scores = {}
     for contingency in sorted({key[0] for key in groups}, key=lambda c: c or ""):
-        for cand in siting.candidate_locations(target, lodf, ptdf, model, contingency):
+        for cand in siting.candidate_locations(target, lodf, ptdf, model, [contingency]):
             scores[cand.pfc_line] = max(scores.get(cand.pfc_line, cand.score), cand.score)
     hosts = sorted(scores, key=lambda h: (-scores[h], h != target, h))
     if max_candidates:
@@ -826,6 +834,110 @@ def test_assess_target_is_the_reference_field_for_field(case):
     assert _outcome_bits(got) == _outcome_bits(expected)
 
 
+LATTICE = Path(__file__).resolve().parents[1] / "bench" / "lattice.py"
+
+
+@pytest.fixture(scope="module")
+def lattice_study(tmp_path_factory):
+    """``bench/lattice.py``'s 8x9 lattice at 1.6x ratings, seed 1, dispatched
+    and screened in process as ``run-all`` would: its records, intact and
+    post-outage, with the inputs ``assess_target`` takes after the target."""
+    spec = importlib.util.spec_from_file_location("lattice", LATTICE)
+    lattice = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lattice)
+    root = tmp_path_factory.mktemp("lattice")
+    lattice.write_lattice_inputs(root / "inputs", 8, 9, 1, 1.6)
+    (root / "study.json").write_text(json.dumps({
+        "inputs": {name: f"inputs/{name}.csv" for name in lattice.INPUT_NAMES},
+        "slack_bus": lattice.slack_bus(8, 9),
+    }))
+    cfg = load_config(root / "study.json")
+    study = Study(cfg)
+    model, profile, calendar = study.model, study.profile, cfg.calendar()
+    year = run_year(model, profile, study.availability, cfg.snsp_cap)
+    system = build_system(model)
+    intact, base = stage1_scan(year, model, system, profile, calendar)
+    ptdf = compute_ptdf(system, model)
+    lodf = compute_lodf(ptdf, model)
+    records = stage2_scan(base, lodf, model, calendar, intact=intact)
+    return records, model, injection_matrix(model, year, profile), calendar, ptdf, lodf
+
+
+# the lattice's targets whose reference takes under a second; B0007-B0107 and
+# B0307-B0407 are left out, their references take tens of seconds
+@pytest.mark.parametrize("target", ["B0000-B0100", "B0008-B0108", "B0100-B0101",
+                                    "B0407-B0507"])
+def test_assess_target_is_the_reference_on_the_lattice(lattice_study, target):
+    got = siting.assess_target(target, *lattice_study)
+    assert _outcome_bits(got) == _outcome_bits(reference_assess_target(target, *lattice_study))
+
+
+def union_of_single_contingency_candidates(target, lodf, ptdf, model, contingencies):
+    """The candidate ranking as one list per contingency, merged: each host
+    keeps the best of its scores, then the strongest come first and the
+    target wins ties. (host, float.hex(score)) pairs."""
+    scores = {}
+    for contingency in contingencies:
+        for cand in siting.candidate_locations(target, lodf, ptdf, model, [contingency]):
+            if cand.pfc_line not in scores or cand.score > scores[cand.pfc_line]:
+                scores[cand.pfc_line] = cand.score
+    ranked = sorted(scores, key=lambda host: (-scores[host], host != target, host))
+    return [(host, float.hex(scores[host])) for host in ranked]
+
+
+def _without(model, line_id):
+    """``model`` with ``line_id`` out of service."""
+    return dataclasses.replace(model, lines=tuple(
+        dataclasses.replace(ln, in_service=False) if ln.id == line_id else ln
+        for ln in model.lines
+    ))
+
+
+@st.composite
+def candidate_rankings(draw):
+    """A mesh, a target line and 1-3 distinct contingencies, drawn from the
+    intact network and the outages that island no bus; when some outage
+    leaves the target a bridge, one such outage is among them."""
+    model = _model(draw(meshes()))
+    target = draw(st.sampled_from(model.in_service_line_ids))
+    outages = sorted(set(model.in_service_line_ids) - graph_bridges(model) - {target})
+    bridging = [c for c in outages if target in graph_bridges(_without(model, c))]
+    forced = [draw(st.sampled_from(bridging))] if bridging else []
+    others = st.sampled_from([None] + sorted(set(outages) - set(forced)))
+    contingencies = draw(st.lists(others, min_size=1 - len(forced), max_size=3 - len(forced),
+                                  unique=True))
+    contingencies[draw(st.integers(0, len(contingencies))):0] = forced
+    return model, target, contingencies
+
+
+@SETTINGS
+@given(candidate_rankings())
+# L3 and L12 are parallel: with L12 out, L3 is a bridge and offers nothing
+@example((_model(PARALLEL), "L3", [None, "L12"]))
+@example((_model(PARALLEL), "L3", ["L12", None]))
+def test_one_candidate_ranking_is_the_union_of_single_contingency_rankings(case):
+    model, target, contingencies = case
+    ptdf = compute_ptdf(build_system(model), model)
+    lodf = compute_lodf(ptdf, model)
+    got = siting.candidate_locations(target, lodf, ptdf, model, contingencies)
+    assert {c.target_line for c in got} <= {target}
+    assert [(c.pfc_line, float.hex(c.score)) for c in got] == (
+        union_of_single_contingency_candidates(target, lodf, ptdf, model, contingencies)
+    )
+
+
+def test_a_bridge_contingency_names_the_buses_it_islands():
+    model = _model(PARALLEL)  # L7 is the one line to the slack, B2
+    ptdf = compute_ptdf(build_system(model), model)
+    lodf = compute_lodf(ptdf, model)
+    with pytest.raises(IslandingError) as exact:
+        dcflow.check_outage(model, "L7")
+    with pytest.raises(IslandingError) as err:
+        siting.candidate_locations("L3", lodf, ptdf, model, [None, "L7"])
+    assert err.value.separated == {"B0", "B1"}
+    assert str(err.value) == str(exact.value) == "outage of line L7 islands buses {B0, B1}"
+
+
 @st.composite
 def lean_solves(draw):
     """A mesh model and one Stage-3 solve on it: balanced injections, a
@@ -869,6 +981,18 @@ def test_lean_solves_give_the_full_solution_bits(case):
                                              delta, siting.BISECTION_TOL_PP)
     assert _bits(f_cap) == _bits(abs(exact.flow_of(target)))
     assert _same_bits(siting._flows(model, group, host, delta), exact.flows_mw)
+
+
+@SETTINGS
+@given(lean_solves())
+def test_side_effects_never_name_a_line_the_device_cannot_move(case):
+    model, injection, _, host, contingency, delta = case
+    # at 0% every loaded line is above its rating, so only the 1e-9 band
+    # keeps a bridge, whose flow no increase moves, from being flagged when
+    # its flow from the scaled solve rounds a few ulps higher
+    flagged = siting.check_side_effects(model, pair_group(model, injection, contingency),
+                                        host, delta, overload_pct=0.0)
+    assert not set(flagged) & graph_bridges(model)
 
 
 def _assert_f_zero_is_the_pre_state(model, groups, target, host):

@@ -115,6 +115,20 @@ def test_post_contingency_refuses_islanding(radial_pair):
         post_contingency_flows(base, lodf, "L1")
 
 
+def test_islanding_refusals_without_a_model_name_no_empty_bus_set(radial_pair):
+    # LODF entries and post-outage flows know no model, so they cannot name
+    # the islanded buses; they say so rather than print an empty set
+    system, _, lodf = _factors(radial_pair)
+    base = solve_flows(system, np.array([10.0, -10.0]))
+    message = "outage of line L1 islands part of the network"
+    with pytest.raises(IslandingError) as err:
+        lodf.entry("L1", "L1")
+    assert str(err.value) == message
+    with pytest.raises(IslandingError) as err:
+        post_contingency_flows(base, lodf, "L1")
+    assert str(err.value) == message
+
+
 def test_topology_invariance_bitwise(mesh6):
     _, ptdf1, lodf1 = _factors(mesh6)
     _, ptdf2, lodf2 = _factors(mesh6)

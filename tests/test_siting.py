@@ -6,7 +6,7 @@ import pytest
 from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
-from pfcplan.network import HOURS_PER_YEAR
+from pfcplan.network import HOURS_PER_YEAR, effective_rating
 from pfcplan.screening import OverloadRecord, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
@@ -61,7 +61,7 @@ def test_radial_target_has_no_candidates(radial_pair):
 def test_parallel_paths_fixture_offers_multiple_candidates():
     model = cases.parallel_paths_case().model
     ptdf, lodf = _factors(model)
-    cands = candidate_locations("LB", lodf, ptdf, model, contingency="LE")
+    cands = candidate_locations("LB", lodf, ptdf, model, ["LE"])
     assert len(cands) >= 2
     assert "LB" in {c.pfc_line for c in cands}
 
@@ -71,7 +71,7 @@ def test_bridge_under_contingency_empties_candidates():
     ptdf, lodf = _factors(model)
     # intact, T has a parallel path; once K is out it has none
     assert candidate_locations("T", lodf, ptdf, model) != []
-    assert candidate_locations("T", lodf, ptdf, model, contingency="K") == []
+    assert candidate_locations("T", lodf, ptdf, model, ["K"]) == []
 
 
 # -- sizing ----------------------------------------------------------------------
@@ -177,11 +177,14 @@ def _group(case, inj, contingency, hour=0):
 def test_side_effect_fixture_lists_violation():
     case = cases.side_effect_case()
     inj = np.array([100.0, -100.0, 0.0, 0.0])
-    effects = check_side_effects(case.model, _group(case, inj, "K"), "T", 30.0)
-    assert [e.line_id for e in effects].count("B") == 1
-    effect = next(e for e in effects if e.line_id == "B")
-    assert effect.loading_pct > 100.0
-    assert effect.loading_pct > effect.pre_loading_pct
+    assert check_side_effects(case.model, _group(case, inj, "K"), "T", 30.0) == ["B"]
+    # with K out, +30% on T pushes B above its effective rating, and higher
+    # than it was without the device
+    rating = effective_rating(case.model.line_by_id["B"], 0, case.calendar)
+    pre = solve_with_outage(case.model, inj, "K").flow_of("B")
+    post = solve_with_outage(case.model, inj, "K", reactance_scale={"T": 1.3}).flow_of("B")
+    assert 100.0 * abs(post) / rating > 100.0
+    assert 100.0 * abs(post) / rating > 100.0 * abs(pre) / rating
 
 
 def test_zero_delta_no_side_effects():
