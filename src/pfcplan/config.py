@@ -168,7 +168,7 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

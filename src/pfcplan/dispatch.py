@@ -24,8 +24,8 @@ step masked to the hours it applies to, so an hour gets the same bits whether
 A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
 per (hour, generator), in hour order. It is written through
 ``tables.write_columns`` from ``DispatchYear.outputs_mw``, about a thousand
-rows at a time, each output as its repr (``tables.float_cells``), and read
-back a chunk at a time by ``tables.read_chunks``; the other columns go to the
+rows at a time, each output as its repr (``tables.float_cells``) and each
+chunk's columns joined into lines by ``tables.column_lines``, and read back a chunk at a time by ``tables.read_chunks``; the other columns go to the
 summary JSON, so a year read back equals the computed one bit for bit. The
 summary has ``json.dump``'s ``indent=2`` layout; its two hourly lists are
 laid out from json's C encoder.
@@ -42,8 +42,8 @@ import numpy as np
 
 from .network import BALANCE_TOL_MW, HOURS_PER_YEAR, NetworkModel
 from .tables import (
-    CHUNK_ROWS, float_cells, number, read_chunks, read_columns, text, text_cell,
-    write_columns,
+    CHUNK_ROWS, column_lines, float_cells, number, read_chunks, read_columns, text,
+    text_cell, write_columns,
 )
 
 class DispatchInputError(ValueError):
@@ -366,11 +366,11 @@ def write_dispatch_csv(year: DispatchYear, path) -> None:
     def chunks():
         for start in range(0, len(hours), step):
             part = slice(start, start + step)
-            yield [
+            yield column_lines([
                 np.repeat(hours[part], len(generators)).tolist(),
                 generators * len(hours[part]),
-                float_cells(outputs[part]),
-            ]
+                float_cells(outputs[part].reshape(-1)),
+            ])
 
     write_columns(path, DISPATCH_COLUMNS, chunks())
 

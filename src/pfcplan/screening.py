@@ -36,12 +36,14 @@ reads its rollups from the run boundaries of radix passes by line and by
 contingency. Above 65,536 line ids both fall back to a comparison sort.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
-at a time, through ``tables.write_columns``. Line and contingency cells index
-one text cell per line id (index -1, the intact network, is the empty cell),
-hour cells one cell per hour and class cells a two-entry array. Loading and
-excess cells come from ``tables.float_cells``: each is the float's repr (the
-+0.0 excess of every near record is ``0.0``, a -0.0 ``-0.0``), so each float
-reads back exactly.
+at a time, through ``tables.write_columns``, each chunk's text one
+``"".join`` over five interleaved piece lists. Line and contingency pieces
+index one text cell per line id with its ``,`` (index -1, the intact network,
+is the lone ``,``), hour pieces one cell per hour with its ``,``, and class
+pieces ``,near`` or ``,overload`` with the line break. The ``loading,excess``
+pieces come from one ``tables.float_cells`` call over the chunk's two float
+columns: each float is its repr (the +0.0 excess of every near record is
+``0.0``, a -0.0 ``-0.0``), so each float reads back exactly.
 """
 
 from __future__ import annotations
@@ -148,22 +150,24 @@ class OverloadRecords:
                 category[self.overload[part].astype(np.int64)].tolist(),
             ))
 
-    def cells(self):
-        """The ``overloads.csv`` cells, one list per column in ``OverloadRecord``
-        field order, a chunk of records at a time."""
-        ids = np.array([text_cell(lid) for lid in self.line_ids] + [""], dtype=object)
-        hours = np.array([str(h) for h in range(self.hour.max(initial=0) + 1)], dtype=object)
-        category = np.array(["near", "overload"], dtype=object)
+    def csv_chunks(self):
+        """The ``overloads.csv`` lines, a chunk of records at a time, each
+        chunk one ``"".join`` over five interleaved piece lists: line and
+        hour and contingency cells with their separators, the
+        ``loading,excess`` pair and the class cell with its line break."""
+        ids = np.array([text_cell(lid) + "," for lid in self.line_ids] + [","], dtype=object)
+        hours = np.array([f"{h}," for h in range(self.hour.max(initial=0) + 1)], dtype=object)
+        category = np.array([",near\r\n", ",overload\r\n"], dtype=object)
         for start in range(0, len(self), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            yield [
-                ids[self.line[part]].tolist(),
-                hours[self.hour[part]].tolist(),
-                ids[self.contingency[part]].tolist(),
-                float_cells(self.loading_pct[part]),
-                float_cells(self.excess_mw[part]),
-                category[self.overload[part].view(np.int8)].tolist(),
-            ]
+            pieces = [""] * (5 * len(self.hour[part]))
+            pieces[0::5] = ids[self.line[part]].tolist()
+            pieces[1::5] = hours[self.hour[part]].tolist()
+            pieces[2::5] = ids[self.contingency[part]].tolist()
+            pieces[3::5] = float_cells(
+                np.column_stack((self.loading_pct[part], self.excess_mw[part])))
+            pieces[4::5] = category[self.overload[part].view(np.int8)].tolist()
+            yield "".join(pieces)
 
     def lines(self, overload: bool = False) -> list[str]:
         """Ids of the lines with a record (with an overload record), sorted."""
@@ -475,7 +479,7 @@ def write_workbook(
         "severity.csv": (SEVERITY_COLUMNS, summaries),
     }
     paths = [f"{out_dir}/overloads.csv"]
-    write_columns(paths[0], OVERLOAD_COLUMNS, records.cells())
+    write_columns(paths[0], OVERLOAD_COLUMNS, records.csv_chunks())
     for name, (columns, items) in tables.items():
         paths.append(f"{out_dir}/{name}")
         write_csv(paths[-1], columns, items)

@@ -12,18 +12,22 @@ pass with a structured dtype built from the table, each column then checked
 whole; the parsers run only on the error path, to name the first bad cell.
 ``write_rows`` writes the inputs, so the CSV format is decided here alone.
 
-Every CSV goes through one writer, ``write_columns``, which takes at most
-``CHUNK_ROWS`` rows at a time as one list of formatted cells per column and
-joins them into lines. Cells have the bytes ``csv.writer`` gave them: text is
-quoted by ``csv`` itself, once per distinct value (``text_cell``), a float is
-its repr (``float_cell``), an int its ``str``, a boolean ``true``/``false``
-and None an empty cell; a NumPy scalar is written as the equal Python value.
-``write_rows`` formats values of any kind with ``cell``; ``overloads.csv`` and
-``dispatch.csv`` format whole columns from their arrays, and ``float_cells``
-writes their float columns (``loading_pct``, ``excess_mw`` and ``output_mw``)
-a chunk at a time: one orjson pass, whose C writer gives repr's bytes for
-every float from 1e-4 up to 1e16 in magnitude and for ±0.0, and repr for the
-cells outside that range.
+Every CSV goes through one writer, ``write_columns``, which writes the header
+line, then the text of each chunk of at most ``CHUNK_ROWS`` rows: whole lines,
+each ended by the line terminator. Cells have the bytes ``csv.writer`` gave
+them: text is quoted by ``csv`` itself, once per distinct value
+(``text_cell``), a float is its repr (``float_cell``), an int its ``str``, a
+boolean ``true``/``false`` and None an empty cell; a NumPy scalar is written
+as the equal Python value. ``write_rows`` formats values of any kind with
+``cell``, and ``column_lines`` joins a chunk's cells, given as one list per
+column, into its lines; ``dispatch.csv`` passes its columns, formatted from
+its arrays, to the same join. ``overloads.csv`` builds each chunk's text
+itself, as one join over row pieces (see ``screening``). ``float_cells``
+writes the float columns (``loading_pct`` with ``excess_mw``, and
+``output_mw``) a chunk at a time: one cell per row of a rows x k array, the
+row's reprs joined by ``,``, from one orjson pass, whose C writer gives
+repr's bytes for every float from 1e-4 up to 1e16 in magnitude and for
+±0.0, and repr for the rows with a value outside that range.
 """
 
 from __future__ import annotations
@@ -71,22 +75,30 @@ def write_rows(path, columns: dict, rows, lineterminator: str = "\r\n") -> None:
     order, each value formatted by ``cell``."""
     rows = iter(rows)
     chunks = (
-        [[cell(value, lineterminator) for value in column] for column in zip(*chunk)]
+        column_lines(
+            [[cell(value, lineterminator) for value in column] for column in zip(*chunk)],
+            lineterminator,
+        )
         for chunk in iter(lambda: list(islice(rows, CHUNK_ROWS)), [])
     )
     write_columns(path, columns, chunks, lineterminator)
 
 
 def write_columns(path, header, chunks, lineterminator: str = "\r\n") -> None:
-    """Write the ``header`` names, then each chunk of rows, given as one list
-    of formatted cells per column; an empty chunk writes nothing."""
+    """Write the ``header`` names as the first line, then the text of each
+    chunk: whole lines, each ended by ``lineterminator``."""
     names = [[text_cell(name, lineterminator)] for name in header]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for cells in chain([names], chunks):
-            join = ",".join if len(cells) > 1 else _lone_cell
-            lines = lineterminator.join(map(join, zip(*cells)))
-            if lines:
-                fh.write(lines + lineterminator)
+        for text in chain([column_lines(names, lineterminator)], chunks):
+            fh.write(text)
+
+
+def column_lines(cells, lineterminator: str = "\r\n") -> str:
+    """The lines of a chunk of rows given as one list of formatted cells per
+    column, each ended by ``lineterminator``; no rows give no text."""
+    join = ",".join if len(cells) > 1 else _lone_cell
+    lines = lineterminator.join(map(join, zip(*cells)))
+    return lines + lineterminator if lines else ""
 
 
 def _lone_cell(row) -> str:
@@ -124,25 +136,35 @@ float_cell = float.__repr__
 
 
 def float_cells(values) -> list[str]:
-    """The cell of each float of an array, in C order, as ``float_cell``
-    writes it: one orjson pass, then repr for each cell outside orjson's
-    exact range."""
+    """One cell per row of a rows x k float array, a 1-D array being k = 1:
+    the row's floats as ``float_cell`` writes them, joined by ``,``. One
+    orjson pass over the values in C order makes every cell, every k-th
+    comma then breaks a row; a row with a value outside orjson's exact range
+    is rebuilt from repr."""
     # imported on first use, not with this module: orjson's import pulls in
     # uuid, zoneinfo and datetime, which would add to every command's start-up
     import orjson
 
-    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    if not len(values):
-        return []
-    dumped = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = dumped[1:-1].decode().split(",")
+    table = np.asarray(values, dtype=np.float64)
+    if table.ndim == 1:
+        table = table[:, None]
+    n, k = table.shape
+    if not table.size:
+        return [""] * n
+    values = np.ascontiguousarray(table).reshape(-1)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if k > 1:
+        text = bytearray(text)
+        body = np.frombuffer(text, np.uint8)
+        body[np.flatnonzero(body == ord(","))[k - 1::k]] = ord("\n")
+    cells = text.decode().split("," if k == 1 else "\n")
     # orjson writes repr's bytes for ±0.0 and 1e-4 <= |x| < 1e16; outside
     # that it writes 0.00009999999999999999 for 9.999999999999999e-05, 1e16
     # for 1e+16 and null for nan
     magnitude = np.abs(values)
     exact = (magnitude >= 1e-4) & (magnitude < 1e16) | (values == 0.0)
-    for i in np.flatnonzero(~exact).tolist():
-        cells[i] = float_cell(values[i].item())
+    for i in set((np.flatnonzero(~exact) // k).tolist()):
+        cells[i] = ",".join(map(float_cell, table[i].tolist()))
     return cells
 
 
@@ -179,10 +201,15 @@ _FIELDS = {number: "f8", int: "i8", text: "O", str: "O", boolean: "?"}
 
 
 @contextmanager
-def _lines(path):
-    """A CSV's header cells and its lines of more than whitespace, BOM dropped."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        yield next(csv.reader(fh), []), filterfalse(str.isspace, fh)
+def _lines(path, error: type[ValueError]):
+    """A CSV's header cells and its lines of more than whitespace, BOM dropped;
+    a byte that is not UTF-8, met anywhere in the ``with`` block, is raised as
+    ``error``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield next(csv.reader(fh), []), filterfalse(str.isspace, fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 _loadtxt = partial(np.loadtxt, comments=None, delimiter=",", quotechar='"', ndmin=1)
@@ -196,7 +223,7 @@ def read_chunks(path, columns: dict, error: type[ValueError], rest=None):
     path = Path(path)
     if not path.exists():
         raise error(f"input file not found: {path}")
-    with _lines(path) as (header, lines):
+    with _lines(path, error) as (header, lines):
         if missing := [name for name in columns if name not in header]:
             raise error(f"{path}: missing columns {missing}")
         if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
@@ -236,7 +263,7 @@ def read_columns(path, columns: dict, error: type[ValueError], rest=None) -> dic
 def _cell_error(path, cells, read, start: int, error: type[ValueError]):
     """The error of the first cell, from data row ``start`` on, that its
     parser refuses; ``cells`` holds each column's name, parser and index."""
-    with _lines(path) as (_, lines):
+    with _lines(path, error) as (_, lines):
         if start:
             read(lines, max_rows=start)
         for row_no, line in enumerate(lines, start + 2):

@@ -4,7 +4,11 @@ Each example writes the triangle study, sets one cell (a header cell
 included) of one input CSV, or one ``config.json`` value, to an edge value
 and runs ``main`` in process. Whatever the value, the run must exit 0, 2,
 3 or 4 with at most one stderr line, and an exit of 2 or 4 must say why in
-that one ``error:`` or ``solver error:`` line. No exception may escape but
+that one ``error:`` or ``solver error:`` line. Whole rows and headers are
+checked the same way, each input file reshaped in turn (header dropped,
+header only, empty, a row dropped or repeated, a column dropped, repeated
+or added, a short row, a blank line, a byte that is not UTF-8), and there
+each exit code is pinned. No exception may escape but
 ``ReportConsistencyError``, which keeps its traceback on purpose. Warnings
 are errors in this suite, so an overflow warning fails the property too.
 """
@@ -15,6 +19,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,18 +63,20 @@ def _edit_cell(path: Path, row: int, column: int, value) -> None:
         path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
 
 
-def _exits_cleanly(config: Path) -> None:
+def _exits_cleanly(config: Path) -> int | None:
+    """Run the study; its exit code, or None for a ``ReportConsistencyError``."""
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run-all", "--config", str(config)])
     except ReportConsistencyError:
-        return
+        return None
     lines = err.getvalue().splitlines()
     assert code in (0, 2, 3, 4), (code, lines)
     assert len(lines) <= 1, lines
     if code in (2, 4):
         assert lines and lines[0].startswith(("error: ", "solver error: ")), lines
+    return code
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -96,3 +103,52 @@ def test_an_edited_config_value_exits_with_a_documented_code(tmp_path_factory, k
     study[key] = value
     config.write_text(json.dumps(study), encoding="utf-8")
     _exits_cleanly(config)
+
+
+def _cut(line: str, column: int) -> str:
+    cells = line.split(",")
+    del cells[column]
+    return ",".join(cells)
+
+
+# whole-file shapes of an input CSV's lines (header first)
+SHAPES = {
+    "header dropped": lambda lines: lines[1:],
+    "header only": lambda lines: lines[:1],
+    "empty file": lambda lines: [],
+    "row dropped": lambda lines: lines[:1] + lines[2:],
+    "row repeated": lambda lines: lines[:2] + lines[1:],
+    "header line repeated": lambda lines: lines[:1] + lines,
+    "first column dropped": lambda lines: [_cut(line, 0) for line in lines],
+    "last column dropped": lambda lines: [_cut(line, -1) for line in lines],
+    "column repeated": lambda lines: [f"{line},{line.split(',')[0]}" for line in lines],
+    "extra column": lambda lines: [lines[0] + ",extra", *(line + ",1" for line in lines[1:])],
+    "short row": lambda lines: [lines[0], _cut(lines[1], -1), *lines[2:]],
+    "blank line": lambda lines: [*lines[:2], "", *lines[2:]],
+    # the lone byte 0xe9 (written through surrogateescape), which is not UTF-8
+    "not UTF-8": lambda lines: [lines[0], lines[1] + "\udce9", *lines[2:]],
+}
+# every other shape of every file exits 2
+SHAPE_EXITS = {
+    **{(key, "blank line"): 0 for key in INPUT_KEYS},
+    **{(key, "extra column"): 0 for key in INPUT_KEYS if key != "res_availability"},
+    ("lines", "row dropped"): 0,  # the triangle less one line is a radial pair
+    ("generators", "header only"): 3,  # no generator serves any hour
+    ("generators", "row dropped"): 3,
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("key", INPUT_KEYS)
+def test_a_reshaped_input_file_exits_with_its_pinned_code(tmp_path, key, shape):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    path = Path(json.loads(config.read_text(encoding="utf-8"))["inputs"][key])
+    lines = SHAPES[shape](path.read_text(encoding="utf-8").splitlines())
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    assert _exits_cleanly(config) == SHAPE_EXITS.get((key, shape), 2)
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path):
+    config, _ = _study(tmp_path, cases.triangle_case())
+    config.write_bytes(b"\xe9" + config.read_bytes())
+    assert _exits_cleanly(config) == 2

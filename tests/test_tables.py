@@ -5,8 +5,9 @@ booleans and None, under both line terminators, and with row counts on both
 sides of the writer's chunk boundary. Rows are built by cycling a few drawn
 values per column, so a table of thousands of rows costs a handful of draws.
 ``float_cells``, which writes the float columns of ``overloads.csv`` and
-``dispatch.csv``, is checked against repr on its own, at the edges of the
-range where orjson's bytes are used.
+``dispatch.csv``, is checked against repr on its own, one float per cell and
+one row of k floats per cell, at the edges of the range where orjson's bytes
+are used.
 """
 
 import csv
@@ -78,7 +79,9 @@ def record_sets(draw):
     ids = draw(st.lists(TEXTS.filter(bool), min_size=1, max_size=4, unique=True))
     n = draw(ROW_COUNTS)
     step = draw(st.integers(1, 7))
-    loadings = st.floats(90.0, 400.0, exclude_min=True)
+    # and loadings at and beyond orjson's exact range, whose rows fall back to repr
+    loadings = st.floats(90.0, 400.0, exclude_min=True) | st.sampled_from(
+        [9999999999999998.0, 1e16, 1e22])
     excess = st.sampled_from([0.0, -0.0, 5e-324, 1.5e-05]) | st.floats(0.0, 1e4)
     pools = [
         draw(st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=4)),
@@ -147,6 +150,29 @@ EDGES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324, -0.0, 0.
 @example(np.array(EDGES * 3)[::4])  # not contiguous
 def test_float_cells_are_reprs(values):
     assert float_cells(values) == list(map(float.__repr__, values.tolist()))
+
+
+@st.composite
+def float_tables(draw):
+    """A rows x k array, k from 1 to 3, or a non-contiguous view of the same values."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    values = st.floats() | st.sampled_from(EDGES)
+    table = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if draw(st.booleans()):
+        wide = np.zeros((n, 2 * k))
+        wide[:, ::2] = table
+        table = wide[:, ::2]
+    return table
+
+
+@SETTINGS
+@given(float_tables())
+@example(np.array(EDGES[:12]).reshape(4, 3))
+@example(np.zeros((0, 2)))
+@example(np.array(EDGES * 2).reshape(-1, 2)[:, ::2])  # not contiguous, k = 1
+def test_float_cells_join_each_rows_reprs(table):
+    assert float_cells(table) == [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def test_dispatch_csv_matches_csv_writer(tmp_path):
