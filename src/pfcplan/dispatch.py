@@ -300,16 +300,21 @@ def run_year(
 def injection_matrix(
     model: NetworkModel, year: DispatchYear, profile: DemandProfile
 ) -> np.ndarray:
-    """Net MW injections for all hours at once, shape (8760, n_buses)."""
+    """Net MW injections for all hours at once, shape (8760, n_buses): each
+    hour's generation by bus less its demand times the bus shares, the
+    demand subtracted in place a block of hours at a time."""
     n_bus = len(model.buses)
     gen_to_bus = np.zeros((len(model.generators), n_bus))
     for i, g in enumerate(model.generators):
         gen_to_bus[i, model.bus_index[g.bus]] = 1.0
-    gen_by_bus = year.outputs_mw @ gen_to_bus
+    injections = year.outputs_mw @ gen_to_bus
     shares = np.zeros(n_bus)
     for bus_id, share in profile.bus_shares.items():
         shares[model.bus_index[bus_id]] = share
-    return gen_by_bus - np.outer(profile.demand_mw, shares)
+    for start in range(0, len(injections), CHUNK_ROWS):
+        part = slice(start, start + CHUNK_ROWS)
+        injections[part] -= np.outer(profile.demand_mw[part], shares)
+    return injections
 
 
 # -- CSV / JSON interfaces ---------------------------------------------------

@@ -13,6 +13,16 @@ magnitude, and a record needs more than near% of the line's lowest effective
 rating. The bound holds for every hour, and a relative margin of 1e-9 covers
 the rounding of both sides, so a pruned pair never holds a record.
 
+Stage 1's working set is the year's injections, their per-unit reduced
+right-hand side and its solution, and the base flows, with no other array the
+size of the year; at most two of them are held at once, apart from SuperLU's
+own work arrays. The injections are indexed by the feasible hours only when
+some hour is infeasible, ``dcflow.reduced_injections`` forms the rhs and the
+injections are dropped, ``dcflow.solve_angles_batch`` solves every feasible
+hour in one ``lu.solve`` and the rhs is dropped, and ``dcflow.flows_from_angles``
+writes the flows a block of hours at a time. The hit kernel then reads the
+monitored rows a block of lines at a time.
+
 Both stages find their records with one hit kernel over flows laid out lines
 x hours: Stage 1 passes the monitored rows of the intact flows, and Stage 2,
 per outage, the surviving rows of f_l + LODF[l,k] f_k, the product and sum
@@ -248,7 +258,7 @@ def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
     pct = pct[hit]
     over = pct > overload_pct
     excess = np.where(over, a[hit] - r[hit], 0.0)
-    return len(cells), line[hit], cols[hit], pct, excess, over
+    return len(cells), line[hit], cols[hit].astype(np.int32), pct, excess, over
 
 
 def _by_id(line_ids: tuple[str, ...]) -> list[int]:
@@ -293,18 +303,27 @@ def stage1_scan(
     for the LODF superposition. Infeasible dispatch hours are excluded.
     """
     hours = year.feasible_hours
-    inj = injection_matrix(model, year, profile)[hours]
-    dcflow.check_balance(inj, hours)
-    angles = dcflow.solve_angles_batch(system, inj.T)
+    inj = injection_matrix(model, year, profile)
+    if len(hours) < len(inj):
+        inj = inj[hours]
+    rhs = dcflow.reduced_injections(system.model, inj, hours)
+    del inj
+    angles = dcflow.solve_angles_batch(system, rhs)
+    del rhs
     flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
+    del angles
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
 
     columns = _monitored_columns(system.line_ids, monitored)
     summer, winter = effective_ratings(model, system.line_ids, calendar)
-    _, line, cols, pct, excess, over = _hits(
-        flows_t[columns], columns, summer, winter, calendar.summer_mask[hours],
-        near_pct, overload_pct,
-    )
+    is_summer = calendar.summer_mask[hours]
+    # the monitored rows a block at a time, in line-id order
+    rows = max(1, dcflow.BLOCK_CELLS // max(len(hours), 1))
+    blocks = [
+        _hits(flows_t[block], block, summer, winter, is_summer, near_pct, overload_pct)[1:]
+        for block in np.split(columns, range(rows, len(columns), rows))
+    ]
+    line, cols, pct, excess, over = map(np.concatenate, zip(*blocks))
     # the hits come by line id, then hour: a stable pass by hour orders them
     order = _stable_order(cols, len(hours))
     records = OverloadRecords(
@@ -353,7 +372,7 @@ def stage2_scan(
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
     intact = intact if intact is not None else OverloadRecords(base.line_ids, *[()] * 6)
-    at = np.searchsorted(base.hours, intact.hour)  # the intact records' hour columns
+    at = np.searchsorted(base.hours, intact.hour).astype(np.int32)  # their hour columns
     if intact.line_ids != base.line_ids or (np.append(base.hours, -1)[at] != intact.hour).any():
         raise ValueError("Stage 1 and Stage 2 records cover different line sets or hours")
     columns = _monitored_columns(base.line_ids, monitored)

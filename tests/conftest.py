@@ -9,10 +9,18 @@ do the opposite: they run the package's own pair grouping and sizer on one
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pfcplan import cases, screening, siting
+from pfcplan.cli import Study
+from pfcplan.config import load_config
+from pfcplan.dcflow import build_system
+from pfcplan.dispatch import run_year
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 
 
@@ -263,6 +271,30 @@ def grid30():
 @pytest.fixture
 def radial_pair():
     return cases.radial_pair()
+
+
+LATTICE = Path(__file__).resolve().parents[1] / "bench" / "lattice.py"
+
+
+@pytest.fixture(scope="session")
+def lattice_year(tmp_path_factory):
+    """``bench/lattice.py``'s 8x9 lattice at 1.6x ratings, seed 1, loaded and
+    dispatched as ``run-all`` would: what ``stage1_scan`` takes, in its
+    order (year, model, system, profile, calendar)."""
+    spec = importlib.util.spec_from_file_location("lattice", LATTICE)
+    lattice = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lattice)
+    root = tmp_path_factory.mktemp("lattice")
+    lattice.write_lattice_inputs(root / "inputs", 8, 9, 1, 1.6)
+    (root / "study.json").write_text(json.dumps({
+        "inputs": {name: f"inputs/{name}.csv" for name in lattice.INPUT_NAMES},
+        "slack_bus": lattice.slack_bus(8, 9),
+    }))
+    cfg = load_config(root / "study.json")
+    study = Study(cfg)
+    model, profile = study.model, study.profile
+    year = run_year(model, profile, study.availability, cfg.snsp_cap)
+    return year, model, build_system(model), profile, cfg.calendar()
 
 
 def two_bus_model(x: float = 0.1, rating: float = 100.0) -> NetworkModel:

@@ -6,8 +6,11 @@ ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
 superposition is checked against exact re-solves without the line, the
 bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
 with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
-on monitored subsets against a dense scalar scan, ``build_system``'s pattern-cached assembly and its kept systems against the
-COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
+on monitored subsets against a dense scalar scan, its base flows against a
+whole-year formulation (``reference_base_flows``: on mesh years with the
+slack anywhere and all, most, one or no hours feasible, on the bundled
+cases and on the 8x9 lattice), ``build_system``'s pattern-cached assembly
+and its kept systems against the COO assembly reduced by ``np.ix_``, Stage 3's lockstep sizer against a
 bisection of each pair group on its own (and its flow at zero increase
 against the group's full unscaled solve), one ``candidate_locations``
 ranking over several contingencies against the union of its
@@ -21,9 +24,6 @@ fleets, and ``network.effective_ratings`` against the scalar
 
 import dataclasses
 import functools
-import importlib.util
-import json
-from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -33,8 +33,6 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from pfcplan import cases, dcflow, screening, siting
-from pfcplan.cli import Study
-from pfcplan.config import load_config
 from pfcplan.dcflow import (
     IslandingError,
     SingularSystemError,
@@ -382,6 +380,131 @@ def test_every_producer_hands_its_records_in_record_order_on_meshes(tmp_path_fac
     lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
     assert_producers_keep_record_order(rec1, base, lodf, model, CALENDAR,
                                        tmp_path_factory.mktemp("records"), monitored)
+
+
+def reference_base_flows(model, system, year, profile):
+    """The year's base flows, hours x lines, each step over the whole year:
+    generation by bus less the outer product of demand and bus shares, the
+    feasible rows, their per-unit transpose's non-slack rows solved in one
+    ``lu.solve``, the angles padded with the slack's zero row and
+    (s * diff) * base."""
+    n_bus = len(model.buses)
+    gen_to_bus = np.zeros((len(model.generators), n_bus))
+    for i, g in enumerate(model.generators):
+        gen_to_bus[i, model.bus_index[g.bus]] = 1.0
+    shares = np.zeros(n_bus)
+    for bus_id, share in profile.bus_shares.items():
+        shares[model.bus_index[bus_id]] = share
+    inj = (year.outputs_mw @ gen_to_bus - np.outer(profile.demand_mw, shares))[year.feasible_hours]
+    base = model.system_base_mva
+    p = inj.T / base
+    theta = np.zeros_like(p)
+    theta[system.non_slack] = system.lu.solve(p[system.non_slack])
+    diff = theta[system.from_idx] - theta[system.to_idx]
+    return (system.susceptance[:, None] * diff * base).T
+
+
+def reference_stage1_year(model, base, calendar, near_pct=90.0, overload_pct=100.0):
+    """``reference_stage1`` of every line over whole arrays, for a year of
+    hours: 100 |f| / r against the hour's effective rating."""
+    ratings = effective_rating_matrix(model, base.line_ids, base.hours, calendar)
+    magnitude = np.abs(base.flows_mw)
+    loading = 100.0 * magnitude / ratings
+    rows = []
+    for hi, li in zip(*np.nonzero(loading > near_pct)):
+        pct = float(loading[hi, li])
+        over = pct > overload_pct
+        excess = float(magnitude[hi, li] - ratings[hi, li]) if over else 0.0
+        rows.append((base.line_ids[li], int(base.hours[hi]), None, pct, excess,
+                     "overload" if over else "near"))
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return rows
+
+
+def _stage1_year(mesh, slack, feasible):
+    """``mesh`` with its slack at bus ``slack`` and one generator per bus, a
+    year whose feasible hours are ``feasible`` ("all", "most", "one" or
+    "none") and net random balanced injections, and a demand profile that
+    spreads a random demand over every bus. Each line is rated at its
+    ``rating_factors`` entry times its peak base flow."""
+    mesh = dataclasses.replace(mesh, slack=slack)
+    model = _model(mesh)
+    n = len(model.buses)
+    rng = np.random.default_rng(mesh.seed)
+    net = rng.normal(0.0, 50.0, (HOURS_PER_YEAR, n))
+    net -= net.mean(axis=1, keepdims=True)
+    demand = rng.uniform(50.0, 150.0, HOURS_PER_YEAR)
+    shares = rng.dirichlet(np.ones(n))
+    mask = {
+        "all": np.ones(HOURS_PER_YEAR, dtype=bool),
+        "most": rng.random(HOURS_PER_YEAR) < 0.9,
+        "one": np.arange(HOURS_PER_YEAR) == rng.integers(HOURS_PER_YEAR),
+        "none": np.zeros(HOURS_PER_YEAR, dtype=bool),
+    }[feasible]
+    outputs = np.where(mask[:, None], net + np.outer(demand, shares), 0.0)
+    gens = tuple(Generator(f"G{b.id}", b.id, "thermal", 1e6, 0.0, 10.0, True)
+                 for b in model.buses)
+    zeros = np.zeros(HOURS_PER_YEAR)
+    year = DispatchYear(outputs, zeros, zeros, mask, tuple(g.id for g in gens), 1.0)
+    profile = DemandProfile(demand, {b.id: float(x) for b, x in zip(model.buses, shares)})
+    model = dataclasses.replace(model, generators=gens)
+    system = build_system(model)
+    peak = np.abs(reference_base_flows(model, system, year, profile)).max(axis=0, initial=0.0)
+    by_id = dict(zip(system.line_ids, peak))
+    ratings = [max(by_id[f"L{name}"], 1.0) * factor
+               for name, factor in zip(mesh.names, mesh.rating_factors)]
+    return dataclasses.replace(_model(mesh, ratings), generators=gens), year, profile
+
+
+@st.composite
+def stage1_years(draw):
+    mesh = draw(meshes())
+    n_buses = max(max(e) for e in mesh.edges) + 1
+    slack = draw(st.sampled_from((0, n_buses // 2, n_buses - 1)))
+    return _stage1_year(mesh, slack, draw(st.sampled_from(("all", "most", "one", "none"))))
+
+
+def _assert_base_flows_are_the_reference(year, model, system, profile, calendar):
+    records, base = stage1_scan(year, model, system, profile, calendar)
+    expected = reference_base_flows(model, system, year, profile)
+    assert base.hours.tobytes() == year.feasible_hours.tobytes()
+    assert base.flows_mw.shape == expected.shape
+    assert base.flows_mw.tobytes() == expected.tobytes()  # bit for bit
+    return records, base
+
+
+# nine lines, more than one block of monitored rows over a year of hours
+WHEEL = Mesh(edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4), (3, 0)),
+             names=(4, 11, 2, 9, 0, 7, 13, 5, 8),
+             reactances=(0.1, 0.2, 0.15, 0.1, 0.3, 0.25, 0.1, 0.2, 0.12), slack=0, seed=3,
+             rating_factors=(0.8, 0.85, 0.9, 0.8, 1.0, 0.8, 0.95, 0.8, 0.9), winter_factor=1.1)
+
+
+@SETTINGS
+@given(stage1_years())
+@example(_stage1_year(WHEEL, 0, "all"))
+@example(_stage1_year(WHEEL, 2, "most"))
+@example(_stage1_year(WHEEL, 4, "most"))
+@example(_stage1_year(PARALLEL, 1, "one"))
+@example(_stage1_year(PARALLEL, 2, "none"))
+def test_stage1_base_flows_and_records_are_the_references_on_mesh_years(case):
+    model, year, profile = case
+    records, base = _assert_base_flows_are_the_reference(
+        year, model, build_system(model), profile, CALENDAR)
+    hypothesis.event(f"{len(base.hours)} feasible hours")
+    assert [tuple(r) for r in records] == reference_stage1_year(model, base, CALENDAR)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES + ("lattice",))
+def test_stage1_base_flows_are_the_reference_on_the_bundled_cases_and_lattice(request, name):
+    if name == "lattice":
+        study = request.getfixturevalue("lattice_year")
+    else:
+        case = getattr(cases, name)()
+        model = case.model
+        year = run_year(model, case.profile, case.availability, case.snsp_cap)
+        study = (year, model, build_system(model), case.profile, case.calendar)
+    _assert_base_flows_are_the_reference(*study)
 
 
 def test_summarize_keys_do_not_wrap_past_46341_lines():
@@ -834,28 +957,12 @@ def test_assess_target_is_the_reference_field_for_field(case):
     assert _outcome_bits(got) == _outcome_bits(expected)
 
 
-LATTICE = Path(__file__).resolve().parents[1] / "bench" / "lattice.py"
-
-
 @pytest.fixture(scope="module")
-def lattice_study(tmp_path_factory):
-    """``bench/lattice.py``'s 8x9 lattice at 1.6x ratings, seed 1, dispatched
-    and screened in process as ``run-all`` would: its records, intact and
-    post-outage, with the inputs ``assess_target`` takes after the target."""
-    spec = importlib.util.spec_from_file_location("lattice", LATTICE)
-    lattice = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lattice)
-    root = tmp_path_factory.mktemp("lattice")
-    lattice.write_lattice_inputs(root / "inputs", 8, 9, 1, 1.6)
-    (root / "study.json").write_text(json.dumps({
-        "inputs": {name: f"inputs/{name}.csv" for name in lattice.INPUT_NAMES},
-        "slack_bus": lattice.slack_bus(8, 9),
-    }))
-    cfg = load_config(root / "study.json")
-    study = Study(cfg)
-    model, profile, calendar = study.model, study.profile, cfg.calendar()
-    year = run_year(model, profile, study.availability, cfg.snsp_cap)
-    system = build_system(model)
+def lattice_study(lattice_year):
+    """The 8x9 lattice of ``lattice_year`` screened in process as ``run-all``
+    would: its records, intact and post-outage, with the inputs
+    ``assess_target`` takes after the target."""
+    year, model, system, profile, calendar = lattice_year
     intact, base = stage1_scan(year, model, system, profile, calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 import types
 
 import numpy as np
@@ -614,7 +615,7 @@ def test_hit_kernel_without_hours_or_lines_finds_nothing(shape):
         flows, np.arange(shape[0]), ratings, ratings, np.zeros(shape[1], dtype=bool),
         90.0, 100.0,
     )
-    assert cells == 0
+    assert cells == 0 and hour.dtype == np.int32  # the record column's dtype
     assert all(len(column) == 0 for column in (line, hour, pct, excess, over))
 
 
@@ -627,3 +628,46 @@ def test_scans_of_a_year_without_feasible_hours_find_nothing():
     records, base = stage1_scan(year, model, system, profile, calendar)
     assert len(records) == 0 and base.flows_mw.shape == (0, len(model.lines))
     assert len(stage2_scan(base, lodf, model, calendar)) == 0
+
+
+@pytest.mark.parametrize("name", ["grid30", "lattice"])
+def test_stage1_holds_no_year_sized_array_but_its_flows_and_two_rhs(request, name):
+    # Stage 1's working set: the injections, the reduced rhs and its
+    # solution, and the base flows, with no other array the size of the year;
+    # its tracemalloc peak above entry stays within the flows, two rhs and 1 MiB
+    if name == "lattice":
+        year, model, system, profile, calendar = request.getfixturevalue("lattice_year")
+    else:
+        case = cases.grid30_case()
+        model, profile, calendar = case.model, case.profile, case.calendar
+        year = run_year(model, profile, case.availability, case.snsp_cap)
+        system = build_system(model)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        _, base = stage1_scan(year, model, system, profile, calendar)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    rhs_bytes = len(base.hours) * len(system.non_slack) * 8
+    assert peak <= base.flows_mw.nbytes + 2 * rhs_bytes + 2**20
+
+
+def test_stage1_solves_every_feasible_hour_in_one_lu_solve():
+    # SuperLU's bits for a column depend on the columns solved with it, so
+    # the year is one solve, not chunks of hours
+    case = cases.grid30_case()
+    model = case.model
+    year = run_year(model, case.profile, case.availability, case.snsp_cap)
+    year = dataclasses.replace(year, feasible=np.arange(HOURS_PER_YEAR) % 5 > 0)
+    system = build_system(model)
+    widths = []
+
+    class CountingLU:
+        def solve(self, rhs):
+            widths.append(rhs.shape[1])
+            return system.lu.solve(rhs)
+
+    counting = dataclasses.replace(system, lu=CountingLU())
+    _, base = stage1_scan(year, model, counting, case.profile, case.calendar)
+    assert widths == [len(base.hours)] == [HOURS_PER_YEAR * 4 // 5]
