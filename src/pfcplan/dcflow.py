@@ -34,13 +34,13 @@ sorted only when more than one applies. The kept system's arrays are
 read-only, so every caller sees the same numbers a fresh build would give. A
 singular build is never kept. ``factorizations`` counts the LUs computed.
 
-Singularity is caught structurally. The intact network is validated as
-connected, so excluding a bridge (``NetworkModel.bridges``) raises
-``SingularSystemError`` before any LU, and every other topology is a
-connected Laplacian. The pivot check reads ``lu.U``, which converts both
-factors to CSC matrices, so only unscaled builds run it: at most one per
-topology, as that system is kept. ``reduced_injections`` gives the checked
-right-hand side that callers solving many systems of one model can reuse.
+Singularity is caught structurally. The intact network is validated as connected,
+so excluding a bridge (``NetworkModel.bridges``) raises ``SingularSystemError``
+before any LU, and every other topology is a connected Laplacian. The pivot check
+reads ``lu.U``, which converts both factors to CSC matrices, so only unscaled builds
+run it: at most one per topology, as that system is kept. ``shift_factors.compute_lodf``
+raises it too, naming an outage too close to singular. ``reduced_injections`` gives
+the checked right-hand side that callers solving many systems of one model can reuse.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from .network import BALANCE_TOL_MW, NetworkModel, islanded_buses
+from .network import BALANCE_TOL_MW, NetworkModel
 
 try:  # the SuperLU entry point splu calls, without splu's per-call wrapper
     from scipy.sparse.linalg._dsolve._superlu import gstrf as _gstrf
@@ -402,7 +402,7 @@ def check_outage(model: NetworkModel, outaged_line: str) -> None:
     if outaged_line not in model.in_service_line_ids:
         raise ValueError(f"line {outaged_line} is not an in-service line")
     if outaged_line in model.bridges:
-        raise IslandingError(outaged_line, islanded_buses(model, outaged_line))
+        raise IslandingError(outaged_line, model.cut_off_by(outaged_line))
 
 
 def solve_angles_batch(system: SusceptanceSystem, rhs: np.ndarray) -> np.ndarray:

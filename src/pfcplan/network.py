@@ -131,11 +131,11 @@ class NetworkModel:
     """Validated, immutable grid description.
 
     The graph over in-service lines must be connected; the slack bus and all
-    generator buses must exist. Lookups derived from the model (indices,
-    in-service lines, bridges) are cached on first use, and so are the
-    slack-reduced susceptance pattern and the unscaled factorized system of
-    each topology that ``dcflow.build_system`` assembles (one per excluded
-    line, plus the intact network) and its last scaled system.
+    generator buses must exist. Lookups derived from the model (indices, in-service
+    lines, one search for reach, bridges and the buses each bridge cuts off) are cached
+    on first use, as are the slack-reduced susceptance pattern and the unscaled
+    factorized system of each topology that ``dcflow.build_system`` assembles (one per
+    excluded line, plus the intact network) and its last scaled system.
     """
 
     buses: tuple[Bus, ...]
@@ -165,7 +165,7 @@ class NetworkModel:
             raise NetworkDataError(f"slack bus {self.slack_bus} does not exist")
         if self.system_base_mva < MIN_BASE_MVA:
             raise NetworkDataError(f"system_base_mva must be >= {MIN_BASE_MVA:g} MVA")
-        unreachable = islanded_buses(self)
+        unreachable = set(bus_ids) - set(self._search[0])
         if unreachable:
             raise DisconnectedNetworkError(unreachable)
 
@@ -223,32 +223,44 @@ class NetworkModel:
         return {}
 
     @cached_property
+    def _search(self) -> tuple[tuple[str, ...], dict[str, slice]]:
+        """Tarjan's bridge search, one iterative DFS from the slack over in-service lines:
+        the buses reached in visit order and, per bridge, the slice of it below the bridge.
+        Only the line a bus was entered by is skipped, so parallel lines are no bridges."""
+        adjacency: dict[str, list[tuple[str, str]]] = {b.id: [] for b in self.buses}
+        for ln in self.in_service_lines:
+            adjacency[ln.from_bus].append((ln.to_bus, ln.id))
+            adjacency[ln.to_bus].append((ln.from_bus, ln.id))
+        order, first, low, below = [self.slack_bus], {self.slack_bus: 0}, {self.slack_bus: 0}, {}
+        stack = [(self.slack_bus, None, iter(adjacency[self.slack_bus]))]
+        while stack:
+            bus, entered_by, edges = stack[-1]
+            for other, line in edges:
+                if other not in first:
+                    first[other] = low[other] = len(order)
+                    order.append(other)
+                    stack.append((other, line, iter(adjacency[other])))
+                    break
+                if line != entered_by:
+                    low[bus] = min(low[bus], first[other])
+            else:  # every line of bus followed: its subtree is order[first[bus]:]
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[bus])
+                    if low[bus] == first[bus]:  # no line from below bus reaches above it
+                        below[entered_by] = slice(first[bus], len(order))
+        return tuple(order), below
+
+    @cached_property
     def bridges(self) -> frozenset[str]:
         """In-service lines whose outage cuts buses off from the slack."""
-        return frozenset(
-            ln.id for ln in self.in_service_lines if islanded_buses(self, ln.id)
-        )
+        return frozenset(self._search[1])
 
-
-def islanded_buses(model: NetworkModel, without_line: str | None = None) -> set[str]:
-    """Buses cut off from the slack over the in-service lines, optionally with
-    one line removed (breadth-first traversal rooted at the slack)."""
-    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
-    for ln in model.lines:
-        if ln.in_service and ln.id != without_line:
-            adjacency[ln.from_bus].append(ln.to_bus)
-            adjacency[ln.to_bus].append(ln.from_bus)
-    seen = {model.slack_bus}
-    frontier = [model.slack_bus]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return {b.id for b in model.buses} - seen
+    def cut_off_by(self, line_id: str) -> set[str]:
+        """The buses the outage of ``line_id`` cuts off from the slack: none unless a bridge."""
+        order, below = self._search
+        return set(order[below.get(line_id, slice(0))])
 
 
 @dataclass(frozen=True)

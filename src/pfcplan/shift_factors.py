@@ -7,10 +7,10 @@ depend only on topology, so they are computed once per topology and reused
 across all 8,760 hourly operating points.
 
 LODF(l, k) = phi(l, k) / (1 - phi(k, k)) where phi(m, k) is the PTDF of line m
-for a unit transfer from k's from-bus to k's to-bus. A column with
-phi(k, k) ~ 1 means the outage would island part of the network; it is marked
-rather than filled with numbers. By convention LODF(k, k) = -1: a line's own
-post-outage flow is zero.
+for a unit transfer from k's from-bus to k's to-bus. The columns of the graph's
+bridges (``NetworkModel.bridges``), which island part of the network, are
+marked rather than filled; any other outage too close to singular is refused.
+By convention LODF(k, k) = -1: a line's own post-outage flow is zero.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcflow import FlowSolution, IslandingError, SusceptanceSystem
+from .dcflow import FlowSolution, IslandingError, SingularSystemError, SusceptanceSystem
 from .network import NetworkModel
 
-# |1 - phi(k,k)| below this marks the outage as islanding (bridge line)
-ISLANDING_TOL = 1e-9
+# an outage with 1 - phi(k,k) below this times the reactance spread (largest /
+# smallest) is refused: its column's error, ~1e-16 * spread / (1 - phi(k,k)), passes 1e-7
+MIN_SELF_MARGIN_PER_SPREAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class PtdfMatrix:
     matrix: np.ndarray
     line_ids: tuple[str, ...]
     bus_ids: tuple[str, ...]
-    slack_bus: str
 
     def entry(self, line_id: str, bus_id: str) -> float:
         return float(
@@ -45,8 +45,8 @@ class PtdfMatrix:
 class LodfMatrix:
     """Dense monitored-lines x outage-lines matrix with islanding marks.
 
-    Columns flagged in ``islanding`` belong to bridge outages; their numeric
-    entries are NaN and must not be used.
+    Columns flagged in ``islanding`` are the graph's bridges; their numeric
+    entries are NaN and must not be used. No other column is near singular.
     """
 
     matrix: np.ndarray
@@ -81,12 +81,7 @@ def compute_ptdf(system: SusceptanceSystem, model: NetworkModel) -> PtdfMatrix:
     )
     # exact zeros on the slack column, not just tiny residue
     ptdf[:, system.slack_index] = 0.0
-    return PtdfMatrix(
-        matrix=ptdf,
-        line_ids=system.line_ids,
-        bus_ids=model.bus_ids,
-        slack_bus=model.slack_bus,
-    )
+    return PtdfMatrix(matrix=ptdf, line_ids=system.line_ids, bus_ids=model.bus_ids)
 
 
 def line_transfer_factors(ptdf: PtdfMatrix, model: NetworkModel) -> np.ndarray:
@@ -103,10 +98,14 @@ def line_transfer_factors(ptdf: PtdfMatrix, model: NetworkModel) -> np.ndarray:
 
 def compute_lodf(ptdf: PtdfMatrix, model: NetworkModel) -> LodfMatrix:
     phi = line_transfer_factors(ptdf, model)
-    self_factor = np.diag(phi)
-    islanding = self_factor >= 1.0 - ISLANDING_TOL
-    denom = 1.0 - self_factor
-    safe = np.where(islanding, 1.0, denom)
+    islanding = np.array([lid in model.bridges for lid in ptdf.line_ids], dtype=bool)
+    safe = np.where(islanding, 1.0, 1.0 - np.diag(phi))
+    x = [ln.reactance_pu for ln in model.in_service_lines] or [1.0]
+    bound = MIN_SELF_MARGIN_PER_SPREAD * max(x) / min(x)
+    if safe.size and safe.min() < bound:
+        k = int(safe.argmin())
+        raise SingularSystemError(f"outage of line {ptdf.line_ids[k]} leaves a system too close"
+                                  f" to singular: 1 - phi(k,k) = {safe[k]:.3g} < {bound:.3g}")
     lodf = phi / safe[None, :]
     np.fill_diagonal(lodf, -1.0)
     lodf[:, islanding] = np.nan

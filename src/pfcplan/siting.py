@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dcflow
-from .network import NetworkModel, SeasonCalendar, effective_ratings, islanded_buses
+from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
@@ -147,9 +147,9 @@ def candidate_locations(
 
     Each host scores its best coupling over ``contingencies`` (None: the
     intact network), evaluated on each post-contingency topology via the
-    outage compensation of the transfer factors. A contingency under which the
-    target is a bridge leaves no parallel path, so it offers no candidates:
-    nothing can move the target's flow there.
+    outage compensation of the transfer factors. A contingency that leaves the
+    target's own relief, 1 - phi(t, t), at or below ``SENSITIVITY_TOL`` offers no
+    candidates: nothing can move the target's flow there.
     """
     line_ids = ptdf.line_ids
     if target not in line_ids:
@@ -163,13 +163,12 @@ def candidate_locations(
         if contingency is None:
             phi_t = phi[t, :]
         else:
+            dcflow.check_outage(model, contingency)
             k = line_ids.index(contingency)
-            if lodf.islanding[k]:
-                raise dcflow.IslandingError(contingency, islanded_buses(model, contingency))
             phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
         self_factor = float(phi_t[t])
         if self_factor >= 1.0 - SENSITIVITY_TOL:
-            continue  # bridge under this contingency
+            continue  # a sensitivity threshold, not a topology test
         best[target] = max(best.get(target, 0.0), 1.0 - self_factor)
         for c, lid in enumerate(line_ids):
             coupling = abs(float(phi_t[c]))

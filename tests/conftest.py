@@ -188,8 +188,8 @@ class UnionFind:
 
 
 def connected_components(model: NetworkModel, skip_line: str | None = None):
-    """Union-find components over in-service lines; independent of the BFS
-    the package uses."""
+    """Union-find components over in-service lines; independent of the
+    depth-first bridge search the package uses."""
     uf = UnionFind([b.id for b in model.buses])
     for ln in model.lines:
         if ln.in_service and ln.id != skip_line:

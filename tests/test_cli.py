@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfcplan import cases, cli, dispatch, screening
+from pfcplan import cases, cli, dcflow, dispatch, screening, shift_factors
 from pfcplan.cli import main
 from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.report import ReportConsistencyError
@@ -612,6 +612,38 @@ def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.dcflow, "build_system", boom)
     assert main(["screen", "--config", str(config)]) == 4
     assert "solver error" in capsys.readouterr().err
+
+
+def _triangle_probe(x):
+    """The triangle study with L12 at 1e-6 pu and L13 = L23 = ``x`` pu: L12
+    is no bridge, but its outage margin 1 - phi(k,k) is about 5e-7 / x."""
+    case = cases.triangle_case()
+    lines = tuple(dataclasses.replace(ln, reactance_pu=1e-6 if ln.id == "L12" else x)
+                  for ln in case.model.lines)
+    return dataclasses.replace(case, model=dataclasses.replace(case.model, lines=lines))
+
+
+@pytest.mark.parametrize("x", [1e2, 1e4])
+def test_an_outage_too_close_to_singular_exits_4_naming_the_line(tmp_path, capsys, x):
+    config, _ = _study(tmp_path, _triangle_probe(x))
+    assert main(["run-all", "--config", str(config)]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(errors) == 1 and errors[0].startswith("solver error: outage of line L12 "), errors
+
+
+def test_an_outage_with_a_small_safe_margin_is_screened(tmp_path, caplog):
+    case = _triangle_probe(1e-2)
+    config, _ = _study(tmp_path, case)
+    with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
+        assert main(["run-all", "--config", str(config)]) == 0
+    assert "stage 2: 3 outages screened, 0 bridge outages skipped" in caplog.text
+    model = case.model
+    system = dcflow.build_system(model)
+    lodf = shift_factors.compute_lodf(shift_factors.compute_ptdf(system, model), model)
+    injection = np.array([90.0, 0.0, -90.0])
+    exact = dcflow.solve_with_outage(model, injection, "L12").flows_mw
+    fast = shift_factors.post_contingency_flows(dcflow.solve_flows(system, injection), lodf, "L12")
+    assert np.abs(fast - exact).max() <= 1e-6 * max(np.abs(exact).max(), 1.0)
 
 
 # -- stage cache ------------------------------------------------------------------

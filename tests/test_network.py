@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -145,6 +146,18 @@ def test_bridges_match_union_find_oracle():
     ]
     for model in models:
         assert model.bridges == graph_bridges(model)
+
+
+def test_the_bridge_search_runs_deeper_than_the_recursion_limit():
+    # a ring longer than Python's recursion limit, with a spur: the search
+    # goes around the ring one bus deeper each step
+    n = sys.getrecursionlimit() + 100
+    buses = tuple(Bus(f"B{i}", f"B{i}", 110.0, "W") for i in range(n + 1))
+    ring = tuple(Line(f"L{i}", f"B{i}", f"B{(i + 1) % n}", 0.1, 100, 100) for i in range(n))
+    spur = Line("S", "B7", f"B{n}", 0.1, 100, 100)
+    model = NetworkModel(buses=buses, lines=ring + (spur,), generators=(), slack_bus="B0")
+    assert model.bridges == {"S"}
+    assert model.cut_off_by("S") == {f"B{n}"} and model.cut_off_by("L0") == set()
 
 
 def test_connectivity_check_matches_union_find_oracle():

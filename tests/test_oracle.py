@@ -2,9 +2,13 @@
 
 Each example is a small connected mesh with parallel lines, radial spurs
 (bridges), a random slack bus, balanced hourly injections and seasonal
-ratings drawn so that post-outage loadings straddle 90% and 100%. LODF
-superposition is checked against exact re-solves without the line, the
-bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
+ratings drawn so that post-outage loadings straddle 90% and 100%. The
+model's one bridge search is checked against union-find reach, bridges and
+cut-off buses (with lines out of service too); ``candidate_locations``' skip
+against the bridges of the network without each contingency; LODF
+superposition against exact re-solves without the line, also with reactances
+spread over six decades, where ``compute_lodf`` may refuse an outage that is
+no bridge; the bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
 with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
 on monitored subsets against a dense scalar scan, its base flows against a
 whole-year formulation (``reference_base_flows``: on mesh years with the
@@ -24,6 +28,8 @@ fleets, and ``network.effective_ratings`` against the scalar
 
 import dataclasses
 import functools
+import re
+import types
 
 import hypothesis
 import numpy as np
@@ -47,8 +53,8 @@ from pfcplan.dispatch import (
     merit_order_dispatch, run_year,
 )
 from pfcplan.network import (
-    HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel, SeasonCalendar, effective_rating,
-    effective_ratings,
+    HOURS_PER_YEAR, Bus, DisconnectedNetworkError, Generator, Line, NetworkModel,
+    SeasonCalendar, effective_rating, effective_ratings,
 )
 from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
@@ -57,6 +63,7 @@ from conftest import (
     assert_producers_keep_record_order,
     balanced_injection,
     concat_records,
+    connected_components,
     dense_dc_flows,
     fleet_model,
     graph_bridges,
@@ -81,8 +88,13 @@ class Mesh:
     winter_factor: float
 
 
+# per-unit reactances drawn log-uniform over [1e-4, 1e2]: spreads up to 1e6 and
+# outage margins 1 - phi(k,k) down to ~1e-7, past where compute_lodf refuses
+WIDE_REACTANCES = st.floats(-4.0, 2.0).map(lambda e: 10.0**e)
+
+
 @st.composite
-def meshes(draw):
+def meshes(draw, reactances=st.floats(0.05, 0.5)):
     n = draw(st.integers(3, 6))
     # a random spanning tree, then cycle-closing lines; a repeated pair
     # becomes a parallel line
@@ -98,7 +110,7 @@ def meshes(draw):
     return Mesh(
         edges=tuple(edges),
         names=tuple(draw(st.lists(st.integers(0, 99), min_size=m, max_size=m, unique=True))),
-        reactances=tuple(draw(st.lists(st.floats(0.05, 0.5), min_size=m, max_size=m))),
+        reactances=tuple(draw(st.lists(reactances, min_size=m, max_size=m))),
         slack=draw(st.integers(0, n + spurs - 1)),
         seed=draw(st.integers(0, 2**16)),
         rating_factors=tuple(draw(st.lists(st.floats(0.8, 1.25), min_size=m, max_size=m))),
@@ -175,24 +187,83 @@ PARALLEL = Mesh(edges=((0, 1), (0, 1), (1, 2)), names=(3, 12, 7),
                 rating_factors=(1.0, 1.2, 0.9), winter_factor=1.1)
 
 
+def lodf_and_exact_flows(model, injection):
+    """(outage, LODF post-outage flows, exact re-solve's flows) per outage
+    that is no bridge, after checking that the LODF marks exactly the
+    graph's bridges and that the outage solve of each raises."""
+    bridges = graph_bridges(model)
+    system = build_system(model)
+    lodf = compute_lodf(compute_ptdf(system, model), model)
+    intact = solve_flows(system, injection)
+    for k, outage in enumerate(lodf.line_ids):
+        assert bool(lodf.islanding[k]) == (outage in bridges)
+        if outage in bridges:
+            with pytest.raises(IslandingError):
+                solve_with_outage(model, injection, outage)
+            continue
+        exact = solve_with_outage(model, injection, outage).flows_mw
+        yield outage, post_contingency_flows(intact, lodf, outage), exact
+
+
 @SETTINGS
 @given(meshes())
 @example(PARALLEL)
 def test_lodf_flows_match_exact_resolves_and_bridges_raise(mesh):
-    model, injections, _, lodf = _study(mesh)
-    intact = solve_flows(build_system(model), injections[0])
-    bridges = graph_bridges(model)
-    for k, outage in enumerate(lodf.line_ids):
-        assert bool(lodf.islanding[k]) == (outage in bridges)
-        if outage in bridges:
-            try:
-                solve_with_outage(model, injections[0], outage)
-            except IslandingError:
-                continue
-            raise AssertionError(f"bridge {outage} solved")
-        exact = solve_with_outage(model, injections[0], outage).flows_mw
-        fast = post_contingency_flows(intact, lodf, outage)
+    model, injections, _, _ = _study(mesh)
+    for _, fast, exact in lodf_and_exact_flows(model, injections[0]):
         assert np.allclose(fast, exact, rtol=1e-9, atol=1e-9 * np.abs(exact).max())
+
+
+@SETTINGS
+@given(meshes(), st.sets(st.integers(0, 12), max_size=2))  # line positions
+@example(PARALLEL, set())
+@example(PARALLEL, {0})  # one of two parallel lines out: the other becomes a bridge
+@example(PARALLEL, {2})  # the slack's one line out: B0 and B1 are cut off
+def test_one_search_gives_reach_bridges_and_the_buses_each_bridge_cuts_off(mesh, out):
+    # the union-find references: the buses outside the slack's component,
+    # the bridges, and per line the buses its outage separates from the slack
+    model = _model(mesh)
+    lines = tuple(dataclasses.replace(ln, in_service=False) if p in out else ln
+                  for p, ln in enumerate(model.lines))
+    parts = connected_components(types.SimpleNamespace(buses=model.buses, lines=lines))
+    isolated = set().union(*(part for part in parts if model.slack_bus not in part))
+    try:
+        model = dataclasses.replace(model, lines=lines)
+    except DisconnectedNetworkError as err:
+        assert isolated and err.isolated == isolated
+        return
+    assert not isolated
+    assert model.bridges == graph_bridges(model)
+    for line in model.in_service_line_ids:
+        parts = connected_components(model, skip_line=line)
+        [cut] = [part for part in parts if model.slack_bus not in part] or [set()]
+        assert model.cut_off_by(line) == cut, line
+
+
+def probe(x: float) -> Mesh:
+    """The triangle with one line (L12) at 1e-6 pu and the other two at ``x``:
+    L12's outage margin 1 - phi(k,k) is about 5e-7 / x."""
+    return Mesh(edges=((0, 1), (0, 2), (1, 2)), names=(12, 13, 23),
+                reactances=(1e-6, x, x), slack=2, seed=1,
+                rating_factors=(1.0,) * 3, winter_factor=1.0)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(meshes(WIDE_REACTANCES))
+@example(probe(1e4))  # the computed margin is negative, as if L12 were a bridge
+@example(probe(1e2))  # margin 5e-9, computed as 2.5e-9: its column would be 49% off
+@example(probe(1e-2))  # margin 5e-5: screened
+def test_lodf_flows_match_exact_resolves_and_bridges_raise_over_wide_reactances(mesh):
+    # compute_lodf either refuses an outage that is no bridge, or every
+    # column it gives holds within 1e-6 of the larger of max |exact| and 1 MW
+    model = _model(mesh)
+    injection = balanced_injection(np.random.default_rng(mesh.seed), len(model.buses))
+    try:
+        for outage, fast, exact in lodf_and_exact_flows(model, injection):
+            assert np.abs(fast - exact).max() <= 1e-6 * max(np.abs(exact).max(), 1.0), outage
+    except SingularSystemError as err:
+        [refused] = re.findall(r"^outage of line (\S+) leaves a system too close", str(err))
+        assert refused not in graph_bridges(model)
 
 
 @SETTINGS
@@ -1043,6 +1114,37 @@ def test_a_bridge_contingency_names_the_buses_it_islands():
         siting.candidate_locations("L3", lodf, ptdf, model, [None, "L7"])
     assert err.value.separated == {"B0", "B1"}
     assert str(err.value) == str(exact.value) == "outage of line L7 islands buses {B0, B1}"
+
+
+def assert_skips_are_bridges(model, contingencies):
+    """``candidate_locations`` offers no candidate for a target under one
+    of ``contingencies`` exactly when the target is a bridge (union-find) of
+    the network without it: its SENSITIVITY_TOL skip agrees with topology."""
+    ptdf = compute_ptdf(build_system(model), model)
+    lodf = compute_lodf(ptdf, model)
+    for contingency in contingencies:
+        bridges = graph_bridges(model if contingency is None else _without(model, contingency))
+        for target in set(model.in_service_line_ids) - {contingency}:
+            got = siting.candidate_locations(target, lodf, ptdf, model, [contingency])
+            assert (got == []) == (target in bridges), (target, contingency)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_the_sensitivity_skip_fires_exactly_where_the_target_is_a_bridge(name):
+    model = getattr(cases, name)().model
+    assert_skips_are_bridges(model, [None, *sorted(set(model.in_service_line_ids) - model.bridges)])
+
+
+def test_the_sensitivity_skip_fires_exactly_where_the_target_is_a_bridge_on_the_lattice(
+    lattice_year,
+):
+    # every contingency that leaves a new bridge, and every eighth other one:
+    # all of them take ~10 s (ratings do not enter, so this stands for 1.3x too)
+    model = lattice_year[1]
+    outages = sorted(set(model.in_service_line_ids) - model.bridges)
+    new = [c for c in outages if _without(model, c).bridges != model.bridges]
+    assert new  # corner buses: the two lines of each are a cut pair
+    assert_skips_are_bridges(model, [None, *new, *sorted(set(outages) - set(new))[::8]])
 
 
 @st.composite
