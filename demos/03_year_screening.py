@@ -11,7 +11,7 @@ import time
 from pfcplan import cases
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import run_year
-from pfcplan.screening import stage1_scan, stage2_scan, summarize
+from pfcplan.screening import region_counts, stage1_scan, stage2_scan, summarize
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 case = cases.grid30_case()
@@ -38,11 +38,11 @@ n_outages = len(lodf.non_islanding_outages())
 print(f"stage 2 ({n_outages} outages x {len(base.hours)} hours): "
       f"{len(records) - len(stage1_records)} records in {t_stage2:.2f}s")
 
-summaries, regional = summarize(records, model)
+summaries = summarize(records, model)
 
 print("\noverloaded lines by region:")
-for region, count in sorted(regional.items()):
-    print(f"  {region:10} {count}")
+for count in region_counts(summaries):
+    print(f"  {count.region:10} {count.overloaded_lines}")
 
 print("\nduration and severity of the overloaded lines:")
 print(f"  {'line':10} {'hours':>6} {'max %':>7} {'MWh over':>9} {'outages':>8}")

@@ -185,11 +185,11 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
         near_pct=cfg.near_pct, overload_pct=cfg.overload_pct, intact=rec1,
     )
     del base, rec1
-    summaries, regional = screening.summarize(records, model)
-    screening.write_workbook(records, summaries, regional, dest)
+    summaries = screening.summarize(records, model)
+    screening.write_workbook(records, summaries, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")
-    for region in sorted(regional):
-        print(f"  {region}: {regional[region]} overloaded lines")
+    for count in screening.region_counts(summaries):
+        print(f"  {count.region}: {count.overloaded_lines} overloaded lines")
 
 
 def cmd_site_pfc(cfg: StudyConfig, study: Study, dest: Path) -> None:
@@ -301,10 +301,9 @@ def _emit_report(cfg: StudyConfig, study: Study) -> None:
         study.model,
         parameters=cfg.parameter_echo(),
         records=study.records,
-        ranking=siting.rank_targets(outcomes),
         dispatch_stats=study.dispatch_stats,
         scenario=cfg.scenario,
-        config_hash=cfg.content_hash(),
+        config_hash=cfg.content_hash("siting"),
     )
     extra = [str(out / name) for stage in STAGES for name in stage.outputs]
     report.emit(study, out, extra_files=extra)

@@ -49,7 +49,6 @@ _SCOPE_PARAMS = {
     "dispatch": _DISPATCH_PARAMS,
     "screen": _SCREEN_PARAMS,
     "siting": _SITING_PARAMS,
-    "all": _SITING_PARAMS,
 }
 
 
@@ -98,7 +97,7 @@ class StudyConfig:
             summer_months=tuple(self.summer_months), derate_factor=self.derate
         )
 
-    def content_hash(self, scope: str = "all") -> str:
+    def content_hash(self, scope: str) -> str:
         """sha256 over the input file bytes and the parameters a stage uses.
 
         Scoped hashing keeps caches precise: changing the PFC cap must not

@@ -120,13 +120,6 @@ class SusceptanceSystem:
     def n_buses(self) -> int:
         return len(self.model.buses)
 
-    @property
-    def reduced(self) -> sp.csc_matrix:
-        """The factorized matrix, a CSC matrix over the read-only arrays made
-        on each read."""
-        n = len(self.non_slack)
-        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=(n, n))
-
 
 def susceptance_matrix(
     model: NetworkModel,

@@ -6,7 +6,7 @@ be shared freely between analysis stages.
 
 Every loading check compares with the derated seasonal rating, rating *
 (1 - derate) for the hour's season: ``effective_ratings`` is the one source of
-those ratings, and ``effective_rating`` the same product for one line and hour.
+those ratings.
 """
 
 from __future__ import annotations
@@ -305,18 +305,11 @@ class SeasonCalendar:
         return "summer" if self.summer_mask[hour] else "winter"
 
 
-def effective_rating(line: Line, hour: int, calendar: SeasonCalendar) -> float:
-    """Derated MW rating used for all loading checks: seasonal * (1 - derate)."""
-    summer = calendar.season(hour) == "summer"
-    seasonal = line.rating_summer_mw if summer else line.rating_winter_mw
-    return seasonal * (1.0 - calendar.derate_factor)
-
-
 def effective_ratings(
     model: NetworkModel, line_ids: tuple[str, ...], calendar: SeasonCalendar
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effective summer and winter MW ratings of ``line_ids``, one array per
-    season: ``effective_rating``'s product, so the same bits."""
+    season: each line's seasonal rating * (1 - derate)."""
     lines = [model.line_by_id[lid] for lid in line_ids]
     seasonal = [[ln.rating_summer_mw for ln in lines], [ln.rating_winter_mw for ln in lines]]
     summer, winter = np.array(seasonal, dtype=float) * (1.0 - calendar.derate_factor)

@@ -2,9 +2,12 @@
 
 Every number in the report is a pure function of the screening records and
 siting outcomes, so an independent aggregation over the raw CSVs must
-reproduce it exactly; a mismatch between records and summaries is treated as
-a pipeline bug and raised, not papered over. Output is deterministic except
-for the single generated_at timestamp in summary.json.
+reproduce it exactly. ``build_report`` checks on every call that the line
+summaries equal ``screening.summarize`` of the records; a mismatch is a
+pipeline bug and raised, not papered over. The region counts are
+``screening.region_counts`` of the summaries, as in the screen's workbook.
+Output is deterministic except for the single generated_at timestamp in
+summary.json.
 
 Charts are emitted as self-contained SVG (no plotting dependency), and every
 figure also exists as CSV so any external tool can re-plot it.
@@ -19,6 +22,7 @@ from datetime import datetime, timezone
 from html import escape
 from pathlib import Path
 
+from . import siting
 from .network import NetworkModel
 from .screening import (
     LINE_SUMMARY_COLUMNS,
@@ -53,11 +57,10 @@ class StudyReport:
     parameters: dict
     dispatch_stats: dict
     screening_stats: dict
-    regional: dict[str, int]
     line_durations: list[LineSummary]
     pfc_rows: list[PfcOutcome]  # sorted by target line
     breakdown_pct: dict[str, float]
-    ranking_rows: tuple[RankEntry, ...] = ()
+    ranking_rows: tuple[RankEntry, ...]
 
 
 def build_report(
@@ -65,39 +68,21 @@ def build_report(
     outcomes: list[PfcOutcome],
     model: NetworkModel,
     parameters: dict,
-    records: OverloadRecords | None = None,
-    ranking: tuple[RankEntry, ...] = (),
-    dispatch_stats: dict | None = None,
-    scenario: str = "",
-    config_hash: str = "",
+    records: OverloadRecords,
+    dispatch_stats: dict,
+    scenario: str,
+    config_hash: str,
 ) -> StudyReport:
     """Aggregate stage outputs into one report structure.
 
-    When the raw records are supplied, the summaries are recomputed from them
-    and compared; any discrepancy is a hard error. Regional counts must tie
-    out against the number of overloaded lines.
+    The summaries must name known lines and equal those recomputed from the
+    raw records; any discrepancy is a hard error.
     """
-    regional: dict[str, int] = {}
     for s in summaries:
         if s.line_id not in model.line_by_id:
             raise ReportConsistencyError(f"summary for unknown line {s.line_id}")
-        if s.overload_hours:
-            regional[s.region] = regional.get(s.region, 0) + 1
-
-    if records is not None:
-        recomputed, recomputed_regional = summarize(records, model)
-        if recomputed != summaries:
-            raise ReportConsistencyError(
-                "line summaries do not match the raw overload records"
-            )
-        if recomputed_regional != regional:
-            raise ReportConsistencyError(
-                "regional rollup does not match the raw overload records"
-            )
-
-    overloaded_lines = sum(1 for s in summaries if s.overload_hours)
-    if sum(regional.values()) != overloaded_lines:
-        raise ReportConsistencyError("regional counts do not tie out")
+    if summarize(records, model) != summaries:
+        raise ReportConsistencyError("line summaries do not match the raw overload records")
 
     n = len(outcomes)
     counts = {"FullyResolved": 0, "PartiallyResolved": 0, "NoChange": 0}
@@ -107,28 +92,27 @@ def build_report(
         k: (100.0 * v / n if n else 0.0) for k, v in sorted(counts.items())
     }
 
+    n_overload = int(records.overload.sum())
     screening_stats = {
-        "overloaded_lines": overloaded_lines,
+        "overloaded_lines": sum(1 for s in summaries if s.overload_hours),
         "lines_with_records": len(summaries),
         "total_overload_hours": sum(s.overload_hours for s in summaries),
         "total_near_hours": sum(s.near_hours for s in summaries),
+        "overload_records": n_overload,
+        "near_records": len(records) - n_overload,
     }
-    if records is not None:
-        n_overload = int(records.overload.sum())
-        screening_stats["overload_records"] = n_overload
-        screening_stats["near_records"] = len(records) - n_overload
 
     return StudyReport(
         scenario=scenario,
         config_hash=config_hash,
         parameters=dict(parameters),
-        dispatch_stats=dict(dispatch_stats or {}),
+        dispatch_stats=dict(dispatch_stats),
         screening_stats=screening_stats,
-        regional=dict(sorted(regional.items())),
         line_durations=list(summaries),
         pfc_rows=sorted(outcomes, key=lambda o: o.target_line),
         breakdown_pct=breakdown,
-        ranking_rows=ranking,
+        # through the module, so a wrapper set on siting.rank_targets takes effect
+        ranking_rows=siting.rank_targets(outcomes),
     )
 
 
@@ -192,7 +176,7 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str
 def emit(
     report: StudyReport,
     out_dir,
-    extra_files: list[str] | None = None,
+    extra_files: list[str],
     timestamp: str | None = None,
 ) -> list[dict]:
     """Write the report directory; returns the manifest (also written as JSON).
@@ -206,6 +190,7 @@ def emit(
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    regional = region_counts(report.line_durations)
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -216,7 +201,7 @@ def emit(
         "parameters": report.parameters,
         "dispatch": report.dispatch_stats,
         "screening": report.screening_stats,
-        "regional_overloaded_lines": report.regional,
+        "regional_overloaded_lines": {c.region: c.overloaded_lines for c in regional},
         "line_durations": rows(LINE_DURATION_COLUMNS, report.line_durations),
         "pfc_outcomes": rows(PFC_OUTCOME_COLUMNS, report.pfc_rows),
         "pfc_breakdown_pct": report.breakdown_pct,
@@ -229,7 +214,7 @@ def emit(
     written.append(path)
 
     written.append(report_dir / "region_summary.csv")
-    write_csv(written[-1], REGION_COLUMNS, region_counts(report.regional))
+    write_csv(written[-1], REGION_COLUMNS, regional)
     written.append(report_dir / "line_durations.csv")
     write_csv(written[-1], LINE_DURATION_COLUMNS, report.line_durations)
     written.append(report_dir / "pfc_performance.csv")
@@ -257,7 +242,7 @@ def emit(
         written[-1].write_text(svg, encoding="utf-8")
 
     manifest = []
-    covered = [str(p) for p in written] + list(extra_files or [])
+    covered = [str(p) for p in written] + list(extra_files)
     for file_path in sorted(covered):
         p = Path(file_path)
         rel = p.relative_to(out_dir) if p.is_relative_to(out_dir) else p

@@ -44,6 +44,8 @@ column orders them: ``stage1_scan`` makes it over its hits, and
 outage's hits, so the screen's records are assembled once. ``summarize``
 reads its rollups from the run boundaries of radix passes by line and by
 contingency. Above 65,536 line ids both fall back to a comparison sort.
+``region_counts``, the summaries' overloaded lines by region, is the one
+source of every region count: workbook, report and the screen's stdout.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``, each chunk's text one
@@ -59,6 +61,7 @@ columns: each float is its repr (the +0.0 excess of every near record is
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -423,10 +426,8 @@ def stage2_scan(
     return records
 
 
-def summarize(
-    records: OverloadRecords, model: NetworkModel
-) -> tuple[list[LineSummary], dict[str, int]]:
-    """Per-line duration/severity rollups plus overloaded-line counts by region.
+def summarize(records: OverloadRecords, model: NetworkModel) -> list[LineSummary]:
+    """Per-line duration/severity rollups, one per line with a record, by line id.
 
     Duration counts distinct overloaded hours (not record pairs); the energy
     rollup takes the worst excess per overloaded hour so parallel contingencies
@@ -434,7 +435,7 @@ def summarize(
     ``sum``: numpy's pairwise sum could change the last digits.
     """
     if not len(records):
-        return [], {}
+        return []
     n_ids = len(records.line_ids)
     # the records by line, each line's in record order, so by hour
     by_line = _stable_order(records.line, n_ids)
@@ -458,12 +459,10 @@ def summarize(
     ends = np.cumsum(overload_hours).tolist()
 
     summaries = []
-    regional: dict[str, int] = {}
     peak = dict(zip(lines.tolist(), max_loading.tolist()))
     for i in sorted(peak, key=records.line_ids.__getitem__):
         line_id = records.line_ids[i]
         n_over = int(overload_hours[i])
-        region = model.bus_by_id[model.line_by_id[line_id].from_bus].region
         summaries.append(
             LineSummary(
                 line_id=line_id,
@@ -472,28 +471,28 @@ def summarize(
                 max_loading_pct=peak[i],
                 overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
                 contingency_count=int(contingency_count[i]),
-                region=region,
+                region=model.bus_by_id[model.line_by_id[line_id].from_bus].region,
             )
         )
-        if n_over:
-            regional[region] = regional.get(region, 0) + 1
-    return summaries, regional
+    return summaries
+
+
+def region_counts(summaries: list[LineSummary]) -> list[RegionCount]:
+    """The lines with an overloaded hour, counted by region and sorted by
+    region: the rows of both region_summary.csv files."""
+    counts = Counter(s.region for s in summaries if s.overload_hours)
+    return [RegionCount(region, n) for region, n in sorted(counts.items())]
 
 
 # -- workbook output ---------------------------------------------------------
 
 
-def write_workbook(
-    records: OverloadRecords,
-    summaries: list[LineSummary],
-    regional: dict[str, int],
-    out_dir,
-) -> list[str]:
+def write_workbook(records: OverloadRecords, summaries: list[LineSummary], out_dir) -> list[str]:
     """Write the overload workbook CSVs; returns the file names written."""
     overloaded = [s for s in summaries if s.overload_hours]
     tables = {
         "line_summary.csv": (LINE_SUMMARY_COLUMNS, summaries),
-        "region_summary.csv": (REGION_COLUMNS, region_counts(regional)),
+        "region_summary.csv": (REGION_COLUMNS, region_counts(summaries)),
         "duration_histogram.csv": (DURATION_COLUMNS, overloaded),
         "severity.csv": (SEVERITY_COLUMNS, summaries),
     }
@@ -503,11 +502,6 @@ def write_workbook(
         paths.append(f"{out_dir}/{name}")
         write_csv(paths[-1], columns, items)
     return paths
-
-
-def region_counts(regional: dict[str, int]) -> list[RegionCount]:
-    """The rows of both region_summary.csv files, sorted by region."""
-    return [RegionCount(region, n) for region, n in sorted(regional.items())]
 
 
 def read_overloads_csv(path) -> OverloadRecords:

@@ -4,9 +4,10 @@ A power flow controller is modeled as a reactance increase of up to a cap
 (default 40%) on one hosting line, diverting flow onto parallel paths. For
 every target line with overload records, candidate hosting lines are ranked
 by flow sensitivity in one pass over the target's contingencies (each host
-by its best coupling), the smallest sufficient increase is found by
-bisection against exact re-solves, and every other line is checked for new
-or worsened loadings; the check returns the ids of the lines it flags.
+by its best coupling, one array maximum per contingency), the smallest
+sufficient increase is found by bisection against exact re-solves, and every
+other line is checked for new or worsened loadings; the check returns the
+ids of the lines it flags.
 Outcomes fall into three classes:
 
 * FullyResolved: one candidate and one fixed increase clear every overloaded
@@ -156,26 +157,28 @@ def candidate_locations(
         raise ValueError(f"target {target} is not an in-service line")
     t = line_ids.index(target)
     phi = line_transfer_factors(ptdf, model)
-    best: dict[str, float] = {}
+    coupling = np.zeros(len(line_ids))  # each line's best |phi(t, c)| so far
+    relief = []  # the target's 1 - phi(t, t) under each contingency kept
     for contingency in contingencies:
         if contingency == target:
             raise ValueError("target cannot be its own contingency")
-        if contingency is None:
-            phi_t = phi[t, :]
-        else:
+        phi_t = phi[t, :]
+        if contingency is not None:
             dcflow.check_outage(model, contingency)
             k = line_ids.index(contingency)
-            phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
+            phi_t = phi_t + lodf.matrix[t, k] * phi[k, :]
         self_factor = float(phi_t[t])
         if self_factor >= 1.0 - SENSITIVITY_TOL:
             continue  # a sensitivity threshold, not a topology test
-        best[target] = max(best.get(target, 0.0), 1.0 - self_factor)
-        for c, lid in enumerate(line_ids):
-            coupling = abs(float(phi_t[c]))
-            if lid not in (target, contingency) and coupling > max(
-                SENSITIVITY_TOL, best.get(lid, 0.0)
-            ):
-                best[lid] = coupling
+        relief.append(1.0 - self_factor)
+        phi_t = np.abs(phi_t)
+        if contingency is not None:
+            phi_t[k] = 0.0  # the outaged line hosts nothing
+        np.maximum(coupling, phi_t, out=coupling)
+    hosts = np.flatnonzero(coupling > SENSITIVITY_TOL).tolist()
+    best = {line_ids[c]: float(coupling[c]) for c in hosts}
+    if relief:  # the target scores by its relief, not its coupling
+        best[target] = max(relief)
     # strongest coupling first; the target itself wins ties
     ranked = sorted(best.items(), key=lambda ls: (-ls[1], ls[0] != target, ls[0]))
     return [PfcCandidate(target_line=target, pfc_line=lid, score=s) for lid, s in ranked]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pfcplan import cases, screening, siting
 from pfcplan.cli import Study
@@ -86,7 +87,7 @@ def assert_producers_keep_record_order(rec1, base, lodf, model, calendar, out_di
     ``in_record_order`` of themselves, bit for bit."""
     alone = screening.stage2_scan(base, lodf, model, calendar, monitored)
     joined = screening.stage2_scan(base, lodf, model, calendar, monitored, intact=rec1)
-    screening.write_workbook(joined, [], {}, out_dir)
+    screening.write_workbook(joined, [], out_dir)
     back = screening.read_overloads_csv(f"{out_dir}/overloads.csv")
     for records in (rec1, alone, joined, back):
         same_records(records, in_record_order(records))
@@ -105,7 +106,7 @@ def summarize_by_sorting(records: screening.OverloadRecords, model):
     integer (line, hour) and (line, contingency) keys: the reference the
     run-boundary rollup must match bit for bit."""
     if not len(records):
-        return [], {}
+        return []
     n_ids = len(records.line_ids)
     line, over = records.line.astype(np.int64), records.overload  # keys below pass 2**31
     lines, max_loading = _group_max(line, records.loading_pct)
@@ -121,12 +122,10 @@ def summarize_by_sorting(records: screening.OverloadRecords, model):
     ends = np.cumsum(overload_hours).tolist()
 
     summaries = []
-    regional: dict[str, int] = {}
     peak = dict(zip(lines.tolist(), max_loading.tolist()))
     for i in sorted(peak, key=records.line_ids.__getitem__):
         line_id = records.line_ids[i]
         n_over = int(overload_hours[i])
-        region = model.bus_by_id[model.line_by_id[line_id].from_bus].region
         summaries.append(screening.LineSummary(
             line_id=line_id,
             overload_hours=n_over,
@@ -134,14 +133,27 @@ def summarize_by_sorting(records: screening.OverloadRecords, model):
             max_loading_pct=peak[i],
             overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
             contingency_count=int(contingency_count[i]),
-            region=region,
+            region=model.bus_by_id[model.line_by_id[line_id].from_bus].region,
         ))
-        if n_over:
-            regional[region] = regional.get(region, 0) + 1
-    return summaries, regional
+    return summaries
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def effective_rating(line: Line, hour: int, calendar) -> float:
+    """The derated MW rating of one line in one hour, seasonal * (1 - derate):
+    the scalar reference for ``network.effective_ratings``."""
+    summer = calendar.season(hour) == "summer"
+    seasonal = line.rating_summer_mw if summer else line.rating_winter_mw
+    return seasonal * (1.0 - calendar.derate_factor)
+
+
+def reduced_matrix(system) -> sp.csc_matrix:
+    """The matrix a ``SusceptanceSystem`` factorized, as a CSC matrix over
+    its read-only ``data``, ``indices`` and ``indptr``."""
+    n = len(system.non_slack)
+    return sp.csc_matrix((system.data, system.indices, system.indptr), shape=(n, n))
 
 
 def dense_dc_flows(model: NetworkModel, injections_mw: np.ndarray) -> dict[str, float]:

@@ -11,7 +11,7 @@ from pfcplan import cases
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import run_year
 from pfcplan.network import HOURS_PER_YEAR
-from pfcplan.screening import stage1_scan, stage2_scan, summarize
+from pfcplan.screening import RegionCount, region_counts, stage1_scan, stage2_scan, summarize
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 from conftest import graph_bridges
@@ -59,10 +59,12 @@ def test_grid30_year_finds_the_three_weak_corridors():
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
     rec2 = stage2_scan(base, lodf, model, case.calendar)
-    summaries, regional = summarize(rec2, model)
+    summaries = summarize(rec2, model)
     overloaded = {s.line_id for s in summaries if s.overload_hours}
     assert overloaded == {"N01-N02", "N10-N16", "N17-N23"}
-    assert regional == {"West": 1, "Midlands": 1, "East": 1}
+    assert region_counts(summaries) == [
+        RegionCount("East", 1), RegionCount("Midlands", 1), RegionCount("West", 1)
+    ]
 
 
 def test_capped_relief_demand_pattern():

@@ -18,13 +18,13 @@ from pfcplan.dcflow import (
     susceptance_matrix,
 )
 
-from conftest import balanced_injection, dense_dc_flows, two_bus_model
+from conftest import balanced_injection, dense_dc_flows, reduced_matrix, two_bus_model
 
 
 def test_two_bus_reduced_system():
-    system = build_system(two_bus_model(x=0.1))
-    assert system.reduced.shape == (1, 1)
-    assert system.reduced.toarray()[0, 0] == pytest.approx(10.0)
+    reduced = reduced_matrix(build_system(two_bus_model(x=0.1)))
+    assert reduced.shape == (1, 1)
+    assert reduced.toarray()[0, 0] == pytest.approx(10.0)
 
 
 def test_factorization_calls_the_superlu_entry_point_splu_calls():

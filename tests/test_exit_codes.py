@@ -1,14 +1,15 @@
 """Every input ``run-all`` can be handed ends in a documented exit code.
 
-Each example writes the triangle study, sets one cell (a header cell
-included) of one input CSV, or one ``config.json`` value, to an edge value
-and runs ``main`` in process. Whatever the value, the run must exit 0, 2,
-3 or 4 with at most one stderr line, and an exit of 2 or 4 must say why in
-that one ``error:`` or ``solver error:`` line. Whole rows and headers are
-checked the same way, each input file reshaped in turn (header dropped,
-header only, empty, a row dropped or repeated, a column dropped, repeated
-or added, a short row, a blank line, a byte that is not UTF-8), and there
-each exit code is pinned. No exception may escape but
+Each example writes the triangle study, or the side_effect study where
+Stage 3 sizes a device, sets one cell (a header cell included) of one input
+CSV, or one ``config.json`` value, to an edge value and runs ``main`` in
+process. Whatever the value, the run must exit 0, 2, 3 or 4 with at most
+one stderr line, and an exit of 2 or 4 must say why in that one ``error:``
+or ``solver error:`` line. Whole rows and headers of the triangle study
+are checked the same way, each input file reshaped in turn (header
+dropped, header only, empty, a row dropped or repeated, a column dropped,
+repeated or added, a short row, a blank line, a byte that is not UTF-8),
+and there each exit code is pinned. No exception may escape but
 ``ReportConsistencyError``, which keeps its traceback on purpose. Warnings
 are errors in this suite, so an overflow warning fails the property too.
 """
@@ -79,26 +80,34 @@ def _exits_cleanly(config: Path) -> int | None:
     return code
 
 
+# the triangle, and side_effect, where Stage 3 sizes a device and checks its side effects
+FUZZED_CASES = pytest.mark.parametrize("case", ["triangle_case", "side_effect_case"])
+
+
+@FUZZED_CASES
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(cell_edits())
 @example(("lines", 1, 4, "1e-320"))  # a subnormal rating
 @example(("lines", 1, 3, "1e-320"))  # a subnormal reactance
 @example(("lines", 2, 0, 1))  # a repeated line id
 @example(("buses", 3, 0, "Z9"))  # a line end and the slack on a missing bus
-def test_an_edited_input_cell_exits_with_a_documented_code(tmp_path_factory, edit):
+def test_an_edited_input_cell_exits_with_a_documented_code(tmp_path_factory, case, edit):
     key, row, column, value = edit
-    config, _ = _study(tmp_path_factory.mktemp("cell"), cases.triangle_case())
+    config, _ = _study(tmp_path_factory.mktemp("cell"), getattr(cases, case)())
     inputs = json.loads(config.read_text(encoding="utf-8"))["inputs"]
     _edit_cell(Path(inputs[key]), row, column, value)
     _exits_cleanly(config)
 
 
+@FUZZED_CASES
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.sampled_from(CONFIG_KEYS), st.sampled_from(EDGE_VALUES))
 @example("system_base_mva", 1e-320)
 @example("slack_bus", "Z9")
-def test_an_edited_config_value_exits_with_a_documented_code(tmp_path_factory, key, value):
-    config, _ = _study(tmp_path_factory.mktemp("config"), cases.triangle_case())
+def test_an_edited_config_value_exits_with_a_documented_code(
+    tmp_path_factory, case, key, value
+):
+    config, _ = _study(tmp_path_factory.mktemp("config"), getattr(cases, case)())
     study = json.loads(config.read_text(encoding="utf-8"))
     study[key] = value
     config.write_text(json.dumps(study), encoding="utf-8")

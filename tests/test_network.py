@@ -17,13 +17,12 @@ from pfcplan.network import (
     NetworkDataError,
     NetworkModel,
     SeasonCalendar,
-    effective_rating,
     filter_monitored_lines,
     load_network,
     save_network,
 )
 
-from conftest import connected_components, graph_bridges, two_bus_model
+from conftest import connected_components, effective_rating, graph_bridges, two_bus_model
 
 
 def _write(path, text):

@@ -18,12 +18,14 @@ and its kept systems against the COO assembly reduced by ``np.ix_``, Stage 3's l
 bisection of each pair group on its own (and its flow at zero increase
 against the group's full unscaled solve), one ``candidate_locations``
 ranking over several contingencies against the union of its
-single-contingency rankings, and ``assess_target`` as a whole against a
+single-contingency rankings and against the per-line loop it replaced
+(``reference_candidate_locations``, also on every target of the bundled
+cases), and ``assess_target`` as a whole against a
 Stage 3 on fresh reference solves (also on four targets of the benchmark's
 8x9 lattice). Merit-order dispatch, a year
 and a single hour, is checked against the scalar per-hour solve on random
 fleets, and ``network.effective_ratings`` against the scalar
-``effective_rating``. The references are kept here.
+``effective_rating`` of ``conftest``. The other references are kept here.
 """
 
 import dataclasses
@@ -54,10 +56,12 @@ from pfcplan.dispatch import (
 )
 from pfcplan.network import (
     HOURS_PER_YEAR, Bus, DisconnectedNetworkError, Generator, Line, NetworkModel,
-    SeasonCalendar, effective_rating, effective_ratings,
+    SeasonCalendar, effective_ratings,
 )
 from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
-from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
+from pfcplan.shift_factors import (
+    compute_lodf, compute_ptdf, line_transfer_factors, post_contingency_flows,
+)
 
 from conftest import (
     assert_producers_keep_record_order,
@@ -65,10 +69,12 @@ from conftest import (
     concat_records,
     connected_components,
     dense_dc_flows,
+    effective_rating,
     fleet_model,
     graph_bridges,
     pair_group,
     records_from_rows,
+    reduced_matrix,
     same_records,
 )
 
@@ -650,10 +656,10 @@ def _same_bits(a, b) -> bool:
 def assert_reference_factors(got: SusceptanceSystem, ref: SusceptanceSystem) -> None:
     """The matrix, read-only, and its LU are the reference ``splu``'s bits:
     the same permutations and the same L and U factors."""
-    reduced = got.reduced
-    assert reduced.shape == ref.reduced.shape
+    reduced, expected = reduced_matrix(got), reduced_matrix(ref)
+    assert reduced.shape == expected.shape
     for attr in ("data", "indices", "indptr"):
-        assert _same_bits(getattr(reduced, attr), getattr(ref.reduced, attr)), attr
+        assert _same_bits(getattr(reduced, attr), getattr(expected, attr)), attr
         assert not getattr(reduced, attr).flags.writeable, attr
     assert _same_bits(got.lu.perm_r, ref.lu.perm_r)
     assert _same_bits(got.lu.perm_c, ref.lu.perm_c)
@@ -1101,6 +1107,67 @@ def test_one_candidate_ranking_is_the_union_of_single_contingency_rankings(case)
     assert {c.target_line for c in got} <= {target}
     assert [(c.pfc_line, float.hex(c.score)) for c in got] == (
         union_of_single_contingency_candidates(target, lodf, ptdf, model, contingencies)
+    )
+
+
+def reference_candidate_locations(target, lodf, ptdf, model, contingencies):
+    """``candidate_locations`` one line at a time: per contingency, every
+    other line's |phi(t, c)| raises its best score when above
+    ``SENSITIVITY_TOL``, and the target keeps its largest 1 - phi(t, t).
+    (host, float.hex(score)) pairs, strongest first, the target winning ties."""
+    line_ids = ptdf.line_ids
+    t = line_ids.index(target)
+    phi = line_transfer_factors(ptdf, model)
+    best = {}
+    for contingency in contingencies:
+        if contingency is None:
+            phi_t = phi[t, :]
+        else:
+            k = line_ids.index(contingency)
+            phi_t = phi[t, :] + lodf.matrix[t, k] * phi[k, :]
+        self_factor = float(phi_t[t])
+        if self_factor >= 1.0 - siting.SENSITIVITY_TOL:
+            continue
+        best[target] = max(best.get(target, 0.0), 1.0 - self_factor)
+        for c, lid in enumerate(line_ids):
+            coupling = abs(float(phi_t[c]))
+            if lid not in (target, contingency) and coupling > max(
+                siting.SENSITIVITY_TOL, best.get(lid, 0.0)
+            ):
+                best[lid] = coupling
+    ranked = sorted(best, key=lambda host: (-best[host], host != target, host))
+    return [(host, float.hex(best[host])) for host in ranked]
+
+
+def assert_candidates_are_the_reference(target, lodf, ptdf, model, contingencies):
+    got = siting.candidate_locations(target, lodf, ptdf, model, contingencies)
+    assert [(c.pfc_line, float.hex(c.score)) for c in got] == (
+        reference_candidate_locations(target, lodf, ptdf, model, contingencies)
+    ), (target, contingencies)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_candidate_ranking_is_the_per_line_reference_on_the_bundled_cases(name):
+    """Every target, under the intact network and every outage that islands
+    nothing: each alone, all at once, and every third of them."""
+    model = getattr(cases, name)().model
+    ptdf = compute_ptdf(build_system(model), model)
+    lodf = compute_lodf(ptdf, model)
+    outages = sorted(set(model.in_service_line_ids) - model.bridges)
+    for target in model.in_service_line_ids:
+        others = [None] + [k for k in outages if k != target]
+        for contingencies in ([[k] for k in others] + [others, others[::3], others[1::3]]):
+            assert_candidates_are_the_reference(target, lodf, ptdf, model, contingencies)
+
+
+@SETTINGS
+@given(candidate_rankings())
+@example((_model(PARALLEL), "L3", [None, "L12"]))
+def test_candidate_ranking_is_the_per_line_reference_on_meshes(case):
+    model, target, contingencies = case
+    ptdf = compute_ptdf(build_system(model), model)
+    assert_candidates_are_the_reference(
+        target, compute_lodf(ptdf, model), ptdf, model, contingencies
     )
 
 

@@ -326,7 +326,7 @@ def test_overloads_csv_round_trips_bits(tmp_path_factory, data):
         OverloadRecords(tuple(ids), line, hour, contingency, loading, excess, over)
     )
     tmp = tmp_path_factory.mktemp("records")
-    write_workbook(records, [], {}, tmp)
+    write_workbook(records, [], tmp)
     back = read_overloads_csv(tmp / "overloads.csv")
     assert list(back) == list(records)
     for name in ("hour", "loading_pct", "excess_mw", "overload"):

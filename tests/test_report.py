@@ -7,12 +7,13 @@ import pytest
 from pfcplan import cases
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 from pfcplan.report import ReportConsistencyError, build_report, emit
-from pfcplan.screening import LineSummary, OverloadRecord
+from pfcplan.screening import LineSummary, OverloadRecord, region_counts, summarize
 from pfcplan.siting import (
     FULLY_RESOLVED,
     NO_CHANGE,
     PARTIALLY_RESOLVED,
     PfcOutcome,
+    rank_targets,
 )
 
 from conftest import records_from_rows
@@ -47,6 +48,20 @@ def _summary(line_id, region, overload_hours=5):
     )
 
 
+def _overloads(*line_ids):
+    """One overload record on each of ``line_ids``, in hour 5 of the intact network."""
+    return [OverloadRecord(lid, 5, None, 110.0, 8.5, "overload") for lid in line_ids]
+
+
+def _report(model, rows=(), outcomes=(), summaries=None):
+    """The report of ``rows`` (OverloadRecord rows) and ``outcomes``; the
+    summaries are the records' own unless given."""
+    records = records_from_rows(rows)
+    if summaries is None:
+        summaries = summarize(records, model)
+    return build_report(summaries, list(outcomes), model, PARAMS, records, {}, "t", "0" * 64)
+
+
 def _regional_model():
     buses = tuple(
         Bus(f"B{i}", f"B{i}", 110.0, region)
@@ -67,25 +82,26 @@ def _regional_model():
 
 
 def test_empty_study_zero_counts():
-    report = build_report([], [], cases.triangle(), PARAMS)
-    assert report.regional == {}
+    report = _report(cases.triangle())
+    assert region_counts(report.line_durations) == []
     assert report.screening_stats["overloaded_lines"] == 0
     assert report.breakdown_pct == {
         "FullyResolved": 0.0, "NoChange": 0.0, "PartiallyResolved": 0.0
     }
     assert report.line_durations == [] and report.pfc_rows == []
+    assert report.ranking_rows == ()
 
 
-def test_regional_counts():
-    model = _regional_model()
-    summaries = [
-        _summary("L1", "West"),
-        _summary("L2", "West"),
-        _summary("L3", "West"),
-        _summary("L4", "East"),
-    ]
-    report = build_report(summaries, [], model, PARAMS)
-    assert report.regional == {"East": 1, "West": 3}
+def test_regional_counts(tmp_path):
+    # L1-L3 leave West buses and L5 an East one; the near-only L6 counts nowhere
+    rows = _overloads("L1", "L2", "L3", "L5")
+    rows.append(OverloadRecord("L6", 5, None, 95.0, 0.0, "near"))
+    emit(_report(_regional_model(), rows), tmp_path, [], timestamp="T0")
+    summary = json.loads((tmp_path / "report" / "summary.json").read_text())
+    assert summary["regional_overloaded_lines"] == {"East": 1, "West": 3}
+    assert summary["screening"]["overloaded_lines"] == 4
+    csv = (tmp_path / "report" / "region_summary.csv").read_text()
+    assert csv.splitlines() == ["region,overloaded_lines", "East,1", "West,3"]
 
 
 def test_breakdown_percentages():
@@ -94,34 +110,34 @@ def test_breakdown_percentages():
         + [_outcome(f"LP{i}", PARTIALLY_RESOLVED) for i in range(3)]
         + [_outcome(f"LN{i}", NO_CHANGE) for i in range(2)]
     )
-    report = build_report([], outcomes, cases.triangle(), PARAMS)
+    report = _report(cases.triangle(), outcomes=outcomes)
     assert report.breakdown_pct == {
         "FullyResolved": 50.0,
         "PartiallyResolved": 30.0,
         "NoChange": 20.0,
     }
+    assert report.ranking_rows == rank_targets(outcomes)
 
 
 def test_summary_mismatch_is_hard_error():
     model = cases.triangle()
-    records = records_from_rows(
-        [OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload")]
-    )
+    rows = [OverloadRecord("L12", 5, "L13", 110.0, 8.5, "overload")]
     wrong = [_summary("L12", model.bus_by_id["B1"].region, overload_hours=99)]
-    with pytest.raises(ReportConsistencyError):
-        build_report(wrong, [], model, PARAMS, records=records)
+    with pytest.raises(ReportConsistencyError, match="do not match the raw overload records"):
+        _report(model, rows, summaries=wrong)
+    # summaries without the records they roll up are just as wrong
+    with pytest.raises(ReportConsistencyError, match="do not match the raw overload records"):
+        _report(model, summaries=wrong)
 
 
 def test_unknown_line_in_summary_is_hard_error():
-    with pytest.raises(ReportConsistencyError):
-        build_report([_summary("L99", "West")], [], cases.triangle(), PARAMS)
+    with pytest.raises(ReportConsistencyError, match="unknown line L99"):
+        _report(cases.triangle(), summaries=[_summary("L99", "West")])
 
 
 def test_emit_with_charts_single_bar(tmp_path):
-    model = cases.triangle()
-    summaries = [_summary("L12", model.bus_by_id["B1"].region)]
-    report = build_report(summaries, [], model, PARAMS)
-    emit(report, tmp_path)
+    report = _report(cases.triangle(), _overloads("L12"))
+    emit(report, tmp_path, [])
     svg = (tmp_path / "report" / "charts" / "duration_per_line.svg").read_text()
     assert svg.count("<rect") == 2  # background plus exactly one bar
     assert "L12" in svg
@@ -134,10 +150,8 @@ def test_charts_stay_well_formed_for_a_line_id_with_markup(tmp_path):
         dataclasses.replace(ln, id=odd) if ln.id == "L1" else ln for ln in model.lines
     )
     model = dataclasses.replace(model, lines=lines)
-    report = build_report(
-        [_summary(odd, "West")], [_outcome(odd, FULLY_RESOLVED)], model, PARAMS
-    )
-    emit(report, tmp_path)
+    report = _report(model, _overloads(odd), [_outcome(odd, FULLY_RESOLVED)])
+    emit(report, tmp_path, [])
     charts = tmp_path / "report" / "charts"
     texts = {
         name: [t.text for t in ET.parse(charts / name).iter(f"{SVG}text")]
@@ -148,11 +162,9 @@ def test_charts_stay_well_formed_for_a_line_id_with_markup(tmp_path):
 
 
 def test_emit_deterministic_with_pinned_timestamp(tmp_path):
-    model = cases.triangle()
-    summaries = [_summary("L12", model.bus_by_id["B1"].region)]
-    report = build_report(summaries, [_outcome("L12", FULLY_RESOLVED)], model, PARAMS)
-    emit(report, tmp_path / "a", timestamp="T0")
-    emit(report, tmp_path / "b", timestamp="T0")
+    report = _report(cases.triangle(), _overloads("L12"), [_outcome("L12", FULLY_RESOLVED)])
+    emit(report, tmp_path / "a", [], timestamp="T0")
+    emit(report, tmp_path / "b", [], timestamp="T0")
     files_a = sorted(p for p in (tmp_path / "a").rglob("*") if p.is_file())
     files_b = sorted(p for p in (tmp_path / "b").rglob("*") if p.is_file())
     assert [p.relative_to(tmp_path / "a") for p in files_a] == [
@@ -163,9 +175,9 @@ def test_emit_deterministic_with_pinned_timestamp(tmp_path):
 
 
 def test_emit_differs_only_in_timestamp(tmp_path):
-    report = build_report([], [], cases.triangle(), PARAMS)
-    emit(report, tmp_path / "a", timestamp="T0")
-    emit(report, tmp_path / "b", timestamp="T1")
+    report = _report(cases.triangle())
+    emit(report, tmp_path / "a", [], timestamp="T0")
+    emit(report, tmp_path / "b", [], timestamp="T1")
     sa = json.loads((tmp_path / "a" / "report" / "summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "report" / "summary.json").read_text())
     assert sa.pop("generated_at") != sb.pop("generated_at")
@@ -179,8 +191,7 @@ def test_emit_differs_only_in_timestamp(tmp_path):
 def test_manifest_checksums_verify(tmp_path):
     import hashlib
 
-    report = build_report([], [], cases.triangle(), PARAMS, scenario="t")
-    manifest = emit(report, tmp_path, timestamp="T0")
+    manifest = emit(_report(cases.triangle()), tmp_path, [], timestamp="T0")
     for entry in manifest:
         data = (tmp_path / entry["file"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]

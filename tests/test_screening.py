@@ -22,14 +22,15 @@ from pfcplan.network import (
     Generator,
     Line,
     NetworkModel,
-    effective_rating,
 )
 from pfcplan.screening import (
     BaseFlows,
     OverloadRecord,
     OverloadRecords,
+    RegionCount,
     _hits,
     read_overloads_csv,
+    region_counts,
     stage1_scan,
     stage2_scan,
     summarize,
@@ -38,8 +39,8 @@ from pfcplan.screening import (
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 from conftest import (
-    assert_producers_keep_record_order, concat_records, in_record_order, records_from_rows,
-    same_records, summarize_by_sorting,
+    assert_producers_keep_record_order, concat_records, effective_rating, in_record_order,
+    records_from_rows, same_records, summarize_by_sorting,
 )
 
 
@@ -254,8 +255,8 @@ def test_stage1_rejects_unbalanced_dispatch_with_hour_context():
 
 
 def test_summarize_empty():
-    summaries, regional = summarize(records_from_rows([]), cases.triangle())
-    assert summaries == [] and regional == {}
+    summaries = summarize(records_from_rows([]), cases.triangle())
+    assert summaries == [] and region_counts(summaries) == []
 
 
 def test_summarize_distinct_hours_and_contingency_count():
@@ -266,7 +267,7 @@ def test_summarize_distinct_hours_and_contingency_count():
         OverloadRecord("L12", 9, "L13", 102.0, 1.7, "overload"),
         OverloadRecord("L12", 7, None, 95.0, 0.0, "near"),
     ])
-    summaries, regional = summarize(records, model)
+    summaries = summarize(records, model)
     assert len(summaries) == 1
     s = summaries[0]
     assert s.overload_hours == 2  # hours 5 and 9, not three record pairs
@@ -275,7 +276,7 @@ def test_summarize_distinct_hours_and_contingency_count():
     assert s.max_loading_pct == 110.0
     # hour 5 counts its worst excess once
     assert s.overload_energy_mwh == pytest.approx(8.5 + 1.7)
-    assert regional == {model.bus_by_id["B1"].region: 1}
+    assert region_counts(summaries) == [RegionCount(model.bus_by_id["B1"].region, 1)]
 
 
 def test_summarize_2750_hour_line():
@@ -286,7 +287,7 @@ def test_summarize_2750_hour_line():
     ptdf = compute_ptdf(system, case.model)
     lodf = compute_lodf(ptdf, case.model)
     records = stage2_scan(base, lodf, case.model, case.calendar, intact=rec1)
-    summaries, _ = summarize(records, case.model)
+    summaries = summarize(records, case.model)
     target = next(s for s in summaries if s.line_id == "L13a")
     assert target.overload_hours == 2750
 
@@ -294,9 +295,9 @@ def test_summarize_2750_hour_line():
 def test_near_only_line_not_in_regional_rollup():
     model = cases.triangle()
     records = records_from_rows([OverloadRecord("L12", 5, None, 95.0, 0.0, "near")])
-    summaries, regional = summarize(records, model)
+    summaries = summarize(records, model)
     assert summaries[0].overload_hours == 0
-    assert regional == {}
+    assert region_counts(summaries) == []
 
 
 # -- properties over a real study year -------------------------------------------
@@ -372,7 +373,7 @@ def test_record_stream_deterministic_and_ordered(mesh6_scan):
 
 def test_overload_energy_matches_record_recomputation(mesh6_scan, mesh6_records):
     case = mesh6_scan[0]
-    summaries, _ = summarize(mesh6_records, case.model)
+    summaries = summarize(mesh6_records, case.model)
     for s in summaries:
         worst = {}
         for r in mesh6_records:
@@ -385,8 +386,7 @@ def test_overload_energy_matches_record_recomputation(mesh6_scan, mesh6_records)
 def test_workbook_roundtrip(tmp_path, mesh6_scan, mesh6_records):
     case, _, _, rec1, _, _, _ = mesh6_scan
     records = mesh6_records
-    summaries, regional = summarize(records, case.model)
-    files = write_workbook(records, summaries, regional, tmp_path)
+    files = write_workbook(records, summarize(records, case.model), tmp_path)
     assert len(files) == 5
     again = read_overloads_csv(tmp_path / "overloads.csv")
     assert list(again) == list(records)
@@ -599,10 +599,9 @@ WIDE = _rollup_records(65_537, [
 @example(WIDE)
 def test_summarize_matches_the_sorting_reference_bit_for_bit(records):
     model = _regions(records.line_ids)
-    got, regional = summarize(records, model)
-    expected, expected_regional = summarize_by_sorting(records, model)
+    got = summarize(records, model)
+    expected = summarize_by_sorting(records, model)
     assert [_hex(s) for s in got] == [_hex(s) for s in expected]
-    assert regional == expected_regional
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])

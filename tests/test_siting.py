@@ -6,7 +6,7 @@ import pytest
 from pfcplan import cases
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
-from pfcplan.network import HOURS_PER_YEAR, effective_rating
+from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.screening import OverloadRecord, stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
@@ -22,7 +22,7 @@ from pfcplan.siting import (
     rank_targets,
 )
 
-from conftest import graph_bridges, min_reactance_increase, records_from_rows
+from conftest import effective_rating, graph_bridges, min_reactance_increase, records_from_rows
 
 
 def _factors(model):

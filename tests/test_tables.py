@@ -110,7 +110,7 @@ NEGATIVE_ZERO = OverloadRecords(
 @example(NEGATIVE_ZERO)
 def test_overloads_csv_matches_csv_writer(tmp_path_factory, records):
     tmp = tmp_path_factory.mktemp("records")
-    write_workbook(records, [], {}, tmp)
+    write_workbook(records, [], tmp)
     reference_write_rows(tmp / "ref.csv", OVERLOAD_COLUMNS, records)
     assert (tmp / "overloads.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
