@@ -38,7 +38,7 @@ from .network import (
     filter_monitored_lines,
     load_network,
 )
-from .tables import number
+from .tables import left_sum, number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -138,7 +138,7 @@ class Study:
         if "year" in vars(self):
             year = self.year
             infeasible = len(year.infeasible_hours)
-            total = float(sum(year.curtailed_mw.tolist()))  # the writer's sum
+            total = left_sum(year.curtailed_mw.tolist())  # the writer's sum
         else:
             path = Path(self.cfg.out_dir) / "dispatch_summary.json"
             summary = json.loads(path.read_text())

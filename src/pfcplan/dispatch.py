@@ -42,7 +42,7 @@ import numpy as np
 
 from .network import BALANCE_TOL_MW, HOURS_PER_YEAR, NetworkModel
 from .tables import (
-    CHUNK_ROWS, column_lines, float_cells, number, read_chunks, read_columns, text,
+    CHUNK_ROWS, column_lines, float_cells, left_sum, number, read_chunks, read_columns, text,
     text_cell, write_columns,
 )
 
@@ -388,9 +388,8 @@ def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> N
         "snsp_cap": year.snsp_cap,
         "config_hash": config_hash,
         "infeasible_hours": list(year.infeasible_hours),
-        # summed in hour order, as a Python sum, so the digits do not depend
-        # on numpy's pairwise summation
-        "total_curtailment_mwh": float(sum(curtailed)),
+        # one left fold in hour order, so the digits depend on no version
+        "total_curtailment_mwh": left_sum(curtailed),
         "curtailment_mwh": curtailed,
         "snsp": year.snsp.tolist(),
     }

@@ -40,10 +40,17 @@ indices as int32) in record order: by hour, then contingency id (intact
 first), then line id. Their producers hand them over in that order. The hit
 kernel yields hits by line id, then hour, and one stable radix pass by hour
 column orders them: ``stage1_scan`` makes it over its hits, and
-``stage2_scan(..., intact=...)`` over Stage 1's records followed by each
-outage's hits, so the screen's records are assembled once. ``summarize``
-reads its rollups from the run boundaries of radix passes by line and by
-contingency. Above 65,536 line ids both fall back to a comparison sort.
+``stage2_scan(..., intact=...)`` over each block of hours: the block's Stage 1
+records followed by each outage's hits, so the screen's records are assembled
+once. A block is ``dcflow.BLOCK_CELLS`` x screened outages / kept pairs hours
+wide, at least one, so a (block, outage) call checks about ``BLOCK_CELLS``
+cells on average and the blocks stay few. The blocks arrive in record order:
+each column is filled from them into one array, and no order or gathered copy
+the size of the record set is held. ``summarize`` reads the records in slices
+cut where an hour starts, each with one radix pass by line whose run
+boundaries give its rollups; each line's energy is one left fold continued
+from slice to slice, so it keeps the bits of one fold over the year. Above
+65,536 line ids the radix passes fall back to a comparison sort.
 ``region_counts``, the summaries' overloaded lines by region, is the one
 source of every region count: workbook, report and the screen's stdout.
 
@@ -72,7 +79,7 @@ from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .shift_factors import LodfMatrix
 from .tables import (
-    CHUNK_ROWS, float_cells, number, read_columns, select, text, text_cell, write_columns,
+    CHUNK_ROWS, float_cells, left_sum, number, read_columns, select, text, text_cell, write_columns,
     write_csv,
 )
 
@@ -236,32 +243,48 @@ class BaseFlows:
     line_ids: tuple[str, ...]
 
 
-def _hits(flows_t, lines, summer, winter, is_summer, near_pct, overload_pct):
-    """Every loading above ``near_pct`` in ``flows_t``, the flows of
-    ``lines`` laid out lines x hours, which it overwrites with |f|.
+class _Rows(NamedTuple):
+    """The lines one hit-kernel call checks, one per row of its flows: each
+    line's index, its floor and its two effective ratings."""
 
-    ``summer`` and ``winter`` are the effective ratings of every line and
+    line: np.ndarray
+    floor: np.ndarray
+    summer: np.ndarray
+    winter: np.ndarray
+
+
+def _rows(lines, summer, winter, near_pct) -> _Rows:
+    """``lines`` with their floors, near% of the lower effective rating less
+    ``PRUNE_MARGIN``, and their ratings from ``summer`` and ``winter`` (one
+    entry per line of the model)."""
+    summer, winter = summer[lines], winter[lines]
+    floor = np.minimum(summer, winter) * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
+    return _Rows(lines, floor, summer, winter)
+
+
+def _hits(flows_t, rows: _Rows, is_summer, near_pct, overload_pct):
+    """Every loading above ``near_pct`` in ``flows_t``, the flows of the
+    lines of ``rows`` laid out lines x hours, which it overwrites with |f|.
+
     ``is_summer`` marks the summer hours (columns). Only the cells whose |f|
-    exceeds the line's floor, near% of its lower rating less ``PRUNE_MARGIN``,
-    are loaded: a record needs fl(fl(100 |f|) / r) > near, so
-    |f| > near r / 100 (1 - 2^-51), and the margin is far above that
-    rounding. Returns the number of those cells and, per record, its line,
-    hour column, loading, excess (0 for near records) and class.
+    exceeds the row's floor are loaded: a record needs
+    fl(fl(100 |f|) / r) > near, so |f| > near r / 100 (1 - 2^-51), and the
+    margin is far above that rounding. Returns the number of those cells
+    and, per record, its line, hour column, loading, excess (0 for near
+    records) and class.
     """
     magnitude = np.abs(flows_t, out=flows_t)
-    floor = np.minimum(summer, winter)[lines] * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
     # the cells above the floor in row-major order, as np.nonzero gives them
-    cells = np.flatnonzero(magnitude > floor[:, None])
-    rows, cols = np.divmod(cells, magnitude.shape[1])
+    cells = np.flatnonzero(magnitude > rows.floor[:, None])
+    row, cols = np.divmod(cells, magnitude.shape[1])
     a = magnitude.ravel()[cells]
-    line = lines[rows]
-    r = np.where(is_summer[cols], summer[line], winter[line])
+    r = np.where(is_summer[cols], rows.summer[row], rows.winter[row])
     pct = 100.0 * a / r
     hit = np.flatnonzero(pct > near_pct)
     pct = pct[hit]
     over = pct > overload_pct
     excess = np.where(over, a[hit] - r[hit], 0.0)
-    return len(cells), line[hit], cols[hit].astype(np.int32), pct, excess, over
+    return len(cells), rows.line[row[hit]], cols[hit].astype(np.int32), pct, excess, over
 
 
 def _by_id(line_ids: tuple[str, ...]) -> list[int]:
@@ -285,9 +308,32 @@ def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
 
 
+def _filled(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``parts`` end to end in one new array, each part freed once copied."""
+    column = np.empty(sum(map(len, parts)), dtype=dtype)
+    end = 0
+    while parts:
+        part = parts.pop(0)
+        column[end : end + len(part)] = part
+        end += len(part)
+        del part
+    return column
+
+
+def _hour_slices(hour: np.ndarray, size: int) -> list[slice]:
+    """Slices of about ``size`` rows of ``hour`` (ascending), each cut where
+    an hour starts."""
+    cuts = np.searchsorted(hour, hour[::size]).tolist() + [len(hour)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """Where each run of rows equal in every one of ``columns`` (all >= 0) starts."""
-    return np.flatnonzero(np.logical_or.reduce([np.diff(c, prepend=-1) != 0 for c in columns]))
+    """Where each run of rows equal in every one of ``columns`` starts."""
+    start = np.zeros(len(columns[0]), dtype=bool)
+    start[:1] = True
+    for column in columns:
+        start[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(start)
 
 
 def stage1_scan(
@@ -323,7 +369,8 @@ def stage1_scan(
     # the monitored rows a block at a time, in line-id order
     rows = max(1, dcflow.BLOCK_CELLS // max(len(hours), 1))
     blocks = [
-        _hits(flows_t[block], block, summer, winter, is_summer, near_pct, overload_pct)[1:]
+        _hits(flows_t[block], _rows(block, summer, winter, near_pct), is_summer, near_pct,
+              overload_pct)[1:]
         for block in np.split(columns, range(rows, len(columns), rows))
     ]
     line, cols, pct, excess, over = map(np.concatenate, zip(*blocks))
@@ -386,9 +433,9 @@ def stage2_scan(
     kept = screened_pairs(base, lodf, seasons, near_pct)
     flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
 
-    # per column, the intact records and then each outage's hits, hours as columns
-    pieces = {name: [getattr(intact, name)] for name in _RECORD_COLUMNS}
-    pieces["hour"] = [at]
+    # each screened outage once: its kept lines, their floors and ratings, and
+    # their LODF entries
+    outages = []
     screened = skipped = n_kept = n_pairs = n_cells = 0
     for k in _by_id(base.line_ids):
         if lodf.islanding[k]:
@@ -398,30 +445,50 @@ def stage2_scan(
         screened += 1
         n_kept += len(cols)
         n_pairs += len(columns) - int(k in columns)
-        post = flows_t[cols]
-        post += lodf.matrix[cols, k, None] * flows_t[k]
-        cells, line, hour, pct, excess, over = _hits(
-            post, cols, summer, winter, is_summer, near_pct, overload_pct
-        )
-        n_cells += cells
-        ctg = np.full(len(line), k, dtype=np.int32)
-        for name, piece in zip(_RECORD_COLUMNS, (line, hour, ctg, pct, excess, over)):
-            pieces[name].append(piece)
+        if len(cols):
+            outages.append((k, _rows(cols, summer, winter, near_pct), lodf.matrix[cols, k, None]))
+    # blocks of hours holding about BLOCK_CELLS kept cells per outage
+    n_hours = len(base.hours)
+    width = dcflow.BLOCK_CELLS * screened // n_kept if n_kept else n_hours
+    width = max(1, min(width, n_hours))
+    starts = range(0, n_hours, width)
+    ends = [*starts[1:], n_hours]
+    firsts = np.searchsorted(at, starts).tolist()  # each block's first intact record
+    hours = base.hours.astype(np.int32)
+
+    pieces = {name: [] for name in _RECORD_COLUMNS}  # per column, one piece per block
+    for c0, c1, i0, i1 in zip(starts, ends, firsts, firsts[1:] + [len(at)]):
+        # the block's intact records in record order, then each outage's hits
+        # (outages in id order) by line id, then hour; hours as block columns
+        block = {name: [getattr(intact, name)[i0:i1]] for name in _RECORD_COLUMNS}
+        block["hour"] = [at[i0:i1] - c0]
+        for k, rows, factors in outages:
+            post = flows_t[rows.line, c0:c1]
+            post += factors * flows_t[k, c0:c1]
+            cells, line, col, pct, excess, over = _hits(
+                post, rows, is_summer[c0:c1], near_pct, overload_pct
+            )
+            n_cells += cells
+            ctg = np.full(len(line), k, dtype=np.int32)
+            for name, piece in zip(_RECORD_COLUMNS, (line, col, ctg, pct, excess, over)):
+                block[name].append(piece)
+        # a stable pass by hour puts the block in record order
+        col = np.concatenate(block.pop("hour"))
+        order = _stable_order(col, c1 - c0)
+        pieces["hour"].append(hours[c0:c1][col[order]])
+        for name in list(block):  # one column at a time, its pieces freed
+            pieces[name].append(np.concatenate(block.pop(name))[order])
     del flows_t
-    # the intact records in record order, then each outage's hits (outages in
-    # id order) in (line id, hour) order: a stable pass by hour orders them all
-    column = np.concatenate(pieces.pop("hour"))
-    order = _stable_order(column, len(base.hours))
-    joined = {"hour": base.hours.astype(np.int32)[column[order]]}
-    del column
-    for name in list(pieces):  # one column at a time, its pieces freed
-        joined[name] = np.concatenate(pieces.pop(name))[order]
-    records = OverloadRecords(base.line_ids, **joined)
+    # the blocks follow each other in record order
+    records = OverloadRecords(base.line_ids, **{
+        name: _filled(pieces.pop(name), dtype) for name, dtype in _RECORD_COLUMNS.items()
+    })
     log.info(
         "stage 2: %d outages screened, %d bridge outages skipped, "
-        "%d of %d (line, outage) pairs kept, %d pair-hours above the floor, "
-        "%d records",
-        screened, skipped, n_kept, n_pairs, n_cells, len(records) - len(intact),
+        "%d of %d (line, outage) pairs kept, %d x %d-hour blocks, "
+        "%d pair-hours above the floor, %d records",
+        screened, skipped, n_kept, n_pairs, len(starts), width, n_cells,
+        len(records) - len(intact),
     )
     return records
 
@@ -431,45 +498,79 @@ def summarize(records: OverloadRecords, model: NetworkModel) -> list[LineSummary
 
     Duration counts distinct overloaded hours (not record pairs); the energy
     rollup takes the worst excess per overloaded hour so parallel contingencies
-    in one hour are not double counted. It is summed in hour order by Python's
-    ``sum``: numpy's pairwise sum could change the last digits.
+    in one hour are not double counted.
+
+    The records are read in slices of about ``dcflow.BLOCK_CELLS`` records
+    cut at hour boundaries, so no (line, hour) pair spans two slices. One
+    stable radix pass by line leaves each line's rows of a slice in record
+    order, so by hour, and the run boundaries give each line's running peak
+    loading, its overloaded and near (line, hour) runs, counted slice by
+    slice, and the worst excess of each overloaded hour. A boolean matrix of
+    the lines by the outages that overload one marks each (line, outage)
+    pair once. Each line's energy is one left fold from 0.0 over its worst
+    excesses in hour order (``left_sum``), continued from slice to slice:
+    the additions and their order are those of one fold over the year, so
+    the bits depend neither on the slices nor on the Python version (``sum``
+    compensates float sums from 3.12) nor on numpy's pairwise summation.
     """
     if not len(records):
         return []
     n_ids = len(records.line_ids)
-    # the records by line, each line's in record order, so by hour
-    by_line = _stable_order(records.line, n_ids)
-    line, hour, over = records.line[by_line], records.hour[by_line], records.overload[by_line]
-    starts = _run_starts(line)
-    lines, max_loading = line[starts], np.maximum.reduceat(records.loading_pct[by_line], starts)
-    # one run per overloaded (line, hour) with its worst excess, one per near (line, hour)
-    over_rows, over_line, near_line = by_line[over], line[over], line[~over]
-    pairs = _run_starts(over_line, hour[over])
-    overload_hours = np.bincount(over_line[pairs], minlength=n_ids)
-    worst = np.maximum.reduceat(records.excess_mw[over_rows], pairs)
-    near_hours = np.bincount(near_line[_run_starts(near_line, hour[~over])], minlength=n_ids)
-    # the overloading outages by contingency: one run per (contingency, line) pair
-    ctg = records.contingency[over_rows]
-    outage = ctg >= 0
-    by_ctg = _stable_order(ctg[outage], n_ids)
-    ctg, ctg_line = ctg[outage][by_ctg], over_line[outage][by_ctg]
-    contingency_count = np.bincount(ctg_line[_run_starts(ctg, ctg_line)], minlength=n_ids)
-    # each line's worst excess per overloaded hour, in hour order, never below 0
-    worst = np.maximum(worst, 0.0).tolist()
-    ends = np.cumsum(overload_hours).tolist()
+    parts = _hour_slices(records.hour, dcflow.BLOCK_CELLS)
+    # the matrix's rows and columns: the lines with an overload record and
+    # the outages that overload a line (the intact network's -1 marks the
+    # spare last entry)
+    lines_hit, outages_hit = np.zeros(n_ids, dtype=bool), np.zeros(n_ids + 1, dtype=bool)
+    for part in parts:
+        rows = np.flatnonzero(records.overload[part])
+        lines_hit[records.line[part][rows]] = outages_hit[records.contingency[part][rows]] = True
+    row, col = np.cumsum(lines_hit) - 1, np.cumsum(outages_hit[:-1]) - 1
+    outages = np.zeros((row[-1] + 1, col[-1] + 1), dtype=bool)
+
+    peak = np.full(n_ids, -np.inf)
+    overload_hours, near_hours = np.zeros(n_ids, dtype=np.int64), np.zeros(n_ids, dtype=np.int64)
+    energy = [0.0] * n_ids
+    for part in parts:
+        # the slice by line, each line's rows in record order, so by hour
+        by_line = _stable_order(records.line[part], n_ids)
+        line, hour = records.line[part][by_line], records.hour[part][by_line]
+        starts = _run_starts(line)
+        lines = line[starts]
+        loading = np.maximum.reduceat(records.loading_pct[part][by_line], starts)
+        peak[lines] = np.maximum(peak[lines], loading)
+        # one run per near (line, hour), one per overloaded (line, hour)
+        over = records.overload[part][by_line]
+        near, over = np.flatnonzero(~over), np.flatnonzero(over)
+        near_line, over_line = line[near], line[over]
+        near_hours += np.bincount(near_line[_run_starts(near_line, hour[near])], minlength=n_ids)
+        pairs = _run_starts(over_line, hour[over])
+        over = by_line[over]  # the overload records, by line
+        # each (line, outage) pair of the overload records, marked once
+        ctg = records.contingency[part][over]
+        outage = np.flatnonzero(ctg >= 0)
+        outages[row[over_line[outage]], col[ctg[outage]]] = True
+        # each overloaded hour's worst excess, never below 0, folded onto its
+        # line's energy in hour order
+        worst = np.maximum.reduceat(records.excess_mw[part][over], pairs)
+        worst = np.maximum(worst, 0.0).tolist()
+        over_line = over_line[pairs]
+        overload_hours += np.bincount(over_line, minlength=n_ids)
+        ends = _run_starts(over_line).tolist() + [len(worst)]
+        for i, start, end in zip(over_line[ends[:-1]].tolist(), ends, ends[1:]):
+            energy[i] = left_sum(worst[start:end], energy[i])
+    contingency_count = np.zeros(n_ids, dtype=np.int64)
+    contingency_count[lines_hit] = outages.sum(axis=1)
 
     summaries = []
-    peak = dict(zip(lines.tolist(), max_loading.tolist()))
-    for i in sorted(peak, key=records.line_ids.__getitem__):
+    for i in sorted(np.flatnonzero(peak > -np.inf).tolist(), key=records.line_ids.__getitem__):
         line_id = records.line_ids[i]
-        n_over = int(overload_hours[i])
         summaries.append(
             LineSummary(
                 line_id=line_id,
-                overload_hours=n_over,
+                overload_hours=int(overload_hours[i]),
                 near_hours=int(near_hours[i]),
-                max_loading_pct=peak[i],
-                overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
+                max_loading_pct=float(peak[i]),
+                overload_energy_mwh=energy[i],
                 contingency_count=int(contingency_count[i]),
                 region=model.bus_by_id[model.line_by_id[line_id].from_bus].region,
             )

@@ -168,6 +168,16 @@ def float_cells(values) -> list[str]:
     return cells
 
 
+def left_sum(values, total: float = 0.0) -> float:
+    """``total`` plus each of ``values`` in turn, left to right: how every
+    written float sum is added. Python's ``sum`` compensates float sums from
+    3.12 on and numpy's adds pairwise, so the last digits of either depend
+    on the version."""
+    for value in values:
+        total += value
+    return total
+
+
 # -- input files -----------------------------------------------------------------
 
 

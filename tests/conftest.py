@@ -93,6 +93,16 @@ def assert_producers_keep_record_order(rec1, base, lodf, model, calendar, out_di
         same_records(records, in_record_order(records))
 
 
+def left_fold(values) -> float:
+    """The floats added one at a time from 0.0, left to right: the bits of
+    every written sum, whatever the Python version (its ``sum`` compensates
+    float sums from 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _group_max(keys: np.ndarray, values: np.ndarray):
     """The distinct non-negative keys, ascending, and each one's largest value."""
     order = np.argsort(keys, kind="stable")
@@ -131,7 +141,7 @@ def summarize_by_sorting(records: screening.OverloadRecords, model):
             overload_hours=n_over,
             near_hours=int(near_hours[i]),
             max_loading_pct=peak[i],
-            overload_energy_mwh=float(sum(worst[ends[i] - n_over : ends[i]])),
+            overload_energy_mwh=left_fold(worst[ends[i] - n_over : ends[i]]),
             contingency_count=int(contingency_count[i]),
             region=model.bus_by_id[model.line_by_id[line_id].from_bus].region,
         ))

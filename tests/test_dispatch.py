@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases, dcflow, dispatch, network
+from pfcplan import cases, cli, dcflow, dispatch, network
 from pfcplan.dispatch import (
     DemandProfile,
     DispatchInputError,
@@ -24,7 +24,7 @@ from pfcplan.dispatch import (
 )
 from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel
 
-from conftest import fleet_model
+from conftest import fleet_model, left_fold
 
 
 def _thermal(gid, p_max, srmc, p_min=0.0, bus="B1"):
@@ -402,7 +402,7 @@ def test_dispatch_summary_file_is_json_dump(tmp_path_factory, curtailed, snsp, s
     summary = {
         "schema_version": 1, "scenario": scenario, "snsp_cap": 0.65, "config_hash": "abc",
         "infeasible_hours": sorted(infeasible),
-        "total_curtailment_mwh": float(sum(year.curtailed_mw.tolist())),
+        "total_curtailment_mwh": left_fold(year.curtailed_mw.tolist()),
         "curtailment_mwh": year.curtailed_mw.tolist(), "snsp": year.snsp.tolist(),
     }
     expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -418,3 +418,19 @@ def test_summary_lays_out_empty_and_non_finite_lists_as_json_dumps(curtailed, sn
     text = io.StringIO()
     _dump_summary(summary, text)
     assert text.getvalue() == json.dumps(summary, indent=2, sort_keys=True)
+
+
+def test_total_curtailment_is_a_left_fold_in_hour_order(tmp_path):
+    # ten hours of 0.1 MW curtailed: added one at a time from 0.0 they give
+    # 0.9999999999999999, where Python's sum gives 1.0 from 3.12 on; the
+    # summary file and the report's dispatch figures both say so
+    curtailed = np.zeros(HOURS_PER_YEAR)
+    curtailed[:10] = 0.1
+    year = DispatchYear(np.zeros((HOURS_PER_YEAR, 1)), curtailed, np.zeros(HOURS_PER_YEAR),
+                        np.ones(HOURS_PER_YEAR, dtype=bool), ("G1",), 0.65)
+    write_dispatch_summary(year, tmp_path / "dispatch_summary.json")
+    summary = json.loads((tmp_path / "dispatch_summary.json").read_text())
+    assert summary["total_curtailment_mwh"] == 0.9999999999999999
+    study = cli.Study(cfg=None)
+    study.year = year
+    assert study.dispatch_stats["total_curtailment_mwh"] == 0.9999999999999999

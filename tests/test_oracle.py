@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import re
 import types
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -58,7 +59,7 @@ from pfcplan.network import (
     HOURS_PER_YEAR, Bus, DisconnectedNetworkError, Generator, Line, NetworkModel,
     SeasonCalendar, effective_ratings,
 )
-from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan
+from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan, summarize
 from pfcplan.shift_factors import (
     compute_lodf, compute_ptdf, line_transfer_factors, post_contingency_flows,
 )
@@ -76,6 +77,7 @@ from conftest import (
     records_from_rows,
     reduced_matrix,
     same_records,
+    summarize_by_sorting,
 )
 
 # hours spread over the year, so both seasons and their ratings appear
@@ -457,6 +459,37 @@ def test_every_producer_hands_its_records_in_record_order_on_meshes(tmp_path_fac
     lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
     assert_producers_keep_record_order(rec1, base, lodf, model, CALENDAR,
                                        tmp_path_factory.mktemp("records"), monitored)
+
+
+def _hex(summary):
+    return tuple(float.hex(v) if isinstance(v, float) else v
+                 for v in dataclasses.astuple(summary))
+
+
+@SETTINGS
+@given(stage1_studies(), st.sampled_from((1, 2, 5)))
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=4), 90.0, (-1, -1, -1)), 1)
+@example(_stage1_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (0, 1, -1), {"L3", "L12"}), 2)
+def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references_on_meshes(
+    case, cells
+):
+    # BLOCK_CELLS of 1, 2 or 5 cuts the 12 feasible hours (the others are
+    # infeasible) into blocks of one hour up, and summarize's reads into
+    # slices of a few records: over every line, a monitored subset and
+    # Stage 1's lines (screen_from_stage1), the records are the reference
+    # order of Stage 1's and the one-block scan's, and the summaries the
+    # sorting reference's, bit for bit
+    model, injections, monitored = case
+    rec1, base = _stage1(model, injections)
+    lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
+    for lines in (None, monitored, set(rec1.lines())):
+        expected = concat_records(rec1, stage2_scan(base, lodf, model, CALENDAR, lines))
+        expected_summary = [_hex(s) for s in summarize_by_sorting(expected, model)]
+        with mock.patch.object(dcflow, "BLOCK_CELLS", cells):
+            records = stage2_scan(base, lodf, model, CALENDAR, lines, intact=rec1)
+            summaries = summarize(records, model)
+        same_records(records, expected)
+        assert [_hex(s) for s in summaries] == expected_summary
 
 
 def reference_base_flows(model, system, year, profile):

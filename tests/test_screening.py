@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 import tracemalloc
 import types
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases
+from pfcplan import cases, dcflow
 from pfcplan.dcflow import build_system, solve_with_outage
 from pfcplan.dispatch import (
     DemandProfile,
@@ -29,6 +30,7 @@ from pfcplan.screening import (
     OverloadRecords,
     RegionCount,
     _hits,
+    _rows,
     read_overloads_csv,
     region_counts,
     stage1_scan,
@@ -39,8 +41,8 @@ from pfcplan.screening import (
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 from conftest import (
-    assert_producers_keep_record_order, concat_records, effective_rating, in_record_order,
-    records_from_rows, same_records, summarize_by_sorting,
+    RECORD_COLUMNS, assert_producers_keep_record_order, concat_records, effective_rating,
+    in_record_order, records_from_rows, same_records, summarize_by_sorting,
 )
 
 
@@ -204,7 +206,7 @@ def test_stage2_monitored_subset_and_islanding_skip():
     assert set(only_t) <= set(all_records)
 
 
-def test_stage2_logs_outages_bridges_and_pairs(caplog):
+def test_stage2_logs_outages_bridges_and_pairs(caplog, monkeypatch):
     case = cases.grid30_case()
     year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
     system = build_system(case.model)
@@ -225,12 +227,19 @@ def test_stage2_logs_outages_bridges_and_pairs(caplog):
     with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
         stage2_scan(base, lodf, case.model, case.calendar)
         stage2_scan(idle, spur_lodf, spur, cases.flat_calendar())
+        # 1,000 cells per outage and block: 1000 * 41 // 109 = 376 hours a block
+        monkeypatch.setattr(dcflow, "BLOCK_CELLS", 1000)
+        stage2_scan(base, lodf, case.model, case.calendar)
     assert caplog.messages == [
         "stage 2: 41 outages screened, 0 bridge outages skipped, "
-        "109 of 1640 (line, outage) pairs kept, "
+        "109 of 1640 (line, outage) pairs kept, 1 x 8760-hour blocks, "
         "14095 pair-hours above the floor, 8028 records",
         "stage 2: 3 outages screened, 1 bridge outages skipped, "
-        "0 of 9 (line, outage) pairs kept, 0 pair-hours above the floor, 0 records",
+        "0 of 9 (line, outage) pairs kept, 1 x 2-hour blocks, "
+        "0 pair-hours above the floor, 0 records",
+        "stage 2: 41 outages screened, 0 bridge outages skipped, "
+        "109 of 1640 (line, outage) pairs kept, 24 x 376-hour blocks, "
+        "14095 pair-hours above the floor, 8028 records",
     ]
 
 
@@ -290,6 +299,20 @@ def test_summarize_2750_hour_line():
     summaries = summarize(records, case.model)
     target = next(s for s in summaries if s.line_id == "L13a")
     assert target.overload_hours == 2750
+
+
+def test_overload_energy_is_a_left_fold_in_hour_order(monkeypatch):
+    # ten overloaded hours of 0.1 MW excess: added one at a time from 0.0
+    # they give 0.9999999999999999, where Python's sum gives 1.0 from 3.12
+    # on; the fold goes on from slice to slice (3 records a slice)
+    model = cases.triangle()
+    records = records_from_rows(
+        [OverloadRecord("L12", hour, "L13", 110.0, 0.1, "overload") for hour in range(10)]
+    )
+    for cells in (dcflow.BLOCK_CELLS, 3):
+        monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
+        [summary] = summarize(records, model)
+        assert summary.overload_energy_mwh == 0.9999999999999999
 
 
 def test_near_only_line_not_in_regional_rollup():
@@ -430,6 +453,49 @@ def test_every_producer_hands_its_records_in_record_order(tmp_path, name):
                                            tmp_path, monitored)
 
 
+def _blocks_logged(caplog) -> tuple[int, int]:
+    """The hour-block count and width of the last Stage 2 log line."""
+    return tuple(map(int, re.search(r"(\d+) x (\d+)-hour blocks", caplog.messages[-1]).groups()))
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES + ("loaded_mesh6",))
+def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references(
+    monkeypatch, caplog, name
+):
+    # a year with infeasible hours, screened over every line, every other
+    # line and Stage 1's lines (screen_from_stage1), in hour blocks of
+    # BLOCK_CELLS 1,024 and 64 (grid30: 385 and 24 hours): the records are
+    # the reference order of Stage 1's and the one-block scan's, and the
+    # summaries the sorting reference's, bit for bit
+    case = LOADED_MESH6 if name == "loaded_mesh6" else getattr(cases, name)()
+    year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
+    feasible = year.feasible.copy()
+    feasible[[*range(5), 4000, 8759]] = False
+    year = dataclasses.replace(year, feasible=feasible)
+    system = build_system(case.model)
+    rec1, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
+    lodf = compute_lodf(compute_ptdf(system, case.model), case.model)
+    at = np.searchsorted(base.hours, rec1.hour)  # Stage 1's hour columns
+    split_stage1 = False
+    for monitored in (None, set(sorted(base.line_ids)[::2]), set(rec1.lines())):
+        alone = stage2_scan(base, lodf, case.model, case.calendar, monitored)
+        expected = concat_records(rec1, alone)
+        expected_summary = [_hex(s) for s in summarize_by_sorting(expected, case.model)]
+        for cells in (1024, 64):
+            monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
+            with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
+                records = stage2_scan(base, lodf, case.model, case.calendar, monitored,
+                                      intact=rec1)
+            summaries = summarize(records, case.model)
+            monkeypatch.undo()
+            same_records(records, expected)
+            assert [_hex(s) for s in summaries] == expected_summary
+            n_blocks, width = _blocks_logged(caplog)
+            assert n_blocks > 1 or not len(alone)  # a kept pair makes several blocks
+            split_stage1 |= bool(len(at)) and at[0] // width < at[-1] // width
+    assert split_stage1 or not len(rec1)  # a block boundary inside Stage 1's records
+
+
 def _only_16_bit_sorts(monkeypatch) -> list[int]:
     """Let ``np.argsort`` sort only keys of 16 bits or fewer, and refuse
     ``np.unique``; returns the list the length of each sorted key goes to."""
@@ -523,13 +589,24 @@ def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
     assert len(rec1)
     expected = concat_records(rec1, stage2_scan(base, lodf, model, calendar))
     expected_summary = summarize_by_sorting(expected, model)
-    keys = _only_16_bit_sorts(monkeypatch)
-    records = stage2_scan(base, lodf, model, calendar, intact=rec1)
-    summary = summarize(records, model)
-    monkeypatch.undo()
-    same_records(records, expected)
-    assert summary == expected_summary
-    assert keys[0] == len(expected) > len(rec1)  # the one pass that orders the joined set
+    passes = []
+    # one hour block and one slice, then several (the triangle's blocks are 1 hour)
+    for cells in (dcflow.BLOCK_CELLS, 4096 if name == "loaded_mesh6" else 2):
+        monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
+        keys = _only_16_bit_sorts(monkeypatch)
+        records = stage2_scan(base, lodf, model, calendar, intact=rec1)
+        n_blocks = len(keys)
+        summary = summarize(records, model)
+        monkeypatch.undo()
+        same_records(records, expected)
+        assert summary == expected_summary
+        # one pass per hour block orders the joined set, one per slice reads the rollups
+        assert sum(keys[:n_blocks]) == len(expected) > len(rec1)
+        assert sum(keys[n_blocks:]) == len(expected)
+        passes.append((n_blocks, len(keys) - n_blocks))
+    assert passes[0] == (1, 1) and min(passes[1]) > 1
+    if name == "unordered_triangle":  # hour 3 carries no flow: its block holds no record
+        assert 0 in keys[:n_blocks]
 
 
 def test_stage2_refuses_intact_records_of_other_lines_or_hours(mesh6_scan):
@@ -611,8 +688,8 @@ def test_hit_kernel_without_hours_or_lines_finds_nothing(shape):
     flows = np.zeros(shape)
     ratings = np.ones(3)
     cells, line, hour, pct, excess, over = _hits(
-        flows, np.arange(shape[0]), ratings, ratings, np.zeros(shape[1], dtype=bool),
-        90.0, 100.0,
+        flows, _rows(np.arange(shape[0]), ratings, ratings, 90.0),
+        np.zeros(shape[1], dtype=bool), 90.0, 100.0,
     )
     assert cells == 0 and hour.dtype == np.int32  # the record column's dtype
     assert all(len(column) == 0 for column in (line, hour, pct, excess, over))
@@ -650,6 +727,57 @@ def test_stage1_holds_no_year_sized_array_but_its_flows_and_two_rhs(request, nam
         tracemalloc.stop()
     rhs_bytes = len(base.hours) * len(system.non_slack) * 8
     assert peak <= base.flows_mw.nbytes + 2 * rhs_bytes + 2**20
+
+
+# near 55% on the lattice year: 355,883 records, 10.3 MB of columns
+LOWERED_NEAR_PCT = 55.0
+
+
+@pytest.fixture(scope="module")
+def lattice_screen(lattice_year):
+    """The lattice year's Stage 1 records at ``LOWERED_NEAR_PCT``, base
+    flows, LODF, model and calendar."""
+    year, model, system, profile, calendar = lattice_year
+    rec1, base = stage1_scan(year, model, system, profile, calendar, near_pct=LOWERED_NEAR_PCT)
+    return rec1, base, compute_lodf(compute_ptdf(system, model), model), model, calendar
+
+
+def _traced(fn, *args, **kwargs):
+    """``fn``'s result and its tracemalloc peak above entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _record_bytes(records) -> int:
+    return sum(getattr(records, name).nbytes for name in RECORD_COLUMNS)
+
+
+def test_stage2_holds_no_record_sized_order_or_gathered_copy(lattice_screen):
+    # Stage 2 orders each hour block on its own and fills each column from
+    # the blocks: its peak above entry stays within 1.5 times the records'
+    # bytes and 1 MiB (a global order and gather of the joined set took 1.67)
+    rec1, base, lodf, model, calendar = lattice_screen
+    records, peak = _traced(stage2_scan, base, lodf, model, calendar,
+                            near_pct=LOWERED_NEAR_PCT, intact=rec1)
+    assert len(records) > 300_000
+    assert peak <= 1.5 * _record_bytes(records) + 2**20
+
+
+def test_summarize_holds_one_slice_of_the_records(lattice_screen):
+    # summarize reads the records in hour slices: its peak above entry stays
+    # within a quarter of the records' bytes and 1 MiB (a by-line order and
+    # gathered copies of every column took 1.45)
+    rec1, base, lodf, model, calendar = lattice_screen
+    records = stage2_scan(base, lodf, model, calendar, near_pct=LOWERED_NEAR_PCT, intact=rec1)
+    summaries, peak = _traced(summarize, records, model)
+    assert summaries and len(records) > 300_000
+    assert peak <= 0.25 * _record_bytes(records) + 2**20
 
 
 def test_stage1_solves_every_feasible_hour_in_one_lu_solve():
