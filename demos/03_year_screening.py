@@ -32,7 +32,7 @@ print(f"\nstage 1 (intact, {len(base.hours)} hours): "
 start = time.perf_counter()
 ptdf = compute_ptdf(system, model)
 lodf = compute_lodf(ptdf, model)
-records = stage2_scan(base, lodf, model, case.calendar, intact=stage1_records)
+records = stage2_scan(base, lodf, model, case.calendar)  # intact and N-1 records
 t_stage2 = time.perf_counter() - start
 n_outages = len(lodf.non_islanding_outages())
 print(f"stage 2 ({n_outages} outages x {len(base.hours)} hours): "

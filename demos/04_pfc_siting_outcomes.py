@@ -22,10 +22,10 @@ def study(case):
     model = case.model
     year = run_year(model, case.profile, case.availability, case.snsp_cap)
     system = build_system(model)
-    rec1, base = stage1_scan(year, model, system, case.profile, case.calendar)
+    _, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    records = stage2_scan(base, lodf, model, case.calendar, intact=rec1)
+    records = stage2_scan(base, lodf, model, case.calendar)
     injections = injection_matrix(model, year, case.profile)
     targets = records.lines(overload=True)
     outcomes = [

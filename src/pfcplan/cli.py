@@ -176,15 +176,14 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
     )
     ptdf = shift_factors.compute_ptdf(system, model)
     lodf = shift_factors.compute_lodf(ptdf, model)
-    stage2_monitored = monitored
     if cfg.screen_from_stage1:
-        stage2_monitored = set(rec1.lines())
+        monitored = set(rec1.lines())
+    del rec1
     records = study.records = screening.stage2_scan(
         base, lodf, model, calendar,
-        monitored=stage2_monitored,
-        near_pct=cfg.near_pct, overload_pct=cfg.overload_pct, intact=rec1,
+        monitored=monitored, near_pct=cfg.near_pct, overload_pct=cfg.overload_pct,
     )
-    del base, rec1
+    del base
     summaries = screening.summarize(records, model)
     screening.write_workbook(records, summaries, dest)
     print(f"screen: {len(records)} records on {len(summaries)} lines")

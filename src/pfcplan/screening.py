@@ -20,13 +20,14 @@ own work arrays. The injections are indexed by the feasible hours only when
 some hour is infeasible, ``dcflow.reduced_injections`` forms the rhs and the
 injections are dropped, ``dcflow.solve_angles_batch`` solves every feasible
 hour in one ``lu.solve`` and the rhs is dropped, and ``dcflow.flows_from_angles``
-writes the flows a block of hours at a time. The hit kernel then reads the
-monitored rows a block of lines at a time.
+writes the flows a block of hours at a time.
 
-Both stages find their records with one hit kernel over flows laid out lines
-x hours: Stage 1 passes the monitored rows of the intact flows, and Stage 2,
-per outage, the surviving rows of f_l + LODF[l,k] f_k, the product and sum
-the unpruned superposition makes. The kernel loads only the cells whose |f|
+Both stages find their records with one screen loop, ``_screen``, whose
+first entry is the intact network (the monitored rows of the base flows) and
+whose others are the screened outages k (the kept rows of f_l + LODF[l,k]
+f_k, the unpruned superposition's product and sum): ``stage1_scan`` passes
+the intact entry alone, ``stage2_scan`` all of them. Each entry's rows, laid
+out lines x hours, go to one hit kernel, which loads only the cells whose |f|
 exceeds near% of the line's lower effective rating, less the same relative
 margin, which no record can fall below; each of those cells gets the unpruned
 scan's 100 |f| / r against the rating of its hour's season, so every loading
@@ -37,20 +38,19 @@ Records are emitted for loadings strictly above the near threshold (default
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
 indices as int32) in record order: by hour, then contingency id (intact
-first), then line id. Their producers hand them over in that order. The hit
-kernel yields hits by line id, then hour, and one stable radix pass by hour
-column orders them: ``stage1_scan`` makes it over its hits, and
-``stage2_scan(..., intact=...)`` over each block of hours: the block's Stage 1
-records followed by each outage's hits, so the screen's records are assembled
-once. A block is ``dcflow.BLOCK_CELLS`` x screened outages / kept pairs hours
-wide, at least one, so a (block, outage) call checks about ``BLOCK_CELLS``
-cells on average and the blocks stay few. The blocks arrive in record order:
-each column is filled from them into one array, and no order or gathered copy
-the size of the record set is held. ``summarize`` reads the records in slices
-cut where an hour starts, each with one radix pass by line whose run
-boundaries give its rollups; each line's energy is one left fold continued
-from slice to slice, so it keeps the bits of one fold over the year. Above
-65,536 line ids the radix passes fall back to a comparison sort.
+first), then line id. Their producers hand them over in that order. The loop
+walks the hours in blocks and, in each block, its entries in order; the hit
+kernel yields each entry's hits by line id, then hour, and one stable radix
+pass by hour column orders the block. A block is ``dcflow.BLOCK_CELLS`` x
+entries / rows hours wide, at least one, so a (block, entry) call checks
+about ``BLOCK_CELLS`` cells on average and the blocks stay few. The blocks
+arrive in record order: each column is filled from them into one array, and
+no order or gathered copy the size of the record set is held. ``summarize``
+reads the records in slices cut where an hour starts, each with one radix
+pass by line whose run boundaries give its rollups; each line's energy is
+one left fold continued from slice to slice, so it keeps the bits of one
+fold over the year. Above 65,536 line ids the radix passes fall back to a
+comparison sort.
 ``region_counts``, the summaries' overloaded lines by region, is the one
 source of every region count: workbook, report and the screen's stdout.
 
@@ -336,6 +336,51 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def _screen(base: BaseFlows, is_summer, entries, near_pct, overload_pct):
+    """The records of ``entries`` over the hours of ``base``, in record order,
+    the number of cells above the floor, the hour-block count and width.
+
+    ``entries`` are ``(k, rows, factors)`` in contingency-id order: the
+    intact network (``k`` = -1, ``factors`` None) checks its rows' base
+    flows, and outage ``k`` their f_l + LODF[l,k] f_k, ``factors`` being the
+    rows' LODF entries. Entries with no rows are skipped.
+    """
+    entries = [entry for entry in entries if len(entry[1].line)]
+    flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
+    n_hours = len(base.hours)
+    n_rows = sum(len(rows.line) for _, rows, _ in entries)
+    width = dcflow.BLOCK_CELLS * len(entries) // n_rows if n_rows else n_hours
+    width = max(1, min(width, n_hours))
+    starts = range(0, n_hours if entries else 0, width)
+    ends = [*starts[1:], n_hours]
+    hours = base.hours.astype(np.int32)  # the pieces at the record column's width
+
+    n_cells = 0
+    pieces = {name: [] for name in _RECORD_COLUMNS}  # per column, one piece per block
+    for c0, c1 in zip(starts, ends):
+        block = {name: [] for name in _RECORD_COLUMNS}
+        for k, rows, factors in entries:
+            post = flows_t[rows.line, c0:c1]
+            if factors is not None:
+                post += factors * flows_t[k, c0:c1]
+            cells, line, col, pct, excess, over = _hits(
+                post, rows, is_summer[c0:c1], near_pct, overload_pct
+            )
+            n_cells += cells
+            ctg = np.full(len(line), k, dtype=np.int32)
+            for name, piece in zip(_RECORD_COLUMNS, (line, col, ctg, pct, excess, over)):
+                block[name].append(piece)
+        col = np.concatenate(block.pop("hour"))
+        order = _stable_order(col, c1 - c0)
+        pieces["hour"].append(hours[c0:c1][col[order]])
+        for name in list(block):  # one column at a time, its pieces freed
+            pieces[name].append(np.concatenate(block.pop(name))[order])
+    records = OverloadRecords(base.line_ids, **{
+        name: _filled(pieces.pop(name), dtype) for name, dtype in _RECORD_COLUMNS.items()
+    })
+    return records, n_cells, len(starts), width
+
+
 def stage1_scan(
     year: DispatchYear,
     model: NetworkModel,
@@ -362,23 +407,10 @@ def stage1_scan(
     flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
     del angles
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
-
-    columns = _monitored_columns(system.line_ids, monitored)
     summer, winter = effective_ratings(model, system.line_ids, calendar)
-    is_summer = calendar.summer_mask[hours]
-    # the monitored rows a block at a time, in line-id order
-    rows = max(1, dcflow.BLOCK_CELLS // max(len(hours), 1))
-    blocks = [
-        _hits(flows_t[block], _rows(block, summer, winter, near_pct), is_summer, near_pct,
-              overload_pct)[1:]
-        for block in np.split(columns, range(rows, len(columns), rows))
-    ]
-    line, cols, pct, excess, over = map(np.concatenate, zip(*blocks))
-    # the hits come by line id, then hour: a stable pass by hour orders them
-    order = _stable_order(cols, len(hours))
-    records = OverloadRecords(
-        system.line_ids, line[order], hours[cols[order]], np.full(len(line), -1),
-        pct[order], excess[order], over[order],
+    rows = _rows(_monitored_columns(system.line_ids, monitored), summer, winter, near_pct)
+    records, *_ = _screen(
+        base, calendar.summer_mask[hours], [(-1, rows, None)], near_pct, overload_pct
     )
     return records, base
 
@@ -410,33 +442,26 @@ def stage2_scan(
     monitored: set[str] | None = None,
     near_pct: float = NEAR_PCT_DEFAULT,
     overload_pct: float = OVERLOAD_PCT_DEFAULT,
-    intact: OverloadRecords | None = None,
 ) -> OverloadRecords:
-    """N-1 scan of every feasible hour against every non-islanding outage.
-
-    The same topology-only LODF matrix serves every hour. Islanding outages
-    are skipped (they are marked, not numeric). Only the (line, outage) pairs
-    ``screened_pairs`` keeps are computed. With ``intact``, Stage 1's records
-    of the same lines and hours, returns those and Stage 2's as one set.
+    """The screen of every feasible hour over the monitored lines, as one
+    record set: the intact network first, whose records are Stage 1's over
+    the same lines, then every non-islanding outage through the one
+    topology-only LODF matrix. Only the (line, outage) pairs
+    ``screened_pairs`` keeps are computed.
     """
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
-    intact = intact if intact is not None else OverloadRecords(base.line_ids, *[()] * 6)
-    at = np.searchsorted(base.hours, intact.hour).astype(np.int32)  # their hour columns
-    if intact.line_ids != base.line_ids or (np.append(base.hours, -1)[at] != intact.hour).any():
-        raise ValueError("Stage 1 and Stage 2 records cover different line sets or hours")
     columns = _monitored_columns(base.line_ids, monitored)
     summer, winter = effective_ratings(model, base.line_ids, calendar)
     is_summer = calendar.summer_mask[base.hours]
     # the ratings of the seasons the hours cover, one row each
     seasons = np.array([summer, winter])[np.array([is_summer.any(), not is_summer.all()])]
     kept = screened_pairs(base, lodf, seasons, near_pct)
-    flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
 
-    # each screened outage once: its kept lines, their floors and ratings, and
-    # their LODF entries
-    outages = []
-    screened = skipped = n_kept = n_pairs = n_cells = 0
+    # the intact network, then each screened outage once, in id order: its
+    # kept lines, their floors and ratings, and their LODF entries
+    entries = [(-1, _rows(columns, summer, winter, near_pct), None)]
+    screened = skipped = n_kept = n_pairs = 0
     for k in _by_id(base.line_ids):
         if lodf.islanding[k]:
             skipped += 1
@@ -445,50 +470,16 @@ def stage2_scan(
         screened += 1
         n_kept += len(cols)
         n_pairs += len(columns) - int(k in columns)
-        if len(cols):
-            outages.append((k, _rows(cols, summer, winter, near_pct), lodf.matrix[cols, k, None]))
-    # blocks of hours holding about BLOCK_CELLS kept cells per outage
-    n_hours = len(base.hours)
-    width = dcflow.BLOCK_CELLS * screened // n_kept if n_kept else n_hours
-    width = max(1, min(width, n_hours))
-    starts = range(0, n_hours, width)
-    ends = [*starts[1:], n_hours]
-    firsts = np.searchsorted(at, starts).tolist()  # each block's first intact record
-    hours = base.hours.astype(np.int32)
-
-    pieces = {name: [] for name in _RECORD_COLUMNS}  # per column, one piece per block
-    for c0, c1, i0, i1 in zip(starts, ends, firsts, firsts[1:] + [len(at)]):
-        # the block's intact records in record order, then each outage's hits
-        # (outages in id order) by line id, then hour; hours as block columns
-        block = {name: [getattr(intact, name)[i0:i1]] for name in _RECORD_COLUMNS}
-        block["hour"] = [at[i0:i1] - c0]
-        for k, rows, factors in outages:
-            post = flows_t[rows.line, c0:c1]
-            post += factors * flows_t[k, c0:c1]
-            cells, line, col, pct, excess, over = _hits(
-                post, rows, is_summer[c0:c1], near_pct, overload_pct
-            )
-            n_cells += cells
-            ctg = np.full(len(line), k, dtype=np.int32)
-            for name, piece in zip(_RECORD_COLUMNS, (line, col, ctg, pct, excess, over)):
-                block[name].append(piece)
-        # a stable pass by hour puts the block in record order
-        col = np.concatenate(block.pop("hour"))
-        order = _stable_order(col, c1 - c0)
-        pieces["hour"].append(hours[c0:c1][col[order]])
-        for name in list(block):  # one column at a time, its pieces freed
-            pieces[name].append(np.concatenate(block.pop(name))[order])
-    del flows_t
-    # the blocks follow each other in record order
-    records = OverloadRecords(base.line_ids, **{
-        name: _filled(pieces.pop(name), dtype) for name, dtype in _RECORD_COLUMNS.items()
-    })
+        entries.append((k, _rows(cols, summer, winter, near_pct), lodf.matrix[cols, k, None]))
+    records, n_cells, n_blocks, width = _screen(base, is_summer, entries, near_pct, overload_pct)
+    intact, over = records.contingency < 0, records.overload
     log.info(
         "stage 2: %d outages screened, %d bridge outages skipped, "
         "%d of %d (line, outage) pairs kept, %d x %d-hour blocks, "
-        "%d pair-hours above the floor, %d records",
-        screened, skipped, n_kept, n_pairs, len(starts), width, n_cells,
-        len(records) - len(intact),
+        "%d cells above the floor, intact records %d near %d overload, "
+        "post-outage records %d near %d overload",
+        screened, skipped, n_kept, n_pairs, n_blocks, width, n_cells,
+        *(np.count_nonzero(a & b) for a in (intact, ~intact) for b in (~over, over)),
     )
     return records
 

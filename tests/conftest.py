@@ -23,6 +23,7 @@ from pfcplan.config import load_config
 from pfcplan.dcflow import build_system
 from pfcplan.dispatch import run_year
 from pfcplan.network import Bus, Generator, Line, NetworkModel
+from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 
 RECORD_COLUMNS = ("line", "hour", "contingency", "loading_pct", "excess_mw", "overload")
@@ -56,7 +57,7 @@ def concat_records(
     first: screening.OverloadRecords, second: screening.OverloadRecords
 ) -> screening.OverloadRecords:
     """Two record sets as one, by concatenating every column and sorting the
-    whole set again: the reference ``stage2_scan(..., intact=...)`` must match."""
+    whole set again: the reference order of a joined screen."""
     known = set(first.line_ids)
     line_ids = first.line_ids + tuple(lid for lid in second.line_ids if lid not in known)
     pos = {lid: i for i, lid in enumerate(line_ids)}
@@ -80,17 +81,43 @@ def same_records(got: screening.OverloadRecords, expected: screening.OverloadRec
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
 
 
+def select_records(
+    records: screening.OverloadRecords, keep: np.ndarray
+) -> screening.OverloadRecords:
+    """The records where ``keep`` holds, in their order."""
+    return screening.OverloadRecords(
+        records.line_ids, *(getattr(records, name)[keep] for name in RECORD_COLUMNS)
+    )
+
+
+def outage_records(records: screening.OverloadRecords) -> screening.OverloadRecords:
+    """A screen's post-outage records: all but the intact network's."""
+    return select_records(records, records.contingency >= 0)
+
+
+def cli_screens(year, model, system, profile, calendar, lodf):
+    """The screen as ``pfcplan screen`` runs it, monitoring every line,
+    every other line id, and every line with ``screen_from_stage1`` (Stage 2
+    over the lines Stage 1 flagged): Stage 1's records and the screen's
+    record set of each."""
+    every_other = set(sorted(system.line_ids)[::2])
+    for monitored, from_stage1 in ((None, False), (every_other, False), (None, True)):
+        rec1, base = screening.stage1_scan(year, model, system, profile, calendar, monitored)
+        if from_stage1:
+            monitored = set(rec1.lines())
+        yield rec1, screening.stage2_scan(base, lodf, model, calendar, monitored)
+
+
 def assert_producers_keep_record_order(rec1, base, lodf, model, calendar, out_dir,
                                        monitored=None):
-    """Stage 1's records ``rec1``, Stage 2's with and without them and the
-    read-back of the workbook written from the joined set each equal
-    ``in_record_order`` of themselves, bit for bit."""
-    alone = screening.stage2_scan(base, lodf, model, calendar, monitored)
-    joined = screening.stage2_scan(base, lodf, model, calendar, monitored, intact=rec1)
-    screening.write_workbook(joined, [], out_dir)
+    """Stage 1's records ``rec1``, the screen's and the read-back of the
+    workbook written from the screen's each equal ``in_record_order`` of
+    themselves, bit for bit."""
+    records = screening.stage2_scan(base, lodf, model, calendar, monitored)
+    screening.write_workbook(records, [], out_dir)
     back = screening.read_overloads_csv(f"{out_dir}/overloads.csv")
-    for records in (rec1, alone, joined, back):
-        same_records(records, in_record_order(records))
+    for each in (rec1, records, back):
+        same_records(each, in_record_order(each))
 
 
 def left_fold(values) -> float:
@@ -317,6 +344,21 @@ def lattice_year(tmp_path_factory):
     model, profile = study.model, study.profile
     year = run_year(model, profile, study.availability, cfg.snsp_cap)
     return year, model, build_system(model), profile, cfg.calendar()
+
+
+# near 55% on the lattice year: 355,883 records, 10.3 MB of columns; Stage 1
+# finds 852 of them, on 8 lines
+LOWERED_NEAR_PCT = 55.0
+
+
+@pytest.fixture(scope="session")
+def lattice_screen(lattice_year):
+    """The lattice year's Stage 1 records at ``LOWERED_NEAR_PCT``, base
+    flows, LODF, model and calendar."""
+    year, model, system, profile, calendar = lattice_year
+    rec1, base = screening.stage1_scan(year, model, system, profile, calendar,
+                                       near_pct=LOWERED_NEAR_PCT)
+    return rec1, base, compute_lodf(compute_ptdf(system, model), model), model, calendar
 
 
 def two_bus_model(x: float = 0.1, rating: float = 100.0) -> NetworkModel:

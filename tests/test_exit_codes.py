@@ -12,8 +12,13 @@ repeated or added, a short row, a blank line, a byte that is not UTF-8),
 and there each exit code is pinned. No exception may escape but
 ``ReportConsistencyError``, which keeps its traceback on purpose. Warnings
 are errors in this suite, so an overflow warning fails the property too.
+The plain ``ValueError`` guards of the library (``GUARDS``) are shown out
+of the CLI's reach: each is on run-all's path and never fires there, the
+config values that would trip them exit 2 first, and an edited screen
+output is refused as stale before Stage 3 reads it.
 """
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -24,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases
+from pfcplan import cases, cli, dcflow, network, screening, shift_factors, siting
 from pfcplan.cli import main
 from pfcplan.config import INPUT_KEYS, StudyConfig
 from pfcplan.report import ReportConsistencyError
@@ -161,3 +166,65 @@ def test_a_config_file_that_is_not_utf8_exits_2(tmp_path):
     config, _ = _study(tmp_path, cases.triangle_case())
     config.write_bytes(b"\xe9" + config.read_bytes())
     assert _exits_cleanly(config) == 2
+
+
+# The plain ValueErrors that guard library callers, and why ``main`` cannot
+# reach them: each guard but the last is on run-all's path, and the CLI builds its
+# arguments so that it cannot fire. A stage's outputs are read back only when
+# their bytes verify, so an edited ``overloads.csv`` never reaches Stage 3.
+GUARDS = {
+    # injection_matrix has one column per model bus
+    (dcflow, "reduced_injections"): True,
+    # Stage 3's outages are record contingencies: in-service lines that are
+    # no bridge (Stage 2 skips bridge outages)
+    (dcflow, "check_outage"): True,
+    # load_config refuses a derate outside [0, 0.5) and summer months
+    # outside 1..12, and from_months builds all 8,760 hours
+    (network.SeasonCalendar, "__post_init__"): True,
+    # Stage 3 asks the season of record hours only
+    (network.SeasonCalendar, "season"): True,
+    # load_config and --voltage-levels refuse an empty level list
+    (cli, "filter_monitored_lines"): True,
+    # the base flows and the LODF come from the screen's one build_system
+    (screening, "stage2_scan"): True,
+    # targets are lines with an overload record, in the model, and no record
+    # has its own line as its contingency (the LODF diagonal is never screened)
+    (siting, "candidate_locations"): True,
+    (siting, "assess_target"): True,
+    # called by no stage
+    (shift_factors, "post_contingency_flows"): False,
+}
+
+
+def test_the_guarding_value_errors_are_unreachable_from_main(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in GUARDS:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    config, out = _study(tmp_path, cases.grid30_case())
+    assert _exits_cleanly(config) == 0
+    assert {name for _, name in GUARDS if calls[name]} == {
+        name for (_, name), on_path in GUARDS.items() if on_path
+    }
+    for key, value in (("derate", 0.5), ("summer_months", [13]), ("voltage_levels", [])):
+        edited = tmp_path / f"{key}.json"
+        edited.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+        assert _exits_cleanly(edited) == 2
+
+    # a record whose contingency is its own line, added to the screen's
+    # output, makes the screen stale rather than reaching Stage 3
+    overloads = out / "overloads.csv"
+    rows = overloads.read_text(encoding="utf-8").splitlines()
+    line = next(row for row in rows[1:] if row.endswith(",overload")).split(",")
+    line[2] = line[0]
+    overloads.write_text("\n".join([*rows, ",".join(line)]) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["site-pfc", "--config", str(config)]) == 2
+    assert "screen output missing or stale" in err.getvalue()

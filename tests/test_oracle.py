@@ -8,7 +8,8 @@ cut-off buses (with lines out of service too); ``candidate_locations``' skip
 against the bridges of the network without each contingency; LODF
 superposition against exact re-solves without the line, also with reactances
 spread over six decades, where ``compute_lodf`` may refuse an outage that is
-no bridge; the bound-pruned ``stage2_scan`` against the dense, unpruned superposition (also
+no bridge; the bound-pruned ``stage2_scan`` against the dense intact scan and the unpruned
+superposition, and its intact records against ``stage1_scan``'s (also
 with every line's peak loading a few ulps from 90% or 100%), ``stage1_scan``
 on monitored subsets against a dense scalar scan, its base flows against a
 whole-year formulation (``reference_base_flows``: on mesh years with the
@@ -67,12 +68,15 @@ from pfcplan.shift_factors import (
 from conftest import (
     assert_producers_keep_record_order,
     balanced_injection,
+    cli_screens,
     concat_records,
     connected_components,
     dense_dc_flows,
     effective_rating,
     fleet_model,
     graph_bridges,
+    in_record_order,
+    outage_records,
     pair_group,
     records_from_rows,
     reduced_matrix,
@@ -279,15 +283,14 @@ def test_lodf_flows_match_exact_resolves_and_bridges_raise_over_wide_reactances(
 @example(PARALLEL)
 def test_pruned_stage2_equals_the_unpruned_scan(mesh):
     model, _, base, lodf = _study(mesh)
-    expected = reference_stage2(base, lodf, model, CALENDAR)
-    got = [(r.line_id, r.hour, r.contingency, r.loading_pct, r.excess_mw, r.category)
-           for r in stage2_scan(base, lodf, model, CALENDAR)]
-    assert got == expected  # bit for bit
+    got = [tuple(r) for r in stage2_scan(base, lodf, model, CALENDAR)]
+    assert got == reference_screen(base, lodf, model, CALENDAR)  # bit for bit
 
+    # every post-outage record of the unpruned scan lies on a kept pair
     ratings = effective_rating_matrix(model, base.line_ids, base.hours, CALENDAR)
     kept = screening.screened_pairs(base, lodf, ratings, 90.0)
     index = {lid: i for i, lid in enumerate(base.line_ids)}
-    for line, _, outage, *_ in expected:
+    for line, _, outage, *_ in reference_stage2(base, lodf, model, CALENDAR):
         assert kept[index[line], index[outage]], (line, outage)
 
 
@@ -338,6 +341,14 @@ def reference_stage1(model, base, monitored, calendar, near_pct=90.0, overload_p
                              "overload" if over else "near"))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows
+
+
+def reference_screen(base, lodf, model, calendar, near_pct=90.0, overload_pct=100.0):
+    """The dense screen: the intact scan's rows and the unpruned N-1 scan's,
+    by hour, then contingency (the intact network first), then line id."""
+    rows = (reference_stage1(model, base, None, calendar, near_pct, overload_pct)
+            + reference_stage2(base, lodf, model, calendar, near_pct, overload_pct))
+    return sorted(rows, key=lambda r: (r[1], r[2] or "", r[0]))
 
 
 def _dispatched(model, injections):
@@ -431,7 +442,7 @@ def test_stage1_records_are_the_dense_scan(case):
 @example(_stage2_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (1, -1, 0)))
 def test_stage2_records_at_the_class_edges_are_the_unpruned_scan(case):
     model, base, lodf = case
-    expected = reference_stage2(base, lodf, model, CALENDAR)
+    expected = reference_screen(base, lodf, model, CALENDAR)
     assert [tuple(r) for r in stage2_scan(base, lodf, model, CALENDAR)] == expected
 
 
@@ -440,13 +451,17 @@ def test_stage2_records_at_the_class_edges_are_the_unpruned_scan(case):
 @example(_stage1_edge(dataclasses.replace(PARALLEL, seed=4), 90.0, (-1, -1, -1)))
 @example(_stage1_edge(dataclasses.replace(PARALLEL, seed=2), 100.0, (0, 1, -1), {"L3", "L12"}))
 def test_stage2_with_intact_records_is_the_sorted_concatenation_on_meshes(case):
+    # the screen's intact records are Stage 1's over the same lines, bit for
+    # bit, in every way the CLI monitors lines and over the drawn subset
     model, injections, monitored = case
-    rec1, base = _stage1(model, injections)
-    lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
-    for lines in (None, monitored):
-        alone = stage2_scan(base, lodf, model, CALENDAR, lines)
-        same_records(stage2_scan(base, lodf, model, CALENDAR, lines, intact=rec1),
-                     concat_records(rec1, alone))
+    model, year, profile = _dispatched(model, injections)
+    system = build_system(model)
+    lodf = compute_lodf(compute_ptdf(system, model), model)
+    for rec1, records in cli_screens(year, model, system, profile, CALENDAR, lodf):
+        same_records(records, concat_records(rec1, outage_records(records)))
+    rec1, base = stage1_scan(year, model, system, profile, CALENDAR, monitored)
+    records = stage2_scan(base, lodf, model, CALENDAR, monitored)
+    same_records(records, concat_records(rec1, outage_records(records)))
 
 
 @SETTINGS
@@ -477,16 +492,16 @@ def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references_on_mesh
     # infeasible) into blocks of one hour up, and summarize's reads into
     # slices of a few records: over every line, a monitored subset and
     # Stage 1's lines (screen_from_stage1), the records are the reference
-    # order of Stage 1's and the one-block scan's, and the summaries the
-    # sorting reference's, bit for bit
+    # order of the one-block scan's, and the summaries the sorting
+    # reference's, bit for bit
     model, injections, monitored = case
     rec1, base = _stage1(model, injections)
     lodf = compute_lodf(compute_ptdf(build_system(model), model), model)
     for lines in (None, monitored, set(rec1.lines())):
-        expected = concat_records(rec1, stage2_scan(base, lodf, model, CALENDAR, lines))
+        expected = in_record_order(stage2_scan(base, lodf, model, CALENDAR, lines))
         expected_summary = [_hex(s) for s in summarize_by_sorting(expected, model)]
         with mock.patch.object(dcflow, "BLOCK_CELLS", cells):
-            records = stage2_scan(base, lodf, model, CALENDAR, lines, intact=rec1)
+            records = stage2_scan(base, lodf, model, CALENDAR, lines)
             summaries = summarize(records, model)
         same_records(records, expected)
         assert [_hex(s) for s in summaries] == expected_summary
@@ -992,7 +1007,7 @@ def _siting_study(mesh, hours, overload_pct):
     loading = 100.0 * np.abs(base.flows_mw) / ratings
     intact = [(base.line_ids[li], int(HOURS[hi]), None, loading[hi, li], 0.0, "overload")
               for hi, li in zip(*np.nonzero(loading > overload_pct))]
-    post = stage2_scan(base, lodf, model, CALENDAR, overload_pct=overload_pct)
+    post = outage_records(stage2_scan(base, lodf, model, CALENDAR, overload_pct=overload_pct))
     records = records_from_rows(
         [r for r in list(post) + intact if r[1] in hours and r[5] == "overload"]
     )
@@ -1027,10 +1042,10 @@ def _fixture_study(name):
     model = case.model
     year = run_year(model, case.profile, case.availability, case.snsp_cap)
     system = build_system(model)
-    intact, base = stage1_scan(year, model, system, case.profile, case.calendar)
+    _, base = stage1_scan(year, model, system, case.profile, case.calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    records = stage2_scan(base, lodf, model, case.calendar, intact=intact)
+    records = stage2_scan(base, lodf, model, case.calendar)
     injections = injection_matrix(model, year, case.profile)
     return records, model, injections, case.calendar, ptdf, lodf
 
@@ -1073,10 +1088,10 @@ def lattice_study(lattice_year):
     would: its records, intact and post-outage, with the inputs
     ``assess_target`` takes after the target."""
     year, model, system, profile, calendar = lattice_year
-    intact, base = stage1_scan(year, model, system, profile, calendar)
+    _, base = stage1_scan(year, model, system, profile, calendar)
     ptdf = compute_ptdf(system, model)
     lodf = compute_lodf(ptdf, model)
-    records = stage2_scan(base, lodf, model, calendar, intact=intact)
+    records = stage2_scan(base, lodf, model, calendar)
     return records, model, injection_matrix(model, year, profile), calendar, ptdf, lodf
 
 
