@@ -22,30 +22,33 @@ injections are dropped, ``dcflow.solve_angles_batch`` solves every feasible
 hour in one ``lu.solve`` and the rhs is dropped, and ``dcflow.flows_from_angles``
 writes the flows a block of hours at a time.
 
-Both stages find their records with one screen loop, ``_screen``, whose
-first entry is the intact network (the monitored rows of the base flows) and
-whose others are the screened outages k (the kept rows of f_l + LODF[l,k]
-f_k, the unpruned superposition's product and sum): ``stage1_scan`` passes
-the intact entry alone, ``stage2_scan`` all of them. Each entry's rows, laid
-out lines x hours, go to one hit kernel, which loads only the cells whose |f|
-exceeds near% of the line's lower effective rating, less the same relative
-margin, which no record can fall below; each of those cells gets the unpruned
-scan's 100 |f| / r against the rating of its hour's season, so every loading
-keeps its bits and no dense loading matrix is formed.
+Both stages find their records with one screen loop, ``_screen``, over one
+stack of rows in record order, each a line, its outage, its LODF factor and
+its two effective ratings: the intact network first (the monitored lines'
+base flows), then each screened outage k (the kept rows of f_l + LODF[l,k]
+f_k, the unpruned superposition's product and sum). ``stage1_scan`` passes
+the intact rows alone, ``stage2_scan`` all of them. The loop cuts the hours
+where the season changes and each season run into blocks
+``dcflow.BLOCK_CELLS`` x min(entries, 4) / rows hours wide (at least one),
+so a block reads one rating per row. In each block it keeps the rows whose
+bound peak_l + |LODF[l,k]| peak_k, each peak the line's largest |f| over
+the block's hours, raised by the same margin, exceeds the row's floor:
+near% of its season's rating less the margin. No skipped row passes its
+floor in any hour of the block. For the kept rows it forms the post-outage
+flows and loads only the cells whose |f| exceeds the floor, each with the
+unpruned scan's 100 |f| / r against the block's season rating, so every
+loading keeps its bits and no dense loading matrix is formed.
 
 Records are emitted for loadings strictly above the near threshold (default
 90%); the near class covers (90%, 100%] and the overload class (100%, inf), so
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
 indices as int32) in record order: by hour, then contingency id (intact
-first), then line id. Their producers hand them over in that order. The loop
-walks the hours in blocks and, in each block, its entries in order; the hit
-kernel yields each entry's hits by line id, then hour, and one stable radix
-pass by hour column orders the block. A block is ``dcflow.BLOCK_CELLS`` x
-entries / rows hours wide, at least one, so a (block, entry) call checks
-about ``BLOCK_CELLS`` cells on average and the blocks stay few. The blocks
-arrive in record order: each column is filled from them into one array, and
-no order or gathered copy the size of the record set is held. ``summarize``
+first), then line id. Their producers hand them over in that order. A
+block's hits come out by row, so by contingency and line, then hour, and one
+stable radix pass by hour column orders the block. The blocks arrive in
+record order: each column is filled from them into one array, and no order
+or gathered copy the size of the record set is held. ``summarize``
 reads the records in slices cut where an hour starts, each with one radix
 pass by line whose run boundaries give its rollups; each line's energy is
 one left fold continued from slice to slice, so it keeps the bits of one
@@ -243,50 +246,6 @@ class BaseFlows:
     line_ids: tuple[str, ...]
 
 
-class _Rows(NamedTuple):
-    """The lines one hit-kernel call checks, one per row of its flows: each
-    line's index, its floor and its two effective ratings."""
-
-    line: np.ndarray
-    floor: np.ndarray
-    summer: np.ndarray
-    winter: np.ndarray
-
-
-def _rows(lines, summer, winter, near_pct) -> _Rows:
-    """``lines`` with their floors, near% of the lower effective rating less
-    ``PRUNE_MARGIN``, and their ratings from ``summer`` and ``winter`` (one
-    entry per line of the model)."""
-    summer, winter = summer[lines], winter[lines]
-    floor = np.minimum(summer, winter) * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
-    return _Rows(lines, floor, summer, winter)
-
-
-def _hits(flows_t, rows: _Rows, is_summer, near_pct, overload_pct):
-    """Every loading above ``near_pct`` in ``flows_t``, the flows of the
-    lines of ``rows`` laid out lines x hours, which it overwrites with |f|.
-
-    ``is_summer`` marks the summer hours (columns). Only the cells whose |f|
-    exceeds the row's floor are loaded: a record needs
-    fl(fl(100 |f|) / r) > near, so |f| > near r / 100 (1 - 2^-51), and the
-    margin is far above that rounding. Returns the number of those cells
-    and, per record, its line, hour column, loading, excess (0 for near
-    records) and class.
-    """
-    magnitude = np.abs(flows_t, out=flows_t)
-    # the cells above the floor in row-major order, as np.nonzero gives them
-    cells = np.flatnonzero(magnitude > rows.floor[:, None])
-    row, cols = np.divmod(cells, magnitude.shape[1])
-    a = magnitude.ravel()[cells]
-    r = np.where(is_summer[cols], rows.summer[row], rows.winter[row])
-    pct = 100.0 * a / r
-    hit = np.flatnonzero(pct > near_pct)
-    pct = pct[hit]
-    over = pct > overload_pct
-    excess = np.where(over, a[hit] - r[hit], 0.0)
-    return len(cells), rows.line[row[hit]], cols[hit].astype(np.int32), pct, excess, over
-
-
 def _by_id(line_ids: tuple[str, ...]) -> list[int]:
     """The indices of ``line_ids`` in line-id order, the records' line order."""
     return sorted(range(len(line_ids)), key=line_ids.__getitem__)
@@ -336,49 +295,84 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
-def _screen(base: BaseFlows, is_summer, entries, near_pct, overload_pct):
-    """The records of ``entries`` over the hours of ``base``, in record order,
-    the number of cells above the floor, the hour-block count and width.
+def _screen(base: BaseFlows, is_summer, ratings, line, outage, factor, near_pct, overload_pct):
+    """The records of the stacked rows over the hours of ``base``, in record
+    order, and the screen's counters: the season-block count and width, the
+    (row, block) pairs the block bound skipped and the cells above the floor.
 
-    ``entries`` are ``(k, rows, factors)`` in contingency-id order: the
-    intact network (``k`` = -1, ``factors`` None) checks its rows' base
-    flows, and outage ``k`` their f_l + LODF[l,k] f_k, ``factors`` being the
-    rows' LODF entries. Entries with no rows are skipped.
+    Row i checks line ``line[i]`` under outage ``outage[i]``: the intact
+    network (-1, ``factor`` 0) its base flow, and outage k the sum
+    f_l + LODF[l,k] f_k, ``factor[i]`` being the LODF entry. The rows come
+    in record order, contingency id (the intact rows first), then line id.
+    ``ratings`` holds the summer and winter effective rating of every line.
+
+    The hours are cut where the season changes and each season run into
+    blocks ``BLOCK_CELLS`` x min(entries, 4) / rows hours wide, at least
+    one, so every block reads one rating per row. A block keeps the rows
+    whose bound peak_l + |LODF[l,k]| peak_k, each peak the line's largest
+    |f| over the block's hours, raised by ``PRUNE_MARGIN``, exceeds the
+    row's floor: near% of its season's rating less the same margin. A
+    skipped row cannot pass its floor in any hour of the block. The kept
+    rows' flows are formed with the product and sum of the unpruned scan
+    and only the cells above their floor get 100 |f| / r: a record needs
+    fl(fl(100 |f|) / r) > near, so |f| > near r / 100 (1 - 2^-51), and
+    the margin is far above that rounding. The hits come out by row, then
+    hour; one stable 16-bit pass by hour puts the block in record order.
     """
-    entries = [entry for entry in entries if len(entry[1].line)]
     flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
-    n_hours = len(base.hours)
-    n_rows = sum(len(rows.line) for _, rows, _ in entries)
-    width = dcflow.BLOCK_CELLS * len(entries) // n_rows if n_rows else n_hours
+    n_hours, n_rows = len(base.hours), len(line)
+    n_entries = len(_run_starts(outage))
+    width = dcflow.BLOCK_CELLS * min(n_entries, 4) // n_rows if n_rows else n_hours
     width = max(1, min(width, n_hours))
-    starts = range(0, n_hours if entries else 0, width)
+    # the season runs of the hours, each cut into blocks of at most width hours
+    cuts = [0, *(np.flatnonzero(is_summer[1:] != is_summer[:-1]) + 1).tolist(), n_hours]
+    starts = [c for a, b in zip(cuts, cuts[1:]) for c in range(a, b, width)] if n_rows else []
     ends = [*starts[1:], n_hours]
     hours = base.hours.astype(np.int32)  # the pieces at the record column's width
+    rating = ratings[:, line]  # per season, one rating per row
+    floor = rating * (near_pct / 100.0 * (1.0 - PRUNE_MARGIN))
+    coupling = np.abs(factor)
+    n_intact = np.count_nonzero(outage < 0)
 
-    n_cells = 0
+    n_skipped = n_cells = 0
     pieces = {name: [] for name in _RECORD_COLUMNS}  # per column, one piece per block
     for c0, c1 in zip(starts, ends):
-        block = {name: [] for name in _RECORD_COLUMNS}
-        for k, rows, factors in entries:
-            post = flows_t[rows.line, c0:c1]
-            if factors is not None:
-                post += factors * flows_t[k, c0:c1]
-            cells, line, col, pct, excess, over = _hits(
-                post, rows, is_summer[c0:c1], near_pct, overload_pct
-            )
-            n_cells += cells
-            ctg = np.full(len(line), k, dtype=np.int32)
-            for name, piece in zip(_RECORD_COLUMNS, (line, col, ctg, pct, excess, over)):
-                block[name].append(piece)
-        col = np.concatenate(block.pop("hour"))
-        order = _stable_order(col, c1 - c0)
-        pieces["hour"].append(hours[c0:c1][col[order]])
-        for name in list(block):  # one column at a time, its pieces freed
-            pieces[name].append(np.concatenate(block.pop(name))[order])
+        season = 0 if is_summer[c0] else 1
+        block = flows_t[:, c0:c1]
+        peak = np.abs(block).max(axis=1)
+        bound = peak[line] + coupling * peak[outage]
+        rows = np.flatnonzero(bound * (1.0 + PRUNE_MARGIN) > floor[season])
+        n_skipped += n_rows - len(rows)
+        post = block[line[rows]]
+        n = np.searchsorted(rows, n_intact)  # the kept intact rows come first
+        if n < len(rows):
+            post_k = block[outage[rows[n:]]]
+            post_k *= factor[rows[n:], None]
+            post[n:] += post_k
+            del post_k
+        magnitude = np.abs(post, out=post)
+        # the cells above the floor in row-major order, as np.nonzero gives them
+        cells = np.flatnonzero(magnitude > floor[season, rows, None])
+        n_cells += len(cells)
+        row, col = np.divmod(cells, c1 - c0)
+        a = magnitude.ravel()[cells]
+        del post, magnitude, cells
+        row = rows[row]
+        r = rating[season, row]
+        pct = 100.0 * a / r
+        hit = np.flatnonzero(pct > near_pct)
+        hit = hit[_stable_order(col[hit], c1 - c0)]
+        row, pct, a, r = row[hit], pct[hit], a[hit], r[hit]
+        over = pct > overload_pct
+        for name, piece in zip(_RECORD_COLUMNS, (
+            line[row], hours[c0 + col[hit]], outage[row], pct,
+            np.where(over, a - r, 0.0), over,
+        )):
+            pieces[name].append(piece)
     records = OverloadRecords(base.line_ids, **{
         name: _filled(pieces.pop(name), dtype) for name, dtype in _RECORD_COLUMNS.items()
     })
-    return records, n_cells, len(starts), width
+    return records, len(starts), width, n_skipped, n_cells
 
 
 def stage1_scan(
@@ -407,10 +401,11 @@ def stage1_scan(
     flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
     del angles
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
-    summer, winter = effective_ratings(model, system.line_ids, calendar)
-    rows = _rows(_monitored_columns(system.line_ids, monitored), summer, winter, near_pct)
+    ratings = np.array(effective_ratings(model, system.line_ids, calendar))
+    lines = _monitored_columns(system.line_ids, monitored)
     records, *_ = _screen(
-        base, calendar.summer_mask[hours], [(-1, rows, None)], near_pct, overload_pct
+        base, calendar.summer_mask[hours], ratings, lines,
+        np.full(len(lines), -1, dtype=np.int32), np.zeros(len(lines)), near_pct, overload_pct,
     )
     return records, base
 
@@ -446,39 +441,44 @@ def stage2_scan(
     """The screen of every feasible hour over the monitored lines, as one
     record set: the intact network first, whose records are Stage 1's over
     the same lines, then every non-islanding outage through the one
-    topology-only LODF matrix. Only the (line, outage) pairs
-    ``screened_pairs`` keeps are computed.
+    topology-only LODF matrix.
+
+    The screen's rows are stacked once, in record order: the intact rows
+    (the monitored lines), then the (line, outage) pairs ``screened_pairs``
+    keeps over the year, by outage id, then line id, from one ``np.nonzero``
+    of the kept matrix. ``_screen`` checks them in season blocks, where each
+    block's own bound skips more rows.
     """
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
     columns = _monitored_columns(base.line_ids, monitored)
-    summer, winter = effective_ratings(model, base.line_ids, calendar)
+    ratings = np.array(effective_ratings(model, base.line_ids, calendar))
     is_summer = calendar.summer_mask[base.hours]
     # the ratings of the seasons the hours cover, one row each
-    seasons = np.array([summer, winter])[np.array([is_summer.any(), not is_summer.all()])]
-    kept = screened_pairs(base, lodf, seasons, near_pct)
-
-    # the intact network, then each screened outage once, in id order: its
-    # kept lines, their floors and ratings, and their LODF entries
-    entries = [(-1, _rows(columns, summer, winter, near_pct), None)]
-    screened = skipped = n_kept = n_pairs = 0
-    for k in _by_id(base.line_ids):
-        if lodf.islanding[k]:
-            skipped += 1
-            continue
-        cols = columns[kept[columns, k]]
-        screened += 1
-        n_kept += len(cols)
-        n_pairs += len(columns) - int(k in columns)
-        entries.append((k, _rows(cols, summer, winter, near_pct), lodf.matrix[cols, k, None]))
-    records, n_cells, n_blocks, width = _screen(base, is_summer, entries, near_pct, overload_pct)
+    kept = screened_pairs(
+        base, lodf, ratings[np.array([is_summer.any(), not is_summer.all()])], near_pct
+    )
+    outages = np.array([k for k in _by_id(base.line_ids) if not lodf.islanding[k]], np.int32)
+    k, line = np.nonzero(kept[np.ix_(columns, outages)].T)  # by outage, then line
+    k, line = outages[k], columns[line]
+    records, n_blocks, width, n_skipped, n_cells = _screen(
+        base, is_summer, ratings,
+        np.concatenate([columns, line]),
+        np.concatenate([np.full(len(columns), -1, dtype=np.int32), k]),
+        np.concatenate([np.zeros(len(columns)), lodf.matrix[line, k]]),
+        near_pct, overload_pct,
+    )
+    n_pairs = len(outages) * len(columns) - np.count_nonzero(~lodf.islanding[columns])
     intact, over = records.contingency < 0, records.overload
     log.info(
         "stage 2: %d outages screened, %d bridge outages skipped, "
-        "%d of %d (line, outage) pairs kept, %d x %d-hour blocks, "
+        "%d of %d (line, outage) pairs kept, %d season blocks of at most %d hours, "
+        "%d of %d (row, block) pairs skipped by the block bound, "
         "%d cells above the floor, intact records %d near %d overload, "
         "post-outage records %d near %d overload",
-        screened, skipped, n_kept, n_pairs, n_blocks, width, n_cells,
+        len(outages), np.count_nonzero(lodf.islanding),
+        len(k), n_pairs, n_blocks, width,
+        n_skipped, n_blocks * (len(columns) + len(k)), n_cells,
         *(np.count_nonzero(a & b) for a in (intact, ~intact) for b in (~over, over)),
     )
     return records

@@ -507,6 +507,65 @@ def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references_on_mesh
         assert [_hex(s) for s in summaries] == expected_summary
 
 
+# CALENDAR's first summer hour (1 April) and first winter hour (1 October)
+SEASON_CHANGES = (2160, 6552)
+# hours of both seasons away from the changes: each season run holds 4 or more
+ANCHOR_HOURS = (0, 1, 2, 3, 4000, 4001, 4002, 4003, 8756, 8757, 8758, 8759)
+
+
+def _season_edge(mesh, feasible, width):
+    """``mesh`` rated as in ``_study``, its base flows over ``ANCHOR_HOURS``
+    and ``feasible`` (hours near the season changes; the others are
+    infeasible), its LODF, and the ``BLOCK_CELLS`` that cuts Stage 2's hours
+    into blocks ``width`` hours wide."""
+    model, _, study, lodf = _study(mesh)
+    hours = np.array(sorted({*ANCHOR_HOURS, *feasible}))
+    flows = study.flows_mw[np.arange(len(hours)) % len(HOURS)]  # reused, so the ratings hold
+    base = BaseFlows(hours=hours, flows_mw=flows, line_ids=study.line_ids)
+    # the screen's rows and entries: the intact network over every line and
+    # the pairs the year's bound keeps, by outage
+    ratings = np.array(effective_ratings(model, base.line_ids, CALENDAR))
+    kept = screening.screened_pairs(base, lodf, ratings, 90.0)[:, ~lodf.islanding]
+    n_rows = len(base.line_ids) + int(kept.sum())
+    n_entries = 1 + int(kept.any(axis=0).sum())
+    return model, base, lodf, -(-width * n_rows // min(n_entries, 4)), width
+
+
+@st.composite
+def season_edges(draw):
+    """A mesh whose winter ratings are far from its summer ones (0.4 to 2.5
+    times), over hours at and around both season changes with some of them
+    infeasible, and blocks 2 or 3 hours wide, so each season run splits."""
+    mesh = draw(meshes())
+    mesh = dataclasses.replace(mesh, winter_factor=draw(st.sampled_from((0.4, 0.6, 1.7, 2.5))))
+    near = st.sets(st.sampled_from([h for c in SEASON_CHANGES for h in range(c - 5, c + 5)]))
+    return _season_edge(mesh, draw(near), draw(st.integers(2, 3)))
+
+
+@SETTINGS
+@given(season_edges())
+@example(_season_edge(dataclasses.replace(PARALLEL, winter_factor=2.5), range(2158, 2162), 3))
+@example(_season_edge(dataclasses.replace(PARALLEL, winter_factor=0.4), (2159, 6551, 6553), 2))
+def test_stage2_across_season_changes_is_the_unpruned_scan(case):
+    # Stage 2 cuts its hours where the season changes and each season run
+    # into blocks, and prunes each block's rows by their season's floor: the
+    # records are the dense scan's, bit for bit
+    model, base, lodf, cells, width = case
+    screen, blocks = screening._screen, []
+
+    def logged_screen(*args):
+        result = screen(*args)
+        blocks.append(result[1:3])
+        return result
+
+    with mock.patch.object(dcflow, "BLOCK_CELLS", cells), \
+            mock.patch.object(screening, "_screen", logged_screen):
+        records = stage2_scan(base, lodf, model, CALENDAR)
+    [(n_blocks, got_width)] = blocks
+    assert got_width == width and n_blocks >= 6  # each of the 3 season runs splits
+    assert [tuple(r) for r in records] == reference_screen(base, lodf, model, CALENDAR)
+
+
 def reference_base_flows(model, system, year, profile):
     """The year's base flows, hours x lines, each step over the whole year:
     generation by bus less the outer product of demand and bus shares, the

@@ -24,14 +24,14 @@ from pfcplan.network import (
     Generator,
     Line,
     NetworkModel,
+    SeasonCalendar,
 )
 from pfcplan.screening import (
     BaseFlows,
     OverloadRecord,
     OverloadRecords,
     RegionCount,
-    _hits,
-    _rows,
+    _screen,
     read_overloads_csv,
     region_counts,
     stage1_scan,
@@ -216,7 +216,8 @@ def test_stage2_logs_outages_bridges_and_pairs(caplog, monkeypatch):
     lodf = compute_lodf(compute_ptdf(system, case.model), case.model)
     # a triangle with a radial spur: its one bridge is skipped, and with no
     # flow no (line, outage) pair of the 3 outages x 3 other lines is kept,
-    # so no pair-hour reaches the kernel
+    # so no pair-hour reaches the kernel and the block bound skips the 4
+    # intact rows of its one block
     spur = cases.triangle()
     spur = dataclasses.replace(
         spur,
@@ -227,31 +228,38 @@ def test_stage2_logs_outages_bridges_and_pairs(caplog, monkeypatch):
     idle = BaseFlows(np.arange(2), np.zeros((2, 4)), spur_system.line_ids)
     spur_lodf = compute_lodf(compute_ptdf(spur_system, spur), spur)
     with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
+        # the year's season runs (2,160, 4,392 and 2,208 hours) cut into
+        # blocks of 65,536 * 4 // 150 = 1,747 hours over the intact
+        # network's 41 rows and the 109 kept pairs: 2 + 3 + 2 blocks
         stage2_scan(base, lodf, case.model, case.calendar)
         stage2_scan(idle, spur_lodf, spur, cases.flat_calendar())
         # at near 70% and overload 71% the intact network holds records of
         # both classes
         stage2_scan(base, lodf, case.model, case.calendar, near_pct=70.0, overload_pct=71.0)
-        # 1,000 cells per entry and block, over the intact network's 41 rows
-        # and the 109 kept pairs of 31 outages: 1000 * 32 // 150 = 213 hours
+        # 1,000 cells per block and entry, at most 4 entries, over 150 rows:
+        # 1000 * 4 // 150 = 26 hours
         monkeypatch.setattr(dcflow, "BLOCK_CELLS", 1000)
         stage2_scan(base, lodf, case.model, case.calendar)
     assert caplog.messages == [
         "stage 2: 41 outages screened, 0 bridge outages skipped, "
-        "109 of 1640 (line, outage) pairs kept, 1 x 8760-hour blocks, "
-        "14095 cells above the floor, intact records 0 near 0 overload, "
+        "109 of 1640 (line, outage) pairs kept, 7 season blocks of at most 1747 hours, "
+        "788 of 1050 (row, block) pairs skipped by the block bound, "
+        "8028 cells above the floor, intact records 0 near 0 overload, "
         "post-outage records 7157 near 871 overload",
         "stage 2: 3 outages screened, 1 bridge outages skipped, "
-        "0 of 9 (line, outage) pairs kept, 1 x 2-hour blocks, "
+        "0 of 9 (line, outage) pairs kept, 1 season blocks of at most 2 hours, "
+        "4 of 4 (row, block) pairs skipped by the block bound, "
         "0 cells above the floor, intact records 0 near 0 overload, "
         "post-outage records 0 near 0 overload",
         "stage 2: 41 outages screened, 0 bridge outages skipped, "
-        "333 of 1640 (line, outage) pairs kept, 2 x 7359-hour blocks, "
-        "139484 cells above the floor, intact records 12 near 23 overload, "
+        "333 of 1640 (line, outage) pairs kept, 15 season blocks of at most 700 hours, "
+        "3388 of 5610 (row, block) pairs skipped by the block bound, "
+        "106244 cells above the floor, intact records 12 near 23 overload, "
         "post-outage records 9586 near 96623 overload",
         "stage 2: 41 outages screened, 0 bridge outages skipped, "
-        "109 of 1640 (line, outage) pairs kept, 42 x 213-hour blocks, "
-        "14095 cells above the floor, intact records 0 near 0 overload, "
+        "109 of 1640 (line, outage) pairs kept, 338 season blocks of at most 26 hours, "
+        "40775 of 50700 (row, block) pairs skipped by the block bound, "
+        "8028 cells above the floor, intact records 0 near 0 overload, "
         "post-outage records 7157 near 871 overload",
     ]
 
@@ -464,8 +472,15 @@ def test_every_producer_hands_its_records_in_record_order(tmp_path, name):
 
 
 def _blocks_logged(caplog) -> tuple[int, int]:
-    """The hour-block count and width of the last Stage 2 log line."""
-    return tuple(map(int, re.search(r"(\d+) x (\d+)-hour blocks", caplog.messages[-1]).groups()))
+    """The season-block count and width of the last Stage 2 log line."""
+    found = re.search(r"(\d+) season blocks of at most (\d+) hours", caplog.messages[-1])
+    return tuple(map(int, found.groups()))
+
+
+def _season_runs(calendar, hours) -> int:
+    """The number of runs of one season in ``hours``."""
+    is_summer = calendar.summer_mask[hours]
+    return int(len(hours) > 0) + int(np.count_nonzero(is_summer[1:] != is_summer[:-1]))
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES + ("loaded_mesh6",))
@@ -473,10 +488,10 @@ def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references(
     monkeypatch, caplog, name
 ):
     # a year with infeasible hours, screened over every line, every other
-    # line and Stage 1's lines (screen_from_stage1), in hour blocks of
-    # BLOCK_CELLS 1,024 and 64 (grid30: 286 and 17 hours): the records are
-    # the reference order of the one-block scan's, and the summaries the
-    # sorting reference's, bit for bit
+    # line and Stage 1's lines (screen_from_stage1), in one block per season
+    # run (BLOCK_CELLS 2^40), then in season blocks of BLOCK_CELLS 1,024 and
+    # 64: the records are the reference order of the season-run scan's, and
+    # the summaries the sorting reference's, bit for bit
     case = LOADED_MESH6 if name == "loaded_mesh6" else getattr(cases, name)()
     year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
     feasible = year.feasible.copy()
@@ -486,12 +501,15 @@ def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references(
     rec1, base = stage1_scan(year, case.model, system, case.profile, case.calendar)
     lodf = compute_lodf(compute_ptdf(system, case.model), case.model)
     at = np.searchsorted(base.hours, rec1.hour)  # Stage 1's hour columns
+    n_runs = _season_runs(case.calendar, base.hours)  # 1 on a one-season calendar
     split_stage1 = False
     for monitored in (None, set(sorted(base.line_ids)[::2]), set(rec1.lines())):
+        monkeypatch.setattr(dcflow, "BLOCK_CELLS", 1 << 40)
         with caplog.at_level(logging.INFO, logger="pfcplan.screening"):
             expected = in_record_order(stage2_scan(base, lodf, case.model, case.calendar,
                                                    monitored))
-        assert _blocks_logged(caplog)[0] <= 1
+        monkeypatch.undo()
+        assert _blocks_logged(caplog)[0] == (n_runs if monitored != set() else 0)
         expected_summary = [_hex(s) for s in summarize_by_sorting(expected, case.model)]
         for cells in (1024, 64):
             monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
@@ -502,9 +520,10 @@ def test_stage2_and_summarize_in_hour_blocks_are_the_one_pass_references(
             same_records(records, expected)
             assert [_hex(s) for s in summaries] == expected_summary
             n_blocks, width = _blocks_logged(caplog)
-            assert n_blocks > 1 or monitored == set()  # a monitored line makes several blocks
-            split_stage1 |= bool(len(at)) and at[0] // width < at[-1] // width
-    assert split_stage1 or not len(rec1)  # a block boundary inside Stage 1's records
+            assert n_blocks > n_runs or monitored == set()  # a monitored line splits the runs
+            # a block holds at most width hours: a block start inside Stage 1's records
+            split_stage1 |= bool(len(at)) and at[-1] - at[0] >= width
+    assert split_stage1 or not len(rec1)
 
 
 def _only_16_bit_sorts(monkeypatch) -> list[int]:
@@ -526,15 +545,19 @@ def _only_16_bit_sorts(monkeypatch) -> list[int]:
 
 
 def test_stage1_orders_its_records_with_one_16_bit_sort_per_hour_block(monkeypatch):
-    # mesh6's 8 lines make 65,536 // 8 = 8,192-hour blocks: 2 over the year
+    # mesh6's 8 lines make 65,536 // 8 = 8,192-hour blocks, so each of the
+    # year's season runs (2,160, 4,392 and 2,208 hours) is one block; at
+    # 8,000 cells the blocks are 1,000 hours: 3 + 5 + 3 of them
     case = LOADED_MESH6
     year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
     system = build_system(case.model)
-    keys = _only_16_bit_sorts(monkeypatch)
-    records, _ = stage1_scan(year, case.model, system, case.profile, case.calendar)
-    monkeypatch.undo()
-    assert len(keys) == 2 and sum(keys) == len(records) > 1
-    same_records(records, in_record_order(records))
+    for cells, n_blocks in ((dcflow.BLOCK_CELLS, 3), (8000, 11)):
+        monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
+        keys = _only_16_bit_sorts(monkeypatch)
+        records, _ = stage1_scan(year, case.model, system, case.profile, case.calendar)
+        monkeypatch.undo()
+        assert len(keys) == n_blocks and sum(keys) == len(records) > 1
+        same_records(records, in_record_order(records))
 
 
 # a triangle whose line table is not in line-id order, rated 100 MW
@@ -601,9 +624,11 @@ def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
     n_intact = int((expected.contingency < 0).sum())
     assert n_intact
     expected_summary = summarize_by_sorting(expected, model)
+    n_runs = _season_runs(calendar, base.hours)
     passes = []
-    # one hour block and one slice, then several (the triangle's blocks are 1 hour)
-    for cells in (dcflow.BLOCK_CELLS, 4096 if name == "loaded_mesh6" else 2):
+    # one block per season run and one slice, then several (the triangle's
+    # blocks are 1 hour)
+    for cells in (dcflow.BLOCK_CELLS, 4096 if name == "loaded_mesh6" else 1):
         monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
         keys = _only_16_bit_sorts(monkeypatch)
         records = stage2_scan(base, lodf, model, calendar)
@@ -612,11 +637,11 @@ def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
         monkeypatch.undo()
         same_records(records, expected)
         assert summary == expected_summary
-        # one pass per hour block orders the records, one per slice reads the rollups
+        # one pass per season block orders the records, one per slice reads the rollups
         assert sum(keys[:n_blocks]) == len(expected) > n_intact
         assert sum(keys[n_blocks:]) == len(expected)
         passes.append((n_blocks, len(keys) - n_blocks))
-    assert passes[0] == (1, 1) and min(passes[1]) > 1
+    assert passes[0] == (n_runs, 1) and passes[1][0] > n_runs and passes[1][1] > 1
     if name == "unordered_triangle":  # hour 3 carries no flow: its block holds no record
         assert 0 in keys[:n_blocks]
 
@@ -682,18 +707,26 @@ def test_summarize_matches_the_sorting_reference_bit_for_bit(records):
     assert [_hex(s) for s in got] == [_hex(s) for s in expected]
 
 
-@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0), (3, 4)])
 def test_hit_kernel_without_hours_or_lines_finds_nothing(shape):
-    # no feasible hour leaves a lines x 0 flow matrix: no record and no
-    # numpy warning (warnings are errors here)
-    flows = np.zeros(shape)
-    ratings = np.ones(3)
-    cells, line, hour, pct, excess, over = _hits(
-        flows, _rows(np.arange(shape[0]), ratings, ratings, 90.0),
-        np.zeros(shape[1], dtype=bool), 90.0, 100.0,
+    # the screen loop over (rows, hours): no feasible hour leaves a lines x 0
+    # flow matrix, no row leaves nothing to check, and 3 rows without flow
+    # over 4 hours around the spring season change are pruned in both of
+    # their blocks: no record, no cell and no numpy warning (warnings are
+    # errors here), and the index columns are int32
+    n_rows, n_hours = shape
+    hours = np.arange(2158, 2158 + n_hours)  # 2160 is the first summer hour
+    base = BaseFlows(hours, np.zeros((n_hours, 3)), ("L1", "L2", "L3"))
+    rows = (np.arange(n_rows, dtype=np.int32), np.array([-1, 0, 0][:n_rows], dtype=np.int32),
+            np.array([0.0, 0.5, -0.5][:n_rows]))
+    is_summer = SeasonCalendar.from_months().summer_mask[hours]
+    records, n_blocks, _, n_skipped, n_cells = _screen(
+        base, is_summer, np.ones((2, 3)), *rows, 90.0, 100.0
     )
-    assert cells == 0 and hour.dtype == np.int32  # the record column's dtype
-    assert all(len(column) == 0 for column in (line, hour, pct, excess, over))
+    assert n_blocks == (2 if n_rows and n_hours else 0)
+    assert n_cells == 0 and n_skipped == n_rows * n_blocks
+    assert len(records) == 0
+    assert all(getattr(records, name).dtype == np.int32 for name in ("line", "hour", "contingency"))
 
 
 def test_scans_of_a_year_without_feasible_hours_find_nothing():
