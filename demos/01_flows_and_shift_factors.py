@@ -28,7 +28,10 @@ lodf = shift_factors.compute_lodf(ptdf, model)
 print(f"  LODF(L12 | L13 out)   = {lodf.entry('L12', 'L13'):.4f}   (all of it)")
 
 print("\n=== losing L13: superposition vs exact re-solve ===")
-predicted = shift_factors.post_contingency_flows(solution, lodf, "L13")
+k = lodf.line_ids.index("L13")
+# each line gains LODF(l, k) times the lost line's flow; L13 itself carries none
+predicted = solution.flows_mw + lodf.matrix[:, k] * solution.flows_mw[k]
+predicted[k] = 0.0
 exact = dcflow.solve_with_outage(model, injections, "L13")
 print(f"  {'line':6} {'LODF':>9} {'exact':>9}")
 for i, line_id in enumerate(solution.line_ids):

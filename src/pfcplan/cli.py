@@ -265,17 +265,20 @@ COMMANDS = {
 }
 
 
-def _verified(out: Path, stage: Stage, content_hash: str) -> bool:
+def _verified(out: Path, stage: Stage, content_hash: str) -> dict[str, str]:
+    """Each output's sha256 if the meta holds ``content_hash`` (read first) and them, else {}."""
     try:
         meta = json.loads((out / f"{stage.scope}_meta.json").read_text())
-        return meta["config_hash"] == content_hash and all(
-            report._sha256(out / name) == meta["sha256"][name] for name in stage.outputs
+        checksums = {name: meta["sha256"][name] for name in stage.outputs}
+        fresh = meta["config_hash"] == content_hash and all(
+            report._sha256(out / name) == checksums[name] for name in stage.outputs
         )
+        return checksums if fresh else {}
     except (OSError, ValueError, KeyError, TypeError):
-        return False
+        return {}
 
 
-def _compute(cfg: StudyConfig, stage: Stage, study: Study, content_hash: str) -> None:
+def _compute(cfg: StudyConfig, stage: Stage, study: Study, content_hash: str) -> dict[str, str]:
     out = Path(cfg.out_dir)
     meta = out / f"{stage.scope}_meta.json"
     with tempfile.TemporaryDirectory(dir=out, prefix=f".{stage.scope}-") as tmp:
@@ -287,9 +290,10 @@ def _compute(cfg: StudyConfig, stage: Stage, study: Study, content_hash: str) ->
         payload = {"config_hash": content_hash, "sha256": checksums}
         (tmp / meta.name).write_text(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp / meta.name, meta)
+    return checksums
 
 
-def _emit_report(cfg: StudyConfig, study: Study) -> None:
+def _emit_report(cfg: StudyConfig, study: Study, checksums: dict[str, str]) -> None:
     out = Path(cfg.out_dir)
     # build_report checks the screen stage's summaries against the records
     summaries = screening.read_line_summary_csv(out / "line_summary.csv")
@@ -304,17 +308,17 @@ def _emit_report(cfg: StudyConfig, study: Study) -> None:
         scenario=cfg.scenario,
         config_hash=cfg.content_hash("siting"),
     )
-    extra = [str(out / name) for stage in STAGES for name in stage.outputs]
-    report.emit(study, out, extra_files=extra)
+    report.emit(study, out, checksums)
 
 
 def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    study = Study(cfg)
+    study, checksums = Study(cfg), {}  # every stage output's sha256, by name
     for stage in STAGES[:walk]:
         content_hash = cfg.content_hash(stage.scope)
-        if _verified(out, stage, content_hash):
+        if verified := _verified(out, stage, content_hash):
+            checksums.update(verified)
             if stage.name in computes:
                 print(f"{stage.name}: cached, outputs verified")
             continue
@@ -328,9 +332,9 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
         held = {k: v for k, v in vars(study).items() if k in ("year", "records")}
         study = Study(cfg)
         vars(study).update(held)
-        _compute(cfg, stage, study, content_hash)
+        checksums.update(_compute(cfg, stage, study, content_hash))
     if walk == len(STAGES):
-        _emit_report(cfg, study)
+        _emit_report(cfg, study, checksums)
         print(f"report: written to {out / 'report'}")
     if "dispatch" in computes and study.dispatch_stats["infeasible_hours"]:
         return EXIT_INFEASIBLE

@@ -176,15 +176,16 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float], unit: str
 def emit(
     report: StudyReport,
     out_dir,
-    extra_files: list[str],
+    stage_sha256: dict[str, str],
     timestamp: str | None = None,
 ) -> list[dict]:
     """Write the report directory; returns the manifest (also written as JSON).
 
     Layout: report/summary.json, report/*.csv, report/charts/*.svg and
-    report/manifest.json with a checksum for every emitted file plus any
-    ``extra_files`` the caller wants covered (the stage workbooks). The
-    generated_at timestamp in summary.json is the only non-reproducible byte.
+    report/manifest.json with a checksum for every emitted file plus the files
+    under ``out_dir`` that ``stage_sha256`` names with their sha256 (the stage
+    outputs, hashed once when written or verified). The generated_at timestamp
+    in summary.json is the only non-reproducible byte.
     """
     out_dir = Path(out_dir)
     report_dir = out_dir / "report"
@@ -241,14 +242,9 @@ def emit(
         written.append(report_dir / "charts" / name)
         written[-1].write_text(svg, encoding="utf-8")
 
-    manifest = []
-    covered = [str(p) for p in written] + list(extra_files)
-    for file_path in sorted(covered):
-        p = Path(file_path)
-        rel = p.relative_to(out_dir) if p.is_relative_to(out_dir) else p
-        manifest.append(
-            {"file": str(rel), "sha256": _sha256(p), "bytes": p.stat().st_size}
-        )
+    checksums = {str(p.relative_to(out_dir)): _sha256(p) for p in written} | stage_sha256
+    manifest = [{"file": name, "sha256": sha, "bytes": (out_dir / name).stat().st_size}
+                for name, sha in sorted(checksums.items())]
     with open(report_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -44,16 +44,15 @@ Records are emitted for loadings strictly above the near threshold (default
 the two classes partition everything above 90%. A loading of exactly 90%
 produces no record. Records are held as column arrays (``OverloadRecords``,
 indices as int32) in record order: by hour, then contingency id (intact
-first), then line id. Their producers hand them over in that order. A
-block's hits come out by row, so by contingency and line, then hour, and one
-stable radix pass by hour column orders the block. The blocks arrive in
-record order: each column is filled from them into one array, and no order
-or gathered copy the size of the record set is held. ``summarize``
-reads the records in slices cut where an hour starts, each with one radix
-pass by line whose run boundaries give its rollups; each line's energy is
-one left fold continued from slice to slice, so it keeps the bits of one
-fold over the year. Above 65,536 line ids the radix passes fall back to a
-comparison sort.
+first), then line id. Their producers hand them over in that order. The
+loop reads each block hours x rows, so its hits come out by hour, then row:
+in record order, with no sort. The blocks arrive in record order: each
+column is filled from them into one array, and no order or gathered copy
+the size of the record set is held. ``summarize`` reads the records in
+slices cut where an hour starts, each with one radix pass by line whose run
+boundaries give its rollups; each line's energy is one left fold continued
+from slice to slice, so it keeps the bits of one fold over the year. Above
+65,536 line ids the radix pass falls back to a comparison sort.
 ``region_counts``, the summaries' overloaded lines by region, is the one
 source of every region count: workbook, report and the screen's stdout.
 
@@ -242,7 +241,7 @@ class BaseFlows:
     """Hourly intact-network flows retained from Stage 1 for Stage 2 reuse."""
 
     hours: np.ndarray  # feasible hour indices, ascending
-    flows_mw: np.ndarray  # shape (n_hours, n_lines)
+    flows_mw: np.ndarray  # hours x lines; Stage 1's a view of its lines x hours
     line_ids: tuple[str, ...]
 
 
@@ -316,10 +315,9 @@ def _screen(base: BaseFlows, is_summer, ratings, line, outage, factor, near_pct,
     rows' flows are formed with the product and sum of the unpruned scan
     and only the cells above their floor get 100 |f| / r: a record needs
     fl(fl(100 |f|) / r) > near, so |f| > near r / 100 (1 - 2^-51), and
-    the margin is far above that rounding. The hits come out by row, then
-    hour; one stable 16-bit pass by hour puts the block in record order.
+    the margin is far above that rounding. Blocks are read hours x rows from
+    ``base.flows_mw``, so the cells come out by hour, then row: record order.
     """
-    flows_t = np.ascontiguousarray(base.flows_mw.T)  # (n_lines, n_hours)
     n_hours, n_rows = len(base.hours), len(line)
     n_entries = len(_run_starts(outage))
     width = dcflow.BLOCK_CELLS * min(n_entries, 4) // n_rows if n_rows else n_hours
@@ -338,34 +336,33 @@ def _screen(base: BaseFlows, is_summer, ratings, line, outage, factor, near_pct,
     pieces = {name: [] for name in _RECORD_COLUMNS}  # per column, one piece per block
     for c0, c1 in zip(starts, ends):
         season = 0 if is_summer[c0] else 1
-        block = flows_t[:, c0:c1]
-        peak = np.abs(block).max(axis=1)
+        block = base.flows_mw[c0:c1]  # hours x lines
+        peak = np.abs(block).max(axis=0)
         bound = peak[line] + coupling * peak[outage]
         rows = np.flatnonzero(bound * (1.0 + PRUNE_MARGIN) > floor[season])
         n_skipped += n_rows - len(rows)
-        post = block[line[rows]]
+        post = block[:, line[rows]]
         n = np.searchsorted(rows, n_intact)  # the kept intact rows come first
         if n < len(rows):
-            post_k = block[outage[rows[n:]]]
-            post_k *= factor[rows[n:], None]
-            post[n:] += post_k
+            post_k = block[:, outage[rows[n:]]]
+            post_k *= factor[rows[n:]]
+            post[:, n:] += post_k
             del post_k
         magnitude = np.abs(post, out=post)
-        # the cells above the floor in row-major order, as np.nonzero gives them
-        cells = np.flatnonzero(magnitude > floor[season, rows, None])
+        # the cells above the floor by hour, then row: in record order
+        cells = np.flatnonzero(magnitude > floor[season, rows])
         n_cells += len(cells)
-        row, col = np.divmod(cells, c1 - c0)
+        col, row = np.divmod(cells, len(rows))
         a = magnitude.ravel()[cells]
         del post, magnitude, cells
         row = rows[row]
         r = rating[season, row]
         pct = 100.0 * a / r
         hit = np.flatnonzero(pct > near_pct)
-        hit = hit[_stable_order(col[hit], c1 - c0)]
-        row, pct, a, r = row[hit], pct[hit], a[hit], r[hit]
+        row, col, pct, a, r = row[hit], col[hit], pct[hit], a[hit], r[hit]
         over = pct > overload_pct
         for name, piece in zip(_RECORD_COLUMNS, (
-            line[row], hours[c0 + col[hit]], outage[row], pct,
+            line[row], hours[c0 + col], outage[row], pct,
             np.where(over, a - r, 0.0), over,
         )):
             pieces[name].append(piece)

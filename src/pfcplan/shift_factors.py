@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcflow import FlowSolution, IslandingError, SingularSystemError, SusceptanceSystem
+from .dcflow import IslandingError, SingularSystemError, SusceptanceSystem
 from .network import NetworkModel
 
 # an outage with 1 - phi(k,k) below this times the reactance spread (largest /
@@ -110,22 +110,4 @@ def compute_lodf(ptdf: PtdfMatrix, model: NetworkModel) -> LodfMatrix:
     np.fill_diagonal(lodf, -1.0)
     lodf[:, islanding] = np.nan
     return LodfMatrix(matrix=lodf, line_ids=ptdf.line_ids, islanding=islanding)
-
-
-def post_contingency_flows(
-    base: FlowSolution, lodf: LodfMatrix, outage_line: str
-) -> np.ndarray:
-    """MW line flows after an outage, from base flows and the LODF column.
-
-    flow'(l) = flow(l) + LODF(l, k) * flow(k); the outaged line itself carries
-    zero. Islanding-marked outages are refused.
-    """
-    if base.line_ids != lodf.line_ids:
-        raise ValueError("base solution and LODF cover different line sets")
-    k = lodf.line_ids.index(outage_line)
-    if lodf.islanding[k]:
-        raise IslandingError(outage_line)
-    flows = base.flows_mw + lodf.matrix[:, k] * base.flows_mw[k]
-    flows[k] = 0.0
-    return flows
 

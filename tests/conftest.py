@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from pfcplan import cases, screening, siting
 from pfcplan.cli import Study
 from pfcplan.config import load_config
-from pfcplan.dcflow import build_system
+from pfcplan.dcflow import IslandingError, build_system
 from pfcplan.dispatch import run_year
 from pfcplan.network import Bus, Generator, Line, NetworkModel
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
@@ -191,6 +191,20 @@ def reduced_matrix(system) -> sp.csc_matrix:
     its read-only ``data``, ``indices`` and ``indptr``."""
     n = len(system.non_slack)
     return sp.csc_matrix((system.data, system.indices, system.indptr), shape=(n, n))
+
+
+def post_contingency_flows(base, lodf, outage_line: str) -> np.ndarray:
+    """MW line flows after an outage, from a ``FlowSolution`` and the LODF
+    column: flow'(l) = flow(l) + LODF(l, k) * flow(k), the outaged line
+    itself carrying zero. Islanding-marked outages are refused."""
+    if base.line_ids != lodf.line_ids:
+        raise ValueError("base solution and LODF cover different line sets")
+    k = lodf.line_ids.index(outage_line)
+    if lodf.islanding[k]:
+        raise IslandingError(outage_line)
+    flows = base.flows_mw + lodf.matrix[:, k] * base.flows_mw[k]
+    flows[k] = 0.0
+    return flows
 
 
 def dense_dc_flows(model: NetworkModel, injections_mw: np.ndarray) -> dict[str, float]:

@@ -32,7 +32,7 @@ from pfcplan.network import (
     NetworkModel,
 )
 from pfcplan.screening import stage1_scan, stage2_scan
-from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
+from pfcplan.shift_factors import compute_lodf, compute_ptdf
 from pfcplan.siting import (
     FULLY_RESOLVED,
     NO_CHANGE,
@@ -46,6 +46,7 @@ from conftest import (
     dense_dc_flows,
     graph_bridges,
     min_reactance_increase,
+    post_contingency_flows,
 )
 from test_cli import _normalized_tree, _study
 

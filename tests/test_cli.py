@@ -4,17 +4,18 @@ import json
 import logging
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfcplan import cases, cli, dcflow, dispatch, screening, shift_factors
+from pfcplan import cases, cli, dcflow, dispatch, report, screening, shift_factors
 from pfcplan.cli import main
 from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.report import ReportConsistencyError
 
-from conftest import LOWERED_NEAR_PCT, same_records, select_records
+from conftest import LOWERED_NEAR_PCT, post_contingency_flows, same_records, select_records
 
 
 def _study(tmp_path, case, name="study", **config_overrides):
@@ -366,6 +367,22 @@ def test_run_all_writes_manifest_of_all_outputs(tmp_path):
         assert expected in files
 
 
+def test_each_manifest_file_is_hashed_once_per_command(tmp_path, monkeypatch):
+    # run-all hashes each stage output as it writes it and report as it
+    # verifies it; the manifest takes those checksums and hashes only the
+    # report's own files
+    config, out = _study(tmp_path, cases.parallel_paths_case())
+    hashed, sha256 = Counter(), report._sha256
+    monkeypatch.setattr(report, "_sha256", lambda path: hashed.update([path.name]) or sha256(path))
+    for command in ("run-all", "report"):
+        hashed.clear()
+        assert main([command, "--config", str(config)]) == 0
+        manifest = json.loads((out / "report" / "manifest.json").read_text())
+        assert hashed == Counter(Path(entry["file"]).name for entry in manifest)
+        for entry in manifest:
+            assert entry["sha256"] == sha256(out / entry["file"])
+
+
 def test_run_all_resumes_from_cached_dispatch(tmp_path):
     config, out, _ = _run_all(tmp_path, cases.parallel_paths_case())
     stamp = os.stat(out / "dispatch.csv").st_mtime_ns
@@ -640,7 +657,7 @@ def test_an_outage_with_a_small_safe_margin_is_screened(tmp_path, caplog):
     lodf = shift_factors.compute_lodf(shift_factors.compute_ptdf(system, model), model)
     injection = np.array([90.0, 0.0, -90.0])
     exact = dcflow.solve_with_outage(model, injection, "L12").flows_mw
-    fast = shift_factors.post_contingency_flows(dcflow.solve_flows(system, injection), lodf, "L12")
+    fast = post_contingency_flows(dcflow.solve_flows(system, injection), lodf, "L12")
     assert np.abs(fast - exact).max() <= 1e-6 * max(np.abs(exact).max(), 1.0)
 
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases, cli, dcflow, network, screening, shift_factors, siting
+from pfcplan import cases, cli, dcflow, network, screening, siting
 from pfcplan.cli import main
 from pfcplan.config import INPUT_KEYS, StudyConfig
 from pfcplan.report import ReportConsistencyError
@@ -169,31 +169,29 @@ def test_a_config_file_that_is_not_utf8_exits_2(tmp_path):
 
 
 # The plain ValueErrors that guard library callers, and why ``main`` cannot
-# reach them: each guard but the last is on run-all's path, and the CLI builds its
+# reach them: each guard is on run-all's path, and the CLI builds its
 # arguments so that it cannot fire. A stage's outputs are read back only when
 # their bytes verify, so an edited ``overloads.csv`` never reaches Stage 3.
-GUARDS = {
+GUARDS = (
     # injection_matrix has one column per model bus
-    (dcflow, "reduced_injections"): True,
+    (dcflow, "reduced_injections"),
     # Stage 3's outages are record contingencies: in-service lines that are
     # no bridge (Stage 2 skips bridge outages)
-    (dcflow, "check_outage"): True,
+    (dcflow, "check_outage"),
     # load_config refuses a derate outside [0, 0.5) and summer months
     # outside 1..12, and from_months builds all 8,760 hours
-    (network.SeasonCalendar, "__post_init__"): True,
+    (network.SeasonCalendar, "__post_init__"),
     # Stage 3 asks the season of record hours only
-    (network.SeasonCalendar, "season"): True,
+    (network.SeasonCalendar, "season"),
     # load_config and --voltage-levels refuse an empty level list
-    (cli, "filter_monitored_lines"): True,
+    (cli, "filter_monitored_lines"),
     # the base flows and the LODF come from the screen's one build_system
-    (screening, "stage2_scan"): True,
+    (screening, "stage2_scan"),
     # targets are lines with an overload record, in the model, and no record
     # has its own line as its contingency (the LODF diagonal is never screened)
-    (siting, "candidate_locations"): True,
-    (siting, "assess_target"): True,
-    # called by no stage
-    (shift_factors, "post_contingency_flows"): False,
-}
+    (siting, "candidate_locations"),
+    (siting, "assess_target"),
+)
 
 
 def test_the_guarding_value_errors_are_unreachable_from_main(tmp_path, monkeypatch):
@@ -209,9 +207,7 @@ def test_the_guarding_value_errors_are_unreachable_from_main(tmp_path, monkeypat
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     config, out = _study(tmp_path, cases.grid30_case())
     assert _exits_cleanly(config) == 0
-    assert {name for _, name in GUARDS if calls[name]} == {
-        name for (_, name), on_path in GUARDS.items() if on_path
-    }
+    assert all(calls[name] for _, name in GUARDS)
     for key, value in (("derate", 0.5), ("summer_months", [13]), ("voltage_levels", [])):
         edited = tmp_path / f"{key}.json"
         edited.write_text(json.dumps({**json.loads(config.read_text()), key: value}))

@@ -61,9 +61,7 @@ from pfcplan.network import (
     SeasonCalendar, effective_ratings,
 )
 from pfcplan.screening import BaseFlows, stage1_scan, stage2_scan, summarize
-from pfcplan.shift_factors import (
-    compute_lodf, compute_ptdf, line_transfer_factors, post_contingency_flows,
-)
+from pfcplan.shift_factors import compute_lodf, compute_ptdf, line_transfer_factors
 
 from conftest import (
     assert_producers_keep_record_order,
@@ -78,6 +76,7 @@ from conftest import (
     in_record_order,
     outage_records,
     pair_group,
+    post_contingency_flows,
     records_from_rows,
     reduced_matrix,
     same_records,

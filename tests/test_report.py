@@ -96,7 +96,7 @@ def test_regional_counts(tmp_path):
     # L1-L3 leave West buses and L5 an East one; the near-only L6 counts nowhere
     rows = _overloads("L1", "L2", "L3", "L5")
     rows.append(OverloadRecord("L6", 5, None, 95.0, 0.0, "near"))
-    emit(_report(_regional_model(), rows), tmp_path, [], timestamp="T0")
+    emit(_report(_regional_model(), rows), tmp_path, {}, timestamp="T0")
     summary = json.loads((tmp_path / "report" / "summary.json").read_text())
     assert summary["regional_overloaded_lines"] == {"East": 1, "West": 3}
     assert summary["screening"]["overloaded_lines"] == 4
@@ -137,7 +137,7 @@ def test_unknown_line_in_summary_is_hard_error():
 
 def test_emit_with_charts_single_bar(tmp_path):
     report = _report(cases.triangle(), _overloads("L12"))
-    emit(report, tmp_path, [])
+    emit(report, tmp_path, {})
     svg = (tmp_path / "report" / "charts" / "duration_per_line.svg").read_text()
     assert svg.count("<rect") == 2  # background plus exactly one bar
     assert "L12" in svg
@@ -151,7 +151,7 @@ def test_charts_stay_well_formed_for_a_line_id_with_markup(tmp_path):
     )
     model = dataclasses.replace(model, lines=lines)
     report = _report(model, _overloads(odd), [_outcome(odd, FULLY_RESOLVED)])
-    emit(report, tmp_path, [])
+    emit(report, tmp_path, {})
     charts = tmp_path / "report" / "charts"
     texts = {
         name: [t.text for t in ET.parse(charts / name).iter(f"{SVG}text")]
@@ -163,8 +163,8 @@ def test_charts_stay_well_formed_for_a_line_id_with_markup(tmp_path):
 
 def test_emit_deterministic_with_pinned_timestamp(tmp_path):
     report = _report(cases.triangle(), _overloads("L12"), [_outcome("L12", FULLY_RESOLVED)])
-    emit(report, tmp_path / "a", [], timestamp="T0")
-    emit(report, tmp_path / "b", [], timestamp="T0")
+    emit(report, tmp_path / "a", {}, timestamp="T0")
+    emit(report, tmp_path / "b", {}, timestamp="T0")
     files_a = sorted(p for p in (tmp_path / "a").rglob("*") if p.is_file())
     files_b = sorted(p for p in (tmp_path / "b").rglob("*") if p.is_file())
     assert [p.relative_to(tmp_path / "a") for p in files_a] == [
@@ -176,8 +176,8 @@ def test_emit_deterministic_with_pinned_timestamp(tmp_path):
 
 def test_emit_differs_only_in_timestamp(tmp_path):
     report = _report(cases.triangle())
-    emit(report, tmp_path / "a", [], timestamp="T0")
-    emit(report, tmp_path / "b", [], timestamp="T1")
+    emit(report, tmp_path / "a", {}, timestamp="T0")
+    emit(report, tmp_path / "b", {}, timestamp="T1")
     sa = json.loads((tmp_path / "a" / "report" / "summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "report" / "summary.json").read_text())
     assert sa.pop("generated_at") != sb.pop("generated_at")
@@ -191,7 +191,7 @@ def test_emit_differs_only_in_timestamp(tmp_path):
 def test_manifest_checksums_verify(tmp_path):
     import hashlib
 
-    manifest = emit(_report(cases.triangle()), tmp_path, [], timestamp="T0")
+    manifest = emit(_report(cases.triangle()), tmp_path, {}, timestamp="T0")
     for entry in manifest:
         data = (tmp_path / entry["file"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]

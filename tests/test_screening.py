@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfcplan import cases, dcflow
+from pfcplan import cases, dcflow, screening
 from pfcplan.dcflow import build_system, solve_with_outage
 from pfcplan.dispatch import (
     DemandProfile,
@@ -544,19 +544,43 @@ def _only_16_bit_sorts(monkeypatch) -> list[int]:
     return keys
 
 
-def test_stage1_orders_its_records_with_one_16_bit_sort_per_hour_block(monkeypatch):
+def _screened_without_a_sort(monkeypatch) -> tuple[list[int], list[tuple]]:
+    """``_only_16_bit_sorts``, with ``np.argsort`` refused inside
+    ``screening._screen``; returns the lists the length of each sorted key
+    and each ``_screen`` call's counters (season blocks, width, skipped
+    (row, block) pairs, cells above the floor) go to."""
+    keys, counters, screen = _only_16_bit_sorts(monkeypatch), [], screening._screen
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.argsort inside _screen")
+
+    def unsorted_screen(*args):
+        with monkeypatch.context() as inside:
+            inside.setattr(np, "argsort", no_sort)
+            records, *counts = screen(*args)
+        counters.append(tuple(counts))
+        return records, *counts
+
+    monkeypatch.setattr(screening, "_screen", unsorted_screen)
+    return keys, counters
+
+
+def test_stage1_hands_its_records_over_in_record_order_with_no_sort(monkeypatch):
     # mesh6's 8 lines make 65,536 // 8 = 8,192-hour blocks, so each of the
     # year's season runs (2,160, 4,392 and 2,208 hours) is one block; at
     # 8,000 cells the blocks are 1,000 hours: 3 + 5 + 3 of them
     case = LOADED_MESH6
     year = run_year(case.model, case.profile, case.availability, case.snsp_cap)
     system = build_system(case.model)
-    for cells, n_blocks in ((dcflow.BLOCK_CELLS, 3), (8000, 11)):
+    for cells, n_blocks, width in ((dcflow.BLOCK_CELLS, 3, 8192), (8000, 11, 1000)):
         monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
-        keys = _only_16_bit_sorts(monkeypatch)
+        keys, counters = _screened_without_a_sort(monkeypatch)
         records, _ = stage1_scan(year, case.model, system, case.profile, case.calendar)
         monkeypatch.undo()
-        assert len(keys) == n_blocks and sum(keys) == len(records) > 1
+        assert keys == [] and [c[:2] for c in counters] == [(n_blocks, width)]
+        # records in more than one 1,000-hour block, and hours with more than one
+        assert records.hour[-1] - records.hour[0] > 1000
+        assert len(np.unique(records.hour)) < len(records)
         same_records(records, in_record_order(records))
 
 
@@ -630,20 +654,18 @@ def test_the_screen_path_sorts_only_16_bit_keys(monkeypatch, name):
     # blocks are 1 hour)
     for cells in (dcflow.BLOCK_CELLS, 4096 if name == "loaded_mesh6" else 1):
         monkeypatch.setattr(dcflow, "BLOCK_CELLS", cells)
-        keys = _only_16_bit_sorts(monkeypatch)
+        keys, counters = _screened_without_a_sort(monkeypatch)
         records = stage2_scan(base, lodf, model, calendar)
-        n_blocks = len(keys)
         summary = summarize(records, model)
         monkeypatch.undo()
         same_records(records, expected)
         assert summary == expected_summary
-        # one pass per season block orders the records, one per slice reads the rollups
-        assert sum(keys[:n_blocks]) == len(expected) > n_intact
-        assert sum(keys[n_blocks:]) == len(expected)
-        passes.append((n_blocks, len(keys) - n_blocks))
+        # the screen sorts nothing, and one pass per slice reads the rollups
+        [(n_blocks, *_)] = counters
+        assert len(keys) == len(screening._hour_slices(records.hour, cells))
+        assert sum(keys) == len(expected) > n_intact
+        passes.append((n_blocks, len(keys)))
     assert passes[0] == (n_runs, 1) and passes[1][0] > n_runs and passes[1][1] > 1
-    if name == "unordered_triangle":  # hour 3 carries no flow: its block holds no record
-        assert 0 in keys[:n_blocks]
 
 
 def _hex(summary):

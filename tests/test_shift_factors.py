@@ -3,9 +3,9 @@ import pytest
 
 from pfcplan import cases
 from pfcplan.dcflow import IslandingError, build_system, solve_flows, solve_with_outage
-from pfcplan.shift_factors import compute_lodf, compute_ptdf, post_contingency_flows
+from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
-from conftest import balanced_injection, graph_bridges, two_bus_model
+from conftest import balanced_injection, graph_bridges, post_contingency_flows, two_bus_model
 
 
 def _factors(model):
