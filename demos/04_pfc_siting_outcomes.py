@@ -15,7 +15,7 @@ from pfcplan.dcflow import build_system
 from pfcplan.dispatch import injection_matrix, run_year
 from pfcplan.screening import stage1_scan, stage2_scan
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
-from pfcplan.siting import assess_target, rank_targets
+from pfcplan.siting import assess_target, pair_table, rank_targets
 
 
 def study(case):
@@ -27,12 +27,8 @@ def study(case):
     lodf = compute_lodf(ptdf, model)
     records = stage2_scan(base, lodf, model, case.calendar)
     injections = injection_matrix(model, year, case.profile)
-    targets = records.lines(overload=True)
-    outcomes = [
-        assess_target(t, records, model, injections, case.calendar, ptdf, lodf)
-        for t in targets
-    ]
-    return outcomes
+    table = pair_table(records, model, injections, case.calendar, ptdf, lodf)
+    return [assess_target(t, table) for t in sorted(table.spans)]
 
 
 all_outcomes = []

@@ -192,22 +192,15 @@ def cmd_screen(cfg: StudyConfig, study: Study, dest: Path) -> None:
 
 
 def cmd_site_pfc(cfg: StudyConfig, study: Study, dest: Path) -> None:
-    model, profile, year = study.model, study.profile, study.year
-    records, calendar = study.records, cfg.calendar()
-
-    system = dcflow.build_system(model)
-    ptdf = shift_factors.compute_ptdf(system, model)
+    model = study.model
+    ptdf = shift_factors.compute_ptdf(dcflow.build_system(model), model)
     lodf = shift_factors.compute_lodf(ptdf, model)
-    injections = dispatch.injection_matrix(model, year, profile)
-
-    targets = records.lines(overload=True)
+    injections = dispatch.injection_matrix(model, study.year, study.profile)
+    table = siting.pair_table(study.records, model, injections, cfg.calendar(), ptdf, lodf)
     outcomes = [
-        siting.assess_target(
-            target, records, model, injections, calendar, ptdf, lodf,
-            cap_pct=cfg.pfc_cap_pct, tol_pp=cfg.bisection_tol_pp,
-            overload_pct=cfg.overload_pct,
-        )
-        for target in targets
+        siting.assess_target(target, table, cap_pct=cfg.pfc_cap_pct,
+                             tol_pp=cfg.bisection_tol_pp, overload_pct=cfg.overload_pct)
+        for target in sorted(table.spans)
     ]
     ranking = siting.rank_targets(outcomes)
     siting.write_outcomes(outcomes, dest / "pfc_outcomes.csv")

@@ -299,21 +299,15 @@ class SeasonCalendar:
             hour += n
         return cls(summer_mask=mask, derate_factor=derate_factor)
 
-    def season(self, hour: int) -> str:
-        if not 0 <= hour < HOURS_PER_YEAR:
-            raise ValueError(f"hour {hour} outside [0, {HOURS_PER_YEAR})")
-        return "summer" if self.summer_mask[hour] else "winter"
-
 
 def effective_ratings(
     model: NetworkModel, line_ids: tuple[str, ...], calendar: SeasonCalendar
-) -> tuple[np.ndarray, np.ndarray]:
-    """Effective summer and winter MW ratings of ``line_ids``, one array per
-    season: each line's seasonal rating * (1 - derate)."""
+) -> np.ndarray:
+    """Effective MW ratings of ``line_ids``, one row per season (summer, then
+    winter): each line's seasonal rating * (1 - derate)."""
     lines = [model.line_by_id[lid] for lid in line_ids]
     seasonal = [[ln.rating_summer_mw for ln in lines], [ln.rating_winter_mw for ln in lines]]
-    summer, winter = np.array(seasonal, dtype=float) * (1.0 - calendar.derate_factor)
-    return summer, winter
+    return np.array(seasonal, dtype=float) * (1.0 - calendar.derate_factor)
 
 
 def filter_monitored_lines(model: NetworkModel, voltage_levels) -> set[str]:

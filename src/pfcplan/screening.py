@@ -191,10 +191,9 @@ class OverloadRecords:
             pieces[4::5] = category[self.overload[part].view(np.int8)].tolist()
             yield "".join(pieces)
 
-    def lines(self, overload: bool = False) -> list[str]:
-        """Ids of the lines with a record (with an overload record), sorted."""
-        line = self.line[self.overload] if overload else self.line
-        return sorted(self.line_ids[i] for i in np.unique(line).tolist())
+    def lines(self) -> list[str]:
+        """Ids of the lines with a record, sorted."""
+        return sorted(self.line_ids[i] for i in np.unique(self.line).tolist())
 
 
 # overloads.csv columns: header -> OverloadRecord attribute
@@ -398,7 +397,7 @@ def stage1_scan(
     flows_t = dcflow.flows_from_angles(system, angles)  # (n_lines, n_hours)
     del angles
     base = BaseFlows(hours=hours, flows_mw=flows_t.T, line_ids=system.line_ids)
-    ratings = np.array(effective_ratings(model, system.line_ids, calendar))
+    ratings = effective_ratings(model, system.line_ids, calendar)
     lines = _monitored_columns(system.line_ids, monitored)
     records, *_ = _screen(
         base, calendar.summer_mask[hours], ratings, lines,
@@ -449,7 +448,7 @@ def stage2_scan(
     if base.line_ids != lodf.line_ids:
         raise ValueError("base flows and LODF cover different line sets")
     columns = _monitored_columns(base.line_ids, monitored)
-    ratings = np.array(effective_ratings(model, base.line_ids, calendar))
+    ratings = effective_ratings(model, base.line_ids, calendar)
     is_summer = calendar.summer_mask[base.hours]
     # the ratings of the seasons the hours cover, one row each
     kept = screened_pairs(

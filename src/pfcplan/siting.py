@@ -20,14 +20,11 @@ Outcomes fall into three classes:
 Every Stage-3 value is an exact SuperLU back-substitution on the perturbed
 topology's factorization; the screening shift factors are never reused here
 because a reactance change invalidates them. Hours with identical injections,
-season, and contingency form one pair group, solved once and shared. A group
-checks its injections and contingency once and keeps the right-hand side
-(injections without the slack, per unit) and its season's effective ratings
-from ``network.effective_ratings``, which sizing, the evaluation at the
-chosen increase and ``check_side_effects`` read. A sizing step reads only the
-target's flow, susceptance * (angle_from - angle_to) * base, from two entries
-of its one solve; the other two compute every line's flow from the angles.
-Each value has the bits of the full flow vector's entry.
+season, and contingency form one pair group, solved once and shared.
+``pair_table`` checks the injections and contingencies once per study and
+keeps the right-hand side (injections without the slack, per unit) of each
+distinct injection row and each season's ratings from
+``network.effective_ratings`` for every target's groups.
 
 Each topology is factorized about once (grid30: 1,663 factorizations for
 15,352 Stage-3 solves on 1,660 topologies). A candidate's pair groups are
@@ -51,7 +48,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dcflow
-from .network import NetworkModel, SeasonCalendar, effective_ratings
+from .network import HOURS_PER_YEAR, NetworkModel, SeasonCalendar, effective_ratings
 from .screening import OverloadRecords
 from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
 from .tables import select, write_csv
@@ -140,7 +137,7 @@ RANK_COLUMNS = {
 def candidate_locations(
     target: str,
     lodf: LodfMatrix,
-    ptdf: PtdfMatrix,
+    phi: np.ndarray,
     model: NetworkModel,
     contingencies: Iterable[str | None] = (None,),
 ) -> list[PfcCandidate]:
@@ -148,15 +145,14 @@ def candidate_locations(
 
     Each host scores its best coupling over ``contingencies`` (None: the
     intact network), evaluated on each post-contingency topology via the
-    outage compensation of the transfer factors. A contingency that leaves the
-    target's own relief, 1 - phi(t, t), at or below ``SENSITIVITY_TOL`` offers no
-    candidates: nothing can move the target's flow there.
+    outage compensation of the intact network's transfer factors ``phi``. A
+    contingency that leaves the target's own relief, 1 - phi(t, t), at or below
+    ``SENSITIVITY_TOL`` offers no candidates: nothing can move the target's flow there.
     """
-    line_ids = ptdf.line_ids
+    line_ids = lodf.line_ids
     if target not in line_ids:
         raise ValueError(f"target {target} is not an in-service line")
     t = line_ids.index(target)
-    phi = line_transfer_factors(ptdf, model)
     coupling = np.zeros(len(line_ids))  # each line's best |phi(t, c)| so far
     relief = []  # the target's 1 - phi(t, t) under each contingency kept
     for contingency in contingencies:
@@ -186,10 +182,9 @@ def candidate_locations(
 
 @dataclass(eq=False)  # hashed by identity
 class _PairGroup:
-    """Overloaded (hour, contingency) pairs that share one exact solve, checked
-    once: the right-hand side of every exact solve of it (the first hour's
-    injections), the contingency's in-service position (-1 for the intact
-    network) and its season's in-service ratings (read-only)."""
+    """Overloaded (hour, contingency) pairs of one target that share one exact
+    solve: their injections' rhs and their season's ratings (read-only rows of
+    a ``PairTable``) and the contingency's in-service position (-1: intact)."""
 
     hours: list[int]
     contingency: str | None
@@ -198,34 +193,65 @@ class _PairGroup:
     ratings: np.ndarray
 
 
-def _group_pairs(
-    model: NetworkModel,
-    pairs: set[tuple[int, str | None]],
-    injections: np.ndarray,
-    calendar: SeasonCalendar,
-) -> list[_PairGroup]:
-    """Pairs grouped by contingency, season and injections, in contingency
-    order (no outcome depends on it); an hour outside the year raises."""
-    hours: dict[tuple, list[int]] = {}
-    for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
-        key = (contingency, calendar.season(hour), injections[hour].tobytes())
-        hours.setdefault(key, []).append(hour)
-    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
-    summer.flags.writeable = winter.flags.writeable = False
-    groups = []
-    for (contingency, season, _), group in hours.items():
-        outage = -1
-        if contingency is not None:
-            dcflow.check_outage(model, contingency)
-            outage = model.in_service_line_ids.index(contingency)
-        groups.append(_PairGroup(
-            hours=group,
-            contingency=contingency,
-            rhs=dcflow.reduced_injections(model, injections[group[0]]),
-            outage=outage,
-            ratings=summer if season == "summer" else winter,
-        ))
-    return groups
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """What Stage 3's targets share, built once per study by ``pair_table``."""
+
+    model: NetworkModel
+    lodf: LodfMatrix
+    phi: np.ndarray  # line_transfer_factors of the intact network
+    ratings: np.ndarray  # effective (summer, winter) ratings, read-only
+    spans: dict[str, slice]  # each target's slice of the three record columns
+    hour: np.ndarray  # the overload records' hours, sorted by target line
+    contingency: np.ndarray  # their contingencies, indices into line_ids
+    loading_pct: np.ndarray
+    line_ids: tuple[str | None, ...]  # the records' line ids; index -1: None
+    rhs: np.ndarray  # one read-only row per distinct injection row of the hours
+    row: np.ndarray  # each hour's row of rhs
+    season: np.ndarray  # each hour's row of ratings
+
+    def groups(self, target: str) -> list[_PairGroup]:
+        """The target's pair groups by contingency id, then first hour."""
+        span, ids = self.spans.get(target, slice(0)), self.line_ids
+        groups: dict[tuple, list[int]] = {}
+        for k, h in sorted(set(zip(self.contingency[span].tolist(), self.hour[span].tolist())),
+                           key=lambda pair: (ids[pair[0]] or "", pair[1])):
+            groups.setdefault((ids[k], self.season[h], self.row[h]), []).append(h)
+        position = self.model.in_service_line_ids.index
+        return [_PairGroup(hours, c, self.rhs[r], -1 if c is None else position(c), self.ratings[s])
+                for (c, s, r), hours in groups.items()]
+
+
+def pair_table(
+    records: OverloadRecords, model: NetworkModel, injections: np.ndarray,
+    calendar: SeasonCalendar, ptdf: PtdfMatrix, lodf: LodfMatrix,
+) -> PairTable:
+    """Stage 3's shared inputs from the study's overload records, each
+    contingency checked and each distinct injection row (told apart by its
+    bits) reduced once; an hour outside the year raises."""
+    hit = np.flatnonzero(records.overload)[np.argsort(records.line[records.overload])]
+    hours = records.hour[hit]
+    for bad in hours[(hours < 0) | (hours >= HOURS_PER_YEAR)][:1].tolist():
+        raise ValueError(f"hour {bad} outside [0, {HOURS_PER_YEAR})")
+    ids = records.line_ids + (None,)
+    for k in sorted(set(records.contingency[hit].tolist()) - {-1}, key=ids.__getitem__):
+        dcflow.check_outage(model, ids[k])
+    lines, starts, counts = np.unique(records.line[hit], return_index=True, return_counts=True)
+    distinct = np.unique(hours)
+    rows = np.asarray(injections, dtype=float)[distinct]
+    _, first, inverse = np.unique(rows.view("u8"), axis=0, return_index=True, return_inverse=True)
+    row = np.full(HOURS_PER_YEAR, -1)
+    row[distinct] = inverse.reshape(-1)
+    ratings = effective_ratings(model, model.in_service_line_ids, calendar)
+    ratings.flags.writeable = False
+    return PairTable(
+        model, lodf, line_transfer_factors(ptdf, model), ratings,
+        {ids[k]: slice(a, a + n) for k, a, n in zip(lines.tolist(), starts.tolist(),
+                                                     counts.tolist())},
+        hours, records.contingency[hit], records.loading_pct[hit], ids,
+        dcflow.reduced_injections(model, rows[first], distinct[first]), row,
+        np.where(calendar.summer_mask, 0, 1),
+    )
 
 
 def _system(
@@ -330,12 +356,7 @@ def check_side_effects(
 
 def assess_target(
     target: str,
-    records: OverloadRecords,
-    model: NetworkModel,
-    injections: np.ndarray,
-    calendar: SeasonCalendar,
-    ptdf: PtdfMatrix,
-    lodf: LodfMatrix,
+    table: PairTable,
     cap_pct: float = CAP_PCT_DEFAULT,
     tol_pp: float = BISECTION_TOL_PP,
     overload_pct: float = 100.0,
@@ -356,22 +377,13 @@ def assess_target(
     the factorizations they took.
     """
     solves_before, factorizations_before = _exact_solves, dcflow.factorizations
-    ids = records.line_ids
-    # the target's overload records; no record has the line index -1
-    target_index = ids.index(target) if target in ids else -1
-    hit = records.overload & (records.line == target_index)
-    outages = ids + (None,)  # contingency index -1 is the intact network
-    pairs = set(zip(
-        records.hour[hit].tolist(),
-        [outages[k] for k in records.contingency[hit].tolist()],
-    ))
-    if not pairs:
+    model, groups = table.model, table.groups(target)
+    if not groups:
         raise ValueError(f"no overload records for target {target}")
-    total_hours = len({h for h, _ in pairs})
+    total_hours = len({h for g in groups for h in g.hours})
 
-    groups = _group_pairs(model, pairs, injections, calendar)
     candidates = candidate_locations(
-        target, lodf, ptdf, model, dict.fromkeys(g.contingency for g in groups)
+        target, table.lodf, table.phi, model, dict.fromkeys(g.contingency for g in groups)
     )
     if max_candidates:
         candidates = candidates[:max_candidates]
@@ -423,7 +435,7 @@ def assess_target(
     )
     # no candidate, or none could clear any pair: the screened peak stands
     clean, _, _, pfc_line, delta_star, effect_lines, residual = best or (
-        0, 0, 0, None, None, (), max(records.loading_pct[hit].tolist()),
+        0, 0, 0, None, None, (), float(table.loading_pct[table.spans[target]].max()),
     )
     return PfcOutcome(
         target_line=target,

@@ -3,8 +3,9 @@
 The oracle helpers here deliberately re-derive results from first principles
 (dense linear algebra, union-find graph traversal) instead of calling the
 package's own machinery, so they stay valid checks of it. The Stage 3 helpers
-do the opposite: they run the package's own pair grouping and sizer on one
-(hour, contingency) pair.
+do the opposite: they run the package's own sizer on one (hour, contingency)
+pair, grouped by ``group_pairs``, the pair-at-a-time reference for
+``siting.pair_table``'s groups.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import scipy.sparse as sp
 from pfcplan import cases, screening, siting
 from pfcplan.cli import Study
 from pfcplan.config import load_config
-from pfcplan.dcflow import IslandingError, build_system
+from pfcplan.dcflow import IslandingError, build_system, check_outage, reduced_injections
 from pfcplan.dispatch import run_year
-from pfcplan.network import Bus, Generator, Line, NetworkModel
+from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel, effective_ratings
 from pfcplan.shift_factors import compute_lodf, compute_ptdf
 
 
@@ -181,8 +182,9 @@ def summarize_by_sorting(records: screening.OverloadRecords, model):
 def effective_rating(line: Line, hour: int, calendar) -> float:
     """The derated MW rating of one line in one hour, seasonal * (1 - derate):
     the scalar reference for ``network.effective_ratings``."""
-    summer = calendar.season(hour) == "summer"
-    seasonal = line.rating_summer_mw if summer else line.rating_winter_mw
+    if not 0 <= hour < HOURS_PER_YEAR:
+        raise ValueError(f"hour {hour} outside [0, {HOURS_PER_YEAR})")
+    seasonal = line.rating_summer_mw if calendar.summer_mask[hour] else line.rating_winter_mw
     return seasonal * (1.0 - calendar.derate_factor)
 
 
@@ -282,11 +284,44 @@ def balanced_injection(rng: np.random.Generator, n: int, scale: float = 50.0) ->
 # -- Stage 3 on one (hour, contingency) pair ---------------------------------
 
 
+def group_pairs(
+    model: NetworkModel,
+    pairs: set[tuple[int, str | None]],
+    injections: np.ndarray,
+    calendar,
+) -> list[siting._PairGroup]:
+    """Stage 3's pair groups of (hour, contingency) pairs, one pair at a time:
+    pairs sorted by contingency id (the intact network first) and hour, and
+    grouped by contingency, season and the bytes of the hour's injections;
+    each group checks its contingency and reduces its first hour's
+    injections. The reference for ``siting.pair_table``'s groups."""
+    hours: dict[tuple, list[int]] = {}
+    for hour, contingency in sorted(pairs, key=lambda p: (p[1] or "", p[0])):
+        if not 0 <= hour < HOURS_PER_YEAR:
+            raise ValueError(f"hour {hour} outside [0, {HOURS_PER_YEAR})")
+        key = (contingency, bool(calendar.summer_mask[hour]), injections[hour].tobytes())
+        hours.setdefault(key, []).append(hour)
+    summer, winter = effective_ratings(model, model.in_service_line_ids, calendar)
+    summer.flags.writeable = winter.flags.writeable = False
+    groups = []
+    for (contingency, is_summer, _), group in hours.items():
+        outage = -1
+        if contingency is not None:
+            check_outage(model, contingency)
+            outage = model.in_service_line_ids.index(contingency)
+        groups.append(siting._PairGroup(
+            hours=group,
+            contingency=contingency,
+            rhs=reduced_injections(model, injections[group[0]]),
+            outage=outage,
+            ratings=summer if is_summer else winter,
+        ))
+    return groups
+
+
 def pair_group(model: NetworkModel, injection: np.ndarray, contingency: str | None):
     """Stage 3's pair group of one hour's injections under one contingency."""
-    [group] = siting._group_pairs(
-        model, {(0, contingency)}, injection[None, :], cases.flat_calendar()
-    )
+    [group] = group_pairs(model, {(0, contingency)}, injection[None, :], cases.flat_calendar())
     return group
 
 

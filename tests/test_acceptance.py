@@ -39,6 +39,7 @@ from pfcplan.siting import (
     PARTIALLY_RESOLVED,
     PfcCandidate,
     assess_target,
+    pair_table,
 )
 
 from conftest import (
@@ -142,7 +143,7 @@ def test_taxonomy_reproduction():
             cases.parallel_paths_case()
         )
         fully = assess_target(
-            "LB", records, model, injections, cases.flat_calendar(), ptdf, lodf
+            "LB", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
         )
         assert fully.classification == FULLY_RESOLVED
         assert fully.side_effect_lines == ()
@@ -151,7 +152,7 @@ def test_taxonomy_reproduction():
             cases.side_effect_case()
         )
         partial = assess_target(
-            "T", records, model, injections, cases.flat_calendar(), ptdf, lodf
+            "T", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
         )
         assert partial.classification == PARTIALLY_RESOLVED
         assert "B" in partial.side_effect_lines  # the interaction line, listed
@@ -160,7 +161,7 @@ def test_taxonomy_reproduction():
             cases.radial_feed_case()
         )
         unresolvable = assess_target(
-            "T", records, model, injections, cases.flat_calendar(), ptdf, lodf
+            "T", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
         )
         assert unresolvable.classification == NO_CHANGE
 

@@ -181,8 +181,9 @@ GUARDS = (
     # load_config refuses a derate outside [0, 0.5) and summer months
     # outside 1..12, and from_months builds all 8,760 hours
     (network.SeasonCalendar, "__post_init__"),
-    # Stage 3 asks the season of record hours only
-    (network.SeasonCalendar, "season"),
+    # Stage 3's pair table holds the hours of overload records only, and
+    # every record hour lies in the year
+    (siting, "pair_table"),
     # load_config and --voltage-levels refuse an empty level list
     (cli, "filter_monitored_lines"),
     # the base flows and the LODF come from the screen's one build_system

@@ -193,7 +193,7 @@ def test_effective_rating_summer_10pct_derate():
     line = Line("L1", "B1", "B2", 0.1, 100.0, 120.0)
     calendar = SeasonCalendar.from_months(derate_factor=0.10)
     july_hour = 4500  # mid-year lands in April..September
-    assert calendar.season(july_hour) == "summer"
+    assert calendar.summer_mask[july_hour]
     assert effective_rating(line, july_hour, calendar) == pytest.approx(90.0)
 
 
@@ -207,7 +207,7 @@ def test_effective_rating_zero_derate_is_identity():
 def test_effective_rating_winter():
     line = Line("L1", "B1", "B2", 0.1, 100.0, 120.0)
     calendar = SeasonCalendar.from_months(derate_factor=0.10)
-    assert calendar.season(0) == "winter"  # January 1st, 00:00
+    assert not calendar.summer_mask[0]  # January 1st, 00:00
     assert effective_rating(line, 0, calendar) == pytest.approx(108.0)
 
 
@@ -223,7 +223,7 @@ def test_effective_never_exceeds_seasonal():
     derated = SeasonCalendar.from_months(derate_factor=0.10)
     exact = SeasonCalendar.from_months(derate_factor=0.0)
     for hour in (0, 2160, 4380, 6552, 8759):
-        seasonal = 100.0 if derated.season(hour) == "summer" else 120.0
+        seasonal = 100.0 if derated.summer_mask[hour] else 120.0
         assert effective_rating(line, hour, derated) < seasonal
         assert effective_rating(line, hour, exact) == seasonal
 
@@ -232,11 +232,11 @@ def test_season_boundaries_default_april_to_september():
     calendar = SeasonCalendar.from_months()
     hours_per_day = 24
     march_31 = (31 + 28 + 31) * hours_per_day - 1
-    assert calendar.season(march_31) == "winter"
-    assert calendar.season(march_31 + 1) == "summer"  # April 1st
+    assert not calendar.summer_mask[march_31]
+    assert calendar.summer_mask[march_31 + 1]  # April 1st
     sep_30 = (31 + 28 + 31 + 30 + 31 + 30 + 31 + 31 + 30) * hours_per_day - 1
-    assert calendar.season(sep_30) == "summer"
-    assert calendar.season(sep_30 + 1) == "winter"  # October 1st
+    assert calendar.summer_mask[sep_30]
+    assert not calendar.summer_mask[sep_30 + 1]  # October 1st
 
 
 def test_calendar_rejects_bad_derate():

@@ -73,6 +73,7 @@ from conftest import (
     effective_rating,
     fleet_model,
     graph_bridges,
+    group_pairs,
     in_record_order,
     outage_records,
     pair_group,
@@ -986,12 +987,12 @@ def reference_assess_target(target, records, model, injections, calendar, ptdf, 
     groups = {}  # (contingency, season, injections) -> hours, in contingency order
     for hour, contingency in sorted({(r.hour, r.contingency) for r in rows},
                                     key=lambda p: (p[1] or "", p[0])):
-        key = (contingency, calendar.season(hour), injections[hour].tobytes())
+        key = (contingency, bool(calendar.summer_mask[hour]), injections[hour].tobytes())
         groups.setdefault(key, []).append(hour)
 
-    scores = {}
+    scores, phi = {}, line_transfer_factors(ptdf, model)
     for contingency in sorted({key[0] for key in groups}, key=lambda c: c or ""):
-        for cand in siting.candidate_locations(target, lodf, ptdf, model, [contingency]):
+        for cand in siting.candidate_locations(target, lodf, phi, model, [contingency]):
             scores[cand.pfc_line] = max(scores.get(cand.pfc_line, cand.score), cand.score)
     hosts = sorted(scores, key=lambda h: (-scores[h], h != target, h))
     if max_candidates:
@@ -1134,7 +1135,7 @@ def test_assess_target_is_the_reference_field_for_field(case):
         kwargs = {"max_candidates": case[1]}
     else:
         *study, target, kwargs = case
-    got = siting.assess_target(target, *study, **kwargs)
+    got = siting.assess_target(target, siting.pair_table(*study), **kwargs)
     hypothesis.event(got.classification)
     expected = reference_assess_target(target, *study, **kwargs)
     assert _outcome_bits(got) == _outcome_bits(expected)
@@ -1158,17 +1159,74 @@ def lattice_study(lattice_year):
 @pytest.mark.parametrize("target", ["B0000-B0100", "B0008-B0108", "B0100-B0101",
                                     "B0407-B0507"])
 def test_assess_target_is_the_reference_on_the_lattice(lattice_study, target):
-    got = siting.assess_target(target, *lattice_study)
+    got = siting.assess_target(target, siting.pair_table(*lattice_study))
     assert _outcome_bits(got) == _outcome_bits(reference_assess_target(target, *lattice_study))
+
+
+def _group_fields(group):
+    """A pair group's fields, its arrays as bytes and float.hex strings."""
+    return (group.hours, group.contingency, group.outage, group.rhs.tobytes(),
+            [float.hex(v) for v in group.rhs.tolist()], group.ratings.tobytes(),
+            [float.hex(v) for v in group.ratings.tolist()],
+            group.rhs.flags.writeable, group.ratings.flags.writeable)
+
+
+def assert_pair_groups_are_the_reference(records, model, injections, calendar, ptdf, lodf):
+    """Each target's groups from one ``pair_table`` are ``group_pairs``' groups
+    of its overload pairs, field for field and in the same order, and each
+    group's rhs has the bits of every one of its hours' own rhs."""
+    table = siting.pair_table(records, model, injections, calendar, ptdf, lodf)
+    contingencies = records.line_ids + (None,)  # index -1 is the intact network
+    rhs = {}  # hour -> the bytes of dcflow.reduced_injections of its injections
+    targets = sorted(records.line_ids[i] for i in set(records.line[records.overload].tolist()))
+    assert sorted(table.spans) == targets
+    for target in targets:
+        hit = records.overload & (records.line == records.line_ids.index(target))
+        pairs = set(zip(records.hour[hit].tolist(),
+                        [contingencies[k] for k in records.contingency[hit].tolist()]))
+        got = table.groups(target)
+        assert [_group_fields(g) for g in got] == [
+            _group_fields(g) for g in group_pairs(model, pairs, injections, calendar)
+        ], target
+        for g in got:
+            for hour in g.hours:
+                if hour not in rhs:
+                    rhs[hour] = dcflow.reduced_injections(model, injections[hour]).tobytes()
+                assert g.rhs.tobytes() == rhs[hour], (target, hour)
+
+
+@pytest.mark.parametrize("name", BUNDLED_CASES)
+def test_pair_groups_are_the_reference_on_the_bundled_cases(name):
+    assert_pair_groups_are_the_reference(*_fixture_study(name))
+
+
+def test_pair_groups_are_the_reference_on_the_lattice(lattice_study):
+    assert_pair_groups_are_the_reference(*lattice_study)
+
+
+@SETTINGS
+@given(meshes(), st.sampled_from((100.0, 95.0)))
+@example(PARALLEL, 95.0)
+def test_pair_groups_are_the_reference_on_meshes(mesh, overload_pct):
+    """The screen's own records, whose line ids are in model order and not
+    in id order when the mesh's names are not, and hours that share their
+    injections in pairs, across the seasons too."""
+    model, rows, base, lodf = _study(mesh)
+    injections = np.zeros((HOURS_PER_YEAR, len(model.buses)))
+    injections[HOURS] = rows
+    injections[HOURS[1::2]] = rows[::2]
+    records = stage2_scan(base, lodf, model, CALENDAR, overload_pct=overload_pct)
+    ptdf = compute_ptdf(build_system(model), model)
+    assert_pair_groups_are_the_reference(records, model, injections, CALENDAR, ptdf, lodf)
 
 
 def union_of_single_contingency_candidates(target, lodf, ptdf, model, contingencies):
     """The candidate ranking as one list per contingency, merged: each host
     keeps the best of its scores, then the strongest come first and the
     target wins ties. (host, float.hex(score)) pairs."""
-    scores = {}
+    scores, phi = {}, line_transfer_factors(ptdf, model)
     for contingency in contingencies:
-        for cand in siting.candidate_locations(target, lodf, ptdf, model, [contingency]):
+        for cand in siting.candidate_locations(target, lodf, phi, model, [contingency]):
             if cand.pfc_line not in scores or cand.score > scores[cand.pfc_line]:
                 scores[cand.pfc_line] = cand.score
     ranked = sorted(scores, key=lambda host: (-scores[host], host != target, host))
@@ -1209,7 +1267,8 @@ def test_one_candidate_ranking_is_the_union_of_single_contingency_rankings(case)
     model, target, contingencies = case
     ptdf = compute_ptdf(build_system(model), model)
     lodf = compute_lodf(ptdf, model)
-    got = siting.candidate_locations(target, lodf, ptdf, model, contingencies)
+    got = siting.candidate_locations(target, lodf, line_transfer_factors(ptdf, model), model,
+                                     contingencies)
     assert {c.target_line for c in got} <= {target}
     assert [(c.pfc_line, float.hex(c.score)) for c in got] == (
         union_of_single_contingency_candidates(target, lodf, ptdf, model, contingencies)
@@ -1246,7 +1305,8 @@ def reference_candidate_locations(target, lodf, ptdf, model, contingencies):
 
 
 def assert_candidates_are_the_reference(target, lodf, ptdf, model, contingencies):
-    got = siting.candidate_locations(target, lodf, ptdf, model, contingencies)
+    got = siting.candidate_locations(target, lodf, line_transfer_factors(ptdf, model), model,
+                                     contingencies)
     assert [(c.pfc_line, float.hex(c.score)) for c in got] == (
         reference_candidate_locations(target, lodf, ptdf, model, contingencies)
     ), (target, contingencies)
@@ -1284,7 +1344,8 @@ def test_a_bridge_contingency_names_the_buses_it_islands():
     with pytest.raises(IslandingError) as exact:
         dcflow.check_outage(model, "L7")
     with pytest.raises(IslandingError) as err:
-        siting.candidate_locations("L3", lodf, ptdf, model, [None, "L7"])
+        siting.candidate_locations("L3", lodf, line_transfer_factors(ptdf, model), model,
+                                   [None, "L7"])
     assert err.value.separated == {"B0", "B1"}
     assert str(err.value) == str(exact.value) == "outage of line L7 islands buses {B0, B1}"
 
@@ -1294,11 +1355,11 @@ def assert_skips_are_bridges(model, contingencies):
     of ``contingencies`` exactly when the target is a bridge (union-find) of
     the network without it: its SENSITIVITY_TOL skip agrees with topology."""
     ptdf = compute_ptdf(build_system(model), model)
-    lodf = compute_lodf(ptdf, model)
+    lodf, phi = compute_lodf(ptdf, model), line_transfer_factors(ptdf, model)
     for contingency in contingencies:
         bridges = graph_bridges(model if contingency is None else _without(model, contingency))
         for target in set(model.in_service_line_ids) - {contingency}:
-            got = siting.candidate_locations(target, lodf, ptdf, model, [contingency])
+            got = siting.candidate_locations(target, lodf, phi, model, [contingency])
             assert (got == []) == (target in bridges), (target, contingency)
 
 
@@ -1410,11 +1471,11 @@ def test_sizer_f_zero_is_the_pre_state_flow_on_meshes(case):
 @pytest.mark.parametrize("name", [*FIXTURE_TARGETS, "grid30_case"])
 def test_sizer_f_zero_is_the_pre_state_flow_on_the_bundled_cases(name):
     records, model, injections, calendar, _, _ = _fixture_study(name)
-    for target in records.lines(overload=True):
+    for target in sorted({r.line_id for r in records if r.category == "overload"}):
         overloaded = {(r.hour, r.contingency) for r in records
                       if r.line_id == target and r.category == "overload"}
         pairs = overloaded | {(hour, None) for hour, _ in overloaded}
-        groups = siting._group_pairs(model, pairs, injections, calendar)
+        groups = group_pairs(model, pairs, injections, calendar)
         assert any(g.contingency is None for g in groups)
         _assert_f_zero_is_the_pre_state(model, groups, target, target)
 

@@ -129,7 +129,7 @@ def test_seasonal_ratings_split_the_record_set():
     records, _, _, _, _, _ = _scan(model, demand, calendar=calendar)
     summer_hours = int(calendar.summer_mask.sum())
     assert len(records) == summer_hours
-    assert all(calendar.season(r.hour) == "summer" for r in records)
+    assert all(calendar.summer_mask[r.hour] for r in records)
 
 
 def test_clean_intact_fixture_has_zero_stage1_records():

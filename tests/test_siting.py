@@ -3,26 +3,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfcplan import cases
+from pfcplan import cases, dcflow, siting
+from pfcplan.cli import main
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
 from pfcplan.network import HOURS_PER_YEAR
 from pfcplan.screening import OverloadRecord, stage1_scan, stage2_scan
-from pfcplan.shift_factors import compute_lodf, compute_ptdf
+from pfcplan.shift_factors import compute_lodf, compute_ptdf, line_transfer_factors
 from pfcplan.siting import (
     FULLY_RESOLVED,
     NO_CHANGE,
     PARTIALLY_RESOLVED,
     PfcCandidate,
     PfcOutcome,
-    _group_pairs,
     assess_target,
     candidate_locations,
     check_side_effects,
+    pair_table,
     rank_targets,
 )
 
 from conftest import effective_rating, graph_bridges, min_reactance_increase, records_from_rows
+from test_cli import _study
 
 
 def _factors(model):
@@ -48,20 +50,21 @@ def _run_study(case):
 
 def test_triangle_candidates_include_self(triangle):
     ptdf, lodf = _factors(triangle)
-    cands = candidate_locations("L13", lodf, ptdf, triangle)
+    cands = candidate_locations("L13", lodf, line_transfer_factors(ptdf, triangle), triangle)
     assert [c.pfc_line for c in cands][0] == "L13"  # self relief ranked first
     assert {c.pfc_line for c in cands} == {"L12", "L13", "L23"}
 
 
 def test_radial_target_has_no_candidates(radial_pair):
     ptdf, lodf = _factors(radial_pair)
-    assert candidate_locations("L1", lodf, ptdf, radial_pair) == []
+    assert candidate_locations("L1", lodf, line_transfer_factors(ptdf, radial_pair),
+                               radial_pair) == []
 
 
 def test_parallel_paths_fixture_offers_multiple_candidates():
     model = cases.parallel_paths_case().model
     ptdf, lodf = _factors(model)
-    cands = candidate_locations("LB", lodf, ptdf, model, ["LE"])
+    cands = candidate_locations("LB", lodf, line_transfer_factors(ptdf, model), model, ["LE"])
     assert len(cands) >= 2
     assert "LB" in {c.pfc_line for c in cands}
 
@@ -69,9 +72,10 @@ def test_parallel_paths_fixture_offers_multiple_candidates():
 def test_bridge_under_contingency_empties_candidates():
     model = cases.radial_feed_case().model
     ptdf, lodf = _factors(model)
+    phi = line_transfer_factors(ptdf, model)
     # intact, T has a parallel path; once K is out it has none
-    assert candidate_locations("T", lodf, ptdf, model) != []
-    assert candidate_locations("T", lodf, ptdf, model, ["K"]) == []
+    assert candidate_locations("T", lodf, phi, model) != []
+    assert candidate_locations("T", lodf, phi, model, ["K"]) == []
 
 
 # -- sizing ----------------------------------------------------------------------
@@ -168,9 +172,16 @@ def test_radial_invariance_across_delta_grid():
 
 
 def _group(case, inj, contingency, hour=0):
-    """Stage 3's pair group of one (hour, contingency), ``inj`` in every hour."""
+    """Stage 3's pair group of one overload record at (hour, contingency),
+    ``inj`` in every hour."""
+    model = case.model
+    target = next(lid for lid in model.in_service_line_ids if lid != contingency)
+    records = records_from_rows([OverloadRecord(target, hour, contingency, 101.0, 1.0,
+                                                "overload")])
     injections = np.tile(inj, (HOURS_PER_YEAR, 1))
-    [group] = _group_pairs(case.model, {(hour, contingency)}, injections, case.calendar)
+    [group] = pair_table(records, model, injections, case.calendar, *_factors(model)).groups(
+        target
+    )
     return group
 
 
@@ -215,7 +226,7 @@ def test_parallel_paths_fully_resolved():
     case = cases.parallel_paths_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "LB", records, model, injections, case.calendar, ptdf, lodf
+        "LB", pair_table(records, model, injections, case.calendar, ptdf, lodf)
     )
     assert outcome.classification == FULLY_RESOLVED
     assert outcome.pfc_line == "LB"
@@ -229,7 +240,7 @@ def test_fully_resolved_soundness_by_exact_resolve():
     case = cases.parallel_paths_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "LB", records, model, injections, case.calendar, ptdf, lodf
+        "LB", pair_table(records, model, injections, case.calendar, ptdf, lodf)
     )
     scale = {outcome.pfc_line: 1 + outcome.delta_pct / 100}
     pairs = {
@@ -251,7 +262,7 @@ def test_side_effect_case_partially_resolved_with_line_listed():
     case = cases.side_effect_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "T", records, model, injections, case.calendar, ptdf, lodf
+        "T", pair_table(records, model, injections, case.calendar, ptdf, lodf)
     )
     assert outcome.classification == PARTIALLY_RESOLVED
     assert "B" in outcome.side_effect_lines
@@ -262,7 +273,7 @@ def test_radial_feed_no_change():
     case = cases.radial_feed_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "T", records, model, injections, case.calendar, ptdf, lodf
+        "T", pair_table(records, model, injections, case.calendar, ptdf, lodf)
     )
     assert outcome.classification == NO_CHANGE
     assert outcome.pfc_line is None and outcome.delta_pct is None
@@ -273,7 +284,7 @@ def test_capped_relief_resolves_half_the_hours():
     case = cases.capped_relief_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "L13a", records, model, injections, case.calendar, ptdf, lodf
+        "L13a", pair_table(records, model, injections, case.calendar, ptdf, lodf)
     )
     assert outcome.classification == PARTIALLY_RESOLVED
     assert outcome.overload_hours == 2750
@@ -286,10 +297,34 @@ def test_assess_requires_overload_records(triangle):
     near_only = [OverloadRecord("L13", 5, None, 95.0, 0.0, "near")]
     for rows in ([], near_only):
         with pytest.raises(ValueError, match="no overload records"):
-            assess_target(
-                "L13", records_from_rows(rows), triangle,
+            assess_target("L13", pair_table(
+                records_from_rows(rows), triangle,
                 np.zeros((HOURS_PER_YEAR, 3)), cases.flat_calendar(), ptdf, lodf,
-            )
+            ))
+
+
+def test_site_pfc_builds_what_its_targets_share_once(tmp_path, monkeypatch):
+    """grid30's three targets share one pair table: one transfer-factor
+    matrix, one effective-ratings call and one matrix of right-hand sides."""
+    config, _ = _study(tmp_path, cases.grid30_case())
+    for stage in ("dispatch", "screen"):
+        assert main([stage, "--config", str(config)]) == 0
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((siting, "line_transfer_factors"), (siting, "effective_ratings"),
+                        (dcflow, "reduced_injections"), (siting, "assess_target")):
+        counted(owner, name)
+    assert main(["site-pfc", "--config", str(config)]) == 0
+    assert calls == {"line_transfer_factors": 1, "effective_ratings": 1,
+                     "reduced_injections": 1, "assess_target": 3}
 
 
 def _with_line_reactance(model, line_id, scale):
