@@ -15,7 +15,8 @@ outputs after siting and by ``pfcplan report``.
 Within one command a stage that computes the dispatch year or the overload
 records hands them to the later stages, so each of ``dispatch.csv`` and
 ``overloads.csv`` is parsed at most once per command, and not at all by a
-``run-all`` that computes both.
+``run-all`` that computes both. The demand profile is handed on too, so it is
+loaded at most once per command.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ class Study:
     read back from the output directory. ``cmd_dispatch`` and ``cmd_screen``
     set the year and the records they compute, which have the bits of a
     read-back (every float is written as its repr). A computed stage gets a
-    fresh Study holding the year and records of the one before, and loads
-    its inputs again; the report reuses the last Study, and takes the
-    dispatch figures it and the exit code need from the year that Study
-    holds, reading ``dispatch_summary.json`` only when it holds none. One
-    load of the inputs per command (ROADMAP item 4) waits for a re-pin of
+    fresh Study holding the demand profile, year and records of the one
+    before, so a command loads the profile at most once, and loads the
+    network again; the report reuses the last Study, and takes the dispatch
+    figures it and the exit code need from the year that Study holds,
+    reading ``dispatch_summary.json`` only when it holds none. One load of
+    the network per command (ROADMAP item 4) waits for a re-pin of
     ``network.load_network.calls`` in bench/pins.json. Loaders are looked up
     on their module at call time, so a wrapper on the module attribute (as
     bench/tracer.py sets) sees every load."""
@@ -320,9 +322,10 @@ def _run(cfg: StudyConfig, walk: int, computes: set[str]) -> int:
                 f"{stage.name} output missing or stale for this config; "
                 f"run the {stage.name} stage first"
             )
-        # a computed stage loads its inputs afresh and keeps the year and
-        # records the command holds; the report reuses the last Study
-        held = {k: v for k, v in vars(study).items() if k in ("year", "records")}
+        # a computed stage keeps the demand profile, year and records the
+        # command holds and loads the network afresh, which waits for ROADMAP
+        # item 4's re-pin of its load count; the report reuses the last Study
+        held = {k: v for k, v in vars(study).items() if k in ("profile", "year", "records")}
         study = Study(cfg)
         vars(study).update(held)
         checksums.update(_compute(cfg, stage, study, content_hash))

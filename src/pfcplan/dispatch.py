@@ -24,11 +24,14 @@ step masked to the hours it applies to, so an hour gets the same bits whether
 A year is held as columns (``DispatchYear``). ``dispatch.csv`` holds one row
 per (hour, generator), in hour order. It is written through
 ``tables.write_columns`` from ``DispatchYear.outputs_mw``, about a thousand
-rows at a time, each output as its repr (``tables.float_cells``) and each
-chunk's columns joined into lines by ``tables.column_lines``, and read back a chunk at a time by ``tables.read_chunks``; the other columns go to the
-summary JSON, so a year read back equals the computed one bit for bit. The
-summary has ``json.dump``'s ``indent=2`` layout; its two hourly lists are
-laid out from json's C encoder.
+rows at a time, each output as its repr (``tables.float_cells``). Each
+chunk's text is one ``tables.interleave`` join, as ``overloads.csv``'s is,
+of hour and generator cells carrying their ``,``, output cells and line
+breaks. It is read back a chunk at a time by ``tables.read_chunks``; the
+other columns go to the summary JSON, so a year read back equals the
+computed one bit for bit. The summary has ``json.dump``'s ``indent=2``
+layout; its two hourly lists are ``tables.float_cells`` cells, not json's
+C encoder output, with the same bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .network import BALANCE_TOL_MW, HOURS_PER_YEAR, NetworkModel
 from .tables import (
-    CHUNK_ROWS, column_lines, float_cells, left_sum, number, read_chunks, read_columns, text,
+    CHUNK_ROWS, float_cells, interleave, left_sum, number, read_chunks, read_columns, text,
     text_cell, write_columns,
 )
 
@@ -363,18 +366,20 @@ def load_res_availability(path) -> ResAvailability:
 
 def write_dispatch_csv(year: DispatchYear, path) -> None:
     """``dispatch.csv``: each hour's row per generator, in generator order."""
-    hours = np.array([str(h) for h in range(HOURS_PER_YEAR)], dtype=object)
-    generators = [text_cell(gid) for gid in year.generator_ids]
+    hours = np.array([f"{h}," for h in range(HOURS_PER_YEAR)], dtype=object)
+    generators = [text_cell(gid) + "," for gid in year.generator_ids]
     step = max(1, CHUNK_ROWS // max(1, len(generators)))  # hours per chunk
     outputs = year.outputs_mw
 
     def chunks():
         for start in range(0, len(hours), step):
             part = slice(start, start + step)
-            yield column_lines([
+            cells = float_cells(outputs[part].reshape(-1))
+            yield interleave([
                 np.repeat(hours[part], len(generators)).tolist(),
                 generators * len(hours[part]),
-                float_cells(outputs[part].reshape(-1)),
+                cells,
+                ["\r\n"] * len(cells),
             ])
 
     write_columns(path, DISPATCH_COLUMNS, chunks())
@@ -399,11 +404,12 @@ def write_dispatch_summary(year: DispatchYear, path, config_hash: str = "") -> N
 
 
 def _dump_summary(summary: dict, fh) -> None:
-    """Write ``json.dump(summary, fh, indent=2, sort_keys=True)``'s text. The
-    two hourly lists go through json's C encoder, ``CHUNK_ROWS`` values per
-    call, rather than its Python one: each ``", "`` of ``json.dumps(values)``
-    becomes the line break and indent ``indent=2`` puts between a top-level
-    list's items, as no number's text holds ``", "``."""
+    """Write ``json.dump(summary, fh, indent=2, sort_keys=True)``'s text, the
+    two hourly lists holding floats. Each list is written ``CHUNK_ROWS``
+    values at a time, each value its ``float_cells`` cell (the repr json
+    writes too, a non-finite value spelled as json spells it), joined by the
+    ``,``, line break and indent ``indent=2`` puts between a top-level list's
+    items; no string of the whole list is formed."""
     hourly = ("curtailment_mwh", "snsp")
     rest = json.dumps({**summary, **dict.fromkeys(hourly, [])}, indent=2, sort_keys=True)
     for key in hourly:
@@ -411,9 +417,12 @@ def _dump_summary(summary: dict, fh) -> None:
         head, entry, rest = rest.partition(f'\n  "{key}": []')
         fh.write(head + entry[:-1])
         values = summary[key]
-        for start in range(0, len(values), CHUNK_ROWS):  # no large string, no RSS step
-            items = json.dumps(values[start:start + CHUNK_ROWS])[1:-1]
-            fh.write(("\n    " if start == 0 else ",\n    ") + items.replace(", ", ",\n    "))
+        for start in range(0, len(values), CHUNK_ROWS):
+            chunk = np.array(values[start:start + CHUNK_ROWS], dtype=float)
+            cells = float_cells(chunk)
+            for i in np.flatnonzero(~np.isfinite(chunk)).tolist():
+                cells[i] = json.dumps(chunk[i].item())  # NaN, Infinity, -Infinity
+            fh.write(("\n    " if start == 0 else ",\n    ") + ",\n    ".join(cells))
         fh.write("\n  ]" if values else "]")
     fh.write(rest)
 

@@ -58,7 +58,7 @@ source of every region count: workbook, report and the screen's stdout.
 
 ``overloads.csv`` is written straight from those arrays, a chunk of records
 at a time, through ``tables.write_columns``, each chunk's text one
-``"".join`` over five interleaved piece lists. Line and contingency pieces
+``tables.interleave`` join over five piece lists. Line and contingency pieces
 index one text cell per line id with its ``,`` (index -1, the intact network,
 is the lone ``,``), hour pieces one cell per hour with its ``,``, and class
 pieces ``,near`` or ``,overload`` with the line break. The ``loading,excess``
@@ -81,8 +81,8 @@ from .dispatch import DemandProfile, DispatchYear, injection_matrix
 from .network import NetworkModel, SeasonCalendar, effective_ratings
 from .shift_factors import LodfMatrix
 from .tables import (
-    CHUNK_ROWS, float_cells, left_sum, number, read_columns, select, text, text_cell, write_columns,
-    write_csv,
+    CHUNK_ROWS, float_cells, interleave, left_sum, number, read_columns, select, text, text_cell,
+    write_columns, write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -174,7 +174,7 @@ class OverloadRecords:
 
     def csv_chunks(self):
         """The ``overloads.csv`` lines, a chunk of records at a time, each
-        chunk one ``"".join`` over five interleaved piece lists: line and
+        chunk one ``interleave`` join over five piece lists: line and
         hour and contingency cells with their separators, the
         ``loading,excess`` pair and the class cell with its line break."""
         ids = np.array([text_cell(lid) + "," for lid in self.line_ids] + [","], dtype=object)
@@ -182,14 +182,13 @@ class OverloadRecords:
         category = np.array([",near\r\n", ",overload\r\n"], dtype=object)
         for start in range(0, len(self), CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            pieces = [""] * (5 * len(self.hour[part]))
-            pieces[0::5] = ids[self.line[part]].tolist()
-            pieces[1::5] = hours[self.hour[part]].tolist()
-            pieces[2::5] = ids[self.contingency[part]].tolist()
-            pieces[3::5] = float_cells(
-                np.column_stack((self.loading_pct[part], self.excess_mw[part])))
-            pieces[4::5] = category[self.overload[part].view(np.int8)].tolist()
-            yield "".join(pieces)
+            yield interleave([
+                ids[self.line[part]].tolist(),
+                hours[self.hour[part]].tolist(),
+                ids[self.contingency[part]].tolist(),
+                float_cells(np.column_stack((self.loading_pct[part], self.excess_mw[part]))),
+                category[self.overload[part].view(np.int8)].tolist(),
+            ])
 
     def lines(self) -> list[str]:
         """Ids of the lines with a record, sorted."""

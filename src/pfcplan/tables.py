@@ -20,14 +20,16 @@ them: text is quoted by ``csv`` itself, once per distinct value
 boolean ``true``/``false`` and None an empty cell; a NumPy scalar is written
 as the equal Python value. ``write_rows`` formats values of any kind with
 ``cell``, and ``column_lines`` joins a chunk's cells, given as one list per
-column, into its lines; ``dispatch.csv`` passes its columns, formatted from
-its arrays, to the same join. ``overloads.csv`` builds each chunk's text
-itself, as one join over row pieces (see ``screening``). ``float_cells``
-writes the float columns (``loading_pct`` with ``excess_mw``, and
-``output_mw``) a chunk at a time: one cell per row of a rows x k array, the
-row's reprs joined by ``,``, from one orjson pass, whose C writer gives
-repr's bytes for every float from 1e-4 up to 1e16 in magnitude and for
-±0.0, and repr for the rows with a value outside that range.
+column, into its lines. ``overloads.csv`` and ``dispatch.csv`` build each
+chunk's text from their arrays through ``interleave``: one ``"".join`` over
+lists of row pieces, taken a row at a time, each piece carrying its own
+``,`` or line break, so a cell repeated down a column is formatted once.
+``float_cells`` writes the float columns (``loading_pct`` with
+``excess_mw``, and ``output_mw``) and the dispatch summary's two hourly
+series a chunk at a time: one cell per row of a rows x k array, the row's
+reprs joined by ``,``, from one orjson pass, whose C writer gives repr's
+bytes for every float from 1e-4 up to 1e16 in magnitude and for ±0.0, and
+repr for the rows with a value outside that range.
 """
 
 from __future__ import annotations
@@ -99,6 +101,17 @@ def column_lines(cells, lineterminator: str = "\r\n") -> str:
     join = ",".join if len(cells) > 1 else _lone_cell
     lines = lineterminator.join(map(join, zip(*cells)))
     return lines + lineterminator if lines else ""
+
+
+def interleave(pieces) -> str:
+    """The text of a chunk of rows given as lists of pieces, all of one
+    length, each piece carrying its own ``,`` or line break: one
+    ``"".join`` over the first piece of every list, then the second, and on."""
+    k = len(pieces)
+    joined = [""] * (k * len(pieces[0]))
+    for i, column in enumerate(pieces):
+        joined[i::k] = column
+    return "".join(joined)
 
 
 def _lone_cell(row) -> str:

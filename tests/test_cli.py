@@ -510,17 +510,24 @@ def test_each_stage_loads_only_the_inputs_it_reads(tmp_path, monkeypatch):
     pinned = json.loads(PINS.read_text())["grid30-study"]["counters"]
     networks = _count_calls(monkeypatch, cli, "load_network")
     availabilities = _count_calls(monkeypatch, dispatch, "load_res_availability")
+    profiles = _count_calls(monkeypatch, dispatch, "load_demand_profile")
+
+    def loads(command, config):
+        for calls in (networks, availabilities, profiles):
+            calls.clear()
+        assert main([command, "--config", str(config)]) == 0
+        return len(networks), len(availabilities), len(profiles)
+
+    # the first stage to read the demand profile hands it to the later ones
     config, _ = _study(tmp_path, cases.grid30_case())
-    assert main(["run-all", "--config", str(config)]) == 0
-    assert len(networks) == pinned["network.load_network.calls"]
-    assert len(availabilities) == 1  # only dispatch reads it
+    assert loads("run-all", config) == (pinned["network.load_network.calls"], 1, 1)
+    config, _ = _study(tmp_path, cases.grid30_case(), name="cached")
+    loads("dispatch", config)
+    assert loads("run-all", config) == (2, 0, 1)  # on a verified dispatch
 
     config, _ = _study(tmp_path, cases.triangle_case(), name="screen")
-    assert main(["dispatch", "--config", str(config)]) == 0
-    networks.clear()
-    availabilities.clear()
-    assert main(["screen", "--config", str(config)]) == 0  # on a verified dispatch
-    assert (len(networks), len(availabilities)) == (1, 0)
+    loads("dispatch", config)
+    assert loads("screen", config) == (1, 0, 1)  # on a verified dispatch
 
 
 def test_each_command_parses_dispatch_csv_and_overloads_csv_at_most_once(
@@ -599,7 +606,14 @@ def test_run_all_hands_on_the_bits_a_read_back_of_its_files_gives(tmp_path, monk
     config, out = _study(tmp_path, cases.grid30_case())
     assert main(["run-all", "--config", str(config)]) == 0
     [(study, held)] = handed
-    assert sorted(held) == ["cfg", "records", "year"]
+    assert sorted(held) == ["cfg", "profile", "records", "year"]
+
+    inputs = held["cfg"].inputs
+    profile = dispatch.load_demand_profile(
+        inputs["demand"], inputs["bus_shares"], study.model.bus_by_id
+    )
+    assert _bits(held["profile"].demand_mw) == _bits(profile.demand_mw)
+    assert list(held["profile"].bus_shares.items()) == list(profile.bus_shares.items())
 
     year = dispatch.read_dispatch_outputs(
         out / "dispatch.csv", out / "dispatch_summary.json", study.model
@@ -781,8 +795,24 @@ def test_run_all_output_bytes_are_pinned(tmp_path, case_name):
     assert not changed, f"{case_name}: output bytes differ in {changed}"
 
 
-# grid30 is in no golden case; its overloads.csv digest is also the
-# benchmark's pin for the grid30 workload
+# grid30 is in no golden case, so its dispatch files are pinned here
+GRID30_DISPATCH = {
+    "dispatch.csv": "036e3e3b478d0b4141401670299f30da44772db57c764b12cda58df48103fe1c",
+    "dispatch_summary.json": "c911898bb49ffcb55c10517487c0d431e11ea3a31f06415af1e019eecc389a76",
+}
+
+
+def test_grid30_dispatch_bytes_are_pinned(tmp_path):
+    config, out = _study(tmp_path, cases.grid30_case())
+    assert main(["dispatch", "--config", str(config)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GRID30_DISPATCH
+    }
+    assert digests == GRID30_DISPATCH
+
+
+# its overloads.csv digest is also the benchmark's pin for the grid30 workload
 GRID30_WORKBOOK = {
     "overloads.csv": "ee2165ab4c71b4296fa3da7d9b3696259faea3182c5ca13848d614b56d3613e5",
     "line_summary.csv": "44b7cbdd7331e8c7e84bf47ae018c3b0c3f0c260755f54cd582aa642d65375c6",

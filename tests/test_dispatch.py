@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfcplan import cases, cli, dcflow, dispatch, network
@@ -23,6 +23,7 @@ from pfcplan.dispatch import (
     _dump_summary,
 )
 from pfcplan.network import HOURS_PER_YEAR, Bus, Generator, Line, NetworkModel
+from pfcplan.tables import CHUNK_ROWS
 
 from conftest import fleet_model, left_fold
 
@@ -409,8 +410,29 @@ def test_dispatch_summary_file_is_json_dump(tmp_path_factory, curtailed, snsp, s
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+# the edges of the floats orjson writes as repr does, and the non-finite
+# values json spells its own way
+EDGES = [-0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e16, 1e22, float("nan"),
+         float("inf"), float("-inf")]
+
+
+def _across_a_chunk(value):
+    """A list longer than a chunk with ``value`` last in the first chunk and
+    first in the second."""
+    values = [i / 7 for i in range(CHUNK_ROWS + 3)]
+    values[CHUNK_ROWS - 1] = values[CHUNK_ROWS] = value
+    return values
+
+
+def _at_chunk_edges(test):
+    for value, other in zip(EDGES, EDGES[1:] + EDGES[:1]):
+        test = example(_across_a_chunk(value), _across_a_chunk(other), "")(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(HOURLY, HOURLY, TEXT)
+@_at_chunk_edges
 def test_summary_lays_out_empty_and_non_finite_lists_as_json_dumps(curtailed, snsp,
                                                                     scenario):
     summary = {"scenario": scenario, "curtailment_mwh": curtailed, "snsp": snsp,
