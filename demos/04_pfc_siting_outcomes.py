@@ -27,7 +27,7 @@ def study(case):
     lodf = compute_lodf(ptdf, model)
     records = stage2_scan(base, lodf, model, case.calendar)
     injections = injection_matrix(model, year, case.profile)
-    table = pair_table(records, model, injections, case.calendar, ptdf, lodf)
+    table = pair_table(records, model, injections, case.calendar, lodf)
     return [assess_target(t, table) for t in sorted(table.spans)]
 
 

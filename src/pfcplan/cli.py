@@ -198,7 +198,7 @@ def cmd_site_pfc(cfg: StudyConfig, study: Study, dest: Path) -> None:
     ptdf = shift_factors.compute_ptdf(dcflow.build_system(model), model)
     lodf = shift_factors.compute_lodf(ptdf, model)
     injections = dispatch.injection_matrix(model, study.year, study.profile)
-    table = siting.pair_table(study.records, model, injections, cfg.calendar(), ptdf, lodf)
+    table = siting.pair_table(study.records, model, injections, cfg.calendar(), lodf)
     outcomes = [
         siting.assess_target(target, table, cap_pct=cfg.pfc_cap_pct,
                              tol_pp=cfg.bisection_tol_pp, overload_pct=cfg.overload_pct)

@@ -47,11 +47,13 @@ class LodfMatrix:
 
     Columns flagged in ``islanding`` are the graph's bridges; their numeric
     entries are NaN and must not be used. No other column is near singular.
+    ``phi`` is the ``line_transfer_factors`` matrix the LODF was divided from.
     """
 
     matrix: np.ndarray
     line_ids: tuple[str, ...]
     islanding: np.ndarray  # bool per outage column
+    phi: np.ndarray
 
     def entry(self, line_id: str, outage_id: str) -> float:
         k = self.line_ids.index(outage_id)
@@ -109,5 +111,5 @@ def compute_lodf(ptdf: PtdfMatrix, model: NetworkModel) -> LodfMatrix:
     lodf = phi / safe[None, :]
     np.fill_diagonal(lodf, -1.0)
     lodf[:, islanding] = np.nan
-    return LodfMatrix(matrix=lodf, line_ids=ptdf.line_ids, islanding=islanding)
+    return LodfMatrix(matrix=lodf, line_ids=ptdf.line_ids, islanding=islanding, phi=phi)
 

@@ -26,8 +26,9 @@ keeps the right-hand side (injections without the slack, per unit) of each
 distinct injection row and each season's ratings from
 ``network.effective_ratings`` for every target's groups.
 
-Each topology is factorized about once (grid30: 1,663 factorizations for
-15,352 Stage-3 solves on 1,660 topologies). A candidate's pair groups are
+Each topology is factorized about once (grid30: 1,663 factorizations of
+1,660 topologies for 15,352 Stage-3 solve requests, 10,680 of them solved and
+4,672 served from the pair groups' kept solves). A candidate's pair groups are
 sized in lockstep, in contingency order: the target flow without the device
 for every group, then at the cap for every group, then bisection rounds that
 visit the groups still open by (contingency, increase). Each group makes the
@@ -36,12 +37,21 @@ the same; only the interleaving differs. The solves on one perturbed topology
 thus follow each other, and ``dcflow.build_system`` serves all but the first
 from the systems it keeps: the unscaled one per excluded line and the last
 scaled one. Evaluations at the chosen increase run in the same group order.
+
+A group keeps two of its full solves: the unscaled one, which every
+candidate's sizing starts from and every side-effect check compares with, and
+the last scaled one, which the side-effect check after an evaluation at the
+chosen increase asks for again. ``_flows`` still asks ``build_system`` for
+the system of every request and serves the kept flows when it returns the
+very system they were solved on, so a kept value is the bits a new solve
+would give.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import weakref
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
@@ -50,7 +60,9 @@ import numpy as np
 from . import dcflow
 from .network import HOURS_PER_YEAR, NetworkModel, SeasonCalendar, effective_ratings
 from .screening import OverloadRecords
-from .shift_factors import LodfMatrix, PtdfMatrix, line_transfer_factors
+# line_transfer_factors is not called here, but siting.line_transfer_factors
+# stays a name that bench/tracer.py wraps
+from .shift_factors import LodfMatrix, line_transfer_factors  # noqa: F401
 from .tables import select, write_csv
 
 log = logging.getLogger(__name__)
@@ -65,8 +77,10 @@ SENSITIVITY_TOL = 1e-6
 # MW change below this between zero and cap counts as "insensitive"
 INSENSITIVE_MW = 1e-9
 
-# exact re-solves made so far in this process; assess_target logs its share
-_exact_solves = 0
+# Stage 3's lu.solve calls so far in this process, and its solve requests
+# served from a pair group's kept solves; assess_target logs its share
+_solves = 0
+_served = 0
 
 
 @dataclass(frozen=True)
@@ -184,13 +198,19 @@ def candidate_locations(
 class _PairGroup:
     """Overloaded (hour, contingency) pairs of one target that share one exact
     solve: their injections' rhs and their season's ratings (read-only rows of
-    a ``PairTable``) and the contingency's in-service position (-1: intact)."""
+    a ``PairTable``) and the contingency's in-service position (-1: intact).
+
+    ``_flows`` keeps the group's unscaled solve and its last scaled one, each
+    as (weak reference to the system, flows, loadings): a weak reference, so a
+    group never keeps alive a system ``build_system`` has let go."""
 
     hours: list[int]
     contingency: str | None
     rhs: np.ndarray
     outage: int
     ratings: np.ndarray
+    unscaled: tuple | None = None
+    scaled: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +219,6 @@ class PairTable:
 
     model: NetworkModel
     lodf: LodfMatrix
-    phi: np.ndarray  # line_transfer_factors of the intact network
     ratings: np.ndarray  # effective (summer, winter) ratings, read-only
     spans: dict[str, slice]  # each target's slice of the three record columns
     hour: np.ndarray  # the overload records' hours, sorted by target line
@@ -224,7 +243,7 @@ class PairTable:
 
 def pair_table(
     records: OverloadRecords, model: NetworkModel, injections: np.ndarray,
-    calendar: SeasonCalendar, ptdf: PtdfMatrix, lodf: LodfMatrix,
+    calendar: SeasonCalendar, lodf: LodfMatrix,
 ) -> PairTable:
     """Stage 3's shared inputs from the study's overload records, each
     contingency checked and each distinct injection row (told apart by its
@@ -245,7 +264,7 @@ def pair_table(
     ratings = effective_ratings(model, model.in_service_line_ids, calendar)
     ratings.flags.writeable = False
     return PairTable(
-        model, lodf, line_transfer_factors(ptdf, model), ratings,
+        model, lodf, ratings,
         {ids[k]: slice(a, a + n) for k, a, n in zip(lines.tolist(), starts.tolist(),
                                                      counts.tolist())},
         hours, records.contingency[hit], records.loading_pct[hit], ids,
@@ -259,8 +278,6 @@ def _system(
 ) -> dcflow.SusceptanceSystem:
     """The system of one exact solve: the contingency's topology with the
     device's reactance increase."""
-    global _exact_solves
-    _exact_solves += 1
     scale = None
     if pfc_line is not None and delta_pct != 0.0:
         scale = {pfc_line: 1.0 + delta_pct / 100.0}
@@ -270,17 +287,35 @@ def _system(
 def _flows(
     model: NetworkModel, group: _PairGroup, pfc_line: str | None = None,
     delta_pct: float = 0.0,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """MW flows of every in-service line from one exact solve of the group, the
-    contingency's line at 0: ``solve_with_outage``'s numbers."""
+    contingency's line at 0 (``solve_with_outage``'s numbers), and their
+    loadings, 100 |flow| / rating; both read-only.
+
+    The group's kept solve is served when ``build_system`` returns the very
+    system it was solved on; otherwise the solve is made and kept, unscaled or
+    as the last scaled one."""
+    global _solves, _served
     system = _system(model, group.contingency, pfc_line, delta_pct)
+    for kept in (group.unscaled, group.scaled):
+        if kept is not None and kept[0]() is system:
+            _served += 1
+            return kept[1:]
+    _solves += 1
     flows = dcflow.flows_from_angles(system, dcflow.solve_reduced(system, group.rhs))
     k = group.outage
-    if k < 0:
-        return flows
-    full = np.zeros(len(flows) + 1)
-    full[:k], full[k + 1:] = flows[:k], flows[k:]
-    return full
+    if k >= 0:
+        full = np.zeros(len(flows) + 1)
+        full[:k], full[k + 1:] = flows[:k], flows[k:]
+        flows = full
+    loading = 100.0 * np.abs(flows) / group.ratings
+    flows.flags.writeable = loading.flags.writeable = False
+    kept = (weakref.ref(system), flows, loading)
+    if pfc_line is None or delta_pct == 0.0:
+        group.unscaled = kept
+    else:
+        group.scaled = kept
+    return kept[1:]
 
 
 def _size_increases(
@@ -294,9 +329,10 @@ def _size_increases(
     delta or None, |flow| at zero, |flow| at cap) for the target, the cases
     bisected in lockstep.
 
-    Each step is one exact solve that reads only the target's flow,
-    susceptance * (angle_from - angle_to) * base, from two angles (the
-    slack's is 0): the bits of the full flow vector's entry.
+    The step at zero reads the target's entry of the group's unscaled solve,
+    ``_flows(model, g)``. Every other step is one exact solve that reads only
+    the target's flow, susceptance * (angle_from - angle_to) * base, from two
+    angles (the slack's is 0): the bits of the full flow vector's entry.
     """
     base = model.system_base_mva
     t = model.in_service_line_ids.index(candidate.target_line)
@@ -309,13 +345,15 @@ def _size_increases(
     position = [t - (0 <= g.outage < t) for g, _ in cases]
 
     def target_flow(i: int, delta: float) -> float:
+        global _solves
         g = cases[i][0]
         system = _system(model, g.contingency, candidate.pfc_line, delta)
+        _solves += 1
         theta = system.lu.solve(g.rhs)
         diff = (theta.item(frm) if frm >= 0 else 0.0) - (theta.item(to) if to >= 0 else 0.0)
         return abs(system.susceptance.item(position[i]) * diff * base)
 
-    f_zero = [target_flow(i, 0.0) for i in range(len(cases))]
+    f_zero = [abs(_flows(model, g)[0].item(t)) for g, _ in cases]
     f_cap = [target_flow(i, cap_pct) for i in range(len(cases))]
     bounds = {  # case -> [lo, hi], for the cases the cap clears but zero does not
         i: [0.0, cap_pct]
@@ -347,9 +385,9 @@ def check_side_effects(
 ) -> list[str]:
     """Ids of the lines, in in-service order, pushed above their effective
     rating, or made worse while already above it, by the reactance increase:
-    exact re-solves of the group."""
-    pre_pct = 100.0 * np.abs(_flows(model, group)) / group.ratings
-    post_pct = 100.0 * np.abs(_flows(model, group, pfc_line, delta_pct)) / group.ratings
+    exact re-solves of the group, or its kept ones."""
+    _, pre_pct = _flows(model, group)
+    _, post_pct = _flows(model, group, pfc_line, delta_pct)
     worse = (post_pct > overload_pct) & (post_pct > pre_pct + 1e-9)
     return [model.in_service_line_ids[i] for i in np.flatnonzero(worse)]
 
@@ -373,17 +411,19 @@ def assess_target(
     Only the ``max_candidates`` best-coupled hosting lines are sized (pass 0
     for no limit); weaker couplings cannot beat a stronger one that already
     failed, so this bounds the exact re-solve work on large meshes. One INFO
-    line reports the pair groups, the candidates sized, the exact solves and
-    the factorizations they took.
+    line reports the pair groups, the candidates sized, the exact solves
+    (``lu.solve`` calls), the requests served from the groups' kept solves and
+    the factorizations.
     """
-    solves_before, factorizations_before = _exact_solves, dcflow.factorizations
+    solves_before, served_before = _solves, _served
+    factorizations_before = dcflow.factorizations
     model, groups = table.model, table.groups(target)
     if not groups:
         raise ValueError(f"no overload records for target {target}")
     total_hours = len({h for g in groups for h in g.hours})
 
     candidates = candidate_locations(
-        target, table.lodf, table.phi, model, dict.fromkeys(g.contingency for g in groups)
+        target, table.lodf, table.lodf.phi, model, dict.fromkeys(g.contingency for g in groups)
     )
     if max_candidates:
         candidates = candidates[:max_candidates]
@@ -409,8 +449,7 @@ def assess_target(
 
         dirty, uncleared, effects, residual = set(), set(), set(), 0.0
         for g, delta_g in zip(groups, deltas):
-            flows = _flows(model, g, cand.pfc_line, delta_star)
-            peak = float((100.0 * np.abs(flows) / g.ratings).max())
+            peak = float(_flows(model, g, cand.pfc_line, delta_star)[1].max())
             residual = max(residual, peak)
             cleared = delta_g is not None and delta_g <= delta_star
             if not cleared:
@@ -429,8 +468,8 @@ def assess_target(
 
     log.info(
         "stage 3 %s: %d pair groups, %d candidates sized, %d exact solves, "
-        "%d factorizations",
-        target, len(groups), sized, _exact_solves - solves_before,
+        "%d repeats served, %d factorizations",
+        target, len(groups), sized, _solves - solves_before, _served - served_before,
         dcflow.factorizations - factorizations_before,
     )
     # no candidate, or none could clear any pair: the screened peak stands

@@ -143,7 +143,7 @@ def test_taxonomy_reproduction():
             cases.parallel_paths_case()
         )
         fully = assess_target(
-            "LB", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
+            "LB", pair_table(records, model, injections, cases.flat_calendar(), lodf)
         )
         assert fully.classification == FULLY_RESOLVED
         assert fully.side_effect_lines == ()
@@ -152,7 +152,7 @@ def test_taxonomy_reproduction():
             cases.side_effect_case()
         )
         partial = assess_target(
-            "T", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
+            "T", pair_table(records, model, injections, cases.flat_calendar(), lodf)
         )
         assert partial.classification == PARTIALLY_RESOLVED
         assert "B" in partial.side_effect_lines  # the interaction line, listed
@@ -161,7 +161,7 @@ def test_taxonomy_reproduction():
             cases.radial_feed_case()
         )
         unresolvable = assess_target(
-            "T", pair_table(records, model, injections, cases.flat_calendar(), ptdf, lodf)
+            "T", pair_table(records, model, injections, cases.flat_calendar(), lodf)
         )
         assert unresolvable.classification == NO_CHANGE
 

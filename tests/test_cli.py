@@ -833,14 +833,17 @@ def test_grid30_screen_workbook_bytes_are_pinned(tmp_path):
     assert digests == GRID30_WORKBOOK
 
 
-# the Stage 3 outputs of grid30 (the benchmark pins the same digests), and the
-# exact re-solves each target takes and the factorizations they need: each
-# perturbed topology once. N01-N02 has no candidate host line
+# the Stage 3 outputs of grid30 (the benchmark pins the same digests), and per
+# target the solve requests (the build_system calls the benchmark pins), the
+# exact solves made for them, the rest served from the pair groups' kept
+# solves, and the factorizations: each perturbed topology once. N01-N02 has no
+# candidate host line
 GRID30_SITING = {
     "pfc_outcomes.csv": "08f64f866c7f3a52f46211f0dfb2fc27a632a7c40b85ac511491fba9fc49a3b0",
     "pfc_outcomes_detail.json": "1fd474cc61b7b4bdced5709c78a6decbf067177bc54a3070ad64a9fff167165e",
 }
-GRID30_STAGE3_WORK = {"N01-N02": (0, 0), "N10-N16": (2716, 322), "N17-N23": (12636, 1341)}
+GRID30_STAGE3_WORK = {"N01-N02": (0, 0, 0), "N10-N16": (2716, 2328, 322),
+                      "N17-N23": (12636, 8352, 1341)}
 
 
 def test_grid30_run_all_parses_no_records_and_logs_stage3_work(
@@ -863,10 +866,11 @@ def test_grid30_run_all_parses_no_records_and_logs_stage3_work(
     work = [
         re.fullmatch(
             r"stage 3 (\S+): \d+ pair groups, \d+ candidates sized, (\d+) exact solves, "
-            r"(\d+) factorizations",
+            r"(\d+) repeats served, (\d+) factorizations",
             r.getMessage(),
         ).groups()
         for r in caplog.records if r.name == "pfcplan.siting"
     ]
     assert len(work) == len(GRID30_STAGE3_WORK)
-    assert {target: (int(n), int(f)) for target, n, f in work} == GRID30_STAGE3_WORK
+    assert {target: (int(n) + int(s), int(n), int(f))
+            for target, n, s, f in work} == GRID30_STAGE3_WORK

@@ -31,8 +31,10 @@ fleets, and ``network.effective_ratings`` against the scalar
 
 import dataclasses
 import functools
+import gc
 import re
 import types
+import weakref
 from unittest import mock
 
 import hypothesis
@@ -1096,7 +1098,7 @@ def siting_studies(draw):
 @functools.cache
 def _fixture_study(name):
     """A bundled case's year: its records, intact and post-outage, with the
-    inputs ``assess_target`` takes after the target."""
+    inputs ``reference_assess_target`` takes after the target."""
     case = getattr(cases, name)()
     model = case.model
     year = run_year(model, case.profile, case.availability, case.snsp_cap)
@@ -1107,6 +1109,12 @@ def _fixture_study(name):
     records = stage2_scan(base, lodf, model, case.calendar)
     injections = injection_matrix(model, year, case.profile)
     return records, model, injections, case.calendar, ptdf, lodf
+
+
+def _pair_table(records, model, injections, calendar, ptdf, lodf):
+    """``siting.pair_table`` of a study: the reference's inputs without the
+    PTDF, whose transfer factors the LODF keeps."""
+    return siting.pair_table(records, model, injections, calendar, lodf)
 
 
 # records at 95%: some pairs of L0 need no increase, and a device on L4 must
@@ -1135,7 +1143,7 @@ def test_assess_target_is_the_reference_field_for_field(case):
         kwargs = {"max_candidates": case[1]}
     else:
         *study, target, kwargs = case
-    got = siting.assess_target(target, siting.pair_table(*study), **kwargs)
+    got = siting.assess_target(target, _pair_table(*study), **kwargs)
     hypothesis.event(got.classification)
     expected = reference_assess_target(target, *study, **kwargs)
     assert _outcome_bits(got) == _outcome_bits(expected)
@@ -1145,7 +1153,7 @@ def test_assess_target_is_the_reference_field_for_field(case):
 def lattice_study(lattice_year):
     """The 8x9 lattice of ``lattice_year`` screened in process as ``run-all``
     would: its records, intact and post-outage, with the inputs
-    ``assess_target`` takes after the target."""
+    ``reference_assess_target`` takes after the target."""
     year, model, system, profile, calendar = lattice_year
     _, base = stage1_scan(year, model, system, profile, calendar)
     ptdf = compute_ptdf(system, model)
@@ -1159,7 +1167,7 @@ def lattice_study(lattice_year):
 @pytest.mark.parametrize("target", ["B0000-B0100", "B0008-B0108", "B0100-B0101",
                                     "B0407-B0507"])
 def test_assess_target_is_the_reference_on_the_lattice(lattice_study, target):
-    got = siting.assess_target(target, siting.pair_table(*lattice_study))
+    got = siting.assess_target(target, _pair_table(*lattice_study))
     assert _outcome_bits(got) == _outcome_bits(reference_assess_target(target, *lattice_study))
 
 
@@ -1175,7 +1183,7 @@ def assert_pair_groups_are_the_reference(records, model, injections, calendar, p
     """Each target's groups from one ``pair_table`` are ``group_pairs``' groups
     of its overload pairs, field for field and in the same order, and each
     group's rhs has the bits of every one of its hours' own rhs."""
-    table = siting.pair_table(records, model, injections, calendar, ptdf, lodf)
+    table = siting.pair_table(records, model, injections, calendar, lodf)
     contingencies = records.line_ids + (None,)  # index -1 is the intact network
     rhs = {}  # hour -> the bytes of dcflow.reduced_injections of its injections
     targets = sorted(records.line_ids[i] for i in set(records.line[records.overload].tolist()))
@@ -1412,18 +1420,45 @@ SLACK_ENDS = Mesh(edges=((0, 1), (1, 2), (0, 2)), names=(0, 1, 2),
 @example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L0", "L1", "L2", 40.0))
 def test_lean_solves_give_the_full_solution_bits(case):
     model, injection, target, host, contingency, delta = case
-    scale = {host: 1.0 + delta / 100.0}
-    if contingency is None:
-        exact = solve_flows(build_system(model, reactance_scale=scale), injection)
-    else:
-        exact = solve_with_outage(model, injection, contingency, reactance_scale=scale)
+    exact = _exact_flows(model, injection, contingency, host, delta)
     group = pair_group(model, injection, contingency)
     candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
     # an infinite rating needs no bisection: the cap is read once, at delta
     [(_, _, f_cap)] = siting._size_increases(model, [(group, float("inf"))], candidate,
                                              delta, siting.BISECTION_TOL_PP)
-    assert _bits(f_cap) == _bits(abs(exact.flow_of(target)))
-    assert _same_bits(siting._flows(model, group, host, delta), exact.flows_mw)
+    assert _bits(f_cap) == _bits(abs(exact[model.in_service_line_ids.index(target)]))
+    assert _same_bits(siting._flows(model, group, host, delta)[0], exact)
+
+
+def _exact_flows(model, injection, contingency, host=None, delta=0.0):
+    """Every in-service line's MW flow from a new exact solve, the
+    contingency's line at 0, with ``host``'s reactance raised by ``delta``%."""
+    scale = None if host is None else {host: 1.0 + delta / 100.0}
+    if contingency is None:
+        return solve_flows(build_system(model, reactance_scale=scale), injection).flows_mw
+    return solve_with_outage(model, injection, contingency, reactance_scale=scale).flows_mw
+
+
+@SETTINGS
+@given(lean_solves())
+@example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L0", "L2", None, 25.0))
+@example((_model(SLACK_ENDS), np.array([40.0, -10.0, -30.0]), "L1", "L1", "L2", 12.5))
+def test_a_group_serves_only_the_solve_it_was_asked_for(case):
+    """A group's kept solves answer each request with a new exact solve's bits,
+    so a memo keyed on the contingency or on the host alone fails; and a
+    replaced scaled system is not kept alive by the group."""
+    model, injection, target, host, contingency, delta = case
+    group = pair_group(model, injection, contingency)
+    for pfc_line, d in ((host, delta), (host, delta / 2), (host, delta), (None, 0.0),
+                        (target, delta), (host, delta)):
+        flows, loading = siting._flows(model, group, pfc_line, d)
+        exact = _exact_flows(model, injection, contingency, pfc_line, d)
+        assert _same_bits(flows, exact)
+        assert _same_bits(loading, 100.0 * np.abs(exact) / group.ratings)
+    kept = weakref.ref(build_system(model, contingency, {host: 1.0 + delta / 100.0}))
+    build_system(model, contingency, {host: 2.0})  # replaces the scaled slot
+    gc.collect()
+    assert kept() is None
 
 
 @SETTINGS
@@ -1438,17 +1473,19 @@ def test_side_effects_never_name_a_line_the_device_cannot_move(case):
     assert not set(flagged) & graph_bridges(model)
 
 
-def _assert_f_zero_is_the_pre_state(model, groups, target, host):
-    """The sizer's |flow| at zero of each pair group is the target's entry of
-    the group's unscaled full solve, ``_flows(model, g)``, bit for bit: the
-    pre-state a group could keep for sizing and side effects alike."""
+def _assert_f_zero_is_the_pre_state(model, groups, injections, target, host):
+    """The sizer's |flow| at zero of each pair group, whose injections are the
+    matching row of ``injections``, is the target's entry of a new exact
+    unscaled solve, bit for bit: the pre-state each group keeps for sizing
+    and side effects alike."""
     candidate = siting.PfcCandidate(target_line=target, pfc_line=host, score=1.0)
     t = model.in_service_line_ids.index(target)
     # an infinite rating needs no bisection
     sized = siting._size_increases(model, [(g, float("inf")) for g in groups], candidate,
                                    siting.CAP_PCT_DEFAULT, siting.BISECTION_TOL_PP)
     assert [_bits(f_zero) for _, f_zero, _ in sized] == [
-        _bits(abs(siting._flows(model, g)[t])) for g in groups
+        _bits(abs(_exact_flows(model, injection, g.contingency)[t]))
+        for g, injection in zip(groups, injections)
     ]
 
 
@@ -1460,11 +1497,10 @@ def test_sizer_f_zero_is_the_pre_state_flow_on_meshes(case):
     model, injections, target, host, groups = case
     # every drawn (contingency, hour) and each hour intact, in contingency order
     settings_ = {(c, row) for c, row, *_ in groups} | {(None, row) for _, row, *_ in groups}
+    settings_ = sorted(settings_, key=lambda s: (s[0] or "", s[1]))
     _assert_f_zero_is_the_pre_state(
-        model,
-        [pair_group(model, injections[row], c)
-         for c, row in sorted(settings_, key=lambda s: (s[0] or "", s[1]))],
-        target, host,
+        model, [pair_group(model, injections[row], c) for c, row in settings_],
+        [injections[row] for _, row in settings_], target, host,
     )
 
 
@@ -1477,7 +1513,8 @@ def test_sizer_f_zero_is_the_pre_state_flow_on_the_bundled_cases(name):
         pairs = overloaded | {(hour, None) for hour, _ in overloaded}
         groups = group_pairs(model, pairs, injections, calendar)
         assert any(g.contingency is None for g in groups)
-        _assert_f_zero_is_the_pre_state(model, groups, target, target)
+        _assert_f_zero_is_the_pre_state(model, groups, [injections[g.hours[0]] for g in groups],
+                                        target, target)
 
 
 @SETTINGS

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfcplan import cases, dcflow, siting
+from pfcplan import cases, dcflow, shift_factors, siting
 from pfcplan.cli import main
 from pfcplan.dcflow import build_system, solve_flows, solve_with_outage
 from pfcplan.dispatch import injection_matrix, run_year
@@ -179,7 +179,7 @@ def _group(case, inj, contingency, hour=0):
     records = records_from_rows([OverloadRecord(target, hour, contingency, 101.0, 1.0,
                                                 "overload")])
     injections = np.tile(inj, (HOURS_PER_YEAR, 1))
-    [group] = pair_table(records, model, injections, case.calendar, *_factors(model)).groups(
+    [group] = pair_table(records, model, injections, case.calendar, _factors(model)[1]).groups(
         target
     )
     return group
@@ -226,7 +226,7 @@ def test_parallel_paths_fully_resolved():
     case = cases.parallel_paths_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "LB", pair_table(records, model, injections, case.calendar, ptdf, lodf)
+        "LB", pair_table(records, model, injections, case.calendar, lodf)
     )
     assert outcome.classification == FULLY_RESOLVED
     assert outcome.pfc_line == "LB"
@@ -240,7 +240,7 @@ def test_fully_resolved_soundness_by_exact_resolve():
     case = cases.parallel_paths_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "LB", pair_table(records, model, injections, case.calendar, ptdf, lodf)
+        "LB", pair_table(records, model, injections, case.calendar, lodf)
     )
     scale = {outcome.pfc_line: 1 + outcome.delta_pct / 100}
     pairs = {
@@ -262,7 +262,7 @@ def test_side_effect_case_partially_resolved_with_line_listed():
     case = cases.side_effect_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "T", pair_table(records, model, injections, case.calendar, ptdf, lodf)
+        "T", pair_table(records, model, injections, case.calendar, lodf)
     )
     assert outcome.classification == PARTIALLY_RESOLVED
     assert "B" in outcome.side_effect_lines
@@ -273,7 +273,7 @@ def test_radial_feed_no_change():
     case = cases.radial_feed_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "T", pair_table(records, model, injections, case.calendar, ptdf, lodf)
+        "T", pair_table(records, model, injections, case.calendar, lodf)
     )
     assert outcome.classification == NO_CHANGE
     assert outcome.pfc_line is None and outcome.delta_pct is None
@@ -284,7 +284,7 @@ def test_capped_relief_resolves_half_the_hours():
     case = cases.capped_relief_case()
     model, records, injections, ptdf, lodf = _run_study(case)
     outcome = assess_target(
-        "L13a", pair_table(records, model, injections, case.calendar, ptdf, lodf)
+        "L13a", pair_table(records, model, injections, case.calendar, lodf)
     )
     assert outcome.classification == PARTIALLY_RESOLVED
     assert outcome.overload_hours == 2750
@@ -293,38 +293,44 @@ def test_capped_relief_resolves_half_the_hours():
 
 
 def test_assess_requires_overload_records(triangle):
-    ptdf, lodf = _factors(triangle)
+    _, lodf = _factors(triangle)
     near_only = [OverloadRecord("L13", 5, None, 95.0, 0.0, "near")]
     for rows in ([], near_only):
         with pytest.raises(ValueError, match="no overload records"):
             assess_target("L13", pair_table(
                 records_from_rows(rows), triangle,
-                np.zeros((HOURS_PER_YEAR, 3)), cases.flat_calendar(), ptdf, lodf,
+                np.zeros((HOURS_PER_YEAR, 3)), cases.flat_calendar(), lodf,
             ))
 
 
 def test_site_pfc_builds_what_its_targets_share_once(tmp_path, monkeypatch):
-    """grid30's three targets share one pair table: one transfer-factor
-    matrix, one effective-ratings call and one matrix of right-hand sides."""
+    """grid30's three targets share one pair table: one effective-ratings
+    call and one matrix of right-hand sides, and the transfer-factor matrix
+    the LODF was divided from, formed once."""
     config, _ = _study(tmp_path, cases.grid30_case())
     for stage in ("dispatch", "screen"):
         assert main([stage, "--config", str(config)]) == 0
     calls = {}
 
     def counted(owner, name):
-        fn = getattr(owner, name)
+        fn, key = getattr(owner, name), f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[key] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((siting, "line_transfer_factors"), (siting, "effective_ratings"),
-                        (dcflow, "reduced_injections"), (siting, "assess_target")):
+    for owner, name in ((siting, "line_transfer_factors"),
+                        (shift_factors, "line_transfer_factors"),
+                        (siting, "effective_ratings"), (dcflow, "reduced_injections"),
+                        (siting, "assess_target")):
         counted(owner, name)
     assert main(["site-pfc", "--config", str(config)]) == 0
-    assert calls == {"line_transfer_factors": 1, "effective_ratings": 1,
-                     "reduced_injections": 1, "assess_target": 3}
+    assert calls == {"siting.line_transfer_factors": 0,
+                     "shift_factors.line_transfer_factors": 1,
+                     "siting.effective_ratings": 1, "dcflow.reduced_injections": 1,
+                     "siting.assess_target": 3}
 
 
 def _with_line_reactance(model, line_id, scale):
